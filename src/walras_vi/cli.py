@@ -110,21 +110,31 @@ def parse_economy(spec: dict) -> tuple[ExcessDemandModel, Optional[Fixture]]:
     raise ProblemFileError(f"unknown economy kind {kind!r}")
 
 
-def parse_plan(section) -> dict:
-    """Coerce a 'plan' section into the ``HarnessConfig`` fields it sets."""
-    _require(isinstance(section, dict), "'plan' must be an object")
-    plan = {}
-    for key, name, cast in (("eps_strict", "eps_strict", float),
-                            ("points", "num_points", int),
-                            ("m_max", "tuple_size_max", int),
-                            ("weight_resolution", "weight_grid_resolution", int),
-                            ("grid_spacing", "grid_spacing", float)):
+# Coerced entries per input-file section: (file key, field name, cast).
+_SECTION_FIELDS = {
+    "plan": (("eps_strict", "eps_strict", float), ("points", "num_points", int),
+             ("m_max", "tuple_size_max", int), ("grid_spacing", "grid_spacing", float),
+             ("weight_resolution", "weight_grid_resolution", int)),
+    "solver": (("step", "step", float), ("budget", "budget", int),
+               ("tol", "tol", float)),
+    "oracle": (("grid_spacing", "grid_spacing", float),
+               ("lipschitz", "lipschitz", float)),
+    "fixture": (("lipschitz", "lipschitz", float),),
+}
+
+
+def parse_section(name: str, section) -> dict:
+    """Coerce the present entries of a section; plan keys map to ``HarnessConfig``."""
+    _require(isinstance(section, dict), f"'{name}' must be an object")
+    out = {}
+    for key, field, cast in _SECTION_FIELDS[name]:
         if key in section:
             try:
-                plan[name] = cast(section[key])
+                out[field] = cast(section[key])
             except (TypeError, ValueError) as exc:
-                raise ProblemFileError(f"invalid plan entry {key!r}: {exc}") from exc
-    return plan
+                raise ProblemFileError(
+                    f"invalid {name} entry {key!r}: {exc}") from exc
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,14 +152,19 @@ class ProblemFile:
     lipschitz: float
 
 
-def load_problem(path: str) -> ProblemFile:
+def _read_json(path: str, what: str) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ProblemFileError(f"cannot read problem file: {exc}") from exc
+        raise ProblemFileError(f"cannot read {what} file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ProblemFileError(f"problem file is not valid JSON: {exc}") from exc
-    _require(isinstance(raw, dict), "problem file must be a JSON object")
+        raise ProblemFileError(f"{what} file is not valid JSON: {exc}") from exc
+    _require(isinstance(raw, dict), f"{what} file must be a JSON object")
+    return raw
+
+
+def load_problem(path: str) -> ProblemFile:
+    raw = _read_json(path, "problem")
     _require("economy" in raw and "region" in raw,
              "problem file needs 'economy' and 'region' entries")
     model, fixture = parse_economy(raw["economy"])
@@ -157,23 +172,21 @@ def load_problem(path: str) -> ProblemFile:
     _require(model.dim == region.dim,
              f"economy dimension {model.dim} does not match region "
              f"dimension {region.dim}")
-    solver = raw.get("solver", {})
-    plan = parse_plan(raw.get("plan", {}))
-    oracle = raw.get("oracle", {})
-    for section, name in ((solver, "solver"), (oracle, "oracle")):
-        _require(isinstance(section, dict), f"'{name}' must be an object")
+    solver = parse_section("solver", raw.get("solver", {}))
+    plan = parse_section("plan", raw.get("plan", {}))
+    oracle = parse_section("oracle", raw.get("oracle", {}))
 
-    step = float(solver.get("step", DEFAULT_STEP))
-    budget = int(solver.get("budget", DEFAULT_BUDGET))
-    tol_solve = float(solver.get("tol", TAU_SOLVE))
-    start = solver.get("start")
+    step = solver.get("step", DEFAULT_STEP)
+    budget = solver.get("budget", DEFAULT_BUDGET)
+    tol_solve = solver.get("tol", TAU_SOLVE)
+    start = raw.get("solver", {}).get("start")
     eps_strict = plan.get("eps_strict", EPS_STRICT)
     plan_points = plan.get("num_points", DEFAULT_SAMPLE_COUNT)
     plan_m_max = plan.get("tuple_size_max", DEFAULT_M_MAX)
     plan_resolution = plan.get("weight_grid_resolution", DEFAULT_WEIGHT_RESOLUTION)
     default_lip = fixture.lipschitz if fixture is not None else 1.0
-    grid_spacing = float(oracle.get("grid_spacing", 0.02))
-    lipschitz = float(oracle.get("lipschitz", default_lip))
+    grid_spacing = oracle.get("grid_spacing", 0.02)
+    lipschitz = oracle.get("lipschitz", default_lip)
 
     _require(step > 0, "solver step must be positive")
     _require(budget >= 0, "solver budget must be nonnegative")
@@ -194,7 +207,7 @@ def load_problem(path: str) -> ProblemFile:
                      "solver start must match the region dimension")
             _require(region.contains(start_arr, tol=1e-8),
                      "solver start must lie in the region")
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ProblemFileError(str(exc)) from exc
     return ProblemFile(problem, start_arr, step, budget, tol_solve, plan_points,
                        plan_m_max, plan_resolution, eps_strict, grid_spacing,
@@ -204,14 +217,8 @@ def load_problem(path: str) -> ProblemFile:
 def load_catalog_file(path: str) -> tuple[dict, dict]:
     """Read a catalog file: {'plan': {...}, 'fixtures': [...]}; the plan
     comes back as ``HarnessConfig`` fields."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ProblemFileError(f"cannot read catalog file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ProblemFileError(f"catalog file is not valid JSON: {exc}") from exc
-    _require(isinstance(raw, dict), "catalog file must be a JSON object")
-    overrides = parse_plan(raw.get("plan", {}))
+    raw = _read_json(path, "catalog")
+    overrides = parse_section("plan", raw.get("plan", {}))
     fixtures = {}
     for entry in raw.get("fixtures", []):
         _require(isinstance(entry, dict) and "label" in entry,
@@ -226,8 +233,8 @@ def load_catalog_file(path: str) -> tuple[dict, dict]:
                 f"fixture {entry['label']!r} needs a region")
         _require(model.dim == region.dim,
                  f"fixture {entry['label']!r} has mismatched dimensions")
-        lipschitz = float(entry.get(
-            "lipschitz", base.lipschitz if base is not None else 1.0))
+        lipschitz = parse_section("fixture", entry).get(
+            "lipschitz", base.lipschitz if base is not None else 1.0)
         _require(lipschitz > 0, "lipschitz scale must be positive")
         fixtures[entry["label"]] = Fixture(
             label=entry["label"], model=model, region=region,
@@ -370,8 +377,6 @@ def oracle(ctx, problem_file, grid_spacing, no_grid_points, out):
     try:
         spec = load_problem(problem_file)
         spacing = spec.grid_spacing if grid_spacing is None else float(grid_spacing)
-        if spacing <= 0:
-            raise ProblemFileError("grid spacing must be positive")
         estimate = enumerate_solutions(spec.problem, spacing, spec.lipschitz)
     except (ProblemFileError, ValueError, ProjectionBudgetError) as exc:
         click.echo(f"error: {exc}", err=True)

@@ -224,9 +224,8 @@ def is_positive(model: ExcessDemandModel, region: ConvexRegion, samples,
     pts = np.atleast_2d(np.asarray(samples, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("empty sample set")
-    for row in pts:
-        if not region.contains(row, tol=1e-8):
-            raise ValueError("positivity samples must lie in the region")
+    if not region.contains_many(pts, tol=1e-8).all():
+        raise ValueError("positivity samples must lie in the region")
     return bool(np.all(model(pts) > eps_strict))
 
 

@@ -59,6 +59,7 @@ from .vi_core import (
     cluster_centroids,
     enumerate_solutions,
     set_diameter,
+    single_cluster,
     single_linkage_clusters,
     solve_extragradient,
     uniqueness_probe,
@@ -182,30 +183,6 @@ def _cluster_info(members: np.ndarray, spacing: float) -> dict:
     }
 
 
-def _unique_primal(members: np.ndarray, spacing: float) -> bool:
-    if members.shape[0] == 0:
-        return False
-    threshold = 2.0 * spacing
-    return bool(len(single_linkage_clusters(members, threshold)) == 1
-                and set_diameter(members) <= threshold + 1e-12)
-
-
-def _unique_dual(members: np.ndarray, spacing: float, tolerance: float) -> bool:
-    """Dual-set uniqueness, allowing for the lattice halo.
-
-    The dual pairing is quadratically flat around a stationary point, so
-    a grid that certifies membership at tolerance ``tolerance`` always
-    admits a halo of diameter on the order of sqrt(tolerance) around an
-    isolated stationary point (for unit-order field slopes).  A solution
-    face is still rejected: its diameter stays at region scale.
-    """
-    if members.shape[0] == 0:
-        return False
-    halo = max(2.0 * spacing, 4.0 * float(np.sqrt(tolerance)))
-    return bool(len(single_linkage_clusters(members, 2.0 * spacing)) == 1
-                and set_diameter(members) <= halo + 1e-12)
-
-
 def _evidence_for(fixture, config, evidence):
     return evidence if evidence is not None else gather_evidence(fixture, config)
 
@@ -326,12 +303,17 @@ def check_theorem_4_3(fixture: Fixture, config: HarnessConfig = HarnessConfig(),
     if not positive:
         return TheoremCheckResult("T4_3", fixture.label, premises, True, True,
                                   details)
+    # The dual pairing is quadratically flat around a stationary point, so
+    # a grid certifying membership at tolerance t admits a halo of diameter
+    # about sqrt(t) around an isolated one (for unit-order field slopes).
+    # A solution face is still rejected: its diameter stays at region scale.
+    h = ev.grid_spacing
+    halo = max(2.0 * h, 4.0 * float(np.sqrt(ev.estimate.tolerance)))
     triple = {
         "strict_proper_quasi_holds": not ev.reports["strict_proper_quasi"].refuted,
-        "unique_minty": _unique_dual(ev.estimate.minty_members,
-                                     ev.grid_spacing, ev.estimate.tolerance),
-        "unique_stampacchia": _unique_primal(ev.estimate.stampacchia_members,
-                                             ev.grid_spacing),
+        "unique_minty": single_cluster(ev.estimate.minty_members, h, halo),
+        "unique_stampacchia": single_cluster(ev.estimate.stampacchia_members,
+                                             h, 2.0 * h),
     }
     details["triple"] = triple
     agree = len(set(triple.values())) == 1

@@ -35,7 +35,7 @@ from .constants import (
     TAU_FEAS,
 )
 from .economy import ExcessDemandModel
-from .regions import ConvexRegion, FloatArray
+from .regions import ConvexRegion, FloatArray, first_distinct
 
 __all__ = [
     "CLASS_NAMES",
@@ -94,9 +94,8 @@ class SamplePlan:
     def validate_for(self, region: ConvexRegion) -> None:
         if self.base_points.shape[1] != region.dim:
             raise ValueError("plan dimension does not match the region")
-        for row in self.base_points:
-            if not region.contains(row, tol=TAU_FEAS):
-                raise ValueError("plan base points must lie in the region")
+        if not region.contains_many(self.base_points, tol=TAU_FEAS).all():
+            raise ValueError("plan base points must lie in the region")
 
 
 def build_plan(region: ConvexRegion, num_points: int = DEFAULT_SAMPLE_COUNT,
@@ -112,12 +111,8 @@ def build_plan(region: ConvexRegion, num_points: int = DEFAULT_SAMPLE_COUNT,
     if num_points > 0:
         chunks.append(region.sample(num_points))
     stacked = np.vstack(chunks)
-    keep: list[int] = []
-    for i in range(stacked.shape[0]):
-        if all(np.linalg.norm(stacked[i] - stacked[k]) > DISTINCT_DIST for k in keep):
-            keep.append(i)
-    plan = SamplePlan(stacked[keep], tuple_size_max, weight_grid_resolution,
-                      eps_strict)
+    plan = SamplePlan(stacked[first_distinct(stacked, DISTINCT_DIST)],
+                      tuple_size_max, weight_grid_resolution, eps_strict)
     plan.validate_for(region)
     return plan
 

@@ -61,6 +61,24 @@ def as_price_vector(x, dim: Optional[int] = None) -> FloatArray:
     return p
 
 
+def _price_rows(points, dim: int) -> FloatArray:
+    """Validate and return ``points`` as a finite (m, dim) float64 array."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != dim or not np.all(np.isfinite(pts)):
+        raise ValueError(f"need finite price rows of dimension {dim}, got {pts.shape}")
+    return pts
+
+
+def first_distinct(points: FloatArray, dist: float) -> NDArray[np.bool_]:
+    """Mask of the rows farther than ``dist`` from every earlier kept row."""
+    near = np.linalg.norm(points[:, None] - points[None], axis=-1) <= dist
+    keep = np.ones(points.shape[0], dtype=bool)
+    for i in range(points.shape[0]):  # first occurrence wins
+        if keep[i]:
+            keep[i + 1:] &= ~near[i, i + 1:]
+    return keep
+
+
 class ProjectionBudgetError(RuntimeError):
     """A polyhedral projection could not be verified.
 
@@ -157,6 +175,10 @@ class ConvexRegion(ABC):
         """True iff all defining constraints hold within ``tol``."""
 
     @abstractmethod
+    def contains_many(self, points, tol: float = TAU_FEAS) -> NDArray[np.bool_]:
+        """Row-wise ``contains`` of an (m, dim) array, as a boolean mask."""
+
+    @abstractmethod
     def bounding_box(self) -> tuple[FloatArray, FloatArray]:
         """Per-axis (lower, upper) bounds; entries may be +inf."""
 
@@ -197,8 +219,7 @@ class ConvexRegion(ABC):
         mesh = np.stack(
             [g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1
         )
-        keep = np.array([self.contains(row, tol=1e-9) for row in mesh])
-        pts = mesh[keep]
+        pts = mesh[self.contains_many(mesh, tol=1e-9)]
         if pts.shape[0] == 0:
             raise ValueError("grid produced no feasible points")
         return pts
@@ -256,8 +277,11 @@ class Simplex(ConvexRegion):
         return np.maximum(pts - theta[:, None], 0.0)
 
     def contains(self, x, tol: float = TAU_FEAS) -> bool:
-        p = as_price_vector(x, self.n)
-        return bool(np.all(p >= -tol) and abs(p.sum() - 1.0) <= tol)
+        return bool(self.contains_many(as_price_vector(x, self.n), tol)[0])
+
+    def contains_many(self, points, tol: float = TAU_FEAS) -> NDArray[np.bool_]:
+        p = _price_rows(points, self.n)
+        return np.all(p >= -tol, axis=1) & (np.abs(p.sum(axis=1) - 1.0) <= tol)
 
     def bounding_box(self):
         return np.zeros(self.n), np.ones(self.n)
@@ -322,8 +346,11 @@ class Box(ConvexRegion):
         return np.clip(pts, self.lower, self.upper)
 
     def contains(self, x, tol: float = TAU_FEAS) -> bool:
-        p = as_price_vector(x, self.dim)
-        return bool(np.all(p >= self.lower - tol) and np.all(p <= self.upper + tol))
+        return bool(self.contains_many(as_price_vector(x, self.dim), tol)[0])
+
+    def contains_many(self, points, tol: float = TAU_FEAS) -> NDArray[np.bool_]:
+        p = _price_rows(points, self.dim)
+        return np.all((p >= self.lower - tol) & (p <= self.upper + tol), axis=1)
 
     def bounding_box(self):
         return self.lower.copy(), self.upper.copy()
@@ -412,8 +439,12 @@ class Polyhedron(ConvexRegion):
         return self._feasible.copy()
 
     def contains(self, x, tol: float = TAU_FEAS) -> bool:
-        p = as_price_vector(x, self.dim)
-        return bool(np.all(self.A @ p - self.b <= tol * np.maximum(1.0, np.abs(self.b))))
+        return bool(self.contains_many(as_price_vector(x, self.dim), tol)[0])
+
+    def contains_many(self, points, tol: float = TAU_FEAS) -> NDArray[np.bool_]:
+        p = _price_rows(points, self.dim)
+        slack = p @ self.A.T - self.b
+        return np.all(slack <= tol * np.maximum(1.0, np.abs(self.b)), axis=1)
 
     def project(self, x) -> FloatArray:
         """Exact projection by one least-distance NNLS, KKT-verified.
@@ -478,25 +509,15 @@ class Polyhedron(ConvexRegion):
             raise ValueError("vertex enumeration is desk-scale only (dim <= 3)")
         if not self.is_bounded:
             raise ValueError("vertex enumeration requires a bounded region")
-        m, n = self.A.shape
-        scale = np.maximum(1.0, np.abs(self.b))
-        found = []
-        for rows in itertools.combinations(range(m), n):
-            sub = self.A[list(rows)]
-            if abs(np.linalg.det(sub)) < 1e-12:
-                continue
-            v = np.linalg.solve(sub, self.b[list(rows)])
-            if np.all(self.A @ v - self.b <= 1e-9 * scale):
-                found.append(v)
-        if not found:
+        rows = np.array(list(itertools.combinations(range(self.A.shape[0]), self.dim)))
+        subs = self.A[rows]
+        basic = np.abs(np.linalg.det(subs)) >= 1e-12
+        pts = np.linalg.solve(subs[basic], self.b[rows[basic]][..., None])[..., 0]
+        pts = pts[self.contains_many(pts, tol=1e-9)]
+        if pts.shape[0] == 0:
             raise ValueError("no vertices found (degenerate polyhedron)")
-        pts = np.array(found)
-        keep: list[int] = []
-        for i in range(pts.shape[0]):
-            if all(np.linalg.norm(pts[i] - pts[k]) > 1e-9 for k in keep):
-                keep.append(i)
-        order = np.lexsort(pts[keep].T[::-1])
-        return pts[keep][order]
+        pts = pts[first_distinct(pts, 1e-9)]
+        return pts[np.lexsort(pts.T[::-1])]
 
     def __repr__(self) -> str:
         return f"Polyhedron(m={self.A.shape[0]}, n={self.dim})"

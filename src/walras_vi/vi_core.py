@@ -13,11 +13,11 @@ cycles.  Convergence is measured by the natural-map residual
 
 ``enumerate_solutions`` is the independent oracle: it classifies every
 feasible grid point against both definitions with the full grid as probe
-set.  For box and simplex grids the inner minimization of a linear
-functional over the grid is computed in closed form (the grid is a
-product set / contains the vertices, so the grid minimum equals the
-region minimum); this is an exact reformulation, not an approximation,
-and the generic two-pass scan is retained for polyhedra.
+set.  A linear functional on a finite set is minimized at a vertex of the
+set's convex hull, so the primal test's min_p E(p_i).p is taken exactly
+over the grid's hull vertices (qhull), whatever the region kind.  The dual
+test has no such shortcut (for a positive-definite linear field every
+lifted point (E(p), -E(p).p) is a hull vertex) and scans the grid twice.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from .constants import DEFAULT_BUDGET, DEFAULT_STEP, TAU_SOLVE
 from .economy import ExcessDemandModel
-from .regions import Box, ConvexRegion, FloatArray, Simplex, as_price_vector
+from .regions import ConvexRegion, FloatArray, as_price_vector
 
 __all__ = [
     "CONVERGED",
@@ -235,24 +236,19 @@ class SolutionSetEstimate:
         return out
 
 
-def _grid_linear_minimum(region: ConvexRegion, grid: FloatArray,
-                         coeffs: FloatArray, spacing: float) -> FloatArray:
-    """min over grid points p of c . p, one value per coefficient row.
+def _extreme_points(grid: FloatArray) -> FloatArray:
+    """Grid rows that include every vertex of the grid's convex hull.
 
-    Box grids are product sets and simplex grids contain all vertices, so
-    the minimum is available in closed form; other regions fall back to a
-    chunked scan over the grid.
+    qhull runs in the principal coordinates of the grid's affine hull; a
+    grid of rank <= 1 (a point or a segment) returns its two endpoints.
     """
-    if isinstance(region, Box):
-        lo, hi = region.bounding_box()
-        return np.where(coeffs >= 0, coeffs * lo, coeffs * hi).sum(axis=1)
-    if isinstance(region, Simplex):
-        return coeffs.min(axis=1)
-    out = np.full(coeffs.shape[0], np.inf)
-    for lo_i in range(0, grid.shape[0], _ROW_CHUNK):
-        block = grid[lo_i:lo_i + _ROW_CHUNK]
-        np.minimum(out, (block @ coeffs.T).min(axis=0), out=out)
-    return out
+    centered = grid - grid.mean(axis=0)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    rank = int(np.sum(s > s.max() * max(centered.shape) * np.finfo(float).eps))
+    if rank <= 1:
+        t = centered @ vt[0]
+        return grid[[t.argmin(), t.argmax()]]
+    return grid[ConvexHull(centered @ vt[:rank].T).vertices]
 
 
 def _minty_values(grid: FloatArray, evals: FloatArray, diag: FloatArray,
@@ -289,24 +285,21 @@ def enumerate_solutions(problem: VIProblem, grid_spacing: float,
     """Classify every feasible grid point against both solution notions.
 
     Membership tolerance is grid_spacing * lipschitz_scale; the scale is
-    fixture-specific because exact membership on a grid is ill-posed.
-    Desk-scale only (dim <= 3).
+    fixture-specific because exact membership on a grid is ill-posed.  The
+    primal minimum runs over the grid's hull vertices, the dual test is
+    ``_minty_values``.  Desk-scale only (dim <= 3).
     """
     if lipschitz_scale <= 0:
         raise ValueError("lipschitz scale must be positive")
-    region = problem.region
-    grid = region.grid(grid_spacing)
+    grid = problem.region.grid(grid_spacing)
     evals = problem.model(grid)
     diag = np.einsum("ij,ij->i", evals, grid)
     tol = grid_spacing * lipschitz_scale
-
-    linmin = _grid_linear_minimum(region, grid, evals, grid_spacing)
-    stampacchia = (linmin - diag) >= -tol
-    minty = _minty_values(grid, evals, diag, tol) >= -tol
+    linmin = (_extreme_points(grid) @ evals.T).min(axis=0)
     return SolutionSetEstimate(
         grid_points=grid,
-        stampacchia_mask=stampacchia,
-        minty_mask=minty,
+        stampacchia_mask=(linmin - diag) >= -tol,
+        minty_mask=_minty_values(grid, evals, diag, tol) >= -tol,
         grid_spacing=grid_spacing,
         tolerance=tol,
     )
@@ -357,15 +350,19 @@ def set_diameter(points) -> float:
     return best
 
 
+def single_cluster(points, spacing: float, diameter: float) -> bool:
+    """True iff the points form one single-linkage cluster at link distance
+    2 * spacing whose diameter is at most ``diameter``."""
+    return bool(points.shape[0] > 0
+                and len(single_linkage_clusters(points, 2.0 * spacing)) == 1
+                and set_diameter(points) <= diameter + 1e-12)
+
+
 def uniqueness_probe(problem: VIProblem, grid_spacing: float,
                      lipschitz_scale: float,
                      estimate: Optional[SolutionSetEstimate] = None) -> bool:
     """True iff the primal members form one cluster of diameter <= 2h."""
     est = estimate if estimate is not None else enumerate_solutions(
         problem, grid_spacing, lipschitz_scale)
-    members = est.stampacchia_members
-    if members.shape[0] == 0:
-        return False
-    threshold = 2.0 * est.grid_spacing
-    clusters = single_linkage_clusters(members, threshold)
-    return bool(len(clusters) == 1 and set_diameter(members) <= threshold + 1e-12)
+    return single_cluster(est.stampacchia_members, est.grid_spacing,
+                          2.0 * est.grid_spacing)

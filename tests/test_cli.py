@@ -336,3 +336,41 @@ def test_harness_catalog_plan_values_are_coerced(runner, tmp_path):
     result = runner.invoke(main, ["harness", "--catalog", path])
     _assert_one_error_line(result)
     assert "'points'" in result.stderr
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("solve", "solver", "step"),
+    ("solve", "solver", "budget"),
+    ("solve", "solver", "tol"),
+    ("oracle", "oracle", "grid_spacing"),
+    ("oracle", "oracle", "lipschitz"),
+])
+@pytest.mark.parametrize("value", [None, "fast", [1.0]], ids=["null", "string", "list"])
+def test_problem_section_values_are_coerced(runner, tmp_path, command, section,
+                                            key, value):
+    problem = json.loads(json.dumps(LINEAR_PROBLEM))
+    problem[section][key] = value
+    result = runner.invoke(main, [command, write(tmp_path, "problem.json", problem)])
+    _assert_one_error_line(result)
+    assert f"invalid {section} entry {key!r}" in result.stderr
+
+
+def test_problem_section_numeric_strings_are_coerced(runner, tmp_path):
+    problem = json.loads(json.dumps(LINEAR_PROBLEM))
+    problem["solver"].update(step="0.1", budget="100000", tol="1e-8")
+    problem["oracle"].update(grid_spacing="0.1", lipschitz="3")
+    path = write(tmp_path, "problem.json", problem)
+    spec = load_problem(path)
+    assert (spec.step, spec.budget, spec.tol_solve) == (0.1, 100000, 1e-8)
+    assert (spec.grid_spacing, spec.lipschitz) == (0.1, 3.0)
+    assert runner.invoke(main, ["solve", path]).exit_code == 0
+
+
+@pytest.mark.parametrize("value", [None, "steep", [1.0]], ids=["null", "string", "list"])
+def test_catalog_fixture_lipschitz_is_coerced(runner, tmp_path, value):
+    catalog = {"fixtures": [{"label": "pos", "lipschitz": value,
+                             "economy": {"kind": "catalog", "name": "scalar_positive"}}]}
+    path = write(tmp_path, "catalog.json", catalog)
+    result = runner.invoke(main, ["harness", "--catalog", path, "--grid", "0.1"])
+    _assert_one_error_line(result)
+    assert "invalid fixture entry 'lipschitz'" in result.stderr

@@ -10,6 +10,9 @@ from conftest import (
     projection_kkt_residual,
     simplex_lattice,
 )
+from walras_vi.constants import TAU_FEAS
+from walras_vi.economy import is_positive, linear_economy
+from walras_vi.monotonicity import SamplePlan
 from walras_vi.regions import (
     Box,
     ConvexCombination,
@@ -17,6 +20,7 @@ from walras_vi.regions import (
     Simplex,
     as_price_vector,
     combine,
+    first_distinct,
     project_onto_simplex,
 )
 
@@ -370,6 +374,77 @@ def test_contains_examples():
     assert Simplex(3).contains(np.full(3, 1 / 3))
     assert not Simplex(2).contains([0.6, 0.6])
     assert Box([0.0, 0.0], [1.0, 1.0]).contains([0.0, 0.5])
+
+
+def _contains_by_definition(region, p, tol):
+    """The defining constraints of each kind, one row at a time."""
+    if isinstance(region, Simplex):
+        return bool(np.all(p >= -tol) and abs(p.sum() - 1.0) <= tol)
+    if isinstance(region, Box):
+        return bool(np.all(p >= region.lower - tol) and np.all(p <= region.upper + tol))
+    return bool(np.all(region.A @ p - region.b <= tol * np.maximum(1.0, np.abs(region.b))))
+
+
+MEMBERSHIP_REGIONS = [
+    Simplex(1), Simplex(2), Simplex(3),
+    Box([0.0, 0.5], [1.0, np.inf]), Box([0.25], [0.25]),
+    Box([0.0, 1.0, 0.0], [np.inf, 2.0, np.inf]),
+    UNIT_SQUARE_POLY,
+    Polyhedron([[1.0, 1.0, 1.0]], [2.0], np.zeros(3), np.ones(3)),
+    Polyhedron([[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0]),
+]
+
+
+@pytest.mark.parametrize("region", MEMBERSHIP_REGIONS, ids=repr)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), tol=st.sampled_from([1e-9, TAU_FEAS, 1e-3]))
+def test_contains_many_matches_rowwise_contains(region, data, tol):
+    # rows built from bounding-box values (unbounded edges read as lower
+    # + 2) moved by at most two tolerances, so many sit within +-tol of
+    # a constraint
+    lo, hi = region.bounding_box()
+    lo = np.where(np.isfinite(lo), lo, -2.0)
+    hi = np.where(np.isfinite(hi), hi, lo + 2.0)
+    levels = np.stack([lo, hi, 0.5 * (lo + hi), lo - 1.0, hi + 1.0])
+    cell = st.tuples(st.integers(0, 4), st.sampled_from([-2.0, -0.5, 0.0, 0.5, 2.0]))
+    rows = data.draw(st.lists(st.lists(cell, min_size=region.dim,
+                                       max_size=region.dim),
+                              min_size=1, max_size=8))
+    pts = np.array([[levels[k, j] + off * tol for j, (k, off) in enumerate(row)]
+                    for row in rows])
+    mask = region.contains_many(pts, tol)
+    assert mask.dtype == bool and mask.shape == (pts.shape[0],)
+    assert mask.tolist() == [region.contains(p, tol) for p in pts]
+    assert mask.tolist() == [_contains_by_definition(region, p, tol) for p in pts]
+
+
+def test_first_distinct_keeps_first_occurrences_greedily():
+    # 0.6 is within 1 of the kept 0.0 and dropped; 1.2 is within 1 only
+    # of the dropped 0.6, so it stays, as in a loop over kept rows
+    pts = np.array([[0.0], [0.6], [1.2], [0.0], [2.5]])
+    assert first_distinct(pts, 1.0).tolist() == [True, False, True, False, True]
+
+
+def test_contains_many_validates_rows():
+    square = Box([0.0, 0.0], [1.0, 1.0])
+    assert square.contains_many(np.empty((0, 2))).shape == (0,)
+    with pytest.raises(ValueError, match="dimension"):
+        square.contains_many([[0.5, 0.5, 0.5]])
+    with pytest.raises(ValueError, match="finite"):
+        square.contains_many([[0.5, np.nan]])
+
+
+def test_batched_membership_callers_keep_their_messages():
+    square = Box([0.0, 0.0], [1.0, 1.0])
+    inside = np.array([[0.5, 0.5], [0.0, 1.0]])
+    outside = np.vstack([inside, [[1.5, 0.5]]])
+    model = linear_economy(np.eye(2), -np.ones(2))
+    SamplePlan(inside).validate_for(square)
+    assert is_positive(model, square, inside)
+    with pytest.raises(ValueError, match="^plan base points must lie in the region$"):
+        SamplePlan(outside).validate_for(square)
+    with pytest.raises(ValueError, match="^positivity samples must lie in the region$"):
+        is_positive(model, square, outside)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import minty_members_bruteforce, stampacchia_members_bruteforce
 from walras_vi.constants import TAU_PROJ, TAU_SOLVE
 from walras_vi.economy import default_catalog, linear_economy, scalar_catalog
-from walras_vi.regions import Box, Polyhedron
+from walras_vi.regions import Box, Polyhedron, Simplex
 from walras_vi.vi_core import (
     BUDGET_EXHAUSTED,
     CONVERGED,
     VIProblem,
+    _extreme_points,
     cluster_centroids,
     enumerate_solutions,
     minty_gap,
@@ -227,6 +230,55 @@ def test_enumerate_matches_bruteforce_oracle(label):
     minty_oracle = minty_members_bruteforce(fixture.model, grid, tol)
     assert_allclose(est.stampacchia_members, stamp_oracle)
     assert_allclose(est.minty_members, minty_oracle)
+
+
+CUBE_LO, CUBE_HI = np.zeros(3), np.ones(3)
+
+# (region, spacings): degenerate boxes, every simplex grid the oracle
+# builds, the criterion-1 polyhedron and two flat polyhedra.  All bounds
+# sit on every spacing's lattice.
+DEGENERATE_REGIONS = [
+    pytest.param(Box([0.0, 1.0], [1.0, 1.0]), (0.1, 0.125, 0.2), id="box-flat-axis"),
+    pytest.param(Box([0.0], [1.0]), (0.1, 0.125, 0.2), id="box-1d"),
+    pytest.param(Box([1.0, 0.0], [1.0, 0.0]), (0.1,), id="box-point"),
+    pytest.param(Simplex(1), (0.1,), id="simplex-1"),
+    pytest.param(Simplex(2), (0.1, 0.125, 0.2), id="simplex-2"),
+    pytest.param(Simplex(3), (0.1, 0.125, 0.2), id="simplex-3"),
+    pytest.param(Polyhedron([[1.0, 1.0, 1.0]], [2.0], CUBE_LO, CUBE_HI),
+                 (0.2,), id="criterion-1"),
+    pytest.param(Polyhedron([[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0],
+                            CUBE_LO[:2], CUBE_HI[:2]),
+                 (0.1, 0.125, 0.2), id="poly-flat-2d"),
+    pytest.param(Polyhedron([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]], [1.0, -1.0],
+                            CUBE_LO, CUBE_HI),
+                 (0.1, 0.2), id="poly-flat-3d"),
+]
+
+
+@pytest.mark.parametrize("region, spacings", DEGENERATE_REGIONS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_enumerate_matches_bruteforce_on_degenerate_grids(region, spacings, data):
+    # entries k/4 keep every pairing on the lattice of spacing^2 / 4 (up
+    # to rounding), and tolerance 0.117 * spacing lies off that lattice
+    n = region.dim
+    quarters = st.integers(-4, 4).map(lambda k: k / 4)
+    M = np.array(data.draw(st.lists(quarters, min_size=n * n, max_size=n * n)))
+    c = np.array(data.draw(st.lists(quarters, min_size=n, max_size=n)))
+    spacing = data.draw(st.sampled_from(spacings))
+    model = linear_economy(M.reshape(n, n), c)
+    est = enumerate_solutions(VIProblem(model, region), spacing, 0.117)
+    grid, tol = est.grid_points, est.tolerance
+    assert_allclose(est.stampacchia_members,
+                    stampacchia_members_bruteforce(model, grid, tol))
+    assert_allclose(est.minty_members,
+                    minty_members_bruteforce(model, grid, tol))
+    # the hull-vertex minimum is the full-grid minimum, up to rounding
+    evals = model(grid)
+    hull = (_extreme_points(grid) @ evals.T).min(axis=0)
+    full = (grid @ evals.T).min(axis=0)
+    ulps = 4 * np.finfo(float).eps * (np.abs(evals) @ np.abs(grid).max(axis=0))
+    assert np.all(np.abs(hull - full) <= ulps)
 
 
 # ---------------------------------------------------------------------------
