@@ -110,12 +110,21 @@ def parse_economy(spec: dict) -> tuple[ExcessDemandModel, Optional[Fixture]]:
     raise ProblemFileError(f"unknown economy kind {kind!r}")
 
 
+def _integer(value) -> int:
+    """``int`` that refuses to truncate: booleans and fractions are errors."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 # Coerced entries per input-file section: (file key, field name, cast).
 _SECTION_FIELDS = {
-    "plan": (("eps_strict", "eps_strict", float), ("points", "num_points", int),
-             ("m_max", "tuple_size_max", int), ("grid_spacing", "grid_spacing", float),
-             ("weight_resolution", "weight_grid_resolution", int)),
-    "solver": (("step", "step", float), ("budget", "budget", int),
+    "plan": (("eps_strict", "eps_strict", float), ("points", "num_points", _integer),
+             ("m_max", "tuple_size_max", _integer),
+             ("grid_spacing", "grid_spacing", float),
+             ("weight_resolution", "weight_grid_resolution", _integer)),
+    "solver": (("step", "step", float), ("budget", "budget", _integer),
                ("tol", "tol", float)),
     "oracle": (("grid_spacing", "grid_spacing", float),
                ("lipschitz", "lipschitz", float)),

@@ -45,11 +45,11 @@ from .constants import (
 )
 from .economy import Fixture, default_catalog, is_positive
 from .monotonicity import (
-    CLASS_NAMES,
     MonotonicityReport,
     SamplePlan,
     build_plan,
     check_class,
+    check_tuple_classes,
 )
 from .vi_core import (
     CONVERGED,
@@ -108,6 +108,8 @@ class HarnessConfig:
             raise ValueError("tolerances must be positive")
         if self.step <= 0 or self.budget < 0:
             raise ValueError("solver config must be positive")
+        if self.num_points < 0:
+            raise ValueError("plan points must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,10 +155,9 @@ def gather_evidence(fixture: Fixture,
         weight_grid_resolution=config.weight_grid_resolution,
         eps_strict=config.eps_strict,
     )
-    reports = {
-        name: check_class(name, fixture.model, fixture.region, plan)
-        for name in CLASS_NAMES
-    }
+    reports = {name: check_class(name, fixture.model, fixture.region, plan)
+               for name in ("pseudo", "strict_pseudo")}
+    reports.update(check_tuple_classes(fixture.model, fixture.region, plan))
     problem = VIProblem(fixture.model, fixture.region)
     estimate = enumerate_solutions(problem, config.grid_spacing, fixture.lipschitz)
     solve = solve_extragradient(problem, step=config.step, budget=config.budget,

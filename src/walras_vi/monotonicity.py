@@ -12,10 +12,10 @@ witness that replays against the definition, while "holds_on_samples"
 claims nothing beyond the scanned evidence.  Universal quantifiers over
 the region are discretized by a deterministic sample plan (region
 vertices plus low-discrepancy points); quantifiers over convex weights
-become a uniform grid on the weight simplex.  Scans run in a fixed
-order -- tuple size ascending, index combinations lexicographic, weight
-compositions lexicographic -- and report the first violation, so
-identical inputs always produce identical reports.
+become a uniform grid on the weight simplex.  Scans run in a fixed order
+(tuple size ascending, index combinations and weight compositions
+lexicographic; the three combination classes share one tuple scan), and
+each class reports its own first violation, so reports are reproducible.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ __all__ = [
     "check_properly_quasimonotone",
     "check_properly_quasimonotone_dual",
     "check_strict_properly_quasimonotone",
+    "check_tuple_classes",
     "check_class",
     "replay_witness",
 ]
@@ -59,6 +60,9 @@ CLASS_NAMES = (
     "proper_quasi_dual",
     "strict_proper_quasi",
 )
+
+# The classes quantified over convex combinations of plan tuples.
+_TUPLE_CLASSES = CLASS_NAMES[2:]
 
 HOLDS = "holds_on_samples"
 REFUTED = "refuted"
@@ -162,23 +166,18 @@ class MonotonicityReport:
         return out
 
 
-def _weight_grid(parts: int, resolution: int, interior: bool) -> FloatArray:
-    """Uniform grid on the weight simplex, lexicographic order."""
+def _weight_grid(parts: int, resolution: int) -> FloatArray:
+    """Uniform grid on the weight simplex, zeros included, lexicographic."""
     steps = resolution - 1
-    minimum = 1 if interior else 0
-    if parts == 1:
-        return np.array([[1.0]])
-    combos = list(_compositions(steps, parts, minimum))
-    return np.asarray(combos, dtype=float) / steps
+    return np.asarray(list(_compositions(steps, parts)), dtype=float) / steps
 
 
-def _compositions(total: int, parts: int, minimum: int):
+def _compositions(total: int, parts: int):
     if parts == 1:
-        if total >= minimum:
-            yield (total,)
+        yield (total,)
         return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, minimum):
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
@@ -251,96 +250,115 @@ def check_strictly_pseudomonotone(model: ExcessDemandModel, region: ConvexRegion
     return MonotonicityReport("strict_pseudo", HOLDS, samples, margin)
 
 
-def _tuple_scan(model, plan, sizes, interior, tau_feas):
-    """Yield (indices, weights, combined, dots) blocks in canonical order."""
+def _first(mask) -> Optional[tuple]:
+    """Index of the first True entry in C order, or None."""
+    found = np.argwhere(mask)
+    return tuple(int(i) for i in found[0]) if found.size else None
+
+
+def _combination_hit(P, combos, hit, weights, combined, dots, threshold):
+    """Margin and witness of a violating (tuple, interior weights) pair."""
+    t, w = hit
+    witness = Witness(points=P[combos[t]], dot_products=dots[t, :, w],
+                      weights=weights[w], combined=combined[t, w],
+                      indices=tuple(int(i) for i in combos[t]))
+    return float(threshold - dots[t, :, w].max()), witness
+
+
+def check_tuple_classes(model: ExcessDemandModel, region: ConvexRegion,
+                        plan: SamplePlan,
+                        tau_feas: float = TAU_FEAS) -> dict:
+    """Reports of the three combination classes from one scan, by class name.
+
+    Tuples of each size m come in lexicographic order, and each chunk
+    contracts its pairings once against the boundary weight grid.  The
+    primal classes read its interior columns: the interior grid is the
+    lexicographic subsequence with all weights positive, and interior grids
+    suffice because a boundary combination of a tuple is an interior
+    combination of a sub-tuple.  The dual class keeps the boundary weights,
+    since its existential ranges over the closed hull.  Each class keeps
+    its own first violation and sample count.
+    """
+    plan.validate_for(region)
     P, Ev, G, g = _pairings(model, plan)
-    n = plan.size
-    for m in sizes:
-        W = _weight_grid(m, plan.weight_grid_resolution, interior)
-        all_combos = list(itertools.combinations(range(n), m))
+    eps = plan.eps_strict
+    samples = dict.fromkeys(_TUPLE_CLASSES, 0)
+    best = dict.fromkeys(_TUPLE_CLASSES, float("inf"))
+    hits: dict = {}                          # class name -> (margin, witness)
+    for m in range(1, plan.tuple_size_max + 1):
+        W = _weight_grid(m, plan.weight_grid_resolution)
+        inner = np.flatnonzero((W > 0).all(axis=1))
+        all_combos = np.array(list(itertools.combinations(range(plan.size), m)),
+                              dtype=int).reshape(-1, m)
         for lo in range(0, len(all_combos), _TUPLE_CHUNK):
-            combos = np.asarray(all_combos[lo:lo + _TUPLE_CHUNK], dtype=int)
-            gsub = g[combos]                                   # (T, m)
+            combos = all_combos[lo:lo + _TUPLE_CHUNK]
+            Pc = P[combos]                                     # (T, m, n)
             Gsub = G[combos[:, :, None], combos[:, None, :]]   # (T, m, m)
-            dots = gsub[:, :, None] - np.einsum("tjk,wk->tjw", Gsub, W)
-            combined = np.einsum("wk,tkn->twn", W, P[combos])  # (T, W, n)
-            yield combos, W, combined, dots
+            dots = g[combos][:, :, None] - np.einsum("tjk,wk->tjw", Gsub, W)
+            combined = np.einsum("wk,tkn->twn", W[inner], Pc)  # (T, Wi, n)
+            maxdots = dots.max(axis=1)[:, inner]               # (T, Wi)
+            mindots = dots.min(axis=1)                         # (T, W)
+            achieved = mindots.max(axis=1)     # best combination per tuple
+
+            samples["proper_quasi"] += maxdots.size
+            best["proper_quasi"] = min(best["proper_quasi"], float(
+                maxdots.min(initial=np.inf) + tau_feas))
+            if "proper_quasi" not in hits and (hit := _first(maxdots < -tau_feas)):
+                hits["proper_quasi"] = _combination_hit(
+                    P, combos, hit, W[inner], combined, dots[:, :, inner], -tau_feas)
+
+            samples["proper_quasi_dual"] += mindots.size
+            best["proper_quasi_dual"] = min(best["proper_quasi_dual"],
+                                            float(achieved.min() + tau_feas))
+            if ("proper_quasi_dual" not in hits
+                    and (hit := _first(achieved < -tau_feas))):
+                t = hit[0]
+                per_comb = [{"weights": W[w].tolist(),
+                             "min_dot": float(mindots[t, w]),
+                             "failing_index": int(dots[t, :, w].argmin())}
+                            for w in range(W.shape[0])]
+                witness = Witness(
+                    points=P[combos[t]], dot_products=dots[t, :, mindots[t].argmax()],
+                    indices=tuple(int(i) for i in combos[t]),
+                    extra={"per_combination": per_comb,
+                           "best_achieved": float(achieved[t])})
+                hits["proper_quasi_dual"] = (float(-tau_feas - achieved[t]), witness)
+
+            if m < 2:                 # strict: members themselves are excluded
+                continue
+            distinct = np.ones(maxdots.shape, dtype=bool)
+            for j in range(m):
+                # summed in q order: the row norm bit for bit below 8 dims
+                d = combined - Pc[:, None, j, :]
+                sq = d[..., 0] ** 2
+                for q in range(1, d.shape[-1]):
+                    sq = sq + d[..., q] ** 2
+                distinct &= np.sqrt(sq) > DISTINCT_DIST
+            samples["strict_proper_quasi"] += int(distinct.sum())
+            best["strict_proper_quasi"] = min(best["strict_proper_quasi"], float(
+                maxdots[distinct].min(initial=np.inf) - eps))
+            if ("strict_proper_quasi" not in hits
+                    and (hit := _first(distinct & (maxdots <= eps)))):
+                hits["strict_proper_quasi"] = _combination_hit(
+                    P, combos, hit, W[inner], combined, dots[:, :, inner], eps)
+    return {name: MonotonicityReport(name, REFUTED, samples[name], *hits[name])
+            if name in hits else
+            MonotonicityReport(name, HOLDS, samples[name], best[name])
+            for name in _TUPLE_CLASSES}
 
 
 def check_properly_quasimonotone(model: ExcessDemandModel, region: ConvexRegion,
                                  plan: SamplePlan,
                                  tau_feas: float = TAU_FEAS) -> MonotonicityReport:
-    """Every combination of every tuple needs one E(p_j).(p_j - p) >= 0.
-
-    Interior weight grids suffice: a boundary combination of a tuple is an
-    interior combination of one of its sub-tuples, and all tuple sizes up
-    to the plan maximum are scanned.
-    """
-    plan.validate_for(region)
-    P = plan.base_points
-    samples = 0
-    best = float("inf")
-    hit = None
-    for combos, W, combined, dots in _tuple_scan(
-            model, plan, range(1, plan.tuple_size_max + 1), True, tau_feas):
-        maxdots = dots.max(axis=1)                 # (T, W)
-        samples += maxdots.size
-        if hit is None:
-            viol = maxdots < -tau_feas
-            if viol.any():
-                t, w = map(int, np.argwhere(viol)[0])
-                hit = (combos[t], W[w], combined[t, w], dots[t, :, w])
-        best = min(best, float(maxdots.min() + tau_feas))
-    if hit is not None:
-        idx, wts, comb, dd = hit
-        witness = Witness(points=P[idx], dot_products=dd, weights=wts,
-                          combined=comb, indices=tuple(int(i) for i in idx))
-        margin = float(-tau_feas - dd.max())
-        return MonotonicityReport("proper_quasi", REFUTED, samples, margin, witness)
-    return MonotonicityReport("proper_quasi", HOLDS, samples, best)
+    """Every interior combination of every tuple needs one E(p_j).(p_j - p) >= 0."""
+    return check_tuple_classes(model, region, plan, tau_feas)["proper_quasi"]
 
 
 def check_properly_quasimonotone_dual(model: ExcessDemandModel,
                                       region: ConvexRegion, plan: SamplePlan,
                                       tau_feas: float = TAU_FEAS) -> MonotonicityReport:
-    """Every tuple needs one combination with all pairings >= 0 at once.
-
-    The existential ranges over the closed hull, so the weight grid here
-    includes boundary weights (tuple members themselves are candidates).
-    """
-    plan.validate_for(region)
-    P = plan.base_points
-    samples = 0
-    best = float("inf")
-    hit = None
-    for combos, W, combined, dots in _tuple_scan(
-            model, plan, range(1, plan.tuple_size_max + 1), False, tau_feas):
-        mindots = dots.min(axis=1)                 # (T, W)
-        samples += mindots.size
-        achieved = mindots.max(axis=1)             # best combination per tuple
-        if hit is None:
-            viol = achieved < -tau_feas
-            if viol.any():
-                t = int(np.argwhere(viol)[0][0])
-                per_comb = [
-                    {"weights": W[w].tolist(),
-                     "min_dot": float(mindots[t, w]),
-                     "failing_index": int(dots[t, :, w].argmin())}
-                    for w in range(W.shape[0])
-                ]
-                hit = (combos[t], float(achieved[t]), per_comb,
-                       dots[t, :, mindots[t].argmax()])
-        best = min(best, float(achieved.min() + tau_feas))
-    if hit is not None:
-        idx, ach, per_comb, dd = hit
-        witness = Witness(points=P[idx], dot_products=np.asarray(dd),
-                          indices=tuple(int(i) for i in idx),
-                          extra={"per_combination": per_comb,
-                                 "best_achieved": ach})
-        margin = float(-tau_feas - ach)
-        return MonotonicityReport("proper_quasi_dual", REFUTED, samples, margin,
-                                  witness)
-    return MonotonicityReport("proper_quasi_dual", HOLDS, samples, best)
+    """Every tuple needs one combination with all pairings >= 0 at once."""
+    return check_tuple_classes(model, region, plan, tau_feas)["proper_quasi_dual"]
 
 
 def check_strict_properly_quasimonotone(model: ExcessDemandModel,
@@ -351,35 +369,7 @@ def check_strict_properly_quasimonotone(model: ExcessDemandModel,
     Combinations closer than the distinctness tolerance to any tuple member
     are excluded, matching the definition's p != p_i side condition.
     """
-    plan.validate_for(region)
-    P = plan.base_points
-    eps = plan.eps_strict
-    samples = 0
-    best = float("inf")
-    hit = None
-    for combos, W, combined, dots in _tuple_scan(
-            model, plan, range(2, plan.tuple_size_max + 1), True, tau_feas):
-        member_pts = P[combos]                     # (T, m, n)
-        gaps = np.linalg.norm(
-            combined[:, :, None, :] - member_pts[:, None, :, :], axis=-1)
-        distinct = np.all(gaps > DISTINCT_DIST, axis=2)   # (T, W)
-        maxdots = dots.max(axis=1)
-        samples += int(distinct.sum())
-        if hit is None:
-            viol = distinct & (maxdots <= eps)
-            if viol.any():
-                t, w = map(int, np.argwhere(viol)[0])
-                hit = (combos[t], W[w], combined[t, w], dots[t, :, w])
-        if distinct.any():
-            best = min(best, float(maxdots[distinct].min() - eps))
-    if hit is not None:
-        idx, wts, comb, dd = hit
-        witness = Witness(points=P[idx], dot_products=dd, weights=wts,
-                          combined=comb, indices=tuple(int(i) for i in idx))
-        margin = float(eps - dd.max())
-        return MonotonicityReport("strict_proper_quasi", REFUTED, samples,
-                                  margin, witness)
-    return MonotonicityReport("strict_proper_quasi", HOLDS, samples, best)
+    return check_tuple_classes(model, region, plan, tau_feas)["strict_proper_quasi"]
 
 
 _CHECKERS = {

@@ -3,6 +3,9 @@
 Everything here is deliberately written from the definitions, without
 reusing the library's own grid or scan machinery, so the tests cross
 two independent routes wherever the library computes something nontrivial.
+The one exception is the reference tuple scans at the end: they are the
+library's earlier per-class scans, kept verbatim, against which the fused
+scan must agree byte for byte.
 """
 
 from __future__ import annotations
@@ -10,6 +13,12 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from walras_vi.constants import DISTINCT_DIST, TAU_FEAS
+from walras_vi.economy import ExcessDemandModel
+from walras_vi.monotonicity import (HOLDS, REFUTED, MonotonicityReport,
+                                    SamplePlan, Witness)
+from walras_vi.regions import ConvexRegion, FloatArray
 
 
 # ---------------------------------------------------------------------------
@@ -103,3 +112,179 @@ def minty_members_bruteforce(model, grid, tol) -> np.ndarray:
         if min(float(ep @ (p - x)) for ep, p in zip(evals, grid)) >= -tol:
             members.append(x)
     return np.array(members) if members else np.empty((0, grid.shape[1]))
+
+
+# ---------------------------------------------------------------------------
+# reference tuple scans: the three per-class scans that preceded
+# monotonicity.check_tuple_classes, kept verbatim (one scan per class, each
+# recomputing the pairings) as the reference for the fused scan
+
+
+_TUPLE_CHUNK = 4096
+
+
+def _weight_grid(parts: int, resolution: int, interior: bool) -> FloatArray:
+    """Uniform grid on the weight simplex, lexicographic order."""
+    steps = resolution - 1
+    minimum = 1 if interior else 0
+    if parts == 1:
+        return np.array([[1.0]])
+    combos = list(_compositions(steps, parts, minimum))
+    return np.asarray(combos, dtype=float) / steps
+
+
+def _compositions(total: int, parts: int, minimum: int):
+    if parts == 1:
+        if total >= minimum:
+            yield (total,)
+        return
+    for first in range(minimum, total - minimum * (parts - 1) + 1):
+        for rest in _compositions(total - first, parts - 1, minimum):
+            yield (first,) + rest
+
+
+def _pairings(model: ExcessDemandModel, plan: SamplePlan):
+    """Precompute E at base points and all inner products E(p_i) . p_k."""
+    P = plan.base_points
+    Ev = model(P)
+    G = Ev @ P.T
+    g = np.einsum("ij,ij->i", Ev, P)
+    return P, Ev, G, g
+
+
+def _tuple_scan(model, plan, sizes, interior, tau_feas):
+    """Yield (indices, weights, combined, dots) blocks in canonical order."""
+    P, Ev, G, g = _pairings(model, plan)
+    n = plan.size
+    for m in sizes:
+        W = _weight_grid(m, plan.weight_grid_resolution, interior)
+        all_combos = list(itertools.combinations(range(n), m))
+        for lo in range(0, len(all_combos), _TUPLE_CHUNK):
+            combos = np.asarray(all_combos[lo:lo + _TUPLE_CHUNK], dtype=int)
+            gsub = g[combos]                                   # (T, m)
+            Gsub = G[combos[:, :, None], combos[:, None, :]]   # (T, m, m)
+            dots = gsub[:, :, None] - np.einsum("tjk,wk->tjw", Gsub, W)
+            combined = np.einsum("wk,tkn->twn", W, P[combos])  # (T, W, n)
+            yield combos, W, combined, dots
+
+
+def check_properly_quasimonotone(model: ExcessDemandModel, region: ConvexRegion,
+                                 plan: SamplePlan,
+                                 tau_feas: float = TAU_FEAS) -> MonotonicityReport:
+    """Every combination of every tuple needs one E(p_j).(p_j - p) >= 0.
+
+    Interior weight grids suffice: a boundary combination of a tuple is an
+    interior combination of one of its sub-tuples, and all tuple sizes up
+    to the plan maximum are scanned.
+    """
+    plan.validate_for(region)
+    P = plan.base_points
+    samples = 0
+    best = float("inf")
+    hit = None
+    for combos, W, combined, dots in _tuple_scan(
+            model, plan, range(1, plan.tuple_size_max + 1), True, tau_feas):
+        maxdots = dots.max(axis=1)                 # (T, W)
+        samples += maxdots.size
+        if hit is None:
+            viol = maxdots < -tau_feas
+            if viol.any():
+                t, w = map(int, np.argwhere(viol)[0])
+                hit = (combos[t], W[w], combined[t, w], dots[t, :, w])
+        best = min(best, float(maxdots.min() + tau_feas))
+    if hit is not None:
+        idx, wts, comb, dd = hit
+        witness = Witness(points=P[idx], dot_products=dd, weights=wts,
+                          combined=comb, indices=tuple(int(i) for i in idx))
+        margin = float(-tau_feas - dd.max())
+        return MonotonicityReport("proper_quasi", REFUTED, samples, margin, witness)
+    return MonotonicityReport("proper_quasi", HOLDS, samples, best)
+
+
+def check_properly_quasimonotone_dual(model: ExcessDemandModel,
+                                      region: ConvexRegion, plan: SamplePlan,
+                                      tau_feas: float = TAU_FEAS) -> MonotonicityReport:
+    """Every tuple needs one combination with all pairings >= 0 at once.
+
+    The existential ranges over the closed hull, so the weight grid here
+    includes boundary weights (tuple members themselves are candidates).
+    """
+    plan.validate_for(region)
+    P = plan.base_points
+    samples = 0
+    best = float("inf")
+    hit = None
+    for combos, W, combined, dots in _tuple_scan(
+            model, plan, range(1, plan.tuple_size_max + 1), False, tau_feas):
+        mindots = dots.min(axis=1)                 # (T, W)
+        samples += mindots.size
+        achieved = mindots.max(axis=1)             # best combination per tuple
+        if hit is None:
+            viol = achieved < -tau_feas
+            if viol.any():
+                t = int(np.argwhere(viol)[0][0])
+                per_comb = [
+                    {"weights": W[w].tolist(),
+                     "min_dot": float(mindots[t, w]),
+                     "failing_index": int(dots[t, :, w].argmin())}
+                    for w in range(W.shape[0])
+                ]
+                hit = (combos[t], float(achieved[t]), per_comb,
+                       dots[t, :, mindots[t].argmax()])
+        best = min(best, float(achieved.min() + tau_feas))
+    if hit is not None:
+        idx, ach, per_comb, dd = hit
+        witness = Witness(points=P[idx], dot_products=np.asarray(dd),
+                          indices=tuple(int(i) for i in idx),
+                          extra={"per_combination": per_comb,
+                                 "best_achieved": ach})
+        margin = float(-tau_feas - ach)
+        return MonotonicityReport("proper_quasi_dual", REFUTED, samples, margin,
+                                  witness)
+    return MonotonicityReport("proper_quasi_dual", HOLDS, samples, best)
+
+
+def check_strict_properly_quasimonotone(model: ExcessDemandModel,
+                                        region: ConvexRegion, plan: SamplePlan,
+                                        tau_feas: float = TAU_FEAS) -> MonotonicityReport:
+    """Strict variant: combinations distinct from all members need a > 0 pairing.
+
+    Combinations closer than the distinctness tolerance to any tuple member
+    are excluded, matching the definition's p != p_i side condition.
+    """
+    plan.validate_for(region)
+    P = plan.base_points
+    eps = plan.eps_strict
+    samples = 0
+    best = float("inf")
+    hit = None
+    for combos, W, combined, dots in _tuple_scan(
+            model, plan, range(2, plan.tuple_size_max + 1), True, tau_feas):
+        member_pts = P[combos]                     # (T, m, n)
+        gaps = np.linalg.norm(
+            combined[:, :, None, :] - member_pts[:, None, :, :], axis=-1)
+        distinct = np.all(gaps > DISTINCT_DIST, axis=2)   # (T, W)
+        maxdots = dots.max(axis=1)
+        samples += int(distinct.sum())
+        if hit is None:
+            viol = distinct & (maxdots <= eps)
+            if viol.any():
+                t, w = map(int, np.argwhere(viol)[0])
+                hit = (combos[t], W[w], combined[t, w], dots[t, :, w])
+        if distinct.any():
+            best = min(best, float(maxdots[distinct].min() - eps))
+    if hit is not None:
+        idx, wts, comb, dd = hit
+        witness = Witness(points=P[idx], dot_products=dd, weights=wts,
+                          combined=comb, indices=tuple(int(i) for i in idx))
+        margin = float(eps - dd.max())
+        return MonotonicityReport("strict_proper_quasi", REFUTED, samples,
+                                  margin, witness)
+    return MonotonicityReport("strict_proper_quasi", HOLDS, samples, best)
+
+
+REFERENCE_TUPLE_CHECKERS = {
+    "proper_quasi": check_properly_quasimonotone,
+    "proper_quasi_dual": check_properly_quasimonotone_dual,
+    "strict_proper_quasi": check_strict_properly_quasimonotone,
+}

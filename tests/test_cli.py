@@ -374,3 +374,36 @@ def test_catalog_fixture_lipschitz_is_coerced(runner, tmp_path, value):
     result = runner.invoke(main, ["harness", "--catalog", path, "--grid", "0.1"])
     _assert_one_error_line(result)
     assert "invalid fixture entry 'lipschitz'" in result.stderr
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("solve", "solver", "budget"),
+    ("check", "plan", "points"),
+    ("check", "plan", "m_max"),
+    ("check", "plan", "weight_resolution"),
+])
+@pytest.mark.parametrize("value", [2.9, True, "2.9"],
+                         ids=["fraction", "boolean", "fraction-string"])
+def test_integer_entries_are_not_truncated(runner, tmp_path, command, section,
+                                           key, value):
+    problem = json.loads(json.dumps(LINEAR_PROBLEM))
+    problem.setdefault(section, {})[key] = value
+    argv = [command, write(tmp_path, "problem.json", problem)]
+    result = runner.invoke(main, argv + (["--class", "pseudo"]
+                                         if command == "check" else []))
+    _assert_one_error_line(result)
+    assert f"invalid {section} entry {key!r}" in result.stderr
+
+
+@pytest.mark.parametrize("plan, message", [
+    ({"m_max": 3.9}, "invalid plan entry 'm_max'"),
+    ({"points": -5}, "plan points must be nonnegative"),
+])
+def test_harness_catalog_plan_integers_are_checked(runner, tmp_path, plan, message):
+    catalog = {"plan": plan,
+               "fixtures": [{"label": "pos", "economy": {"kind": "catalog",
+                                                         "name": "scalar_positive"}}]}
+    path = write(tmp_path, "catalog.json", catalog)
+    result = runner.invoke(main, ["harness", "--catalog", path, "--grid", "0.1"])
+    _assert_one_error_line(result)
+    assert message in result.stderr

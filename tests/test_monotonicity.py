@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from conftest import REFERENCE_TUPLE_CHECKERS, box_grid
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from walras_vi.constants import EPS_STRICT, TAU_FEAS
@@ -16,9 +19,10 @@ from walras_vi.monotonicity import (
     check_pseudomonotone,
     check_strict_properly_quasimonotone,
     check_strictly_pseudomonotone,
+    check_tuple_classes,
     replay_witness,
 )
-from walras_vi.regions import Box, Simplex
+from walras_vi.regions import Box, Polyhedron, Simplex
 
 UNIT_INTERVAL = Box([0.0], [1.0])
 UNIT_SQUARE = Box([0.0, 0.0], [1.0, 1.0])
@@ -287,3 +291,118 @@ def test_simplex_rotation_is_strictly_pseudomonotone_on_segment():
     plan = build_plan(simplex)
     report = check_strictly_pseudomonotone(rotation, simplex, plan)
     assert report.verdict == "holds_on_samples"
+
+
+# ---------------------------------------------------------------------------
+# the shared tuple scan against the per-class reference scans
+
+
+def _same_reports(fused, reference) -> bool:
+    return json.dumps(fused.to_dict()) == json.dumps(reference.to_dict())
+
+
+# Plan coordinates are multiples of 1/8, so combinations with dyadic
+# weights land exactly on other points, tuple members included.
+SCAN_REGIONS = {
+    "interval": Box([0.25], [1.5]),
+    "box": Box([0.0, 0.5], [1.0, 1.5]),
+    "box3": Box(np.zeros(3), np.ones(3)),
+    "simplex2": Simplex(2),
+    "simplex3": Simplex(3),
+    "polyhedron": Polyhedron([[1.0, 1.0]], [1.5], lower=np.zeros(2),
+                             upper=np.ones(2)),
+}
+SCAN_LATTICES = {
+    name: (lambda g: g[region.contains_many(g, tol=0.0)])(
+        box_grid([-1.0] * region.dim, [1.5] * region.dim, 0.125))
+    for name, region in SCAN_REGIONS.items()
+}
+ENTRIES = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def tuple_scan_cases(draw):
+    name = draw(st.sampled_from(sorted(SCAN_REGIONS)))
+    region, lattice = SCAN_REGIONS[name], SCAN_LATTICES[name]
+    n = region.dim
+    if n == 1:
+        # both ends and the midpoint: (1/4, 1/2, 1/4) combines onto a member
+        head = [0, len(lattice) - 1, (len(lattice) - 1) // 2]
+        rest = draw(st.lists(st.integers(1, len(lattice) - 2), max_size=4,
+                             unique=True).filter(lambda r: head[2] not in r))
+        rows = head + rest
+    else:
+        rows = draw(st.lists(st.integers(0, len(lattice) - 1), min_size=2,
+                             max_size=7, unique=True))
+    if draw(st.booleans()):
+        M = draw(st.sampled_from([0.5, 1.0])) * np.eye(n)     # monotone: holds
+    else:
+        M = np.array(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n)))
+    c = draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    plan = SamplePlan(lattice[rows], tuple_size_max=draw(st.integers(2, 4)),
+                      weight_grid_resolution=draw(st.integers(3, 11)))
+    return region, linear_economy(M.reshape(n, n), c), plan
+
+
+@settings(max_examples=150, deadline=None)
+@given(tuple_scan_cases())
+def test_shared_tuple_scan_matches_reference_byte_for_byte(case):
+    region, model, plan = case
+    fused = check_tuple_classes(model, region, plan)
+    for name, reference in REFERENCE_TUPLE_CHECKERS.items():
+        try:
+            expected = reference(model, region, plan)
+        except ValueError:
+            # the reference fails on a tuple size with no interior weights
+            assert name != "proper_quasi_dual"
+            assert plan.weight_grid_resolution - 1 < plan.tuple_size_max
+            continue
+        assert _same_reports(fused[name], expected), name
+
+
+def test_distinctness_excludes_exact_collinear_coincidences():
+    # (0, 1, 1/2) with weights (1/4, 1/4, 1/2) combines exactly onto 1/2
+    plan = SamplePlan(np.array([[0.0], [1.0], [0.5]]), tuple_size_max=3,
+                      weight_grid_resolution=5)
+    fused = check_tuple_classes(NEGSLOPE, UNIT_INTERVAL, plan)
+    combinations = fused["proper_quasi"].samples_used - plan.size  # m >= 2
+    assert fused["strict_proper_quasi"].samples_used < combinations
+    for name, reference in REFERENCE_TUPLE_CHECKERS.items():
+        assert _same_reports(fused[name], reference(NEGSLOPE, UNIT_INTERVAL, plan))
+
+
+def test_tuple_sizes_without_interior_weights_add_no_samples():
+    # steps of 1/2 leave 3-tuples no interior weights; the dual class
+    # still scans their boundary combinations
+    plan = SamplePlan(np.array([[0.0], [1.0], [0.5]]), tuple_size_max=3,
+                      weight_grid_resolution=3)
+    fused = check_tuple_classes(POSSLOPE, UNIT_INTERVAL, plan)
+    assert fused["proper_quasi"].samples_used == 3 + 3
+    assert fused["strict_proper_quasi"].samples_used == 3
+    assert fused["proper_quasi_dual"].samples_used == 3 + 3 * 3 + 6
+    reference = REFERENCE_TUPLE_CHECKERS["proper_quasi_dual"]
+    assert _same_reports(fused["proper_quasi_dual"],
+                         reference(POSSLOPE, UNIT_INTERVAL, plan))
+
+
+def test_check_class_selects_from_the_shared_scan(catalog_reports):
+    for label, fixture in default_catalog().items():
+        plan = build_plan(fixture.region)
+        shared = check_tuple_classes(fixture.model, fixture.region, plan)
+        assert list(shared) == list(REFERENCE_TUPLE_CHECKERS)
+        for name, report in shared.items():
+            assert _same_reports(report, catalog_reports[label][name]), (label, name)
+
+
+def test_shared_scan_witnesses_replay_at_40_points():
+    refuted = 0
+    for label, fixture in default_catalog().items():
+        plan = build_plan(fixture.region, num_points=40)
+        for name, report in check_tuple_classes(fixture.model, fixture.region,
+                                                plan).items():
+            if report.refuted:
+                refuted += 1
+                margin = replay_witness(fixture.model, report)
+                assert margin >= report.margin - 1e-12, (label, name)
+    assert refuted > 0
+
