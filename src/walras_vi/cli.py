@@ -71,7 +71,7 @@ def parse_region(spec: dict) -> ConvexRegion:
     kind = spec["kind"]
     try:
         if kind == "simplex":
-            return Simplex(int(spec["n"]))
+            return Simplex(_integer(spec["n"]))
         if kind == "box":
             upper = [np.inf if u is None else float(u) for u in spec["upper"]]
             return Box(spec["lower"], upper)
@@ -184,6 +184,8 @@ def load_problem(path: str) -> ProblemFile:
     solver = parse_section("solver", raw.get("solver", {}))
     plan = parse_section("plan", raw.get("plan", {}))
     oracle = parse_section("oracle", raw.get("oracle", {}))
+    _require("grid_spacing" not in plan,
+             "set the grid spacing as 'oracle.grid_spacing', not under 'plan'")
 
     step = solver.get("step", DEFAULT_STEP)
     budget = solver.get("budget", DEFAULT_BUDGET)
@@ -328,7 +330,8 @@ def check(ctx, problem_file, class_name, out):
 @click.option("--catalog", "catalog_src", default="default",
               help="'default' or a path to a catalog JSON file.")
 @click.option("--grid", "grid_spacing", type=float, default=None,
-              help="Oracle grid spacing (default 0.02).")
+              help="Oracle grid spacing; overrides a catalog's "
+                   "plan.grid_spacing (default 0.02).")
 @click.option("--out", type=click.Path(), default=None,
               help="Write the JSON summary here instead of stdout.")
 @click.option("--trace-dir", type=click.Path(), default=None,
@@ -345,12 +348,10 @@ def harness(ctx, catalog_src, grid_spacing, out, trace_dir):
         catalog = None
         if catalog_src != "default":
             catalog, overrides = load_catalog_file(catalog_src)
-        kwargs = {}
         if grid_spacing is not None:
-            kwargs["grid_spacing"] = float(grid_spacing)
-        kwargs.update(overrides)
+            overrides["grid_spacing"] = float(grid_spacing)
         try:
-            config = HarnessConfig(**kwargs)
+            config = HarnessConfig(**overrides)
         except ValueError as exc:
             raise ProblemFileError(f"invalid harness configuration: {exc}") from exc
         results, evidence = run_catalog_with_evidence(catalog, config)

@@ -1,7 +1,10 @@
 """Executable checks of the equilibrium theorems on the fixture catalog.
 
 Each check cross-references the monotonicity checkers (premises) against
-the grid oracle's solution sets and the solver (conclusions).  Checks run
+the grid oracle's solution sets and the solver (conclusions).
+``gather_evidence`` runs every per-fixture stage once, clustering each
+solution set included, and each check takes only that ``FixtureEvidence``
+and reads from it.  Checks run
 in certified directions only: checkers refute, oracles enumerate, and a
 "holds_on_samples" premise makes a theorem check evidence rather than
 proof.  A fixture whose premises fail yields a vacuous pass, recorded as
@@ -53,16 +56,13 @@ from .monotonicity import (
 )
 from .vi_core import (
     CONVERGED,
+    MemberClusters,
     SolutionSetEstimate,
     VIProblem,
     VISolveResult,
-    cluster_centroids,
+    cluster_members,
     enumerate_solutions,
-    set_diameter,
-    single_cluster,
-    single_linkage_clusters,
     solve_extragradient,
-    uniqueness_probe,
 )
 
 __all__ = [
@@ -114,7 +114,11 @@ class HarnessConfig:
 
 @dataclass(frozen=True, eq=False)
 class FixtureEvidence:
-    """Everything the theorem checks consume, computed once per fixture."""
+    """Everything the theorem checks consume, computed once per fixture.
+
+    ``stampacchia`` and ``minty`` cluster the two member sets at link
+    distance twice the grid spacing.
+    """
 
     fixture: Fixture
     plan: SamplePlan
@@ -122,7 +126,8 @@ class FixtureEvidence:
     estimate: SolutionSetEstimate
     solve: VISolveResult
     positive: bool
-    grid_spacing: float
+    stampacchia: MemberClusters
+    minty: MemberClusters
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,8 +169,10 @@ def gather_evidence(fixture: Fixture,
                                 tol=config.tol_solve)
     positive = is_positive(fixture.model, fixture.region, plan.base_points,
                            eps_strict=config.eps_strict)
+    link = 2.0 * estimate.grid_spacing
     return FixtureEvidence(fixture, plan, reports, estimate, solve, positive,
-                           config.grid_spacing)
+                           cluster_members(estimate.stampacchia_members, link),
+                           cluster_members(estimate.minty_members, link))
 
 
 def _premise(name: str, report: MonotonicityReport) -> dict:
@@ -173,115 +180,84 @@ def _premise(name: str, report: MonotonicityReport) -> dict:
             "samples_used": report.samples_used}
 
 
-def _cluster_info(members: np.ndarray, spacing: float) -> dict:
-    threshold = 2.0 * spacing
-    clusters = single_linkage_clusters(members, threshold)
-    return {
-        "member_count": int(members.shape[0]),
-        "cluster_count": len(clusters),
-        "cluster_centroids": cluster_centroids(members, threshold).tolist(),
-        "diameter": set_diameter(members),
-    }
-
-
-def _evidence_for(fixture, config, evidence):
-    return evidence if evidence is not None else gather_evidence(fixture, config)
-
-
-def check_lemma_2_1(fixture: Fixture, config: HarnessConfig = HarnessConfig(),
-                    evidence: Optional[FixtureEvidence] = None) -> TheoremCheckResult:
+def check_lemma_2_1(ev: FixtureEvidence) -> TheoremCheckResult:
     """Existence: the grid oracle must find primal members.
 
     Continuity and compactness hold for every fixture by construction, so
     the premises are always established; the solver outcome is recorded
     as corroborating detail.
     """
-    ev = _evidence_for(fixture, config, evidence)
-    members = ev.estimate.stampacchia_members
     premises = [
         {"premise": "continuous", "verdict": "assumed (fixtures are continuous)"},
         {"premise": "nonempty compact convex region", "verdict": "holds"},
     ]
     details = {
-        "stampacchia": _cluster_info(members, ev.grid_spacing),
+        "stampacchia": ev.stampacchia.to_dict(),
         "solver_status": ev.solve.status,
         "solver_residual": ev.solve.residual,
     }
-    return TheoremCheckResult("L2_1", fixture.label, premises, False,
-                              members.shape[0] > 0, details)
+    return TheoremCheckResult("L2_1", ev.fixture.label, premises, False,
+                              ev.stampacchia.member_count > 0, details)
 
 
-def check_lemma_2_2(fixture: Fixture, config: HarnessConfig = HarnessConfig(),
-                    evidence: Optional[FixtureEvidence] = None) -> TheoremCheckResult:
+def check_lemma_2_2(ev: FixtureEvidence) -> TheoremCheckResult:
     """Uniqueness under strict pseudomonotonicity.
 
     If the strict-pseudomonotonicity checker holds on samples, the primal
     member set must be a single tight cluster and the solver must have
     converged.
     """
-    ev = _evidence_for(fixture, config, evidence)
     report = ev.reports["strict_pseudo"]
     premises = [_premise("strict_pseudo", report)]
     details = {
-        "stampacchia": _cluster_info(ev.estimate.stampacchia_members,
-                                     ev.grid_spacing),
+        "stampacchia": ev.stampacchia.to_dict(),
         "solver_status": ev.solve.status,
     }
     if report.refuted:
-        return TheoremCheckResult("L2_2", fixture.label, premises, True, True,
+        return TheoremCheckResult("L2_2", ev.fixture.label, premises, True, True,
                                   details)
-    unique = uniqueness_probe(VIProblem(fixture.model, fixture.region),
-                              ev.grid_spacing, fixture.lipschitz,
-                              estimate=ev.estimate)
+    unique = ev.stampacchia.is_single(2.0 * ev.estimate.grid_spacing)
     details["uniqueness_probe"] = unique
     verified = unique and ev.solve.status == CONVERGED
-    return TheoremCheckResult("L2_2", fixture.label, premises, False, verified,
+    return TheoremCheckResult("L2_2", ev.fixture.label, premises, False, verified,
                               details)
 
 
-def check_theorem_4_1(fixture: Fixture, config: HarnessConfig = HarnessConfig(),
-                      evidence: Optional[FixtureEvidence] = None) -> TheoremCheckResult:
+def check_theorem_4_1(ev: FixtureEvidence) -> TheoremCheckResult:
     """Existence of stationary prices iff proper quasimonotonicity.
 
     Certified directions at desk scale: a nonempty dual member set forbids
     a refutation, and a refutation witness forbids dual members.
     """
-    ev = _evidence_for(fixture, config, evidence)
     report = ev.reports["proper_quasi"]
-    minty_members = ev.estimate.minty_members
     premises = [
         {"premise": "continuous", "verdict": "assumed (fixtures are continuous)"},
         _premise("proper_quasi", report),
     ]
-    nonempty = minty_members.shape[0] > 0
-    consistent = not (report.refuted and nonempty)
+    consistent = not (report.refuted and ev.minty.member_count > 0)
     details = {
-        "minty": _cluster_info(minty_members, ev.grid_spacing),
+        "minty": ev.minty.to_dict(),
         "checker_verdict": report.verdict,
     }
-    return TheoremCheckResult("T4_1", fixture.label, premises, False,
+    return TheoremCheckResult("T4_1", ev.fixture.label, premises, False,
                               consistent, details)
 
 
-def check_theorem_4_2(fixture: Fixture, config: HarnessConfig = HarnessConfig(),
-                      evidence: Optional[FixtureEvidence] = None) -> TheoremCheckResult:
+def check_theorem_4_2(ev: FixtureEvidence) -> TheoremCheckResult:
     """At most one primal solution under strict-proper quasimonotonicity."""
-    ev = _evidence_for(fixture, config, evidence)
     report = ev.reports["strict_proper_quasi"]
     premises = [_premise("strict_proper_quasi", report)]
-    info = _cluster_info(ev.estimate.stampacchia_members, ev.grid_spacing)
-    details = {"stampacchia": info}
+    details = {"stampacchia": ev.stampacchia.to_dict()}
     if report.refuted:
         # Contrapositive evidence only: record what the oracle saw.
-        return TheoremCheckResult("T4_2", fixture.label, premises, True, True,
+        return TheoremCheckResult("T4_2", ev.fixture.label, premises, True, True,
                                   details)
-    verified = info["cluster_count"] <= 1
-    return TheoremCheckResult("T4_2", fixture.label, premises, False, verified,
+    verified = len(ev.stampacchia.clusters) <= 1
+    return TheoremCheckResult("T4_2", ev.fixture.label, premises, False, verified,
                               details)
 
 
-def check_theorem_4_3(fixture: Fixture, config: HarnessConfig = HarnessConfig(),
-                      evidence: Optional[FixtureEvidence] = None) -> TheoremCheckResult:
+def check_theorem_4_3(ev: FixtureEvidence) -> TheoremCheckResult:
     """Equivalence triple for continuous positive fields.
 
     Measures (a) the strict-proper checker verdict, (b) uniqueness of the
@@ -289,7 +265,6 @@ def check_theorem_4_3(fixture: Fixture, config: HarnessConfig = HarnessConfig(),
     scale, and reports whether the three agree.  Disagreement is evidence,
     not a gating failure.
     """
-    ev = _evidence_for(fixture, config, evidence)
     positive = ev.positive
     premises = [
         {"premise": "continuous", "verdict": "assumed (fixtures are continuous)"},
@@ -297,38 +272,31 @@ def check_theorem_4_3(fixture: Fixture, config: HarnessConfig = HarnessConfig(),
          "verdict": "holds" if positive else "refuted"},
     ]
     details = {
-        "stampacchia": _cluster_info(ev.estimate.stampacchia_members,
-                                     ev.grid_spacing),
-        "minty": _cluster_info(ev.estimate.minty_members, ev.grid_spacing),
+        "stampacchia": ev.stampacchia.to_dict(),
+        "minty": ev.minty.to_dict(),
     }
     if not positive:
-        return TheoremCheckResult("T4_3", fixture.label, premises, True, True,
+        return TheoremCheckResult("T4_3", ev.fixture.label, premises, True, True,
                                   details)
     # The dual pairing is quadratically flat around a stationary point, so
     # a grid certifying membership at tolerance t admits a halo of diameter
     # about sqrt(t) around an isolated one (for unit-order field slopes).
     # A solution face is still rejected: its diameter stays at region scale.
-    h = ev.grid_spacing
+    h = ev.estimate.grid_spacing
     halo = max(2.0 * h, 4.0 * float(np.sqrt(ev.estimate.tolerance)))
     triple = {
         "strict_proper_quasi_holds": not ev.reports["strict_proper_quasi"].refuted,
-        "unique_minty": single_cluster(ev.estimate.minty_members, h, halo),
-        "unique_stampacchia": single_cluster(ev.estimate.stampacchia_members,
-                                             h, 2.0 * h),
+        "unique_minty": ev.minty.is_single(halo),
+        "unique_stampacchia": ev.stampacchia.is_single(2.0 * h),
     }
     details["triple"] = triple
     agree = len(set(triple.values())) == 1
-    return TheoremCheckResult("T4_3", fixture.label, premises, False, agree,
+    return TheoremCheckResult("T4_3", ev.fixture.label, premises, False, agree,
                               details)
 
 
-_CHECKS = (
-    ("L2_1", check_lemma_2_1),
-    ("L2_2", check_lemma_2_2),
-    ("T4_1", check_theorem_4_1),
-    ("T4_2", check_theorem_4_2),
-    ("T4_3", check_theorem_4_3),
-)
+_CHECKS = (check_lemma_2_1, check_lemma_2_2, check_theorem_4_1,
+           check_theorem_4_2, check_theorem_4_3)
 
 
 def _worker_count() -> int:
@@ -355,10 +323,7 @@ def run_catalog_with_evidence(catalog: Optional[dict] = None,
                                       fixtures))
     else:
         evidences = [gather_evidence(f, config) for f in fixtures]
-    results = []
-    for fixture, ev in zip(fixtures, evidences):
-        for _, checker in _CHECKS:
-            results.append(checker(fixture, config, evidence=ev))
+    results = [check(ev) for ev in evidences for check in _CHECKS]
     return results, {ev.fixture.label: ev for ev in evidences}
 
 

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull
 
 from .constants import DEFAULT_BUDGET, DEFAULT_STEP, TAU_SOLVE
@@ -45,9 +47,8 @@ __all__ = [
     "verify_stampacchia",
     "verify_minty",
     "enumerate_solutions",
-    "single_linkage_clusters",
-    "cluster_centroids",
-    "set_diameter",
+    "MemberClusters",
+    "cluster_members",
     "uniqueness_probe",
 ]
 
@@ -55,6 +56,7 @@ CONVERGED = "converged"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
 _ROW_CHUNK = 16_384
+_PAIR_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,57 +307,59 @@ def enumerate_solutions(problem: VIProblem, grid_spacing: float,
     )
 
 
-def single_linkage_clusters(points, threshold: float) -> list[np.ndarray]:
-    """Index sets of single-linkage clusters at the given link distance."""
+@dataclass(frozen=True, eq=False)
+class MemberClusters:
+    """Single-linkage clusters of a point set, with its centroids and diameter.
+
+    ``clusters`` holds ascending index arrays in first-member order, and
+    ``centroids`` their means in the same order.
+    """
+
+    member_count: int
+    clusters: list
+    centroids: FloatArray
+    diameter: float
+
+    def is_single(self, max_diameter: float) -> bool:
+        """True iff the set is one cluster of diameter at most ``max_diameter``."""
+        return len(self.clusters) == 1 and self.diameter <= max_diameter + 1e-12
+
+    def to_dict(self) -> dict:
+        return {
+            "member_count": self.member_count,
+            "cluster_count": len(self.clusters),
+            "cluster_centroids": self.centroids.tolist(),
+            "diameter": self.diameter,
+        }
+
+
+def cluster_members(points, threshold: float) -> MemberClusters:
+    """Single-linkage clusters at link distance ``threshold``, in one pass.
+
+    A block of rows i, at most ``_PAIR_BLOCK`` pairs (one row when a row
+    alone has more), is scored as ||p_j - p_i|| against every j from the
+    block's first row on, so each pair is scored at least once and a pair
+    scored twice gives the same norm.  Each block's links merge the running
+    component labels, and the diameter is the largest norm.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     k = pts.shape[0]
-    if k == 0:
-        return []
-    parent = np.arange(k)
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        diffs = pts[i + 1:] - pts[i]
-        close = np.flatnonzero(np.linalg.norm(diffs, axis=1) <= threshold)
-        for j in close + i + 1:
-            ri, rj = find(i), find(int(j))
-            if ri != rj:
-                parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    return [np.asarray(v) for v in sorted(groups.values(), key=lambda g: g[0])]
-
-
-def cluster_centroids(points, threshold: float) -> FloatArray:
-    """Centroid of each single-linkage cluster, in first-member order."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.array([pts[idx].mean(axis=0)
-                     for idx in single_linkage_clusters(pts, threshold)])
-
-
-def set_diameter(points) -> float:
-    """Largest pairwise distance in a point set (0 for <= 1 point)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] <= 1:
-        return 0.0
-    best = 0.0
-    for i in range(pts.shape[0] - 1):
-        best = max(best, float(np.linalg.norm(pts[i + 1:] - pts[i], axis=1).max()))
-    return best
-
-
-def single_cluster(points, spacing: float, diameter: float) -> bool:
-    """True iff the points form one single-linkage cluster at link distance
-    2 * spacing whose diameter is at most ``diameter``."""
-    return bool(points.shape[0] > 0
-                and len(single_linkage_clusters(points, 2.0 * spacing)) == 1
-                and set_diameter(points) <= diameter + 1e-12)
+    labels = np.arange(k)
+    diameter = 0.0
+    rows = max(1, _PAIR_BLOCK // max(k, 1))
+    for lo in range(0, k, rows):
+        dist = np.linalg.norm(pts[None, lo:] - pts[lo:lo + rows, None], axis=2)
+        diameter = max(diameter, float(dist.max()))
+        i, j = np.nonzero(dist <= threshold)
+        links = coo_matrix((np.ones(i.size), (labels[i + lo], labels[j + lo])),
+                           shape=(k, k))
+        labels = connected_components(links, directed=False)[1][labels]
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    key = first[inverse]
+    order = np.argsort(key, kind="stable")
+    clusters = np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if k else []
+    centroids = np.array([pts[idx].mean(axis=0) for idx in clusters])
+    return MemberClusters(k, clusters, centroids, diameter)
 
 
 def uniqueness_probe(problem: VIProblem, grid_spacing: float,
@@ -364,5 +368,5 @@ def uniqueness_probe(problem: VIProblem, grid_spacing: float,
     """True iff the primal members form one cluster of diameter <= 2h."""
     est = estimate if estimate is not None else enumerate_solutions(
         problem, grid_spacing, lipschitz_scale)
-    return single_cluster(est.stampacchia_members, est.grid_spacing,
-                          2.0 * est.grid_spacing)
+    link = 2.0 * est.grid_spacing
+    return cluster_members(est.stampacchia_members, link).is_single(link)

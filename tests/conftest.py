@@ -3,9 +3,10 @@
 Everything here is deliberately written from the definitions, without
 reusing the library's own grid or scan machinery, so the tests cross
 two independent routes wherever the library computes something nontrivial.
-The one exception is the reference tuple scans at the end: they are the
-library's earlier per-class scans, kept verbatim, against which the fused
-scan must agree byte for byte.
+The exceptions are the reference tuple scans and the reference clustering
+at the end: they are the library's earlier per-class scans and its earlier
+union-find clustering, kept verbatim, against which the fused scan and
+``cluster_members`` must agree byte for byte.
 """
 
 from __future__ import annotations
@@ -288,3 +289,52 @@ REFERENCE_TUPLE_CHECKERS = {
     "proper_quasi_dual": check_properly_quasimonotone_dual,
     "strict_proper_quasi": check_strict_properly_quasimonotone,
 }
+
+
+# ---------------------------------------------------------------------------
+# reference clustering: the library's earlier union-find and diameter loop
+
+
+def single_linkage_clusters(points, threshold: float) -> list[np.ndarray]:
+    """Index sets of single-linkage clusters at the given link distance."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    k = pts.shape[0]
+    if k == 0:
+        return []
+    parent = np.arange(k)
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(k):
+        diffs = pts[i + 1:] - pts[i]
+        close = np.flatnonzero(np.linalg.norm(diffs, axis=1) <= threshold)
+        for j in close + i + 1:
+            ri, rj = find(i), find(int(j))
+            if ri != rj:
+                parent[rj] = ri
+    groups: dict[int, list[int]] = {}
+    for i in range(k):
+        groups.setdefault(find(i), []).append(i)
+    return [np.asarray(v) for v in sorted(groups.values(), key=lambda g: g[0])]
+
+
+def cluster_centroids(points, threshold: float) -> FloatArray:
+    """Centroid of each single-linkage cluster, in first-member order."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return np.array([pts[idx].mean(axis=0)
+                     for idx in single_linkage_clusters(pts, threshold)])
+
+
+def set_diameter(points) -> float:
+    """Largest pairwise distance in a point set (0 for <= 1 point)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[0] <= 1:
+        return 0.0
+    best = 0.0
+    for i in range(pts.shape[0] - 1):
+        best = max(best, float(np.linalg.norm(pts[i + 1:] - pts[i], axis=1).max()))
+    return best

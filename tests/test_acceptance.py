@@ -44,9 +44,8 @@ from walras_vi.monotonicity import (
 from walras_vi.regions import Box, Polyhedron, Simplex
 from walras_vi.vi_core import (
     VIProblem,
-    cluster_centroids,
+    cluster_members,
     enumerate_solutions,
-    single_linkage_clusters,
     solve_extragradient,
     uniqueness_probe,
 )
@@ -199,7 +198,8 @@ def test_criterion_3_separation_fixture():
     neg = CATALOG["scalar_negslope"]
     neg_problem = VIProblem(neg.model, neg.region)
     est = enumerate_solutions(neg_problem, 0.01, neg.lipschitz)
-    centroids = np.sort(cluster_centroids(est.stampacchia_members, 0.02).ravel())
+    centroids = np.sort(cluster_members(est.stampacchia_members,
+                                        0.02).centroids.ravel())
     assert centroids.shape[0] == 3
     assert_allclose(centroids, [0.0, 0.5, 1.0], atol=0.01)
     assert est.minty_members.shape[0] == 0
@@ -213,7 +213,7 @@ def test_criterion_3_separation_fixture():
     pos_problem = VIProblem(pos.model, pos.region)
     est = enumerate_solutions(pos_problem, 0.01, pos.lipschitz)
     assert_allclose(est.stampacchia_members, [[0.5]], atol=0.01)
-    minty_centroids = cluster_centroids(est.minty_members, 0.02)
+    minty_centroids = cluster_members(est.minty_members, 0.02).centroids
     assert minty_centroids.shape[0] == 1
     assert minty_centroids[0][0] == pytest.approx(0.5, abs=0.01)
     report = check_properly_quasimonotone(pos.model, pos.region, plan)
@@ -241,8 +241,8 @@ def test_criterion_4_uniqueness_and_contrapositive():
     for label, fixture in strict_passing:
         problem = VIProblem(fixture.model, fixture.region)
         est = enumerate_solutions(problem, config.grid_spacing, fixture.lipschitz)
-        clusters = single_linkage_clusters(est.stampacchia_members,
-                                           2 * config.grid_spacing)
+        clusters = cluster_members(est.stampacchia_members,
+                                   2 * config.grid_spacing).clusters
         assert len(clusters) == 1, label
         assert uniqueness_probe(problem, config.grid_spacing, fixture.lipschitz,
                                 estimate=est), label

@@ -407,3 +407,35 @@ def test_harness_catalog_plan_integers_are_checked(runner, tmp_path, plan, messa
     result = runner.invoke(main, ["harness", "--catalog", path, "--grid", "0.1"])
     _assert_one_error_line(result)
     assert message in result.stderr
+
+
+@pytest.mark.parametrize("n, economy", [
+    (2.9, LINEAR_PROBLEM["economy"]),
+    (True, NEGSLOPE_PROBLEM["economy"]),
+], ids=["fraction", "boolean"])
+def test_simplex_dimension_is_not_truncated(runner, tmp_path, n, economy):
+    # int() would load these as Simplex(2) and Simplex(1), matching the economy
+    problem = {"economy": economy, "region": {"kind": "simplex", "n": n}}
+    result = runner.invoke(main, ["solve", write(tmp_path, "problem.json", problem)])
+    _assert_one_error_line(result)
+    assert "invalid simplex region" in result.stderr
+
+
+def test_harness_grid_flag_overrides_catalog_plan(runner, tmp_path):
+    catalog = {"plan": {"grid_spacing": 0.25},
+               "fixtures": [{"label": "pos", "economy": {"kind": "catalog",
+                                                         "name": "scalar_positive"}}]}
+    path = write(tmp_path, "catalog.json", catalog)
+    result = runner.invoke(main, ["harness", "--catalog", path, "--grid", "0.1"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["grid_spacing"] == 0.1
+    result = runner.invoke(main, ["harness", "--catalog", path])
+    assert json.loads(result.stdout)["grid_spacing"] == 0.25
+
+
+def test_problem_plan_grid_spacing_is_rejected(runner, tmp_path):
+    problem = json.loads(json.dumps(LINEAR_PROBLEM))
+    problem["plan"] = {"grid_spacing": 0.25}
+    result = runner.invoke(main, ["oracle", write(tmp_path, "problem.json", problem)])
+    _assert_one_error_line(result)
+    assert "'oracle.grid_spacing'" in result.stderr

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from walras_vi import harness, vi_core
 from walras_vi.economy import default_catalog
 from walras_vi.harness import (
     GATED_THEOREMS,
@@ -34,16 +35,15 @@ def evidence():
 
 
 def test_existence_concluded_on_every_fixture(evidence):
-    for label, fixture in CATALOG.items():
-        result = check_lemma_2_1(fixture, CONFIG, evidence=evidence[label])
+    for label in CATALOG:
+        result = check_lemma_2_1(evidence[label])
         assert result.conclusion_verified, label
         assert not result.vacuous
         assert result.details["solver_status"] == "converged", label
 
 
 def test_uniqueness_verified_for_strictly_monotone_fixture(evidence):
-    result = check_lemma_2_2(CATALOG["linear_identity"], CONFIG,
-                             evidence=evidence["linear_identity"])
+    result = check_lemma_2_2(evidence["linear_identity"])
     assert not result.vacuous
     assert result.conclusion_verified
     assert result.details["uniqueness_probe"] is True
@@ -51,7 +51,7 @@ def test_uniqueness_verified_for_strictly_monotone_fixture(evidence):
 
 def test_uniqueness_vacuous_when_strictness_refuted(evidence):
     for label in ("scalar_negslope", "constant_field"):
-        result = check_lemma_2_2(CATALOG[label], CONFIG, evidence=evidence[label])
+        result = check_lemma_2_2(evidence[label])
         assert result.vacuous
         assert result.conclusion_verified  # vacuous pass, recorded as such
         assert result.premises_established[0]["verdict"] == "refuted"
@@ -63,20 +63,17 @@ def test_uniqueness_vacuous_when_strictness_refuted(evidence):
 
 def test_existence_iff_proper_quasi_consistency(evidence):
     # increasing field: nonempty dual set, checker holds
-    r = check_theorem_4_1(CATALOG["scalar_posslope"], CONFIG,
-                          evidence=evidence["scalar_posslope"])
+    r = check_theorem_4_1(evidence["scalar_posslope"])
     assert r.conclusion_verified
     assert r.details["minty"]["member_count"] > 0
     assert r.details["checker_verdict"] == "holds_on_samples"
     # decreasing field: refutation witness and empty dual set
-    r = check_theorem_4_1(CATALOG["scalar_negslope"], CONFIG,
-                          evidence=evidence["scalar_negslope"])
+    r = check_theorem_4_1(evidence["scalar_negslope"])
     assert r.conclusion_verified
     assert r.details["minty"]["member_count"] == 0
     assert r.details["checker_verdict"] == "refuted"
     # monotone field on the square
-    r = check_theorem_4_1(CATALOG["linear_identity"], CONFIG,
-                          evidence=evidence["linear_identity"])
+    r = check_theorem_4_1(evidence["linear_identity"])
     assert r.conclusion_verified
     assert r.details["minty"]["member_count"] > 0
 
@@ -86,16 +83,14 @@ def test_existence_iff_proper_quasi_consistency(evidence):
 
 
 def test_at_most_one_solution_under_strict_proper(evidence):
-    r = check_theorem_4_2(CATALOG["scalar_posslope"], CONFIG,
-                          evidence=evidence["scalar_posslope"])
+    r = check_theorem_4_2(evidence["scalar_posslope"])
     assert not r.vacuous
     assert r.conclusion_verified
     assert r.details["stampacchia"]["cluster_count"] == 1
 
 
 def test_constant_field_contrapositive_face(evidence):
-    r = check_theorem_4_2(CATALOG["constant_field"], CONFIG,
-                          evidence=evidence["constant_field"])
+    r = check_theorem_4_2(evidence["constant_field"])
     assert r.vacuous
     # the oracle still records the solution face as contrapositive evidence
     assert r.details["stampacchia"]["member_count"] > 10
@@ -103,8 +98,7 @@ def test_constant_field_contrapositive_face(evidence):
 
 
 def test_negslope_contrapositive_three_clusters(evidence):
-    r = check_theorem_4_2(CATALOG["scalar_negslope"], CONFIG,
-                          evidence=evidence["scalar_negslope"])
+    r = check_theorem_4_2(evidence["scalar_negslope"])
     assert r.vacuous
     assert r.details["stampacchia"]["cluster_count"] == 3
 
@@ -115,7 +109,7 @@ def test_negslope_contrapositive_three_clusters(evidence):
 
 def test_positive_equivalence_triple_all_true(evidence):
     for label in ("scalar_positive", "simplex_positive"):
-        r = check_theorem_4_3(CATALOG[label], CONFIG, evidence=evidence[label])
+        r = check_theorem_4_3(evidence[label])
         assert not r.vacuous
         triple = r.details["triple"]
         assert set(triple) == {"strict_proper_quasi_holds", "unique_minty",
@@ -128,8 +122,7 @@ def test_positive_equivalence_disagreement_is_surfaced_not_gated(evidence):
     # positive constant field: both solution sets are unique singletons but
     # an orthogonal segment refutes strict-proper quasimonotonicity, so the
     # triple disagrees; this is reported evidence, not a failure event
-    r = check_theorem_4_3(CATALOG["constant_positive"], CONFIG,
-                          evidence=evidence["constant_positive"])
+    r = check_theorem_4_3(evidence["constant_positive"])
     assert not r.vacuous
     triple = r.details["triple"]
     assert triple["strict_proper_quasi_holds"] is False
@@ -140,8 +133,7 @@ def test_positive_equivalence_disagreement_is_surfaced_not_gated(evidence):
 
 
 def test_positivity_gate_records_failing_premise(evidence):
-    r = check_theorem_4_3(CATALOG["scalar_negslope"], CONFIG,
-                          evidence=evidence["scalar_negslope"])
+    r = check_theorem_4_3(evidence["scalar_negslope"])
     assert r.vacuous
     assert r.premises_established[1]["verdict"] == "refuted"
     assert "triple" not in r.details
@@ -167,6 +159,24 @@ def test_run_catalog_single_fixture_has_five_results():
     single = {"linear_identity": CATALOG["linear_identity"]}
     results = run_catalog(catalog=single)
     assert [r.theorem_id for r in results] == list(THEOREM_IDS)
+
+
+def test_run_catalog_clusters_each_solution_set_once(monkeypatch):
+    # uniqueness_probe would re-cluster through vi_core's binding
+    calls = []
+    original = vi_core.cluster_members
+
+    def counting(points, threshold):
+        calls.append(threshold)
+        return original(points, threshold)
+
+    monkeypatch.setattr(harness, "cluster_members", counting)
+    monkeypatch.setattr(vi_core, "cluster_members", counting)
+    labels = ("linear_identity", "scalar_negslope", "constant_positive")
+    config = HarnessConfig(grid_spacing=0.1)
+    results = run_catalog({label: CATALOG[label] for label in labels}, config)
+    assert len(results) == 5 * len(labels)
+    assert calls == [2 * config.grid_spacing] * (2 * len(labels))
 
 
 def test_summary_table_marks():

@@ -1,10 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import minty_members_bruteforce, stampacchia_members_bruteforce
+from conftest import (
+    cluster_centroids,
+    minty_members_bruteforce,
+    set_diameter,
+    single_linkage_clusters,
+    stampacchia_members_bruteforce,
+)
+from walras_vi import vi_core
 from walras_vi.constants import TAU_PROJ, TAU_SOLVE
 from walras_vi.economy import default_catalog, linear_economy, scalar_catalog
 from walras_vi.regions import Box, Polyhedron, Simplex
@@ -13,12 +22,10 @@ from walras_vi.vi_core import (
     CONVERGED,
     VIProblem,
     _extreme_points,
-    cluster_centroids,
+    cluster_members,
     enumerate_solutions,
     minty_gap,
     residual,
-    set_diameter,
-    single_linkage_clusters,
     solve_extragradient,
     uniqueness_probe,
     verify_minty,
@@ -183,7 +190,7 @@ def test_enumerate_negslope_separates_the_solution_sets():
 def test_enumerate_posslope_both_sets_at_half():
     est = enumerate_solutions(POSSLOPE, 0.01, 0.02)
     assert_allclose(est.stampacchia_members, [[0.5]])
-    centroids = cluster_centroids(est.minty_members, 0.02)
+    centroids = cluster_members(est.minty_members, 0.02).centroids
     assert centroids.shape[0] == 1
     assert centroids[0][0] == pytest.approx(0.5, abs=0.01)
 
@@ -287,10 +294,60 @@ def test_enumerate_matches_bruteforce_on_degenerate_grids(region, spacings, data
 
 def test_single_linkage_clusters():
     pts = np.array([[0.0], [0.01], [0.5], [1.0], [0.99]])
-    clusters = single_linkage_clusters(pts, 0.02)
+    clusters = cluster_members(pts, 0.02).clusters
     assert [sorted(c.tolist()) for c in clusters] == [[0, 1], [2], [3, 4]]
-    assert set_diameter(pts) == pytest.approx(1.0)
-    assert set_diameter(pts[:1]) == 0.0
+    assert cluster_members(pts, 0.02).diameter == pytest.approx(1.0)
+    assert cluster_members(pts[:1], 0.02).diameter == 0.0
+
+
+def _assert_matches_reference_clustering(pts, threshold):
+    got = cluster_members(pts, threshold)
+    want = single_linkage_clusters(pts, threshold)
+    assert got.member_count == pts.shape[0]
+    assert len(got.clusters) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got.clusters, want))
+    assert np.array_equal(got.centroids, cluster_centroids(pts, threshold))
+    assert got.diameter == set_diameter(pts)
+    assert got.is_single(threshold) == (
+        len(want) == 1 and set_diameter(pts) <= threshold + 1e-12)
+
+
+@st.composite
+def lattice_sets(draw):
+    """Lattice points, with duplicated rows, at a spacing h; link at 2h.
+
+    On the dyadic spacings every coordinate difference is exact, so two
+    grid steps tie the 2h threshold exactly; the others round near it.
+    """
+    dim = draw(st.integers(1, 3))
+    spacing = draw(st.sampled_from([0.5, 0.25, 0.125, 0.1, 0.02, 0.01, 1 / 3]))
+    coords = draw(st.lists(st.tuples(*[st.integers(0, 6)] * dim), max_size=40))
+    if coords:
+        coords += draw(st.lists(st.sampled_from(coords), max_size=6))
+    return spacing * np.array(coords, dtype=float).reshape(-1, dim), spacing
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_sets(), st.sampled_from([1, 3, 7, 1 << 18]))
+def test_cluster_members_matches_reference(case, block):
+    # small pair blocks split rows across blocks, and one row can exceed one
+    pts, spacing = case
+    with mock.patch.object(vi_core, "_PAIR_BLOCK", block):
+        _assert_matches_reference_clustering(pts, 2.0 * spacing)
+
+
+@pytest.mark.parametrize("pts", [np.empty((0, 2)), np.array([[0.25, 0.5]])],
+                         ids=["empty", "one-point"])
+def test_cluster_members_empty_and_one_point(pts):
+    _assert_matches_reference_clustering(pts, 0.5)
+
+
+def test_cluster_members_spans_several_pair_blocks():
+    # 900 rows make 404,550 pairs, more than one 2^18-pair block
+    rng = np.random.default_rng(3)
+    pts = 0.25 * rng.integers(0, 12, size=(900, 2)).astype(float)
+    assert pts.shape[0] * (pts.shape[0] - 1) // 2 > vi_core._PAIR_BLOCK
+    _assert_matches_reference_clustering(pts, 0.5)
 
 
 def test_uniqueness_probe_strictly_monotone():
