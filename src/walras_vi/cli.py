@@ -230,26 +230,31 @@ def load_catalog_file(path: str) -> tuple[dict, dict]:
     comes back as ``HarnessConfig`` fields."""
     raw = _read_json(path, "catalog")
     overrides = parse_section("plan", raw.get("plan", {}))
+    entries = raw.get("fixtures", [])
+    _require(isinstance(entries, list), "'fixtures' must be a list")
     fixtures = {}
-    for entry in raw.get("fixtures", []):
-        _require(isinstance(entry, dict) and "label" in entry,
-                 "each fixture needs a 'label'")
+    for entry in entries:
+        _require(isinstance(entry, dict) and isinstance(entry.get("label"), str),
+                 "each fixture needs a string 'label'")
+        label = entry["label"]
+        _require(label not in fixtures, f"duplicate fixture label {label!r}")
         model, base = parse_economy(entry["economy"])
         if "region" in entry:
             region = parse_region(entry["region"])
         elif base is not None:
             region = base.region
         else:
-            raise ProblemFileError(
-                f"fixture {entry['label']!r} needs a region")
+            raise ProblemFileError(f"fixture {label!r} needs a region")
         _require(model.dim == region.dim,
-                 f"fixture {entry['label']!r} has mismatched dimensions")
+                 f"fixture {label!r} has mismatched dimensions")
         lipschitz = parse_section("fixture", entry).get(
             "lipschitz", base.lipschitz if base is not None else 1.0)
         _require(lipschitz > 0, "lipschitz scale must be positive")
-        fixtures[entry["label"]] = Fixture(
-            label=entry["label"], model=model, region=region,
-            lipschitz=lipschitz, positive=bool(entry.get("positive", False)))
+        positive = entry.get("positive", False)
+        _require(isinstance(positive, bool),
+                 f"fixture {label!r}: 'positive' must be true or false")
+        fixtures[label] = Fixture(label=label, model=model, region=region,
+                                  lipschitz=lipschitz, positive=positive)
     _require(len(fixtures) > 0, "catalog file defines no fixtures")
     return fixtures, overrides
 

@@ -24,7 +24,6 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import lapack
 from scipy.optimize import linprog
-from scipy.stats import qmc
 
 from .constants import TAU_FEAS, TAU_PROJ
 
@@ -234,10 +233,30 @@ class ConvexRegion(ABC):
         if not self.is_bounded:
             raise ValueError("sampling requires a bounded region")
         lo, hi = self.bounding_box()
-        engine = qmc.Halton(d=self.dim, scramble=False)
-        engine.fast_forward(1)  # skip the degenerate all-zeros point
-        unit = engine.random(count)
-        return self.project_many(lo + unit * (hi - lo))
+        return self.project_many(lo + _halton(count, self.dim) * (hi - lo))
+
+
+def _halton(count: int, dim: int) -> FloatArray:
+    """Unscrambled Halton points 1..count in [0, 1)^dim, one prime base per axis.
+
+    Point i has coordinate sum_k d_k b^-(k+1) on the axis of base b, where
+    d_k are the base-b digits of i (the radical inverse).  Point 0, the
+    origin, is skipped.
+    """
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < dim:
+        if all(candidate % q for q in primes):
+            primes.append(candidate)
+        candidate += 1
+    out = np.zeros((count, dim))
+    for axis, base in enumerate(primes):
+        digits, scale = np.arange(1, count + 1), 1.0
+        while digits.any():
+            scale /= base
+            out[:, axis] += scale * (digits % base)
+            digits //= base
+    return out
 
 
 def _axis_mesh(lo: float, hi: float, spacing: float) -> FloatArray:

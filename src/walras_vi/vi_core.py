@@ -17,7 +17,11 @@ set.  A linear functional on a finite set is minimized at a vertex of the
 set's convex hull, so the primal test's min_p E(p_i).p is taken exactly
 over the grid's hull vertices (qhull), whatever the region kind.  The dual
 test has no such shortcut (for a positive-definite linear field every
-lifted point (E(p), -E(p).p) is a hull vertex) and scans the grid twice.
+lifted point (E(p), -E(p).p) is a hull vertex).  It runs a rejection
+cascade: strided probe levels of growing size drop most grid points after
+a few pairings each, and a point that survives every level has been
+paired with every grid point exactly once, so members get the exact
+full-grid minimum.
 """
 
 from __future__ import annotations
@@ -55,8 +59,8 @@ __all__ = [
 CONVERGED = "converged"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
-_ROW_CHUNK = 16_384
 _PAIR_BLOCK = 1 << 18
+_MINTY_PAIRS = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,30 +259,38 @@ def _extreme_points(grid: FloatArray) -> FloatArray:
 
 def _minty_values(grid: FloatArray, evals: FloatArray, diag: FloatArray,
                   tol: float) -> FloatArray:
-    """min over j of E(p_j).(p_j - p_i) for every grid point i.
+    """min over j of E(p_j).(p_j - p_i) for every grid point i kept to the end.
 
-    Two passes: a strided probe subset rejects most candidates, then the
-    survivors are scored against the full grid, which reproduces the
-    exact full-probe minimum.
+    Probe levels of 16, 256 and 4,096 strided columns, then all G, each
+    score only the rows that survived the level before, and only against
+    the columns no earlier level scored; the running value folds them in
+    with ``np.minimum``.  A row leaves after the first level that gives it
+    a pairing below ``-tol``, with the minimum over the columns scored so
+    far.  A row that reaches the end has seen every column exactly once, so
+    its value is the full-grid minimum.  Each temporary holds at most
+    ``_MINTY_PAIRS`` pairings (one row when a row alone has more).
+
+    Pairings are BLAS products, whose last bit can depend on where a column
+    falls in a block; where coordinates and field values round, another
+    blocking of the same scan may differ from this one by that rounding.
     """
     G = grid.shape[0]
-    stride = max(1, G // 1024)
-    sub = np.arange(0, G, stride)
     vals = np.full(G, np.inf)
-    for lo in range(0, G, _ROW_CHUNK):
-        block = grid[lo:lo + _ROW_CHUNK]
-        partial = (diag[sub][None, :] - block @ evals[sub].T).min(axis=1)
-        vals[lo:lo + block.shape[0]] = partial
-    survivors = np.flatnonzero(vals >= -tol)
-    for lo in range(0, survivors.size, 1024):
-        idx = survivors[lo:lo + 1024]
-        full = np.full(idx.size, np.inf)
-        for glo in range(0, G, _ROW_CHUNK):
-            probe_evals = evals[glo:glo + _ROW_CHUNK]
-            probe_diag = diag[glo:glo + _ROW_CHUNK]
-            part = (probe_diag[None, :] - grid[idx] @ probe_evals.T).min(axis=1)
-            np.minimum(full, part, out=full)
-        vals[idx] = full
+    rows = np.arange(G)
+    fresh = np.ones(G, dtype=bool)
+    for level in (16, 256, 4096, G):
+        cols = np.arange(0, G, max(1, G // level))
+        cols = cols[fresh[cols]]
+        fresh[cols] = False
+        if cols.size:
+            probe_evals, probe_diag = evals[cols].T, diag[cols]
+            step = max(1, _MINTY_PAIRS // cols.size)
+            for lo in range(0, rows.size, step):
+                idx = rows[lo:lo + step]
+                pairs = grid[idx] @ probe_evals
+                np.subtract(probe_diag, pairs, out=pairs)
+                vals[idx] = np.minimum(vals[idx], pairs.min(axis=1))
+        rows = rows[vals[rows] >= -tol]
     return vals
 
 
@@ -288,8 +300,9 @@ def enumerate_solutions(problem: VIProblem, grid_spacing: float,
 
     Membership tolerance is grid_spacing * lipschitz_scale; the scale is
     fixture-specific because exact membership on a grid is ill-posed.  The
-    primal minimum runs over the grid's hull vertices, the dual test is
-    ``_minty_values``.  Desk-scale only (dim <= 3).
+    primal minimum runs over the grid's hull vertices; the dual test is the
+    rejection cascade of ``_minty_values``, exact on every member.
+    Desk-scale only (dim <= 3).
     """
     if lipschitz_scale <= 0:
         raise ValueError("lipschitz scale must be positive")

@@ -3,10 +3,12 @@
 Everything here is deliberately written from the definitions, without
 reusing the library's own grid or scan machinery, so the tests cross
 two independent routes wherever the library computes something nontrivial.
-The exceptions are the reference tuple scans and the reference clustering
-at the end: they are the library's earlier per-class scans and its earlier
-union-find clustering, kept verbatim, against which the fused scan and
-``cluster_members`` must agree byte for byte.
+The exceptions are the reference tuple scans, the reference clustering
+and the two-pass Minty scan at the end: they are the library's earlier
+per-class scans, its earlier union-find clustering and its earlier dual
+scan, kept verbatim, against which the fused scan, ``cluster_members``
+and the Minty rejection cascade must agree byte for byte (the Minty scans
+on grids where every pairing is exact; elsewhere up to BLAS rounding).
 """
 
 from __future__ import annotations
@@ -338,3 +340,39 @@ def set_diameter(points) -> float:
     for i in range(pts.shape[0] - 1):
         best = max(best, float(np.linalg.norm(pts[i + 1:] - pts[i], axis=1).max()))
     return best
+
+
+# ---------------------------------------------------------------------------
+# reference Minty scan: the library's earlier two-pass _minty_values
+
+
+_ROW_CHUNK = 16_384
+
+
+def minty_values_two_pass(grid: FloatArray, evals: FloatArray, diag: FloatArray,
+                          tol: float) -> FloatArray:
+    """min over j of E(p_j).(p_j - p_i) for every grid point i.
+
+    Two passes: a strided probe subset rejects most candidates, then the
+    survivors are scored against the full grid, which reproduces the
+    exact full-probe minimum.
+    """
+    G = grid.shape[0]
+    stride = max(1, G // 1024)
+    sub = np.arange(0, G, stride)
+    vals = np.full(G, np.inf)
+    for lo in range(0, G, _ROW_CHUNK):
+        block = grid[lo:lo + _ROW_CHUNK]
+        partial = (diag[sub][None, :] - block @ evals[sub].T).min(axis=1)
+        vals[lo:lo + block.shape[0]] = partial
+    survivors = np.flatnonzero(vals >= -tol)
+    for lo in range(0, survivors.size, 1024):
+        idx = survivors[lo:lo + 1024]
+        full = np.full(idx.size, np.inf)
+        for glo in range(0, G, _ROW_CHUNK):
+            probe_evals = evals[glo:glo + _ROW_CHUNK]
+            probe_diag = diag[glo:glo + _ROW_CHUNK]
+            part = (probe_diag[None, :] - grid[idx] @ probe_evals.T).min(axis=1)
+            np.minimum(full, part, out=full)
+        vals[idx] = full
+    return vals

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 from numpy.testing import assert_allclose
 
+import walras_vi
 from walras_vi.cli import load_problem, main
 from walras_vi.vi_core import solve_extragradient
 
@@ -227,6 +232,17 @@ def test_harness_corrupted_tolerance_rejected(runner, tmp_path):
     assert result.exit_code == 1
 
 
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats once cost about half of every CLI start-up
+    code = "import sys, walras_vi.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(walras_vi.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
 def test_harness_catalog_parse_failure(runner, tmp_path):
     path = tmp_path / "catalog.json"
     path.write_text("[1, 2")
@@ -374,6 +390,39 @@ def test_catalog_fixture_lipschitz_is_coerced(runner, tmp_path, value):
     result = runner.invoke(main, ["harness", "--catalog", path, "--grid", "0.1"])
     _assert_one_error_line(result)
     assert "invalid fixture entry 'lipschitz'" in result.stderr
+
+
+POS_FIXTURE = {"label": "pos", "economy": {"kind": "catalog", "name": "scalar_positive"}}
+
+
+@pytest.mark.parametrize("fixtures, message", [
+    ([{**POS_FIXTURE, "label": [1]}], "each fixture needs a string 'label'"),
+    ([{**POS_FIXTURE, "label": 7}], "each fixture needs a string 'label'"),
+    ([POS_FIXTURE, {**POS_FIXTURE, "lipschitz": 0.5}],
+     "duplicate fixture label 'pos'"),
+], ids=["list", "number", "duplicate"])
+def test_catalog_fixture_labels_are_checked(runner, tmp_path, fixtures, message):
+    path = write(tmp_path, "catalog.json", {"fixtures": fixtures})
+    result = runner.invoke(main, ["harness", "--catalog", path, "--grid", "0.1"])
+    _assert_one_error_line(result)
+    assert message in result.stderr
+
+
+@pytest.mark.parametrize("catalog, message", [
+    ({"fixtures": [{**POS_FIXTURE, "positive": "no"}]},
+     "fixture 'pos': 'positive' must be true or false"),
+    ({"fixtures": [{**POS_FIXTURE, "positive": 1}]},
+     "fixture 'pos': 'positive' must be true or false"),
+    ({"fixtures": "x"}, "'fixtures' must be a list"),
+    ({"fixtures": {"pos": POS_FIXTURE}}, "'fixtures' must be a list"),
+], ids=["positive-string", "positive-number", "fixtures-string",
+        "fixtures-object"])
+def test_catalog_positive_and_fixtures_types_are_checked(runner, tmp_path,
+                                                         catalog, message):
+    path = write(tmp_path, "catalog.json", catalog)
+    result = runner.invoke(main, ["harness", "--catalog", path, "--grid", "0.1"])
+    _assert_one_error_line(result)
+    assert message in result.stderr
 
 
 @pytest.mark.parametrize("command, section, key", [

@@ -18,6 +18,7 @@ from walras_vi.regions import (
     ConvexCombination,
     Polyhedron,
     Simplex,
+    _halton,
     as_price_vector,
     combine,
     first_distinct,
@@ -501,3 +502,13 @@ def test_samples_are_feasible_and_deterministic(region):
         assert region.contains(row, tol=1e-8)
     assert_allclose(pts, region.sample(32))
     assert region.contains(region.feasible_point(), tol=1e-8)
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+@pytest.mark.parametrize("count", [1, 24, 64, 500])
+def test_halton_matches_scipy_engine(dim, count):
+    from scipy.stats import qmc
+
+    engine = qmc.Halton(d=dim, scramble=False)
+    engine.fast_forward(1)
+    assert np.array_equal(_halton(count, dim), engine.random(count))

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from conftest import (
     cluster_centroids,
     minty_members_bruteforce,
+    minty_values_two_pass,
     set_diameter,
     single_linkage_clusters,
     stampacchia_members_bruteforce,
@@ -240,6 +241,10 @@ def test_enumerate_matches_bruteforce_oracle(label):
 
 
 CUBE_LO, CUBE_HI = np.zeros(3), np.ones(3)
+POLY_FLAT_2D = Polyhedron([[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0],
+                          CUBE_LO[:2], CUBE_HI[:2])
+POLY_FLAT_3D = Polyhedron([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]], [1.0, -1.0],
+                          CUBE_LO, CUBE_HI)
 
 # (region, spacings): degenerate boxes, every simplex grid the oracle
 # builds, the criterion-1 polyhedron and two flat polyhedra.  All bounds
@@ -253,12 +258,8 @@ DEGENERATE_REGIONS = [
     pytest.param(Simplex(3), (0.1, 0.125, 0.2), id="simplex-3"),
     pytest.param(Polyhedron([[1.0, 1.0, 1.0]], [2.0], CUBE_LO, CUBE_HI),
                  (0.2,), id="criterion-1"),
-    pytest.param(Polyhedron([[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0],
-                            CUBE_LO[:2], CUBE_HI[:2]),
-                 (0.1, 0.125, 0.2), id="poly-flat-2d"),
-    pytest.param(Polyhedron([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]], [1.0, -1.0],
-                            CUBE_LO, CUBE_HI),
-                 (0.1, 0.2), id="poly-flat-3d"),
+    pytest.param(POLY_FLAT_2D, (0.1, 0.125, 0.2), id="poly-flat-2d"),
+    pytest.param(POLY_FLAT_3D, (0.1, 0.2), id="poly-flat-3d"),
 ]
 
 
@@ -286,6 +287,96 @@ def test_enumerate_matches_bruteforce_on_degenerate_grids(region, spacings, data
     full = (grid @ evals.T).min(axis=0)
     ulps = 4 * np.finfo(float).eps * (np.abs(evals) @ np.abs(grid).max(axis=0))
     assert np.all(np.abs(hull - full) <= ulps)
+
+
+# (region, spacing, grid size): sizes on both sides of the 16-, 256- and
+# 4,096-column probe levels.  Below a level's size its stride is 1, so the
+# later levels have no fresh column left.  Every coordinate is dyadic, so
+# with entries k/4 every pairing is exact however BLAS blocks the product.
+MINTY_LATTICES = [
+    pytest.param(Box([1.0, 0.0], [1.0, 0.0]), 0.25, 1, id="point-1"),
+    pytest.param(Simplex(2), 1.0, 2, id="simplex-2-2"),
+    pytest.param(Simplex(3), 0.25, 15, id="simplex-3-15"),
+    pytest.param(POLY_FLAT_3D, 0.25, 15, id="poly-flat-3d-15"),
+    pytest.param(Box([0.0, 1.0], [15.0, 1.0]), 1.0, 16, id="box-flat-16"),
+    pytest.param(POLY_FLAT_2D, 1 / 16, 17, id="poly-flat-2d-17"),
+    pytest.param(Box([0.0, 0.0], [16.0, 14.0]), 1.0, 255, id="box-255"),
+    pytest.param(Simplex(2), 1 / 256, 257, id="simplex-2-257"),
+    pytest.param(Box([0.0, 0.0, 0.0], [14.0, 12.0, 20.0]), 1.0, 4095,
+                 id="box-3d-4095"),
+    pytest.param(Box([0.0, 0.0], [16.0, 240.0]), 1.0, 4097, id="box-4097"),
+    pytest.param(Box([0.0, 0.0], [1.5625, 1.5625]), 1 / 64, 10201,
+                 id="box-10201"),
+]
+# Grids whose coordinates round: there a BLAS product's last bit depends
+# on where a column falls in the block, so the two scans may differ by
+# rounding and only a value within that rounding of -tol may flip.
+MINTY_ROUNDED = [
+    pytest.param(Simplex(3), 1 / 89, 4095, id="simplex-3-4095"),
+    pytest.param(UNIT_SQUARE, 0.01, 10201, id="square-10201"),
+]
+
+
+@st.composite
+def lattice_fields(draw, grid):
+    """Excess demands of a linear field with entries k/4 on ``grid``, and
+    a tolerance that lies off the pairing lattice or ties one row's minimum.
+    """
+    n = grid.shape[1]
+    quarters = st.integers(-4, 4).map(lambda k: k / 4)
+    M = np.array(draw(st.lists(quarters, min_size=n * n, max_size=n * n)))
+    c = np.array(draw(st.lists(quarters, min_size=n, max_size=n)))
+    evals = linear_economy(M.reshape(n, n), c)(grid)
+    diag = np.einsum("ij,ij->i", evals, grid)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, grid.shape[0] - 1))
+        tol = -float((diag - grid[i] @ evals.T).min())
+    else:
+        tol = draw(st.sampled_from([0.0117, 0.117, 1.17])) * np.abs(grid).max()
+    return evals, diag, tol
+
+
+@pytest.mark.parametrize("region, spacing, size", MINTY_LATTICES)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_minty_cascade_matches_two_pass(region, spacing, size, data):
+    grid = region.grid(spacing)
+    assert grid.shape[0] == size
+    evals, diag, tol = data.draw(lattice_fields(grid))
+    got = vi_core._minty_values(grid, evals, diag, tol)
+    want = minty_values_two_pass(grid, evals, diag, tol)
+    members = want >= -tol
+    assert np.array_equal(got >= -tol, members)
+    assert np.array_equal(got[members], want[members])
+
+
+@pytest.mark.parametrize("region, spacing, size", MINTY_ROUNDED)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_minty_cascade_matches_two_pass_up_to_rounding(region, spacing, size,
+                                                      data):
+    grid = region.grid(spacing)
+    assert grid.shape[0] == size
+    evals, diag, tol = data.draw(lattice_fields(grid))
+    got = vi_core._minty_values(grid, evals, diag, tol)
+    want = minty_values_two_pass(grid, evals, diag, tol)
+    ulps = 4 * np.finfo(float).eps * (
+        np.abs(diag).max() + np.abs(grid).max(axis=0) @ np.abs(evals).max(axis=0))
+    far = np.abs(want + tol) > ulps
+    assert np.array_equal((got >= -tol)[far], (want >= -tol)[far])
+    members = (got >= -tol) | (want >= -tol)
+    assert np.all(np.abs(got[members] - want[members]) <= ulps)
+
+
+@pytest.mark.parametrize("region, spacing, size", MINTY_LATTICES + MINTY_ROUNDED)
+def test_minty_cascade_zero_field(region, spacing, size):
+    # every pairing is 0, so every row reaches the last level
+    grid = region.grid(spacing)
+    evals, diag = np.zeros_like(grid), np.zeros(size)
+    for tol in (0.0, 0.117 * spacing):
+        got = vi_core._minty_values(grid, evals, diag, tol)
+        assert np.array_equal(got, np.zeros(size))
+        assert np.array_equal(got, minty_values_two_pass(grid, evals, diag, tol))
 
 
 # ---------------------------------------------------------------------------
