@@ -238,6 +238,7 @@ def load_catalog_file(path: str) -> tuple[dict, dict]:
                  "each fixture needs a string 'label'")
         label = entry["label"]
         _require(label not in fixtures, f"duplicate fixture label {label!r}")
+        _require("economy" in entry, f"fixture {label!r} needs an 'economy'")
         model, base = parse_economy(entry["economy"])
         if "region" in entry:
             region = parse_region(entry["region"])

@@ -20,7 +20,6 @@ each class reports its own first violation, so reports are reproducible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -256,13 +255,108 @@ def _first(mask) -> Optional[tuple]:
     return tuple(int(i) for i in found[0]) if found.size else None
 
 
-def _combination_hit(P, combos, hit, weights, combined, dots, threshold):
+def _extend_combinations(combos, n: int):
+    """The (m+1)-subsets of range(n) from the m-subsets, both lexicographic."""
+    counts = n - 1 - combos[:, -1]              # larger indices left per row
+    rows = np.repeat(combos, counts, axis=0)
+    offsets = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.column_stack([rows, rows[:, -1] + 1 + offsets])
+
+
+def _lane_order(m: int) -> tuple:
+    """The k order of the two lanes that sum Σ_k G[j, k] w_k.
+
+    Even k go to one lane and odd k to the other, and the lanes are added
+    last; while eight or more terms remain, each block of eight enters its
+    lanes from the block's end.  This is the order of numpy's contiguous
+    einsum dot loop with two float64 lanes and separate multiply and add
+    (the x86-64 baseline), so the sums equal that einsum's bit for bit.
+    """
+    lanes = ([], [])
+    blocks = m // 8 * 8
+    for lo in range(0, blocks, 8):
+        for lane in (0, 1):
+            lanes[lane].extend(lo + lane + d for d in (6, 4, 2, 0))
+    for k in range(blocks, m):
+        lanes[k % 2].append(k)
+    return lanes
+
+
+def _member_dots(G, g, combos, j, Wt, bufs):
+    """E(p_j).(p_j - c) of member j of each tuple at each weight row, in bufs[0].
+
+    E(p_j).c = Σ_k G[j, k] w_k is summed in the order of ``_lane_order``;
+    ``bufs`` holds three scratch arrays of at least (len(combos), len(Wt[0])).
+    The lanes start from their first product, not from +0.0 as einsum's
+    do; that can change only the sign of an all-zero sum, and g - sum
+    cannot show it because g, an einsum reduction, is never -0.0.
+    """
+    cj = combos[:, j]
+    out, lane, prod = bufs[:, :len(combos)]
+    lanes = _lane_order(combos.shape[1])
+    for acc, ks in zip((out, lane), lanes):
+        for i, k in enumerate(ks):
+            np.multiply(G[cj, combos[:, k]][:, None], Wt[k], out=prod if i else acc)
+            if i:
+                np.add(acc, prod, out=acc)
+    if lanes[1]:
+        np.add(out, lane, out=out)
+    return np.subtract(g[cj][:, None], out, out=out)
+
+
+def _tuple_dots(G, g, combo, Wt):
+    """All pairings dots[j, w] of one tuple, for its witness."""
+    bufs = np.empty((3, 1, Wt.shape[1]))
+    return np.array([_member_dots(G, g, combo[None], j, Wt, bufs)[0].copy()
+                     for j in range(len(combo))])
+
+
+def _certified(P, combos, steps: int):
+    """(T, m) mask of the members no interior combination comes near.
+
+    For interior weights c - p_j = (1 - w_j)(c' - p_j) with c' in the hull
+    of the other members, and 1 - w_j >= (m - 1)/steps, so ||c - p_j|| is at
+    least (m - 1)/steps times the distance from p_j to that hull: the other
+    point for m = 2, the segment of the other two for m = 3.  A member is
+    certified when that bound, less an allowance for rounding in the bound
+    and in the float test, exceeds 2 DISTINCT_DIST: the float test then
+    passes for every interior weight.  The allowance grows with m, n and
+    max |P|; m >= 4, and plans whose allowance is not below DISTINCT_DIST,
+    certify nothing.
+    """
+    T, m = combos.shape
+    n = P.shape[1]
+    # With u = eps/2 and L = max |P|: the computed distance exceeds the true
+    # one by at most about 4 √n (3n + 10) u L (the clipped projection
+    # parameter is off by a few n u), and the computed combination is off
+    # by at most √n (m + 1) u L; the allowance is over twice their sum.
+    allowance = (16 * (m + n + 4) * np.sqrt(n) * np.finfo(float).eps
+                 * np.abs(P).max())
+    if m > 3 or not allowance < DISTINCT_DIST:
+        return np.zeros((T, m), dtype=bool)
+    Pc = P[combos]
+    if m == 2:
+        dist = np.linalg.norm(Pc[:, 0] - Pc[:, 1], axis=1)
+        dist = np.column_stack([dist, dist])
+    else:
+        dist = np.empty((T, 3))
+        with np.errstate(divide="ignore", invalid="ignore"):  # a == b: NaN
+            for j, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
+                x = Pc[:, j] - Pc[:, a]
+                d = Pc[:, b] - Pc[:, a]
+                s = np.clip((x * d).sum(axis=1) / (d * d).sum(axis=1), 0.0, 1.0)
+                dist[:, j] = np.linalg.norm(x - s[:, None] * d, axis=1)
+    return (m - 1) / steps * dist - allowance > 2 * DISTINCT_DIST
+
+
+def _combination_hit(P, G, g, combo, w, W, inner, threshold):
     """Margin and witness of a violating (tuple, interior weights) pair."""
-    t, w = hit
-    witness = Witness(points=P[combos[t]], dot_products=dots[t, :, w],
-                      weights=weights[w], combined=combined[t, w],
-                      indices=tuple(int(i) for i in combos[t]))
-    return float(threshold - dots[t, :, w].max()), witness
+    dots = _tuple_dots(G, g, combo, W.T)[:, inner[w]]
+    combined = np.einsum("wk,tkn->twn", W[inner], P[combo][None])[0, w]
+    witness = Witness(points=P[combo], dot_products=dots,
+                      weights=W[inner[w]], combined=combined,
+                      indices=tuple(int(i) for i in combo))
+    return float(threshold - dots.max()), witness
 
 
 def check_tuple_classes(model: ExcessDemandModel, region: ConvexRegion,
@@ -270,42 +364,58 @@ def check_tuple_classes(model: ExcessDemandModel, region: ConvexRegion,
                         tau_feas: float = TAU_FEAS) -> dict:
     """Reports of the three combination classes from one scan, by class name.
 
-    Tuples of each size m come in lexicographic order, and each chunk
-    contracts its pairings once against the boundary weight grid.  The
-    primal classes read its interior columns: the interior grid is the
+    Tuples of each size m come in lexicographic order, in chunks, and each
+    chunk pairs every member with the boundary weight grid.  The primal
+    classes read its interior columns: the interior grid is the
     lexicographic subsequence with all weights positive, and interior grids
     suffice because a boundary combination of a tuple is an interior
     combination of a sub-tuple.  The dual class keeps the boundary weights,
     since its existential ranges over the closed hull.  Each class keeps
     its own first violation and sample count.
+
+    Summation order is fixed: the pairing E(p_j).c = Σ_k G[j, k] w_k is
+    summed in two lanes (``_lane_order``), and a combination c is the einsum
+    Σ_k w_k p_k.  Distinctness is ||c - p_j|| > DISTINCT_DIST with the
+    squares summed in coordinate order.  A member skips that test when
+    (m - 1)/(r - 1) · dist(p_j, hull of the others), less the rounding
+    allowance 16 (m + n + 4) √n · eps · max |P|, exceeds 2 DISTINCT_DIST
+    (``_certified``; r is the weight resolution); only the other members
+    compute c.
     """
     plan.validate_for(region)
     P, Ev, G, g = _pairings(model, plan)
     eps = plan.eps_strict
+    steps = plan.weight_grid_resolution - 1
     samples = dict.fromkeys(_TUPLE_CLASSES, 0)
     best = dict.fromkeys(_TUPLE_CLASSES, float("inf"))
     hits: dict = {}                          # class name -> (margin, witness)
+    all_combos = np.arange(plan.size)[:, None]
     for m in range(1, plan.tuple_size_max + 1):
+        if m > 1:
+            all_combos = _extend_combinations(all_combos, plan.size)
         W = _weight_grid(m, plan.weight_grid_resolution)
+        Wt = W.T.copy()
         inner = np.flatnonzero((W > 0).all(axis=1))
-        all_combos = np.array(list(itertools.combinations(range(plan.size), m)),
-                              dtype=int).reshape(-1, m)
+        Wi = W[inner]
+        bufs = np.empty((3, min(len(all_combos), _TUPLE_CHUNK), len(W)))
         for lo in range(0, len(all_combos), _TUPLE_CHUNK):
             combos = all_combos[lo:lo + _TUPLE_CHUNK]
-            Pc = P[combos]                                     # (T, m, n)
-            Gsub = G[combos[:, :, None], combos[:, None, :]]   # (T, m, m)
-            dots = g[combos][:, :, None] - np.einsum("tjk,wk->tjw", Gsub, W)
-            combined = np.einsum("wk,tkn->twn", W[inner], Pc)  # (T, Wi, n)
-            maxdots = dots.max(axis=1)[:, inner]               # (T, Wi)
-            mindots = dots.min(axis=1)                         # (T, W)
+            mindots = _member_dots(G, g, combos, 0, Wt, bufs).copy()   # (T, W)
+            maxall = mindots.copy()
+            for j in range(1, m):
+                dots = _member_dots(G, g, combos, j, Wt, bufs)
+                np.minimum(mindots, dots, out=mindots)
+                np.maximum(maxall, dots, out=maxall)
+            maxdots = maxall[:, inner]                         # (T, Wi)
             achieved = mindots.max(axis=1)     # best combination per tuple
 
             samples["proper_quasi"] += maxdots.size
             best["proper_quasi"] = min(best["proper_quasi"], float(
                 maxdots.min(initial=np.inf) + tau_feas))
             if "proper_quasi" not in hits and (hit := _first(maxdots < -tau_feas)):
+                t, w = hit
                 hits["proper_quasi"] = _combination_hit(
-                    P, combos, hit, W[inner], combined, dots[:, :, inner], -tau_feas)
+                    P, G, g, combos[t], w, W, inner, -tau_feas)
 
             samples["proper_quasi_dual"] += mindots.size
             best["proper_quasi_dual"] = min(best["proper_quasi_dual"],
@@ -313,12 +423,13 @@ def check_tuple_classes(model: ExcessDemandModel, region: ConvexRegion,
             if ("proper_quasi_dual" not in hits
                     and (hit := _first(achieved < -tau_feas))):
                 t = hit[0]
+                dots = _tuple_dots(G, g, combos[t], Wt)
                 per_comb = [{"weights": W[w].tolist(),
                              "min_dot": float(mindots[t, w]),
-                             "failing_index": int(dots[t, :, w].argmin())}
+                             "failing_index": int(dots[:, w].argmin())}
                             for w in range(W.shape[0])]
                 witness = Witness(
-                    points=P[combos[t]], dot_products=dots[t, :, mindots[t].argmax()],
+                    points=P[combos[t]], dot_products=dots[:, mindots[t].argmax()],
                     indices=tuple(int(i) for i in combos[t]),
                     extra={"per_combination": per_comb,
                            "best_achieved": float(achieved[t])})
@@ -327,20 +438,26 @@ def check_tuple_classes(model: ExcessDemandModel, region: ConvexRegion,
             if m < 2:                 # strict: members themselves are excluded
                 continue
             distinct = np.ones(maxdots.shape, dtype=bool)
-            for j in range(m):
-                # summed in q order: the row norm bit for bit below 8 dims
-                d = combined - Pc[:, None, j, :]
-                sq = d[..., 0] ** 2
-                for q in range(1, d.shape[-1]):
-                    sq = sq + d[..., q] ** 2
-                distinct &= np.sqrt(sq) > DISTINCT_DIST
+            uncertain = ~_certified(P, combos, steps)
+            rows = np.flatnonzero(uncertain.any(axis=1))
+            if inner.size and rows.size:
+                combined = np.einsum("wk,tkn->twn", Wi, P[combos[rows]])
+                for j in range(m):
+                    sel = np.flatnonzero(uncertain[rows, j])
+                    # summed in q order: the row norm bit for bit below 8 dims
+                    d = combined[sel] - P[combos[rows[sel], j]][:, None, :]
+                    sq = d[..., 0] ** 2
+                    for q in range(1, d.shape[-1]):
+                        sq = sq + d[..., q] ** 2
+                    distinct[rows[sel]] &= np.sqrt(sq) > DISTINCT_DIST
             samples["strict_proper_quasi"] += int(distinct.sum())
             best["strict_proper_quasi"] = min(best["strict_proper_quasi"], float(
                 maxdots[distinct].min(initial=np.inf) - eps))
             if ("strict_proper_quasi" not in hits
                     and (hit := _first(distinct & (maxdots <= eps)))):
+                t, w = hit
                 hits["strict_proper_quasi"] = _combination_hit(
-                    P, combos, hit, W[inner], combined, dots[:, :, inner], eps)
+                    P, G, g, combos[t], w, W, inner, eps)
     return {name: MonotonicityReport(name, REFUTED, samples[name], *hits[name])
             if name in hits else
             MonotonicityReport(name, HOLDS, samples[name], best[name])

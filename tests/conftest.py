@@ -5,10 +5,11 @@ reusing the library's own grid or scan machinery, so the tests cross
 two independent routes wherever the library computes something nontrivial.
 The exceptions are the reference tuple scans, the reference clustering
 and the two-pass Minty scan at the end: they are the library's earlier
-per-class scans, its earlier union-find clustering and its earlier dual
-scan, kept verbatim, against which the fused scan, ``cluster_members``
-and the Minty rejection cascade must agree byte for byte (the Minty scans
-on grids where every pairing is exact; elsewhere up to BLAS rounding).
+per-class scans, its earlier einsum-based fused scan, its earlier
+union-find clustering and its earlier dual scan, kept verbatim, against
+which ``check_tuple_classes``, ``cluster_members`` and the Minty rejection
+cascade must agree byte for byte (the Minty scans on grids where every
+pairing is exact; elsewhere up to BLAS rounding).
 """
 
 from __future__ import annotations
@@ -291,6 +292,105 @@ REFERENCE_TUPLE_CHECKERS = {
     "proper_quasi_dual": check_properly_quasimonotone_dual,
     "strict_proper_quasi": check_strict_properly_quasimonotone,
 }
+
+
+# ---------------------------------------------------------------------------
+# reference fused scan: the einsum-based check_tuple_classes that preceded
+# the lane-ordered pairing sums and the certified distinctness prefilter,
+# kept verbatim (helpers renamed) as the reference for the current scan
+
+
+def _boundary_weight_grid(parts: int, resolution: int) -> FloatArray:
+    """Uniform grid on the weight simplex, zeros included, lexicographic."""
+    steps = resolution - 1
+    return np.asarray(list(_compositions(steps, parts, 0)), dtype=float) / steps
+
+
+def _first(mask):
+    """Index of the first True entry in C order, or None."""
+    found = np.argwhere(mask)
+    return tuple(int(i) for i in found[0]) if found.size else None
+
+
+def _combination_hit(P, combos, hit, weights, combined, dots, threshold):
+    """Margin and witness of a violating (tuple, interior weights) pair."""
+    t, w = hit
+    witness = Witness(points=P[combos[t]], dot_products=dots[t, :, w],
+                      weights=weights[w], combined=combined[t, w],
+                      indices=tuple(int(i) for i in combos[t]))
+    return float(threshold - dots[t, :, w].max()), witness
+
+
+def fused_tuple_scan(model: ExcessDemandModel, region: ConvexRegion,
+                     plan: SamplePlan, tau_feas: float = TAU_FEAS) -> dict:
+    """Reports of the three combination classes from one scan, by class name."""
+    plan.validate_for(region)
+    P, Ev, G, g = _pairings(model, plan)
+    eps = plan.eps_strict
+    names = tuple(REFERENCE_TUPLE_CHECKERS)
+    samples = dict.fromkeys(names, 0)
+    best = dict.fromkeys(names, float("inf"))
+    hits: dict = {}                          # class name -> (margin, witness)
+    for m in range(1, plan.tuple_size_max + 1):
+        W = _boundary_weight_grid(m, plan.weight_grid_resolution)
+        inner = np.flatnonzero((W > 0).all(axis=1))
+        all_combos = np.array(list(itertools.combinations(range(plan.size), m)),
+                              dtype=int).reshape(-1, m)
+        for lo in range(0, len(all_combos), _TUPLE_CHUNK):
+            combos = all_combos[lo:lo + _TUPLE_CHUNK]
+            Pc = P[combos]                                     # (T, m, n)
+            Gsub = G[combos[:, :, None], combos[:, None, :]]   # (T, m, m)
+            dots = g[combos][:, :, None] - np.einsum("tjk,wk->tjw", Gsub, W)
+            combined = np.einsum("wk,tkn->twn", W[inner], Pc)  # (T, Wi, n)
+            maxdots = dots.max(axis=1)[:, inner]               # (T, Wi)
+            mindots = dots.min(axis=1)                         # (T, W)
+            achieved = mindots.max(axis=1)     # best combination per tuple
+
+            samples["proper_quasi"] += maxdots.size
+            best["proper_quasi"] = min(best["proper_quasi"], float(
+                maxdots.min(initial=np.inf) + tau_feas))
+            if "proper_quasi" not in hits and (hit := _first(maxdots < -tau_feas)):
+                hits["proper_quasi"] = _combination_hit(
+                    P, combos, hit, W[inner], combined, dots[:, :, inner], -tau_feas)
+
+            samples["proper_quasi_dual"] += mindots.size
+            best["proper_quasi_dual"] = min(best["proper_quasi_dual"],
+                                            float(achieved.min() + tau_feas))
+            if ("proper_quasi_dual" not in hits
+                    and (hit := _first(achieved < -tau_feas))):
+                t = hit[0]
+                per_comb = [{"weights": W[w].tolist(),
+                             "min_dot": float(mindots[t, w]),
+                             "failing_index": int(dots[t, :, w].argmin())}
+                            for w in range(W.shape[0])]
+                witness = Witness(
+                    points=P[combos[t]], dot_products=dots[t, :, mindots[t].argmax()],
+                    indices=tuple(int(i) for i in combos[t]),
+                    extra={"per_combination": per_comb,
+                           "best_achieved": float(achieved[t])})
+                hits["proper_quasi_dual"] = (float(-tau_feas - achieved[t]), witness)
+
+            if m < 2:                 # strict: members themselves are excluded
+                continue
+            distinct = np.ones(maxdots.shape, dtype=bool)
+            for j in range(m):
+                # summed in q order: the row norm bit for bit below 8 dims
+                d = combined - Pc[:, None, j, :]
+                sq = d[..., 0] ** 2
+                for q in range(1, d.shape[-1]):
+                    sq = sq + d[..., q] ** 2
+                distinct &= np.sqrt(sq) > DISTINCT_DIST
+            samples["strict_proper_quasi"] += int(distinct.sum())
+            best["strict_proper_quasi"] = min(best["strict_proper_quasi"], float(
+                maxdots[distinct].min(initial=np.inf) - eps))
+            if ("strict_proper_quasi" not in hits
+                    and (hit := _first(distinct & (maxdots <= eps)))):
+                hits["strict_proper_quasi"] = _combination_hit(
+                    P, combos, hit, W[inner], combined, dots[:, :, inner], eps)
+    return {name: MonotonicityReport(name, REFUTED, samples[name], *hits[name])
+            if name in hits else
+            MonotonicityReport(name, HOLDS, samples[name], best[name])
+            for name in names}
 
 
 # ---------------------------------------------------------------------------

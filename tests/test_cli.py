@@ -413,10 +413,11 @@ def test_catalog_fixture_labels_are_checked(runner, tmp_path, fixtures, message)
      "fixture 'pos': 'positive' must be true or false"),
     ({"fixtures": [{**POS_FIXTURE, "positive": 1}]},
      "fixture 'pos': 'positive' must be true or false"),
+    ({"fixtures": [{"label": "a"}]}, "fixture 'a' needs an 'economy'"),
     ({"fixtures": "x"}, "'fixtures' must be a list"),
     ({"fixtures": {"pos": POS_FIXTURE}}, "'fixtures' must be a list"),
-], ids=["positive-string", "positive-number", "fixtures-string",
-        "fixtures-object"])
+], ids=["positive-string", "positive-number", "economy-missing",
+        "fixtures-string", "fixtures-object"])
 def test_catalog_positive_and_fixtures_types_are_checked(runner, tmp_path,
                                                          catalog, message):
     path = write(tmp_path, "catalog.json", catalog)

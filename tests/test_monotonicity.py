@@ -1,13 +1,16 @@
+import itertools
 import json
+from math import comb
 
 import numpy as np
 import pytest
-from conftest import REFERENCE_TUPLE_CHECKERS, box_grid
-from hypothesis import given, settings
+from conftest import REFERENCE_TUPLE_CHECKERS, box_grid, fused_tuple_scan
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from walras_vi.constants import EPS_STRICT, TAU_FEAS
+from walras_vi import monotonicity
+from walras_vi.constants import DISTINCT_DIST, EPS_STRICT, TAU_FEAS
 from walras_vi.economy import default_catalog, linear_economy, scalar_catalog
 from walras_vi.monotonicity import (
     CLASS_NAMES,
@@ -406,3 +409,183 @@ def test_shared_scan_witnesses_replay_at_40_points():
                 assert margin >= report.margin - 1e-12, (label, name)
     assert refuted > 0
 
+
+# ---------------------------------------------------------------------------
+# the lane-ordered, prefiltered scan against the einsum-based fused scan
+
+
+def _same_as_fused(model, region, plan):
+    reference = fused_tuple_scan(model, region, plan)
+    for name, report in check_tuple_classes(model, region, plan).items():
+        assert _same_reports(report, reference[name]), name
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_member_dots_sum_in_einsum_lane_order(m):
+    # random weight rows sum every term inexactly; T covers chunk tails
+    rng = np.random.default_rng(m)
+    n = m + 3
+    P, E = rng.standard_normal((n, 2)), 0.117 * rng.standard_normal((n, 2))
+    G, g = E @ P.T, np.einsum("ij,ij->i", E, P)
+    W = 0.37 * rng.random((40, m))
+    combos = np.array(list(itertools.combinations(range(n), m)))
+    for rows in (slice(0, 1), slice(0, 2), slice(0, 3), slice(0, 7),
+                 slice(None), slice(None, None, 3)):
+        c = combos[rows]
+        expected = (g[c][:, :, None]
+                    - np.einsum("tjk,wk->tjw", G[c[:, :, None], c[:, None, :]], W))
+        bufs = np.empty((3, len(c), len(W)))
+        for j in range(m):
+            got = monotonicity._member_dots(G, g, c, j, W.T.copy(), bufs)
+            assert np.array_equal(got, expected[:, j]), (rows, j)
+
+
+def test_combination_rows_are_lexicographic():
+    for n in range(0, 9):
+        combos = np.arange(n)[:, None]
+        for m in range(1, 6):
+            if m > 1:
+                combos = monotonicity._extend_combinations(combos, n)
+            expected = list(itertools.combinations(range(n), m))
+            assert combos.shape == (len(expected), m)
+            assert [tuple(r) for r in combos.tolist()] == expected
+
+
+CATALOG = default_catalog()
+# the default plans, and their Halton points alone: region vertices come
+# first in a plan, and their 0/1 coordinates make many pairings exact
+HALTON_PLANS = {
+    (label, points, vertices): (build_plan(fixture.region, num_points=points)
+                                .base_points if vertices
+                                else fixture.region.sample(points))
+    for label, fixture in CATALOG.items() for points in (24, 40)
+    for vertices in (True, False)}
+# multiples of 0.117 round in every pairing, unlike the 1/8 lattices above
+ROUNDED_ENTRIES = st.integers(-4, 4).map(lambda k: 0.117 * k)
+
+
+@st.composite
+def rounded_scan_cases(draw):
+    key = draw(st.sampled_from(sorted(HALTON_PLANS)))
+    base = HALTON_PLANS[key]
+    region, (size, n) = CATALOG[key[0]].region, base.shape
+    m_max = draw(st.integers(2, 4))
+    resolution = draw(st.integers(3, 11).filter(
+        lambda r: comb(size, m_max) * comb(r + m_max - 2, m_max - 1) < 3e6))
+    kind = draw(st.sampled_from(["catalog", "linear", "rotation"][:n + 1]))
+    if kind == "catalog":
+        model = CATALOG[key[0]].model
+    elif kind == "linear":
+        M = draw(st.lists(ROUNDED_ENTRIES, min_size=n * n, max_size=n * n))
+        c = draw(st.lists(ROUNDED_ENTRIES, min_size=n, max_size=n))
+        model = linear_economy(np.reshape(M, (n, n)), c)
+    else:
+        rows = draw(st.lists(st.integers(0, size - 1), min_size=3, max_size=3,
+                             unique=True))
+        model = _rotation(draw(ROUNDED_ENTRIES.filter(bool)), base[rows])
+    plan = SamplePlan(base, tuple_size_max=m_max,
+                      weight_grid_resolution=resolution)
+    return model, region, plan
+
+
+def _rotation(scale, points):
+    """A rotation about the centroid of `points`.
+
+    It passes every pair but fails the dual class on triangles around its
+    centre, so the witness lists the min pairing at every weight row of a
+    3-tuple: these reports read the pairing sums of 3-tuples.
+    """
+    M = scale * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return linear_economy(M, M @ points.mean(axis=0))
+
+
+def _rotation_case(label, points, scale, resolution):
+    base = HALTON_PLANS[label, points, False]
+    return (_rotation(scale, base[[3, 5, 8]]), CATALOG[label].region,
+            SamplePlan(base, tuple_size_max=3, weight_grid_resolution=resolution))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rounded_scan_cases())
+@example(_rotation_case("linear_identity", 24, 0.117, 7))
+@example(_rotation_case("mortgage_linear", 40, -0.351, 11))
+def test_tuple_scan_matches_fused_reference_on_rounded_plans(case):
+    _same_as_fused(*case)
+
+
+def _certification_line(points_for, m):
+    """Bisect the scale at which the last member of a tuple gets certified."""
+    lo, hi = 0.0, 1e-6
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if monotonicity._certified(points_for(mid), np.array([list(range(m))]),
+                                   10)[0, -1]:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+@pytest.mark.parametrize("m, points_for", [
+    (2, lambda x: np.array([[0.25, 0.5], [0.25 + x, 0.5]])),
+    (3, lambda y: np.array([[0.0, 0.0], [1.0, 0.0], [0.5, y]])),
+], ids=["pair", "segment"])
+def test_members_on_either_side_of_the_certification_line(m, points_for):
+    below, above = _certification_line(points_for, m)
+    # the line sits just past 2 DISTINCT_DIST / ((m - 1) / steps)
+    line = 2 * DISTINCT_DIST * 10 / (m - 1)
+    assert line < above < 1.001 * line
+    # the rounding allowance grows with the coordinates
+    _, far = _certification_line(lambda x: points_for(x) + 1e3, m)
+    assert 1.01 * line < far < 1.1 * line
+    for x, certified in ((above, True), (below, False)):
+        P = points_for(x)
+        assert monotonicity._certified(P, np.array([list(range(m))]),
+                                       10)[0, -1] == certified
+        # certified and uncertain members must give the same reports
+        plan = SamplePlan(np.vstack([P, P[-1] + [0.0, 0.5]]), tuple_size_max=3,
+                          weight_grid_resolution=11)
+        for model in (IDENTITY, CONSTANT):
+            _same_as_fused(model, UNIT_SQUARE, plan)
+
+
+def test_large_coordinates_take_the_exact_path():
+    region = Box([0.0, 0.0], [1e6, 1e6])
+    plan = build_plan(region)
+    for m in (2, 3):
+        combos = np.array(list(itertools.combinations(range(plan.size), m)))
+        assert not monotonicity._certified(plan.base_points, combos, 10).any()
+    _same_as_fused(linear_economy(np.array([[1e-6, 0.0], [0.0, 0.0]]),
+                                  [0.117, -0.234]), region, plan)
+    _same_as_fused(linear_economy(np.zeros((2, 2)), [-1.0, 0.0]), region, plan)
+
+
+def test_collinear_simplex_plan_matches_fused_reference():
+    simplex = Simplex(2)
+    plan = build_plan(simplex)
+    triples = np.array(list(itertools.combinations(range(plan.size), 3)))
+    # every triple of points on a line has its middle member uncertain
+    assert (~monotonicity._certified(plan.base_points, triples, 10)).any(axis=1).all()
+    for model in (CATALOG["simplex_positive"].model, CONSTANT,
+                  linear_economy(np.array([[0.117, -0.351], [0.234, 0.0]]),
+                                 [0.117, 0.468])):
+        _same_as_fused(model, simplex, plan)
+
+
+def test_four_tuples_have_no_bound():
+    plan = SamplePlan(build_plan(UNIT_SQUARE, num_points=8).base_points,
+                      tuple_size_max=4, weight_grid_resolution=7)
+    quads = np.array(list(itertools.combinations(range(plan.size), 4)))
+    assert not monotonicity._certified(plan.base_points, quads, 6).any()
+    for model in (IDENTITY, CONSTANT, CATALOG["rotation"].model):
+        _same_as_fused(model, UNIT_SQUARE, plan)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_chunk_tails_match_fused_reference(monkeypatch, chunk):
+    monkeypatch.setattr(monotonicity, "_TUPLE_CHUNK", chunk)
+    for label in ("rotation", "scalar_negslope", "simplex_positive",
+                  "mortgage_linear"):
+        fixture = CATALOG[label]
+        plan = build_plan(fixture.region, num_points=6)
+        _same_as_fused(fixture.model, fixture.region, plan)
