@@ -15,22 +15,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from math import isfinite
 from pathlib import Path
 from typing import Optional
 
 import click
 import numpy as np
 
-from .constants import (
-    DEFAULT_BUDGET,
-    DEFAULT_M_MAX,
-    DEFAULT_SAMPLE_COUNT,
-    DEFAULT_STEP,
-    DEFAULT_WEIGHT_RESOLUTION,
-    EPS_STRICT,
-    TAU_SOLVE,
-)
 from .economy import (
     ExcessDemandModel,
     Fixture,
@@ -119,13 +111,14 @@ def _integer(value) -> int:
 
 
 # Coerced entries per input-file section: (file key, field name, cast).
+# Every field but ``lipschitz`` is a ``HarnessConfig`` field.
 _SECTION_FIELDS = {
     "plan": (("eps_strict", "eps_strict", float), ("points", "num_points", _integer),
              ("m_max", "tuple_size_max", _integer),
              ("grid_spacing", "grid_spacing", float),
              ("weight_resolution", "weight_grid_resolution", _integer)),
     "solver": (("step", "step", float), ("budget", "budget", _integer),
-               ("tol", "tol", float)),
+               ("tol", "tol_solve", float)),
     "oracle": (("grid_spacing", "grid_spacing", float),
                ("lipschitz", "lipschitz", float)),
     "fixture": (("lipschitz", "lipschitz", float),),
@@ -133,7 +126,7 @@ _SECTION_FIELDS = {
 
 
 def parse_section(name: str, section) -> dict:
-    """Coerce the present entries of a section; plan keys map to ``HarnessConfig``."""
+    """Coerce the present entries of a section, keyed by field name."""
     _require(isinstance(section, dict), f"'{name}' must be an object")
     out = {}
     for key, field, cast in _SECTION_FIELDS[name]:
@@ -150,20 +143,32 @@ def parse_section(name: str, section) -> dict:
 class ProblemFile:
     problem: VIProblem
     start: Optional[np.ndarray]
-    step: float
-    budget: int
-    tol_solve: float
-    plan_points: int
-    plan_m_max: int
-    plan_resolution: int
-    eps_strict: float
-    grid_spacing: float
     lipschitz: float
+    config: HarnessConfig
+
+
+def _config(base: HarnessConfig = HarnessConfig(), **settings) -> HarnessConfig:
+    """``base`` with ``settings`` replaced; a range error is an input error."""
+    try:
+        return replace(base, **settings)
+    except ValueError as exc:
+        raise ProblemFileError(f"invalid run configuration: {exc}") from exc
+
+
+def _lipschitz(entries: dict, default: float) -> float:
+    """Take the oracle's lipschitz scale out of parsed section entries."""
+    lipschitz = entries.pop("lipschitz", default)
+    _require(isfinite(lipschitz) and lipschitz > 0,
+             "lipschitz scale must be positive and finite")
+    return lipschitz
 
 
 def _read_json(path: str, what: str) -> dict:
+    def nonfinite(name):
+        raise ProblemFileError(f"{what} file holds {name}; numbers must be finite")
+
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_constant=nonfinite)
     except OSError as exc:
         raise ProblemFileError(f"cannot read {what} file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -186,29 +191,9 @@ def load_problem(path: str) -> ProblemFile:
     oracle = parse_section("oracle", raw.get("oracle", {}))
     _require("grid_spacing" not in plan,
              "set the grid spacing as 'oracle.grid_spacing', not under 'plan'")
-
-    step = solver.get("step", DEFAULT_STEP)
-    budget = solver.get("budget", DEFAULT_BUDGET)
-    tol_solve = solver.get("tol", TAU_SOLVE)
+    lipschitz = _lipschitz(oracle, fixture.lipschitz if fixture is not None else 1.0)
+    config = _config(**solver, **plan, **oracle)
     start = raw.get("solver", {}).get("start")
-    eps_strict = plan.get("eps_strict", EPS_STRICT)
-    plan_points = plan.get("num_points", DEFAULT_SAMPLE_COUNT)
-    plan_m_max = plan.get("tuple_size_max", DEFAULT_M_MAX)
-    plan_resolution = plan.get("weight_grid_resolution", DEFAULT_WEIGHT_RESOLUTION)
-    default_lip = fixture.lipschitz if fixture is not None else 1.0
-    grid_spacing = oracle.get("grid_spacing", 0.02)
-    lipschitz = oracle.get("lipschitz", default_lip)
-
-    _require(step > 0, "solver step must be positive")
-    _require(budget >= 0, "solver budget must be nonnegative")
-    _require(tol_solve > 0, "solver tolerance must be positive")
-    _require(eps_strict > 0, "eps_strict must be positive")
-    _require(plan_points >= 0, "plan points must be nonnegative")
-    _require(plan_m_max >= 2, "plan m_max must be >= 2")
-    _require(plan_resolution >= 3, "weight resolution must be >= 3")
-    _require(grid_spacing > 0, "grid spacing must be positive")
-    _require(lipschitz > 0, "lipschitz scale must be positive")
-
     try:
         problem = VIProblem(model, region)
         start_arr = None
@@ -220,16 +205,14 @@ def load_problem(path: str) -> ProblemFile:
                      "solver start must lie in the region")
     except (TypeError, ValueError) as exc:
         raise ProblemFileError(str(exc)) from exc
-    return ProblemFile(problem, start_arr, step, budget, tol_solve, plan_points,
-                       plan_m_max, plan_resolution, eps_strict, grid_spacing,
-                       lipschitz)
+    return ProblemFile(problem, start_arr, lipschitz, config)
 
 
-def load_catalog_file(path: str) -> tuple[dict, dict]:
+def load_catalog_file(path: str) -> tuple[dict, HarnessConfig]:
     """Read a catalog file: {'plan': {...}, 'fixtures': [...]}; the plan
-    comes back as ``HarnessConfig`` fields."""
+    comes back as a ``HarnessConfig``."""
     raw = _read_json(path, "catalog")
-    overrides = parse_section("plan", raw.get("plan", {}))
+    config = _config(**parse_section("plan", raw.get("plan", {})))
     entries = raw.get("fixtures", [])
     _require(isinstance(entries, list), "'fixtures' must be a list")
     fixtures = {}
@@ -248,16 +231,12 @@ def load_catalog_file(path: str) -> tuple[dict, dict]:
             raise ProblemFileError(f"fixture {label!r} needs a region")
         _require(model.dim == region.dim,
                  f"fixture {label!r} has mismatched dimensions")
-        lipschitz = parse_section("fixture", entry).get(
-            "lipschitz", base.lipschitz if base is not None else 1.0)
-        _require(lipschitz > 0, "lipschitz scale must be positive")
-        positive = entry.get("positive", False)
-        _require(isinstance(positive, bool),
-                 f"fixture {label!r}: 'positive' must be true or false")
+        lipschitz = _lipschitz(parse_section("fixture", entry),
+                               base.lipschitz if base is not None else 1.0)
         fixtures[label] = Fixture(label=label, model=model, region=region,
-                                  lipschitz=lipschitz, positive=positive)
+                                  lipschitz=lipschitz)
     _require(len(fixtures) > 0, "catalog file defines no fixtures")
-    return fixtures, overrides
+    return fixtures, config
 
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
@@ -277,9 +256,7 @@ def _write_trace_csv(path: Path, trace) -> None:
 
 
 @click.group()
-@click.option("--seed", type=int, default=None,
-              help="Reserved; all plans are deterministic.")
-def main(seed):
+def main():
     """Walrasian equilibrium problems as variational inequalities."""
 
 
@@ -294,9 +271,10 @@ def solve(ctx, problem_file, out, trace_path):
     """Run the extragradient solver on a problem file."""
     try:
         spec = load_problem(problem_file)
+        config = spec.config
         result = solve_extragradient(spec.problem, start=spec.start,
-                                     step=spec.step, budget=spec.budget,
-                                     tol=spec.tol_solve)
+                                     step=config.step, budget=config.budget,
+                                     tol=config.tol_solve)
     except (ProblemFileError, ValueError, ProjectionBudgetError) as exc:
         click.echo(f"error: {exc}", err=True)
         ctx.exit(EXIT_INPUT_ERROR)
@@ -319,10 +297,11 @@ def check(ctx, problem_file, class_name, out):
             raise ProblemFileError(
                 f"unknown class {class_name!r}; expected one of {CLASS_NAMES}")
         spec = load_problem(problem_file)
-        plan = build_plan(spec.problem.region, num_points=spec.plan_points,
-                          tuple_size_max=spec.plan_m_max,
-                          weight_grid_resolution=spec.plan_resolution,
-                          eps_strict=spec.eps_strict)
+        config = spec.config
+        plan = build_plan(spec.problem.region, num_points=config.num_points,
+                          tuple_size_max=config.tuple_size_max,
+                          weight_grid_resolution=config.weight_grid_resolution,
+                          eps_strict=config.eps_strict)
         report = check_class(class_name, spec.problem.model,
                              spec.problem.region, plan)
     except (ProblemFileError, ValueError, ProjectionBudgetError) as exc:
@@ -350,16 +329,11 @@ def harness(ctx, catalog_src, grid_spacing, out, trace_dir):
     summary goes to stdout (or --out).
     """
     try:
-        overrides: dict = {}
-        catalog = None
+        catalog, config = None, HarnessConfig()
         if catalog_src != "default":
-            catalog, overrides = load_catalog_file(catalog_src)
+            catalog, config = load_catalog_file(catalog_src)
         if grid_spacing is not None:
-            overrides["grid_spacing"] = float(grid_spacing)
-        try:
-            config = HarnessConfig(**overrides)
-        except ValueError as exc:
-            raise ProblemFileError(f"invalid harness configuration: {exc}") from exc
+            config = _config(config, grid_spacing=grid_spacing)
         results, evidence = run_catalog_with_evidence(catalog, config)
     except (ProblemFileError, ValueError, ProjectionBudgetError) as exc:
         click.echo(f"error: {exc}", err=True)
@@ -392,8 +366,11 @@ def oracle(ctx, problem_file, grid_spacing, no_grid_points, out):
     """Dump the desk-scale solution-set enumeration for a problem."""
     try:
         spec = load_problem(problem_file)
-        spacing = spec.grid_spacing if grid_spacing is None else float(grid_spacing)
-        estimate = enumerate_solutions(spec.problem, spacing, spec.lipschitz)
+        config = spec.config
+        if grid_spacing is not None:
+            config = _config(config, grid_spacing=grid_spacing)
+        estimate = enumerate_solutions(spec.problem, config.grid_spacing,
+                                       spec.lipschitz)
     except (ProblemFileError, ValueError, ProjectionBudgetError) as exc:
         click.echo(f"error: {exc}", err=True)
         ctx.exit(EXIT_INPUT_ERROR)

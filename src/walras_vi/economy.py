@@ -235,14 +235,12 @@ class Fixture:
 
     ``lipschitz`` scales the solution-set oracle's verification tolerance
     (tol = grid spacing * lipschitz) and is calibrated per fixture.
-    ``positive`` declares whether E > 0 holds on the region.
     """
 
     label: str
     model: ExcessDemandModel
     region: ConvexRegion
     lipschitz: float
-    positive: bool = False
 
 
 _ALL_CLASSES = frozenset(
@@ -311,7 +309,6 @@ def _default_fixtures() -> dict[str, Fixture]:
                                  label="constant_positive", declared=_PSEUDO_ONLY),
             region=unit_square,
             lipschitz=0.25,
-            positive=True,
         ),
         Fixture(
             label="rotation",
@@ -337,7 +334,6 @@ def _default_fixtures() -> dict[str, Fixture]:
             model=scalars["affine_positive"],
             region=unit_interval,
             lipschitz=0.05,
-            positive=True,
         ),
         Fixture(
             label="simplex_positive",
@@ -345,7 +341,6 @@ def _default_fixtures() -> dict[str, Fixture]:
                                  label="simplex_positive", declared=_ALL_CLASSES),
             region=Simplex(2),
             lipschitz=0.02,
-            positive=True,
         ),
         Fixture(
             label="mortgage_linear",

@@ -33,6 +33,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Optional
 
 import numpy as np
@@ -92,7 +93,11 @@ GATED_THEOREMS = frozenset({"L2_2", "T4_1", "T4_2"})
 
 @dataclass(frozen=True)
 class HarnessConfig:
-    """Resolution knobs shared by every fixture check."""
+    """A run's settings: sample plan, solver and oracle grid.
+
+    Every command reads its settings from one of these, and its
+    constructor makes every range check on them.
+    """
 
     grid_spacing: float = 0.02
     num_points: int = DEFAULT_SAMPLE_COUNT
@@ -104,12 +109,20 @@ class HarnessConfig:
     tol_solve: float = TAU_SOLVE
 
     def __post_init__(self):
-        if self.grid_spacing <= 0 or self.eps_strict <= 0 or self.tol_solve <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.step <= 0 or self.budget < 0:
-            raise ValueError("solver config must be positive")
+        for name in ("grid_spacing", "eps_strict", "step", "tol_solve"):
+            value = getattr(self, name)
+            if not (isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.num_points < 0:
-            raise ValueError("plan points must be nonnegative")
+            raise ValueError(f"plan points must be nonnegative: num_points is "
+                             f"{self.num_points}")
+        if self.tuple_size_max < 2:
+            raise ValueError(f"tuple_size_max must be >= 2, got {self.tuple_size_max}")
+        if self.weight_grid_resolution < 3:
+            raise ValueError(f"weight_grid_resolution must be >= 3, got "
+                             f"{self.weight_grid_resolution}")
+        if self.budget < 0:
+            raise ValueError(f"budget must be nonnegative, got {self.budget}")
 
 
 @dataclass(frozen=True, eq=False)

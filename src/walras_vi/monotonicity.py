@@ -189,21 +189,30 @@ def _pairings(model: ExcessDemandModel, plan: SamplePlan):
     return P, Ev, G, g
 
 
-def check_pseudomonotone(model: ExcessDemandModel, region: ConvexRegion,
-                         plan: SamplePlan,
-                         tau_feas: float = TAU_FEAS) -> MonotonicityReport:
-    """Scan ordered sample pairs for E(x).(y-x) >= 0 => E(y).(y-x) >= 0."""
+def _pair_scan(name: str, model: ExcessDemandModel, region: ConvexRegion,
+               plan: SamplePlan, tau_feas: float, bound: float,
+               strict: bool) -> MonotonicityReport:
+    """Scan ordered sample pairs: E(x).(y-x) >= -tau_feas => E(y).(y-x) vs ``bound``.
+
+    The conclusion fails below ``bound``, or also at it when ``strict``;
+    strict scans skip every pair closer than the distinctness tolerance,
+    the others only the diagonal.
+    """
     plan.validate_for(region)
     P, Ev, G, g = _pairings(model, plan)
-    n = plan.size
     premise = G - g[:, None]          # premise[i, j] = E(p_i).(p_j - p_i)
     conclusion = g[None, :] - G.T     # conclusion[i, j] = E(p_j).(p_j - p_i)
-    off = ~np.eye(n, dtype=bool)
+    if strict:
+        off = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1) > DISTINCT_DIST
+        fails = conclusion <= bound
+    else:
+        off = ~np.eye(plan.size, dtype=bool)
+        fails = conclusion < bound
     checked = off & (premise >= -tau_feas)
-    violating = checked & (conclusion < -tau_feas)
     samples = int(off.sum())
-    if violating.any():
-        i, j = map(int, np.argwhere(violating)[0])
+    hit = _first(checked & fails)
+    if hit is not None:
+        i, j = hit
         witness = Witness(
             points=P[[i, j]],
             dot_products=np.array([premise[i, j], conclusion[i, j]]),
@@ -211,42 +220,27 @@ def check_pseudomonotone(model: ExcessDemandModel, region: ConvexRegion,
             extra={"premise": float(premise[i, j]),
                    "conclusion": float(conclusion[i, j])},
         )
-        margin = float(-tau_feas - conclusion[i, j])
-        return MonotonicityReport("pseudo", REFUTED, samples, margin, witness)
-    slack = conclusion[checked] + tau_feas
+        margin = float(bound - conclusion[i, j])
+        return MonotonicityReport(name, REFUTED, samples, margin, witness)
+    slack = conclusion[checked] - bound
     margin = float(slack.min()) if slack.size else float("inf")
-    return MonotonicityReport("pseudo", HOLDS, samples, margin)
+    return MonotonicityReport(name, HOLDS, samples, margin)
+
+
+def check_pseudomonotone(model: ExcessDemandModel, region: ConvexRegion,
+                         plan: SamplePlan,
+                         tau_feas: float = TAU_FEAS) -> MonotonicityReport:
+    """Scan ordered sample pairs for E(x).(y-x) >= 0 => E(y).(y-x) >= 0."""
+    return _pair_scan("pseudo", model, region, plan, tau_feas, -tau_feas,
+                      strict=False)
 
 
 def check_strictly_pseudomonotone(model: ExcessDemandModel, region: ConvexRegion,
                                   plan: SamplePlan,
                                   tau_feas: float = TAU_FEAS) -> MonotonicityReport:
     """Same pair scan with the strict conclusion E(y).(y-x) > eps for y != x."""
-    plan.validate_for(region)
-    P, Ev, G, g = _pairings(model, plan)
-    eps = plan.eps_strict
-    n = plan.size
-    premise = G - g[:, None]
-    conclusion = g[None, :] - G.T
-    dist = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
-    off = dist > DISTINCT_DIST
-    checked = off & (premise >= -tau_feas)
-    violating = checked & (conclusion <= eps)
-    samples = int(off.sum())
-    if violating.any():
-        i, j = map(int, np.argwhere(violating)[0])
-        witness = Witness(
-            points=P[[i, j]],
-            dot_products=np.array([premise[i, j], conclusion[i, j]]),
-            indices=(i, j),
-            extra={"premise": float(premise[i, j]),
-                   "conclusion": float(conclusion[i, j])},
-        )
-        margin = float(eps - conclusion[i, j])
-        return MonotonicityReport("strict_pseudo", REFUTED, samples, margin, witness)
-    slack = conclusion[checked] - eps
-    margin = float(slack.min()) if slack.size else float("inf")
-    return MonotonicityReport("strict_pseudo", HOLDS, samples, margin)
+    return _pair_scan("strict_pseudo", model, region, plan, tau_feas,
+                      plan.eps_strict, strict=True)
 
 
 def _first(mask) -> Optional[tuple]:

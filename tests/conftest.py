@@ -3,11 +3,12 @@
 Everything here is deliberately written from the definitions, without
 reusing the library's own grid or scan machinery, so the tests cross
 two independent routes wherever the library computes something nontrivial.
-The exceptions are the reference tuple scans, the reference clustering
-and the two-pass Minty scan at the end: they are the library's earlier
-per-class scans, its earlier einsum-based fused scan, its earlier
-union-find clustering and its earlier dual scan, kept verbatim, against
-which ``check_tuple_classes``, ``cluster_members`` and the Minty rejection
+The exceptions are the reference pair and tuple scans, the reference
+clustering and the two-pass Minty scan at the end: they are the library's
+earlier pair checkers, its earlier per-class scans, its earlier
+einsum-based fused scan, its earlier union-find clustering and its earlier
+dual scan, kept verbatim, against which the pair checkers,
+``check_tuple_classes``, ``cluster_members`` and the Minty rejection
 cascade must agree byte for byte (the Minty scans on grids where every
 pairing is exact; elsewhere up to BLAS rounding).
 """
@@ -291,6 +292,77 @@ REFERENCE_TUPLE_CHECKERS = {
     "proper_quasi": check_properly_quasimonotone,
     "proper_quasi_dual": check_properly_quasimonotone_dual,
     "strict_proper_quasi": check_strict_properly_quasimonotone,
+}
+
+
+# ---------------------------------------------------------------------------
+# reference pair scans: the two pair checkers that preceded their shared
+# scan body, kept verbatim
+
+
+def check_pseudomonotone(model: ExcessDemandModel, region: ConvexRegion,
+                         plan: SamplePlan,
+                         tau_feas: float = TAU_FEAS) -> MonotonicityReport:
+    """Scan ordered sample pairs for E(x).(y-x) >= 0 => E(y).(y-x) >= 0."""
+    plan.validate_for(region)
+    P, Ev, G, g = _pairings(model, plan)
+    n = plan.size
+    premise = G - g[:, None]          # premise[i, j] = E(p_i).(p_j - p_i)
+    conclusion = g[None, :] - G.T     # conclusion[i, j] = E(p_j).(p_j - p_i)
+    off = ~np.eye(n, dtype=bool)
+    checked = off & (premise >= -tau_feas)
+    violating = checked & (conclusion < -tau_feas)
+    samples = int(off.sum())
+    if violating.any():
+        i, j = map(int, np.argwhere(violating)[0])
+        witness = Witness(
+            points=P[[i, j]],
+            dot_products=np.array([premise[i, j], conclusion[i, j]]),
+            indices=(i, j),
+            extra={"premise": float(premise[i, j]),
+                   "conclusion": float(conclusion[i, j])},
+        )
+        margin = float(-tau_feas - conclusion[i, j])
+        return MonotonicityReport("pseudo", REFUTED, samples, margin, witness)
+    slack = conclusion[checked] + tau_feas
+    margin = float(slack.min()) if slack.size else float("inf")
+    return MonotonicityReport("pseudo", HOLDS, samples, margin)
+
+
+def check_strictly_pseudomonotone(model: ExcessDemandModel, region: ConvexRegion,
+                                  plan: SamplePlan,
+                                  tau_feas: float = TAU_FEAS) -> MonotonicityReport:
+    """Same pair scan with the strict conclusion E(y).(y-x) > eps for y != x."""
+    plan.validate_for(region)
+    P, Ev, G, g = _pairings(model, plan)
+    eps = plan.eps_strict
+    n = plan.size
+    premise = G - g[:, None]
+    conclusion = g[None, :] - G.T
+    dist = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1)
+    off = dist > DISTINCT_DIST
+    checked = off & (premise >= -tau_feas)
+    violating = checked & (conclusion <= eps)
+    samples = int(off.sum())
+    if violating.any():
+        i, j = map(int, np.argwhere(violating)[0])
+        witness = Witness(
+            points=P[[i, j]],
+            dot_products=np.array([premise[i, j], conclusion[i, j]]),
+            indices=(i, j),
+            extra={"premise": float(premise[i, j]),
+                   "conclusion": float(conclusion[i, j])},
+        )
+        margin = float(eps - conclusion[i, j])
+        return MonotonicityReport("strict_pseudo", REFUTED, samples, margin, witness)
+    slack = conclusion[checked] - eps
+    margin = float(slack.min()) if slack.size else float("inf")
+    return MonotonicityReport("strict_pseudo", HOLDS, samples, margin)
+
+
+REFERENCE_PAIR_CHECKERS = {
+    "pseudo": check_pseudomonotone,
+    "strict_pseudo": check_strictly_pseudomonotone,
 }
 
 

@@ -31,7 +31,7 @@ from walras_vi.harness import (
     GATED_THEOREMS,
     HarnessConfig,
     failure_events,
-    run_catalog,
+    run_catalog_with_evidence,
 )
 from walras_vi.monotonicity import (
     build_plan,
@@ -323,10 +323,10 @@ def test_criterion_6_mortgage():
 
 @criterion(7, budget_seconds=120.0)
 def test_criterion_7_harness_gate():
-    results = run_catalog()
+    results, evidence = run_catalog_with_evidence()
     events = failure_events(results)
     assert events == [], [r.to_dict() for r in events]
-    positives = {label for label, f in CATALOG.items() if f.positive}
+    positives = {label for label, ev in evidence.items() if ev.positive}
     assert positives == {"constant_positive", "scalar_positive",
                          "simplex_positive"}
     for r in results:

@@ -8,10 +8,13 @@ from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import walras_vi
 from walras_vi.cli import load_problem, main
+from walras_vi.harness import HarnessConfig
 from walras_vi.vi_core import solve_extragradient
 
 LINEAR_PROBLEM = {
@@ -57,8 +60,9 @@ def test_solve_json_roundtrips_bit_exactly(runner, tmp_path):
     result = runner.invoke(main, ["solve", path])
     payload = json.loads(result.output)
     spec = load_problem(path)
-    reference = solve_extragradient(spec.problem, step=spec.step,
-                                    budget=spec.budget, tol=spec.tol_solve)
+    reference = solve_extragradient(spec.problem, step=spec.config.step,
+                                    budget=spec.config.budget,
+                                    tol=spec.config.tol_solve)
     assert payload["solution"] == reference.solution.tolist()
     assert payload["residual"] == reference.residual
     assert payload["minty_gap"] == reference.minty_gap
@@ -72,8 +76,9 @@ def test_solve_trace_csv_roundtrip(runner, tmp_path):
     result = runner.invoke(main, ["solve", path, "--trace", str(trace_path)])
     assert result.exit_code == 0
     spec = load_problem(path)
-    reference = solve_extragradient(spec.problem, step=spec.step,
-                                    budget=spec.budget, tol=spec.tol_solve)
+    reference = solve_extragradient(spec.problem, step=spec.config.step,
+                                    budget=spec.config.budget,
+                                    tol=spec.config.tol_solve)
     with open(trace_path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["iteration", "residual"]
@@ -132,12 +137,6 @@ def test_problem_file_rejects_nonpositive_tolerances(runner, tmp_path):
     path = write(tmp_path, "problem.json", bad)
     result = runner.invoke(main, ["solve", path])
     assert result.exit_code == 1
-
-
-def test_seed_flag_is_accepted(runner, tmp_path):
-    path = write(tmp_path, "problem.json", LINEAR_PROBLEM)
-    result = runner.invoke(main, ["--seed", "7", "solve", path])
-    assert result.exit_code == 0
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +376,9 @@ def test_problem_section_numeric_strings_are_coerced(runner, tmp_path):
     problem["oracle"].update(grid_spacing="0.1", lipschitz="3")
     path = write(tmp_path, "problem.json", problem)
     spec = load_problem(path)
-    assert (spec.step, spec.budget, spec.tol_solve) == (0.1, 100000, 1e-8)
-    assert (spec.grid_spacing, spec.lipschitz) == (0.1, 3.0)
+    config = spec.config
+    assert (config.step, config.budget, config.tol_solve) == (0.1, 100000, 1e-8)
+    assert (config.grid_spacing, spec.lipschitz) == (0.1, 3.0)
     assert runner.invoke(main, ["solve", path]).exit_code == 0
 
 
@@ -409,15 +409,10 @@ def test_catalog_fixture_labels_are_checked(runner, tmp_path, fixtures, message)
 
 
 @pytest.mark.parametrize("catalog, message", [
-    ({"fixtures": [{**POS_FIXTURE, "positive": "no"}]},
-     "fixture 'pos': 'positive' must be true or false"),
-    ({"fixtures": [{**POS_FIXTURE, "positive": 1}]},
-     "fixture 'pos': 'positive' must be true or false"),
     ({"fixtures": [{"label": "a"}]}, "fixture 'a' needs an 'economy'"),
     ({"fixtures": "x"}, "'fixtures' must be a list"),
     ({"fixtures": {"pos": POS_FIXTURE}}, "'fixtures' must be a list"),
-], ids=["positive-string", "positive-number", "economy-missing",
-        "fixtures-string", "fixtures-object"])
+], ids=["economy-missing", "fixtures-string", "fixtures-object"])
 def test_catalog_positive_and_fixtures_types_are_checked(runner, tmp_path,
                                                          catalog, message):
     path = write(tmp_path, "catalog.json", catalog)
@@ -489,3 +484,215 @@ def test_problem_plan_grid_spacing_is_rejected(runner, tmp_path):
     result = runner.invoke(main, ["oracle", write(tmp_path, "problem.json", problem)])
     _assert_one_error_line(result)
     assert "'oracle.grid_spacing'" in result.stderr
+
+
+# ---------------------------------------------------------------------------
+# non-finite numbers and the run configuration
+
+
+@pytest.mark.parametrize("argv_tail, payload", [
+    (["--grid", "0.25"],
+     {"fixtures": [{**POS_FIXTURE, "lipschitz": float("inf")}]}),
+    ([], {"plan": {"eps_strict": float("inf")}, "fixtures": [POS_FIXTURE]}),
+    ([], {"plan": {"grid_spacing": float("nan")}, "fixtures": [POS_FIXTURE]}),
+], ids=["fixture-lipschitz", "plan-eps-strict", "plan-grid-nan"])
+def test_catalog_non_finite_literals_are_rejected(runner, tmp_path, argv_tail,
+                                                  payload):
+    # json.dumps writes inf and nan as the literals Infinity and NaN
+    path = write(tmp_path, "catalog.json", payload)
+    result = runner.invoke(main, ["harness", "--catalog", path] + argv_tail)
+    _assert_one_error_line(result)
+    assert "catalog file holds" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "oracle"])
+@pytest.mark.parametrize("section, key, value", [
+    ("oracle", "lipschitz", float("inf")),
+    ("solver", "step", float("nan")),
+    ("plan", "eps_strict", float("-inf")),
+], ids=["lipschitz-inf", "step-nan", "eps-strict-minus-inf"])
+def test_problem_non_finite_literals_are_rejected(runner, tmp_path, command,
+                                                  section, key, value):
+    problem = json.loads(json.dumps(LINEAR_PROBLEM))
+    problem.setdefault(section, {})[key] = value
+    argv = [command, write(tmp_path, "problem.json", problem)]
+    result = runner.invoke(main, argv + (["--class", "pseudo"]
+                                         if command == "check" else []))
+    _assert_one_error_line(result)
+    assert "problem file holds" in result.stderr
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"plan": {"eps_strict": 1e999}, "fixtures": [%s]}', "eps_strict"),
+    ('{"fixtures": [%s], "plan": {"grid_spacing": 1e999}}', "grid_spacing"),
+    ('{"fixtures": [{"label": "pos", "lipschitz": 1e999, "economy": '
+     '{"kind": "catalog", "name": "scalar_positive"}}]}', "lipschitz"),
+], ids=["eps-strict", "grid-spacing", "lipschitz"])
+def test_overflowing_numbers_are_rejected(runner, tmp_path, text, field):
+    # 1e999 parses to inf without a NaN or Infinity literal
+    path = tmp_path / "catalog.json"
+    path.write_text(text.replace("%s", json.dumps(POS_FIXTURE)))
+    result = runner.invoke(main, ["harness", "--catalog", str(path)])
+    _assert_one_error_line(result)
+    assert field in result.stderr
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["harness", "oracle"])
+@pytest.mark.parametrize("grid", ["inf", "nan", "-0.5", "0"])
+def test_grid_flag_is_validated_as_grid_spacing(runner, tmp_path, command, grid):
+    argv = [command] + ([write(tmp_path, "problem.json", NEGSLOPE_PROBLEM)]
+                        if command == "oracle" else [])
+    result = runner.invoke(main, argv + ["--grid", grid])
+    _assert_one_error_line(result)
+    assert "grid_spacing" in result.stderr
+
+
+def test_problem_file_resolves_into_the_run_configuration(tmp_path):
+    spec = load_problem(write(tmp_path, "problem.json", NEGSLOPE_PROBLEM))
+    assert spec.config == HarnessConfig(grid_spacing=0.01)
+    assert spec.lipschitz == 0.25
+    problem = dict(NEGSLOPE_PROBLEM, plan={"points": 6, "m_max": 2,
+                                           "weight_resolution": 5,
+                                           "eps_strict": 1e-6},
+                   solver={"step": 0.2, "budget": 7, "tol": 1e-4})
+    spec = load_problem(write(tmp_path, "problem.json", problem))
+    assert spec.config == HarnessConfig(
+        grid_spacing=0.01, num_points=6, tuple_size_max=2,
+        weight_grid_resolution=5, eps_strict=1e-6, step=0.2, budget=7,
+        tol_solve=1e-4)
+
+
+@pytest.mark.parametrize("plan, field", [
+    ({"m_max": 1}, "tuple_size_max"),
+    ({"weight_resolution": 2}, "weight_grid_resolution"),
+    ({"eps_strict": 0}, "eps_strict"),
+], ids=["m-max", "weight-resolution", "eps-strict"])
+def test_catalog_and_problem_plans_share_one_validator(runner, tmp_path, plan,
+                                                       field):
+    catalog = write(tmp_path, "catalog.json",
+                    {"plan": plan, "fixtures": [POS_FIXTURE]})
+    problem = write(tmp_path, "problem.json", dict(NEGSLOPE_PROBLEM, plan=plan))
+    for argv in (["harness", "--catalog", catalog],
+                 ["check", problem, "--class", "pseudo"]):
+        result = runner.invoke(main, argv)
+        _assert_one_error_line(result)
+        assert field in result.stderr
+
+
+def test_catalog_positive_entry_is_ignored(runner, tmp_path):
+    # positivity is measured on the plan, never declared
+    plain = write(tmp_path, "plain.json", {"fixtures": [POS_FIXTURE]})
+    flagged = write(tmp_path, "flagged.json",
+                    {"fixtures": [{**POS_FIXTURE, "positive": "no"}]})
+    outputs = [runner.invoke(main, ["harness", "--catalog", path, "--grid", "0.1"])
+               for path in (plain, flagged)]
+    assert [r.exit_code for r in outputs] == [0, 0]
+    assert outputs[0].stdout == outputs[1].stdout
+
+
+# ---------------------------------------------------------------------------
+# schema fuzz: one mutation of a valid file never escapes as a traceback
+
+FUZZ_PROBLEM = {
+    "economy": {"kind": "linear", "M": [[1.0, 0.0], [0.0, 1.0]], "c": [1.5, 0.5]},
+    "region": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+    "solver": {"step": 0.1, "budget": 50, "tol": 1e-8, "start": [0.5, 0.5]},
+    "plan": {"points": 8, "m_max": 2, "weight_resolution": 3, "eps_strict": 1e-9},
+    "oracle": {"grid_spacing": 0.25, "lipschitz": 3.0},
+}
+
+FUZZ_CATALOG = {
+    "plan": {"points": 4, "m_max": 2, "weight_resolution": 3, "eps_strict": 1e-9,
+             "grid_spacing": 0.25},
+    "fixtures": [
+        {"label": "lin",
+         "economy": {"kind": "linear", "M": [[1.0, 0.0], [0.0, 1.0]],
+                     "c": [0.5, 0.5]},
+         "region": {"kind": "polyhedron", "A": [[1.0, 1.0]], "b": [1.5],
+                    "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+         "lipschitz": 0.25},
+        {**POS_FIXTURE, "lipschitz": 0.05},
+    ],
+}
+
+# No value here can ask for a large grid, plan or budget; a dropped entry
+# takes its default, which is a standard desk-scale size.
+_POOL = (None, True, "x", "2.9", [], {}, [1.0], -1, 0, 2.9, float("nan"),
+         float("inf"))
+_DROP = object()
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON document, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate(document, path, value):
+    """A copy of ``document`` with the entry at ``path`` dropped or replaced."""
+    if not path:
+        return value
+    copy = json.loads(json.dumps(document))
+    *head, last = path
+    node = copy
+    for key in head:
+        node = node[key]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return copy
+
+
+@st.composite
+def _mutated(draw, document):
+    """``document`` with one entry dropped or replaced by a pool value."""
+    path = draw(st.sampled_from(list(_paths(document))))
+    droppable = bool(path) and isinstance(path[-1], str)
+    return _mutate(document, path,
+                   draw(st.sampled_from(_POOL + ((_DROP,) if droppable else ()))))
+
+
+def _assert_clean_exit(result):
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        repr(result.exception))
+    assert 0 <= result.exit_code <= 4
+    if result.exit_code == 1:
+        _assert_one_error_line(result)
+
+
+_FUZZ = settings(max_examples=120, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+# a numpy warning raises here, so one printed before the error line fails the run
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@_FUZZ
+@given(problem=_mutated(FUZZ_PROBLEM),
+       command=st.sampled_from(["solve", "check", "oracle"]))
+# an infinite step or grid spacing must be refused before numpy computes with it
+@example(problem=_mutate(FUZZ_PROBLEM, ("solver", "step"), float("inf")),
+         command="solve")
+@example(problem=_mutate(FUZZ_PROBLEM, ("oracle", "grid_spacing"), float("inf")),
+         command="oracle")
+def test_mutated_problem_files_exit_cleanly(runner, tmp_path, problem, command):
+    argv = [command, write(tmp_path, "problem.json", problem)]
+    if command == "check":
+        argv += ["--class", "strict_proper_quasi"]
+    _assert_clean_exit(runner.invoke(main, argv))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@_FUZZ
+@given(catalog=_mutated(FUZZ_CATALOG))
+def test_mutated_catalog_files_exit_cleanly(runner, tmp_path, catalog):
+    path = write(tmp_path, "catalog.json", catalog)
+    _assert_clean_exit(runner.invoke(main, ["harness", "--catalog", path]))

@@ -222,3 +222,20 @@ def test_config_validation():
         HarnessConfig(grid_spacing=-0.1)
     with pytest.raises(ValueError):
         HarnessConfig(eps_strict=-1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("grid_spacing", float("nan")),
+    ("grid_spacing", float("inf")),
+    ("eps_strict", float("nan")),
+    ("step", float("-inf")),
+    ("tol_solve", float("nan")),
+    ("tol_solve", 0.0),
+    ("num_points", -1),
+    ("tuple_size_max", 1),
+    ("weight_grid_resolution", 2),
+    ("budget", -1),
+])
+def test_config_rejects_each_out_of_range_setting_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        HarnessConfig(**{field: value})

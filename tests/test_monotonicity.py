@@ -4,7 +4,8 @@ from math import comb
 
 import numpy as np
 import pytest
-from conftest import REFERENCE_TUPLE_CHECKERS, box_grid, fused_tuple_scan
+from conftest import (REFERENCE_PAIR_CHECKERS, REFERENCE_TUPLE_CHECKERS,
+                      box_grid, fused_tuple_scan)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -73,6 +74,35 @@ def test_plan_validation():
 
 # ---------------------------------------------------------------------------
 # pseudomonotone
+
+_PAIR_ENTRIES = st.sampled_from([-1.0, -0.5, -0.3, 0.0, 0.25, 0.7, 1.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(M=st.lists(_PAIR_ENTRIES, min_size=4, max_size=4),
+       c=st.lists(_PAIR_ENTRIES, min_size=2, max_size=2),
+       region=st.sampled_from([UNIT_SQUARE, Simplex(2)]),
+       points=st.integers(0, 12), pick=st.integers(0, 10**6))
+def test_pair_checkers_match_reference_scans(M, c, region, points, pick):
+    model = linear_economy(np.reshape(M, (2, 2)), c)
+    plan = build_plan(region, num_points=points)
+    # a threshold placed on one conclusion value E(p_j).(p_j - p_i) makes
+    # the comparison's equality case decide that pair
+    P = plan.base_points
+    Ev = model(P)
+    values = (np.einsum("ij,ij->i", Ev, P)[None, :] - (Ev @ P.T).T)[
+        ~np.eye(plan.size, dtype=bool)]
+    v = float(values[pick % values.size])
+    cases = [(plan, TAU_FEAS)]
+    if v > 0:
+        cases.append((SamplePlan(P, eps_strict=v), TAU_FEAS))
+    elif v < 0:
+        cases.append((plan, -v))
+    for case_plan, tau_feas in cases:
+        for name, reference in REFERENCE_PAIR_CHECKERS.items():
+            got = check_class(name, model, region, case_plan, tau_feas=tau_feas)
+            want = reference(model, region, case_plan, tau_feas=tau_feas)
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
 def test_pseudo_holds_for_monotone_field(square_plan):
