@@ -163,9 +163,9 @@ class TheoremCheckResult:
         }
 
 
-def gather_evidence(fixture: Fixture,
-                    config: HarnessConfig = HarnessConfig()) -> FixtureEvidence:
-    """Run checkers, oracle and solver once for a fixture."""
+def gather_evidence(fixture: Fixture, config: HarnessConfig = HarnessConfig(),
+                    plans: Optional[dict] = None) -> FixtureEvidence:
+    """Run checkers, oracle and solver once; ``plans`` holds a run's shared plans."""
     plan = build_plan(
         fixture.region,
         num_points=config.num_points,
@@ -173,6 +173,9 @@ def gather_evidence(fixture: Fixture,
         weight_grid_resolution=config.weight_grid_resolution,
         eps_strict=config.eps_strict,
     )
+    if plans is not None:
+        plan = plans.setdefault((plan.base_points.shape,
+                                 plan.base_points.tobytes()), plan)
     reports = {name: check_class(name, fixture.model, fixture.region, plan)
                for name in ("pseudo", "strict_pseudo")}
     reports.update(check_tuple_classes(fixture.model, fixture.region, plan))
@@ -326,16 +329,18 @@ def run_catalog_with_evidence(catalog: Optional[dict] = None,
 
     Fixture evidence may be gathered concurrently (capped by the
     WALRAS_VI_THREADS environment variable); results aggregate in catalog
-    order regardless.
+    order regardless.  Fixtures whose plans have equal base points share one
+    plan object, so its strict exclusions are computed once.
     """
     fixtures = list((catalog if catalog is not None else default_catalog()).values())
     workers = min(_worker_count(), max(1, len(fixtures)))
+    plans: dict = {}
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            evidences = list(pool.map(lambda f: gather_evidence(f, config),
+            evidences = list(pool.map(lambda f: gather_evidence(f, config, plans),
                                       fixtures))
     else:
-        evidences = [gather_evidence(f, config) for f in fixtures]
+        evidences = [gather_evidence(f, config, plans) for f in fixtures]
     results = [check(ev) for ev in evidences for check in _CHECKS]
     return results, {ev.fixture.label: ev for ev in evidences}
 

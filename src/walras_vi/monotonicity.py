@@ -20,7 +20,9 @@ each class reports its own first violation, so reports are reproducible.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -66,7 +68,7 @@ _TUPLE_CLASSES = CLASS_NAMES[2:]
 HOLDS = "holds_on_samples"
 REFUTED = "refuted"
 
-_TUPLE_CHUNK = 4096
+_SCAN_PAIRS = 1 << 16           # pairings per scan buffer, which stays in cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +79,8 @@ class SamplePlan:
     tuple_size_max: int = DEFAULT_M_MAX
     weight_grid_resolution: int = DEFAULT_WEIGHT_RESOLUTION
     eps_strict: float = EPS_STRICT
+    _exclusions: Optional[dict] = field(default=None, init=False, repr=False)
+    _lock: object = field(default_factory=threading.Lock, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.base_points, dtype=float))
@@ -99,6 +103,14 @@ class SamplePlan:
             raise ValueError("plan dimension does not match the region")
         if not region.contains_many(self.base_points, tol=TAU_FEAS).all():
             raise ValueError("plan base points must lie in the region")
+
+    def strict_exclusions(self) -> dict:
+        """Per tuple size m >= 2, sorted flat indices t * Wi + w of the (tuple,
+        interior weight) pairs the strict class excludes; computed once."""
+        with self._lock:
+            if self._exclusions is None:
+                object.__setattr__(self, "_exclusions", _strict_exclusions(self))
+        return self._exclusions
 
 
 def build_plan(region: ConvexRegion, num_points: int = DEFAULT_SAMPLE_COUNT,
@@ -166,18 +178,11 @@ class MonotonicityReport:
 
 
 def _weight_grid(parts: int, resolution: int) -> FloatArray:
-    """Uniform grid on the weight simplex, zeros included, lexicographic."""
-    steps = resolution - 1
-    return np.asarray(list(_compositions(steps, parts)), dtype=float) / steps
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Uniform grid on the weight simplex, zeros included, lexicographic: a
+    row counts the slots between its parts - 1 bars, taken lexicographically."""
+    slots = resolution + parts - 2
+    bars = np.array(list(combinations(range(slots), parts - 1)), dtype=int)
+    return (np.diff(bars, prepend=-1, append=slots) - 1) / (resolution - 1)
 
 
 def _pairings(model: ExcessDemandModel, plan: SamplePlan):
@@ -277,31 +282,31 @@ def _lane_order(m: int) -> tuple:
 
 
 def _member_dots(G, g, combos, j, Wt, bufs):
-    """E(p_j).(p_j - c) of member j of each tuple at each weight row, in bufs[0].
+    """E(p_j).(p_j - c) of member j of each tuple, as (weight row, tuple) in bufs[0].
 
     E(p_j).c = Σ_k G[j, k] w_k is summed in the order of ``_lane_order``;
-    ``bufs`` holds three scratch arrays of at least (len(combos), len(Wt[0])).
+    ``bufs`` holds three scratch arrays of at least (len(Wt[0]), len(combos)).
     The lanes start from their first product, not from +0.0 as einsum's
     do; that can change only the sign of an all-zero sum, and g - sum
     cannot show it because g, an einsum reduction, is never -0.0.
     """
     cj = combos[:, j]
-    out, lane, prod = bufs[:, :len(combos)]
+    out, lane, prod = bufs[:, :, :len(combos)]
     lanes = _lane_order(combos.shape[1])
     for acc, ks in zip((out, lane), lanes):
         for i, k in enumerate(ks):
-            np.multiply(G[cj, combos[:, k]][:, None], Wt[k], out=prod if i else acc)
+            np.multiply(Wt[k][:, None], G[cj, combos[:, k]], out=prod if i else acc)
             if i:
                 np.add(acc, prod, out=acc)
     if lanes[1]:
         np.add(out, lane, out=out)
-    return np.subtract(g[cj][:, None], out, out=out)
+    return np.subtract(g[cj], out, out=out)
 
 
 def _tuple_dots(G, g, combo, Wt):
     """All pairings dots[j, w] of one tuple, for its witness."""
-    bufs = np.empty((3, 1, Wt.shape[1]))
-    return np.array([_member_dots(G, g, combo[None], j, Wt, bufs)[0].copy()
+    bufs = np.empty((3, Wt.shape[1], 1))
+    return np.array([_member_dots(G, g, combo[None], j, Wt, bufs)[:, 0].copy()
                      for j in range(len(combo))])
 
 
@@ -353,105 +358,133 @@ def _combination_hit(P, G, g, combo, w, W, inner, threshold):
     return float(threshold - dots.max()), witness
 
 
+def _tuple_sizes(plan: SamplePlan):
+    """(m, tuples, weight grid, interior rows mask) for m = 1 .. tuple_size_max."""
+    combos = np.arange(plan.size)[:, None]
+    for m in range(1, plan.tuple_size_max + 1):
+        combos = _extend_combinations(combos, plan.size) if m > 1 else combos
+        W = _weight_grid(m, plan.weight_grid_resolution)
+        yield m, combos, W, (W > 0).all(axis=1)
+
+
+def _strict_exclusions(plan: SamplePlan) -> dict:
+    """(tuple, interior weight) pairs whose c = Σ_k w_k p_k (an einsum) fails
+    ||c - p_j|| > DISTINCT_DIST (squares summed in coordinate order) at a
+    member j that ``_certified`` leaves."""
+    P, steps, out = plan.base_points, plan.weight_grid_resolution - 1, {}
+    for m, all_combos, W, interior in _tuple_sizes(plan):
+        Wi, found = W[interior], [np.empty(0, dtype=np.intp)]
+        step = max(1, _SCAN_PAIRS // max(1, len(Wi)))
+        for lo in range(0, len(all_combos) if m > 1 else 0, step):
+            combos = all_combos[lo:lo + step]
+            uncertain = ~_certified(P, combos, steps)
+            rows = np.flatnonzero(uncertain.any(axis=1))
+            combined = np.einsum("wk,tkn->twn", Wi, P[combos[rows]])
+            near = np.zeros((rows.size, len(Wi)), dtype=bool)
+            for j in range(m):
+                sel = np.flatnonzero(uncertain[rows, j])
+                # summed in q order: the row norm bit for bit below 8 dims
+                d = combined[sel] - P[combos[rows[sel], j]][:, None, :]
+                sq = d[..., 0] ** 2
+                for q in range(1, d.shape[-1]):
+                    sq = sq + d[..., q] ** 2
+                near[sel] |= ~(np.sqrt(sq) > DISTINCT_DIST)
+            t, w = np.nonzero(near)
+            found.append((lo + rows[t]) * len(Wi) + w)
+        out[m] = np.concatenate(found)
+    return out
+
+
+def _fold(G, g, combos, Wt, bufs, ufuncs):
+    """Member pairings at the weight columns Wt, folded over members by each
+    ufunc into bufs[3:]; bufs[:3] is ``_member_dots``'s scratch."""
+    folds = bufs[3:3 + len(ufuncs), :, :len(combos)]
+    for j in range(combos.shape[1]):
+        dots = _member_dots(G, g, combos, j, Wt, bufs[:3])
+        for acc, ufunc in zip(folds, ufuncs):
+            ufunc(acc, dots, out=acc) if j else np.copyto(acc, dots)
+    return folds
+
+
 def check_tuple_classes(model: ExcessDemandModel, region: ConvexRegion,
                         plan: SamplePlan,
                         tau_feas: float = TAU_FEAS) -> dict:
     """Reports of the three combination classes from one scan, by class name.
 
-    Tuples of each size m come in lexicographic order, in chunks, and each
-    chunk pairs every member with the boundary weight grid.  The primal
-    classes read its interior columns: the interior grid is the
-    lexicographic subsequence with all weights positive, and interior grids
-    suffice because a boundary combination of a tuple is an interior
-    combination of a sub-tuple.  The dual class keeps the boundary weights,
-    since its existential ranges over the closed hull.  Each class keeps
-    its own first violation and sample count.
-
-    Summation order is fixed: the pairing E(p_j).c = Σ_k G[j, k] w_k is
-    summed in two lanes (``_lane_order``), and a combination c is the einsum
-    Σ_k w_k p_k.  Distinctness is ||c - p_j|| > DISTINCT_DIST with the
-    squares summed in coordinate order.  A member skips that test when
-    (m - 1)/(r - 1) · dist(p_j, hull of the others), less the rounding
-    allowance 16 (m + n + 4) √n · eps · max |P|, exceeds 2 DISTINCT_DIST
-    (``_certified``; r is the weight resolution); only the other members
-    compute c.
+    Tuples of each size m come in lexicographic order, in chunks of about
+    ``_SCAN_PAIRS`` pairings; each class seeks its first violation only in
+    chunks whose minimum is not above its threshold.  Members pair first
+    with the interior weight rows (all weights positive), all the primal
+    classes read, since a boundary combination of a tuple is an interior
+    one of a sub-tuple.  Until its first violation, the dual class then
+    pairs the boundary rows for the tuples whose interior ``achieved`` (max
+    over rows of the min over members) is below max(-tau_feas, exact min of
+    ``achieved`` so far): no other tuple can fail or lower that minimum.
+    Pairings are summed in ``_lane_order``; the strict class skips the
+    pairs in ``SamplePlan.strict_exclusions``, computed once per plan.
     """
     plan.validate_for(region)
     P, Ev, G, g = _pairings(model, plan)
     eps = plan.eps_strict
-    steps = plan.weight_grid_resolution - 1
+    excluded = plan.strict_exclusions()
     samples = dict.fromkeys(_TUPLE_CLASSES, 0)
     best = dict.fromkeys(_TUPLE_CLASSES, float("inf"))
     hits: dict = {}                          # class name -> (margin, witness)
-    all_combos = np.arange(plan.size)[:, None]
-    for m in range(1, plan.tuple_size_max + 1):
-        if m > 1:
-            all_combos = _extend_combinations(all_combos, plan.size)
-        W = _weight_grid(m, plan.weight_grid_resolution)
-        Wt = W.T.copy()
-        inner = np.flatnonzero((W > 0).all(axis=1))
-        Wi = W[inner]
-        bufs = np.empty((3, min(len(all_combos), _TUPLE_CHUNK), len(W)))
-        for lo in range(0, len(all_combos), _TUPLE_CHUNK):
-            combos = all_combos[lo:lo + _TUPLE_CHUNK]
-            mindots = _member_dots(G, g, combos, 0, Wt, bufs).copy()   # (T, W)
-            maxall = mindots.copy()
-            for j in range(1, m):
-                dots = _member_dots(G, g, combos, j, Wt, bufs)
-                np.minimum(mindots, dots, out=mindots)
-                np.maximum(maxall, dots, out=maxall)
-            maxdots = maxall[:, inner]                         # (T, Wi)
-            achieved = mindots.max(axis=1)     # best combination per tuple
+    dual_min = float("inf")                  # exact min of achieved so far
+    for m, all_combos, W, interior in _tuple_sizes(plan):
+        inner, outer = np.flatnonzero(interior), np.flatnonzero(~interior)
+        Wi, step = inner.size, max(1, _SCAN_PAIRS // len(W))
+        bufs = np.empty((5, len(W), min(len(all_combos), step)))
+        for lo in range(0, len(all_combos), step):
+            combos = all_combos[lo:lo + step]
+            mindots, maxdots = _fold(G, g, combos, W[inner].T, bufs[:, :Wi],
+                                     (np.minimum, np.maximum))       # (Wi, T)
 
             samples["proper_quasi"] += maxdots.size
-            best["proper_quasi"] = min(best["proper_quasi"], float(
-                maxdots.min(initial=np.inf) + tau_feas))
-            if "proper_quasi" not in hits and (hit := _first(maxdots < -tau_feas)):
-                t, w = hit
+            low = float(maxdots.min(initial=np.inf))
+            best["proper_quasi"] = min(best["proper_quasi"], low + tau_feas)
+            if ("proper_quasi" not in hits and not low >= -tau_feas
+                    and (hit := _first(maxdots.T < -tau_feas))):
                 hits["proper_quasi"] = _combination_hit(
-                    P, G, g, combos[t], w, W, inner, -tau_feas)
+                    P, G, g, combos[hit[0]], hit[1], W, inner, -tau_feas)
 
-            samples["proper_quasi_dual"] += mindots.size
-            best["proper_quasi_dual"] = min(best["proper_quasi_dual"],
-                                            float(achieved.min() + tau_feas))
-            if ("proper_quasi_dual" not in hits
-                    and (hit := _first(achieved < -tau_feas))):
-                t = hit[0]
-                dots = _tuple_dots(G, g, combos[t], Wt)
-                per_comb = [{"weights": W[w].tolist(),
-                             "min_dot": float(mindots[t, w]),
+            if m > 1:       # strict: excluded pairs score +inf, which no test selects
+                ex = excluded[m]
+                span = np.searchsorted(ex, (lo * Wi, (lo + len(combos)) * Wi))
+                t, w = np.divmod(ex[span[0]:span[1]] - lo * Wi, Wi)
+                maxdots[w, t] = np.inf
+                samples["strict_proper_quasi"] += maxdots.size - len(t)
+                low = float(maxdots.min(initial=np.inf))
+                best["strict_proper_quasi"] = min(best["strict_proper_quasi"],
+                                                  low - eps)
+                if ("strict_proper_quasi" not in hits and not low > eps
+                        and (hit := _first(maxdots.T <= eps))):
+                    hits["strict_proper_quasi"] = _combination_hit(
+                        P, G, g, combos[hit[0]], hit[1], W, inner, eps)
+
+            samples["proper_quasi_dual"] += len(combos) * len(W)
+            if "proper_quasi_dual" in hits:
+                continue
+            achieved = mindots.max(axis=0, initial=-np.inf)
+            need = np.flatnonzero(~(achieved >= max(-tau_feas, dual_min)))
+            achieved = achieved[need]
+            (bmin,) = _fold(G, g, combos[need], W[outer].T, bufs[:, :outer.size],
+                            (np.minimum,))
+            np.maximum(achieved, bmin.max(axis=0, initial=-np.inf), out=achieved)
+            low = float(achieved.min(initial=np.inf))
+            dual_min = min(dual_min, low)
+            if not low >= -tau_feas and (hit := _first(achieved < -tau_feas)):
+                combo, worst = combos[need[hit[0]]], float(achieved[hit[0]])
+                dots = _tuple_dots(G, g, combo, W.T)
+                mins = dots.min(axis=0)
+                per_comb = [{"weights": W[w].tolist(), "min_dot": float(mins[w]),
                              "failing_index": int(dots[:, w].argmin())}
                             for w in range(W.shape[0])]
-                witness = Witness(
-                    points=P[combos[t]], dot_products=dots[:, mindots[t].argmax()],
-                    indices=tuple(int(i) for i in combos[t]),
-                    extra={"per_combination": per_comb,
-                           "best_achieved": float(achieved[t])})
-                hits["proper_quasi_dual"] = (float(-tau_feas - achieved[t]), witness)
-
-            if m < 2:                 # strict: members themselves are excluded
-                continue
-            distinct = np.ones(maxdots.shape, dtype=bool)
-            uncertain = ~_certified(P, combos, steps)
-            rows = np.flatnonzero(uncertain.any(axis=1))
-            if inner.size and rows.size:
-                combined = np.einsum("wk,tkn->twn", Wi, P[combos[rows]])
-                for j in range(m):
-                    sel = np.flatnonzero(uncertain[rows, j])
-                    # summed in q order: the row norm bit for bit below 8 dims
-                    d = combined[sel] - P[combos[rows[sel], j]][:, None, :]
-                    sq = d[..., 0] ** 2
-                    for q in range(1, d.shape[-1]):
-                        sq = sq + d[..., q] ** 2
-                    distinct[rows[sel]] &= np.sqrt(sq) > DISTINCT_DIST
-            samples["strict_proper_quasi"] += int(distinct.sum())
-            best["strict_proper_quasi"] = min(best["strict_proper_quasi"], float(
-                maxdots[distinct].min(initial=np.inf) - eps))
-            if ("strict_proper_quasi" not in hits
-                    and (hit := _first(distinct & (maxdots <= eps)))):
-                t, w = hit
-                hits["strict_proper_quasi"] = _combination_hit(
-                    P, G, g, combos[t], w, W, inner, eps)
+                hits["proper_quasi_dual"] = (-tau_feas - worst, Witness(
+                    points=P[combo], dot_products=dots[:, mins.argmax()],
+                    indices=tuple(int(i) for i in combo),
+                    extra={"per_combination": per_comb, "best_achieved": worst}))
+    best["proper_quasi_dual"] = dual_min + tau_feas
     return {name: MonotonicityReport(name, REFUTED, samples[name], *hits[name])
             if name in hits else
             MonotonicityReport(name, HOLDS, samples[name], best[name])

@@ -1,10 +1,10 @@
 import json
-import os
 
+import numpy as np
 import pytest
 
-from walras_vi import harness, vi_core
-from walras_vi.economy import default_catalog
+from walras_vi import harness, monotonicity, vi_core
+from walras_vi.economy import Fixture, default_catalog, linear_economy
 from walras_vi.harness import (
     GATED_THEOREMS,
     THEOREM_IDS,
@@ -20,6 +20,7 @@ from walras_vi.harness import (
     run_catalog_with_evidence,
     summary_table,
 )
+from walras_vi.regions import Box
 
 CATALOG = default_catalog()
 CONFIG = HarnessConfig()
@@ -205,16 +206,41 @@ def test_results_serialize_to_json():
     assert parsed[0]["fixture"] == "scalar_posslope"
 
 
-def test_threaded_run_matches_sequential():
+def test_threaded_run_matches_sequential(monkeypatch):
     sequential = run_catalog()
-    os.environ["WALRAS_VI_THREADS"] = "4"
-    try:
-        threaded = run_catalog()
-    finally:
-        del os.environ["WALRAS_VI_THREADS"]
+    monkeypatch.setenv("WALRAS_VI_THREADS", "4")
+    threaded = run_catalog()
     a = json.dumps([r.to_dict() for r in sequential], sort_keys=True)
     b = json.dumps([r.to_dict() for r in threaded], sort_keys=True)
     assert a == b
+
+
+def test_fixtures_on_equal_regions_share_one_plan_per_run(monkeypatch):
+    built, build = [], monotonicity._strict_exclusions
+    monkeypatch.setattr(monotonicity, "_strict_exclusions",
+                        lambda plan: built.append(plan) or build(plan))
+    # equal regions built as separate objects
+    catalog = {label: Fixture(label, linear_economy(M, [0.5, 0.5]),
+                              Box([0.0, 0.0], [1.0, 1.0]), 0.25)
+               for label, M in (("identity", np.eye(2)),
+                                ("rotation", [[0.0, 1.0], [-1.0, 0.0]]))}
+    config = HarnessConfig(grid_spacing=0.1, num_points=8, budget=2000)
+
+    def dump(results, evidence):
+        return json.dumps([[r.to_dict() for r in results],
+                           {label: {name: report.to_dict()
+                                    for name, report in ev.reports.items()}
+                            for label, ev in evidence.items()}])
+
+    results, evidence = run_catalog_with_evidence(catalog, config)
+    assert len(built) == 1
+    assert evidence["identity"].plan is evidence["rotation"].plan
+    for label, fixture in catalog.items():
+        alone = run_catalog_with_evidence({label: fixture}, config)
+        mine = [r for r in results if r.fixture_label == label]
+        assert dump(*alone) == dump(mine, {label: evidence[label]})
+    # every run computes its own exclusions: nothing is cached across runs
+    assert len(built) == 1 + len(catalog)
 
 
 def test_config_validation():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -464,10 +465,10 @@ def test_member_dots_sum_in_einsum_lane_order(m):
         c = combos[rows]
         expected = (g[c][:, :, None]
                     - np.einsum("tjk,wk->tjw", G[c[:, :, None], c[:, None, :]], W))
-        bufs = np.empty((3, len(c), len(W)))
+        bufs = np.empty((3, len(W), len(c)))
         for j in range(m):
             got = monotonicity._member_dots(G, g, c, j, W.T.copy(), bufs)
-            assert np.array_equal(got, expected[:, j]), (rows, j)
+            assert np.array_equal(got, expected[:, j].T), (rows, j)
 
 
 def test_combination_rows_are_lexicographic():
@@ -611,11 +612,83 @@ def test_four_tuples_have_no_bound():
         _same_as_fused(model, UNIT_SQUARE, plan)
 
 
+def _spy_folds(monkeypatch):
+    """Record (m, pass, tuples) for every fold of the tuple scan."""
+    calls, fold = [], monotonicity._fold
+
+    def spy(G, g, combos, Wt, bufs, ufuncs):
+        calls.append((combos.shape[1], "interior" if len(ufuncs) == 2
+                      else "boundary", len(combos)))
+        return fold(G, g, combos, Wt, bufs, ufuncs)
+
+    monkeypatch.setattr(monotonicity, "_fold", spy)
+    return calls
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 7])
 def test_chunk_tails_match_fused_reference(monkeypatch, chunk):
-    monkeypatch.setattr(monotonicity, "_TUPLE_CHUNK", chunk)
-    for label in ("rotation", "scalar_negslope", "simplex_positive",
-                  "mortgage_linear"):
-        fixture = CATALOG[label]
-        plan = build_plan(fixture.region, num_points=6)
-        _same_as_fused(fixture.model, fixture.region, plan)
+    calls = _spy_folds(monkeypatch)
+    for resolution, m_max in ((11, 3), (3, 3), (5, 4)):
+        # a budget of `chunk` pairings per weight row makes 3-tuple chunks
+        # of `chunk` tuples, then a shorter tail
+        weights = len(monotonicity._weight_grid(3, resolution))
+        monkeypatch.setattr(monotonicity, "_SCAN_PAIRS", chunk * weights)
+        for label in ("rotation", "scalar_negslope", "simplex_positive",
+                      "mortgage_linear", "constant_positive"):
+            fixture = CATALOG[label]
+            plan = build_plan(fixture.region, num_points=6, tuple_size_max=m_max,
+                              weight_grid_resolution=resolution)
+            _same_as_fused(fixture.model, fixture.region, plan)
+    # 3-tuple chunks of `chunk` tuples and shorter tails both take the
+    # boundary pass
+    scored = [first[2] for first, then in zip(calls, calls[1:])
+              if first[:2] == (3, "interior") and then[:2] == (3, "boundary")
+              and then[2]]
+    assert chunk in scored and (chunk == 1 or min(scored) < chunk)
+
+
+def test_boundary_weight_clears_a_tuple_whose_interior_fails_the_dual():
+    # E = 1 on [0, 1]: every interior combination c of (0, 1/2, 1) pairs
+    # 0 - c < 0 with member 0, but c = 0, a boundary weight, pairs >= 0
+    # with every member, so the tuple is no dual violation
+    model = linear_economy([[0.0]], [-1.0])
+    plan = SamplePlan(np.array([[0.0], [0.5], [1.0]]), tuple_size_max=3,
+                      weight_grid_resolution=11)
+    P, _, G, g = monotonicity._pairings(model, plan)
+    W = monotonicity._weight_grid(3, 11)
+    achieved = monotonicity._tuple_dots(G, g, np.arange(3), W.T).min(axis=0)
+    interior = (W > 0).all(axis=1)
+    assert (achieved[interior] < -TAU_FEAS).all()
+    assert (achieved[~interior] >= 0).any()
+    report = check_tuple_classes(model, UNIT_INTERVAL, plan)["proper_quasi_dual"]
+    assert report.verdict == "holds_on_samples"
+    _same_as_fused(model, UNIT_INTERVAL, plan)
+
+
+@pytest.mark.parametrize("pairs", [1, 5, 64])
+def test_running_dual_minimum_across_tiny_chunks(monkeypatch, pairs):
+    # tiny budgets update the running minimum of achieved chunk by chunk;
+    # wide tolerances let tuples that pass inside still hold that minimum
+    monkeypatch.setattr(monotonicity, "_SCAN_PAIRS", pairs)
+    base = build_plan(UNIT_SQUARE, num_points=6).base_points
+    for resolution, m_max in ((11, 3), (3, 3), (5, 4)):
+        plan = SamplePlan(base, tuple_size_max=m_max,
+                          weight_grid_resolution=resolution)
+        for model, tau in itertools.product((CONSTANT, IDENTITY),
+                                            (TAU_FEAS, 0.05, 0.5)):
+            reference = fused_tuple_scan(model, UNIT_SQUARE, plan, tau)
+            for name, report in check_tuple_classes(model, UNIT_SQUARE, plan,
+                                                    tau).items():
+                assert _same_reports(report, reference[name]), (name, tau)
+
+
+def test_scan_memory_stays_in_small_chunks():
+    fixture = CATALOG["simplex_positive"]
+    plan = build_plan(fixture.region, num_points=64)
+    tracemalloc.start()
+    try:
+        check_tuple_classes(fixture.model, fixture.region, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
