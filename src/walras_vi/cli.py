@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from math import isfinite
 from pathlib import Path
@@ -173,6 +174,8 @@ def _read_json(path: str, what: str) -> dict:
         raise ProblemFileError(f"cannot read {what} file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{what} file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ProblemFileError(f"{what} file is nested too deeply") from exc
     _require(isinstance(raw, dict), f"{what} file must be a JSON object")
     return raw
 
@@ -220,6 +223,8 @@ def load_catalog_file(path: str) -> tuple[dict, HarnessConfig]:
         _require(isinstance(entry, dict) and isinstance(entry.get("label"), str),
                  "each fixture needs a string 'label'")
         label = entry["label"]
+        _require(label not in ("", ".", "..") and not set("/\\\0") & set(label),
+                 f"fixture label {label!r} is not a file name")
         _require(label not in fixtures, f"duplicate fixture label {label!r}")
         _require("economy" in entry, f"fixture {label!r} needs an 'economy'")
         model, base = parse_economy(entry["economy"])
@@ -239,16 +244,26 @@ def load_catalog_file(path: str) -> tuple[dict, HarnessConfig]:
     return fixtures, config
 
 
+@contextmanager
+def _writing(what: str):
+    """Turn a failed write of ``what`` into an input error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ProblemFileError(f"cannot write {what}: {exc}") from exc
+
+
 def _emit_json(payload: dict, out: Optional[str]) -> None:
     text = json.dumps(payload, indent=2)
     if out:
-        Path(out).write_text(text + "\n")
+        with _writing("output file"):
+            Path(out).write_text(text + "\n")
     else:
         click.echo(text)
 
 
 def _write_trace_csv(path: Path, trace) -> None:
-    with open(path, "w", newline="") as fh:
+    with _writing("trace file"), open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "residual"])
         for i, r in enumerate(np.asarray(trace).tolist()):
@@ -275,12 +290,12 @@ def solve(ctx, problem_file, out, trace_path):
         result = solve_extragradient(spec.problem, start=spec.start,
                                      step=config.step, budget=config.budget,
                                      tol=config.tol_solve)
+        _emit_json(result.to_dict(), out)
+        if trace_path:
+            _write_trace_csv(Path(trace_path), result.trace)
     except (ProblemFileError, ValueError, ProjectionBudgetError) as exc:
         click.echo(f"error: {exc}", err=True)
         ctx.exit(EXIT_INPUT_ERROR)
-    _emit_json(result.to_dict(), out)
-    if trace_path:
-        _write_trace_csv(Path(trace_path), result.trace)
     ctx.exit(EXIT_OK if result.status == "converged" else EXIT_BUDGET)
 
 
@@ -304,10 +319,10 @@ def check(ctx, problem_file, class_name, out):
                           eps_strict=config.eps_strict)
         report = check_class(class_name, spec.problem.model,
                              spec.problem.region, plan)
+        _emit_json(report.to_dict(), out)
     except (ProblemFileError, ValueError, ProjectionBudgetError) as exc:
         click.echo(f"error: {exc}", err=True)
         ctx.exit(EXIT_INPUT_ERROR)
-    _emit_json(report.to_dict(), out)
     ctx.exit(EXIT_REFUTED if report.refuted else EXIT_OK)
 
 
@@ -334,23 +349,24 @@ def harness(ctx, catalog_src, grid_spacing, out, trace_dir):
             catalog, config = load_catalog_file(catalog_src)
         if grid_spacing is not None:
             config = _config(config, grid_spacing=grid_spacing)
+        if trace_dir:
+            with _writing("trace directory"):
+                Path(trace_dir).mkdir(parents=True, exist_ok=True)
         results, evidence = run_catalog_with_evidence(catalog, config)
+        events = failure_events(results)
+        payload = {
+            "grid_spacing": config.grid_spacing,
+            "results": [r.to_dict() for r in results],
+            "failure_events": [r.to_dict() for r in events],
+        }
+        _emit_json(payload, out)
+        click.echo(summary_table(results), err=True)
+        if trace_dir:
+            for label, ev in evidence.items():
+                _write_trace_csv(Path(trace_dir) / f"{label}.csv", ev.solve.trace)
     except (ProblemFileError, ValueError, ProjectionBudgetError) as exc:
         click.echo(f"error: {exc}", err=True)
         ctx.exit(EXIT_INPUT_ERROR)
-    events = failure_events(results)
-    payload = {
-        "grid_spacing": config.grid_spacing,
-        "results": [r.to_dict() for r in results],
-        "failure_events": [r.to_dict() for r in events],
-    }
-    _emit_json(payload, out)
-    click.echo(summary_table(results), err=True)
-    if trace_dir:
-        directory = Path(trace_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        for label, ev in evidence.items():
-            _write_trace_csv(directory / f"{label}.csv", ev.solve.trace)
     ctx.exit(EXIT_HARNESS_FAILURE if events else EXIT_OK)
 
 
@@ -371,10 +387,10 @@ def oracle(ctx, problem_file, grid_spacing, no_grid_points, out):
             config = _config(config, grid_spacing=grid_spacing)
         estimate = enumerate_solutions(spec.problem, config.grid_spacing,
                                        spec.lipschitz)
+        _emit_json(estimate.to_dict(include_grid=not no_grid_points), out)
     except (ProblemFileError, ValueError, ProjectionBudgetError) as exc:
         click.echo(f"error: {exc}", err=True)
         ctx.exit(EXIT_INPUT_ERROR)
-    _emit_json(estimate.to_dict(include_grid=not no_grid_points), out)
     ctx.exit(EXIT_OK)
 
 

@@ -1,7 +1,7 @@
 """Default tolerances and scan parameters.
 
-All of these are configuration values: every public entry point that uses
-one accepts an override.
+A run can set the ``HarnessConfig`` fields and the checkers' ``tau_feas``;
+DISTINCT_DIST, TAU_PROJ and the other uses of TAU_FEAS are fixed.
 """
 
 # Feasibility tolerance: membership tests and weight-sum checks.

@@ -30,8 +30,6 @@ build-failing event; `failure_events` collects exactly those.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import isfinite
 from typing import Optional
@@ -315,32 +313,16 @@ _CHECKS = (check_lemma_2_1, check_lemma_2_2, check_theorem_4_1,
            check_theorem_4_2, check_theorem_4_3)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("WALRAS_VI_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_catalog_with_evidence(catalog: Optional[dict] = None,
                               config: HarnessConfig = HarnessConfig()):
     """All theorem checks over all fixtures, plus the per-fixture evidence.
 
-    Fixture evidence may be gathered concurrently (capped by the
-    WALRAS_VI_THREADS environment variable); results aggregate in catalog
-    order regardless.  Fixtures whose plans have equal base points share one
-    plan object, so its strict exclusions are computed once.
+    Fixtures whose plans have equal base points share one plan object, so
+    its strict exclusions are computed once.
     """
-    fixtures = list((catalog if catalog is not None else default_catalog()).values())
-    workers = min(_worker_count(), max(1, len(fixtures)))
+    fixtures = (catalog if catalog is not None else default_catalog()).values()
     plans: dict = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            evidences = list(pool.map(lambda f: gather_evidence(f, config, plans),
-                                      fixtures))
-    else:
-        evidences = [gather_evidence(f, config, plans) for f in fixtures]
+    evidences = [gather_evidence(f, config, plans) for f in fixtures]
     results = [check(ev) for ev in evidences for check in _CHECKS]
     return results, {ev.fixture.label: ev for ev in evidences}
 

@@ -20,8 +20,8 @@ each class reports its own first violation, so reports are reproducible.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -79,8 +79,6 @@ class SamplePlan:
     tuple_size_max: int = DEFAULT_M_MAX
     weight_grid_resolution: int = DEFAULT_WEIGHT_RESOLUTION
     eps_strict: float = EPS_STRICT
-    _exclusions: Optional[dict] = field(default=None, init=False, repr=False)
-    _lock: object = field(default_factory=threading.Lock, init=False, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.base_points, dtype=float))
@@ -104,13 +102,11 @@ class SamplePlan:
         if not region.contains_many(self.base_points, tol=TAU_FEAS).all():
             raise ValueError("plan base points must lie in the region")
 
+    @cached_property
     def strict_exclusions(self) -> dict:
         """Per tuple size m >= 2, sorted flat indices t * Wi + w of the (tuple,
         interior weight) pairs the strict class excludes; computed once."""
-        with self._lock:
-            if self._exclusions is None:
-                object.__setattr__(self, "_exclusions", _strict_exclusions(self))
-        return self._exclusions
+        return _strict_exclusions(self)
 
 
 def build_plan(region: ConvexRegion, num_points: int = DEFAULT_SAMPLE_COUNT,
@@ -426,7 +422,7 @@ def check_tuple_classes(model: ExcessDemandModel, region: ConvexRegion,
     plan.validate_for(region)
     P, Ev, G, g = _pairings(model, plan)
     eps = plan.eps_strict
-    excluded = plan.strict_exclusions()
+    excluded = plan.strict_exclusions
     samples = dict.fromkeys(_TUPLE_CLASSES, 0)
     best = dict.fromkeys(_TUPLE_CLASSES, float("inf"))
     hits: dict = {}                          # class name -> (margin, witness)

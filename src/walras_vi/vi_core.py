@@ -93,20 +93,16 @@ def residual(problem: VIProblem, x) -> float:
     return float(np.linalg.norm(p - problem.region.project(p - problem.model(p))))
 
 
-def _default_probe(region: ConvexRegion, count: int = 64) -> FloatArray:
-    pts = [region.sample(count)]
+def minty_gap(problem: VIProblem, x) -> float:
+    """max of E(p).(x - p) over 64 Halton points and the region's vertices;
+    <= 0 means dual-consistent there."""
+    p = as_price_vector(x, problem.dim)
+    pts = [problem.region.sample(64)]
     try:
-        pts.append(region.vertices())
+        pts.append(problem.region.vertices())
     except ValueError:
         pass
-    return np.vstack(pts)
-
-
-def minty_gap(problem: VIProblem, x, probe=None) -> float:
-    """max over the probe of E(p).(x - p); <= 0 means dual-consistent there."""
-    p = as_price_vector(x, problem.dim)
-    pts = _default_probe(problem.region) if probe is None else np.atleast_2d(
-        np.asarray(probe, dtype=float))
+    pts = np.vstack(pts)
     evals = problem.model(pts)
     return float(np.einsum("ij,ij->i", evals, p[None, :] - pts).max())
 

@@ -400,12 +400,26 @@ POS_FIXTURE = {"label": "pos", "economy": {"kind": "catalog", "name": "scalar_po
     ([{**POS_FIXTURE, "label": 7}], "each fixture needs a string 'label'"),
     ([POS_FIXTURE, {**POS_FIXTURE, "lipschitz": 0.5}],
      "duplicate fixture label 'pos'"),
-], ids=["list", "number", "duplicate"])
+    ([{**POS_FIXTURE, "label": ""}], "fixture label '' is not a file name"),
+    ([{**POS_FIXTURE, "label": "."}], "fixture label '.' is not a file name"),
+    ([{**POS_FIXTURE, "label": ".."}], "fixture label '..' is not a file name"),
+    ([{**POS_FIXTURE, "label": "a/b"}], "fixture label 'a/b' is not a file name"),
+    ([{**POS_FIXTURE, "label": "../escaped"}],
+     "fixture label '../escaped' is not a file name"),
+    ([{**POS_FIXTURE, "label": "a\\b"}],
+     "fixture label 'a\\\\b' is not a file name"),
+    ([{**POS_FIXTURE, "label": "a\0b"}],
+     "fixture label 'a\\x00b' is not a file name"),
+], ids=["list", "number", "duplicate", "empty", "dot", "dot-dot", "slash",
+        "parent", "backslash", "nul"])
 def test_catalog_fixture_labels_are_checked(runner, tmp_path, fixtures, message):
     path = write(tmp_path, "catalog.json", {"fixtures": fixtures})
-    result = runner.invoke(main, ["harness", "--catalog", path, "--grid", "0.1"])
+    trace_dir = tmp_path / "traces" / "run"
+    result = runner.invoke(main, ["harness", "--catalog", path, "--grid", "0.1",
+                                  "--trace-dir", str(trace_dir)])
     _assert_one_error_line(result)
     assert message in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["catalog.json"]
 
 
 @pytest.mark.parametrize("catalog, message", [
@@ -419,6 +433,43 @@ def test_catalog_positive_and_fixtures_types_are_checked(runner, tmp_path,
     result = runner.invoke(main, ["harness", "--catalog", path, "--grid", "0.1"])
     _assert_one_error_line(result)
     assert message in result.stderr
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command, text", [
+    ("solve", _DEEP),
+    ("solve", json.dumps({**LINEAR_PROBLEM, "solver": {"start": "deep"}}).replace(
+        '"deep"', _DEEP)),
+    ("harness", _DEEP),
+    ("harness", json.dumps({"fixtures": [{**POS_FIXTURE, "economy": "deep"}]})
+     .replace('"deep"', _DEEP)),
+], ids=["problem", "problem-start", "catalog", "catalog-economy"])
+def test_deeply_nested_files_are_one_error_line(runner, tmp_path, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = ["solve", str(path)] if command == "solve" else [
+        "harness", "--catalog", str(path)]
+    result = runner.invoke(main, argv)
+    _assert_one_error_line(result)
+    assert "file is nested too deeply" in result.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["harness", "--grid", "0.5", "--out", "{missing}/x.json"],
+     "cannot write output file"),
+    (["solve", "{problem}", "--trace", "{missing}/t.csv"], "cannot write trace file"),
+    (["harness", "--grid", "0.5", "--trace-dir", "{problem}"],
+     "cannot write trace directory"),
+], ids=["harness-out", "solve-trace", "trace-dir-is-a-file"])
+def test_unwritable_outputs_are_one_error_line(runner, tmp_path, argv, message):
+    paths = {"missing": tmp_path / "missing",
+             "problem": write(tmp_path, "problem.json", LINEAR_PROBLEM)}
+    result = runner.invoke(main, [a.format(**paths) for a in argv])
+    _assert_one_error_line(result)
+    assert message in result.stderr
+    assert not paths["missing"].exists()
 
 
 @pytest.mark.parametrize("command, section, key", [

@@ -206,15 +206,6 @@ def test_results_serialize_to_json():
     assert parsed[0]["fixture"] == "scalar_posslope"
 
 
-def test_threaded_run_matches_sequential(monkeypatch):
-    sequential = run_catalog()
-    monkeypatch.setenv("WALRAS_VI_THREADS", "4")
-    threaded = run_catalog()
-    a = json.dumps([r.to_dict() for r in sequential], sort_keys=True)
-    b = json.dumps([r.to_dict() for r in threaded], sort_keys=True)
-    assert a == b
-
-
 def test_fixtures_on_equal_regions_share_one_plan_per_run(monkeypatch):
     built, build = [], monotonicity._strict_exclusions
     monkeypatch.setattr(monotonicity, "_strict_exclusions",
