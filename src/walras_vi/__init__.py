@@ -22,7 +22,6 @@ from .harness import (
     check_theorem_4_2,
     check_theorem_4_3,
     failure_events,
-    run_catalog,
     summary_table,
 )
 from .monotonicity import (
@@ -40,11 +39,9 @@ from .monotonicity import (
 )
 from .regions import (
     Box,
-    ConvexCombination,
     ConvexRegion,
     Polyhedron,
     Simplex,
-    combine,
     project_onto_simplex,
 )
 from .vi_core import (
@@ -55,9 +52,6 @@ from .vi_core import (
     minty_gap,
     residual,
     solve_extragradient,
-    uniqueness_probe,
-    verify_minty,
-    verify_stampacchia,
 )
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from math import isfinite
 from pathlib import Path
@@ -38,8 +38,7 @@ from .harness import (
     summary_table,
 )
 from .monotonicity import CLASS_NAMES, build_plan, check_class
-from .regions import (Box, ConvexRegion, Polyhedron, ProjectionBudgetError,
-                      Simplex)
+from .regions import Box, ConvexRegion, Polyhedron, Simplex
 from .vi_core import VIProblem, enumerate_solutions, solve_extragradient
 
 EXIT_OK = 0
@@ -253,21 +252,40 @@ def _writing(what: str):
         raise ProblemFileError(f"cannot write {what}: {exc}") from exc
 
 
-def _emit_json(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2)
-    if out:
-        with _writing("output file"):
-            Path(out).write_text(text + "\n")
-    else:
-        click.echo(text)
+def _open_output(files: ExitStack, path, what: str, newline=None):
+    """Open ``path``, if given, for writing in ``files``; commands open every
+    output before their run, so an unwritable one fails before any print."""
+    if not path:
+        return None
+    with _writing(what):
+        return files.enter_context(open(path, "w", newline=newline))
 
 
-def _write_trace_csv(path: Path, trace) -> None:
-    with _writing("trace file"), open(path, "w", newline="") as fh:
+def _emit_json(payload: dict, out) -> None:
+    """Print ``payload`` as JSON, or write it into the open file ``out``."""
+    with _writing("output file" if out else "standard output"):
+        click.echo(json.dumps(payload, indent=2), file=out)
+
+
+def _write_trace_csv(fh, trace) -> None:
+    with _writing("trace file"):
         writer = csv.writer(fh)
         writer.writerow(["iteration", "residual"])
         for i, r in enumerate(np.asarray(trace).tolist()):
             writer.writerow([i, repr(r)])
+        fh.flush()
+
+
+@contextmanager
+def _command(ctx):
+    """A command's scope: the outputs it opens close on leaving it, and a
+    ``ValueError`` becomes one ``error:`` line on stderr and exit 1."""
+    try:
+        with ExitStack() as files:
+            yield files
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        ctx.exit(EXIT_INPUT_ERROR)
 
 
 @click.group()
@@ -284,18 +302,17 @@ def main():
 @click.pass_context
 def solve(ctx, problem_file, out, trace_path):
     """Run the extragradient solver on a problem file."""
-    try:
+    with _command(ctx) as files:
         spec = load_problem(problem_file)
         config = spec.config
+        out_fh = _open_output(files, out, "output file")
+        trace_fh = _open_output(files, trace_path, "trace file", newline="")
         result = solve_extragradient(spec.problem, start=spec.start,
                                      step=config.step, budget=config.budget,
                                      tol=config.tol_solve)
-        _emit_json(result.to_dict(), out)
-        if trace_path:
-            _write_trace_csv(Path(trace_path), result.trace)
-    except (ProblemFileError, ValueError, ProjectionBudgetError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(EXIT_INPUT_ERROR)
+        _emit_json(result.to_dict(), out_fh)
+        if trace_fh:
+            _write_trace_csv(trace_fh, result.trace)
     ctx.exit(EXIT_OK if result.status == "converged" else EXIT_BUDGET)
 
 
@@ -307,22 +324,20 @@ def solve(ctx, problem_file, out, trace_path):
 @click.pass_context
 def check(ctx, problem_file, class_name, out):
     """Falsify a monotonicity class on a problem's field and region."""
-    try:
+    with _command(ctx) as files:
         if class_name not in CLASS_NAMES:
             raise ProblemFileError(
                 f"unknown class {class_name!r}; expected one of {CLASS_NAMES}")
         spec = load_problem(problem_file)
         config = spec.config
+        out_fh = _open_output(files, out, "output file")
         plan = build_plan(spec.problem.region, num_points=config.num_points,
                           tuple_size_max=config.tuple_size_max,
                           weight_grid_resolution=config.weight_grid_resolution,
                           eps_strict=config.eps_strict)
         report = check_class(class_name, spec.problem.model,
                              spec.problem.region, plan)
-        _emit_json(report.to_dict(), out)
-    except (ProblemFileError, ValueError, ProjectionBudgetError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(EXIT_INPUT_ERROR)
+        _emit_json(report.to_dict(), out_fh)
     ctx.exit(EXIT_REFUTED if report.refuted else EXIT_OK)
 
 
@@ -343,15 +358,21 @@ def harness(ctx, catalog_src, grid_spacing, out, trace_dir):
     The plain-text fixture-by-theorem table goes to stderr; the JSON
     summary goes to stdout (or --out).
     """
-    try:
-        catalog, config = None, HarnessConfig()
-        if catalog_src != "default":
+    with _command(ctx) as files:
+        if catalog_src == "default":
+            catalog, config = default_catalog(), HarnessConfig()
+        else:
             catalog, config = load_catalog_file(catalog_src)
         if grid_spacing is not None:
             config = _config(config, grid_spacing=grid_spacing)
+        out_fh = _open_output(files, out, "output file")
+        traces = {}
         if trace_dir:
             with _writing("trace directory"):
                 Path(trace_dir).mkdir(parents=True, exist_ok=True)
+            traces = {label: _open_output(files, Path(trace_dir) / f"{label}.csv",
+                                          "trace file", newline="")
+                      for label in catalog}
         results, evidence = run_catalog_with_evidence(catalog, config)
         events = failure_events(results)
         payload = {
@@ -359,14 +380,10 @@ def harness(ctx, catalog_src, grid_spacing, out, trace_dir):
             "results": [r.to_dict() for r in results],
             "failure_events": [r.to_dict() for r in events],
         }
-        _emit_json(payload, out)
+        _emit_json(payload, out_fh)
         click.echo(summary_table(results), err=True)
-        if trace_dir:
-            for label, ev in evidence.items():
-                _write_trace_csv(Path(trace_dir) / f"{label}.csv", ev.solve.trace)
-    except (ProblemFileError, ValueError, ProjectionBudgetError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(EXIT_INPUT_ERROR)
+        for label, fh in traces.items():
+            _write_trace_csv(fh, evidence[label].solve.trace)
     ctx.exit(EXIT_HARNESS_FAILURE if events else EXIT_OK)
 
 
@@ -380,17 +397,15 @@ def harness(ctx, catalog_src, grid_spacing, out, trace_dir):
 @click.pass_context
 def oracle(ctx, problem_file, grid_spacing, no_grid_points, out):
     """Dump the desk-scale solution-set enumeration for a problem."""
-    try:
+    with _command(ctx) as files:
         spec = load_problem(problem_file)
         config = spec.config
         if grid_spacing is not None:
             config = _config(config, grid_spacing=grid_spacing)
+        out_fh = _open_output(files, out, "output file")
         estimate = enumerate_solutions(spec.problem, config.grid_spacing,
                                        spec.lipschitz)
-        _emit_json(estimate.to_dict(include_grid=not no_grid_points), out)
-    except (ProblemFileError, ValueError, ProjectionBudgetError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        ctx.exit(EXIT_INPUT_ERROR)
+        _emit_json(estimate.to_dict(include_grid=not no_grid_points), out_fh)
     ctx.exit(EXIT_OK)
 
 

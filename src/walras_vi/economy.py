@@ -20,7 +20,7 @@ catalog used by the CLI and the theorem harness.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,7 +58,6 @@ class ExcessDemandModel:
     evaluate: Callable[[FloatArray], FloatArray]
     label: str = "anonymous"
     declared_properties: frozenset = frozenset()
-    domain: Optional[tuple[float, float]] = None
 
     def __call__(self, p) -> FloatArray:
         arr = np.asarray(p, dtype=float)
@@ -97,23 +96,19 @@ def linear_economy(M, c, label: Optional[str] = None,
     )
 
 
-def scalar_economy(f: Callable[[FloatArray], FloatArray], lo: float = 0.0,
-                   hi: float = 1.0, label: str = "scalar",
+def scalar_economy(f: Callable[[FloatArray], FloatArray], label: str = "scalar",
                    declared: frozenset = frozenset()) -> ExcessDemandModel:
-    """One-commodity model E(t) = f(t) on the interval [lo, hi].
+    """One-commodity model E(t) = f(t).
 
-    ``f`` must be continuous on [lo, hi] and vectorized over numpy arrays.
-    The interval is recorded so callers can build the matching box region.
+    ``f`` must be continuous and vectorized over numpy arrays; the region
+    it is solved on, such as a one-coordinate ``Box``, is chosen separately.
     """
-    if not hi > lo:
-        raise ValueError("need hi > lo")
 
     def evaluate(p: FloatArray) -> FloatArray:
         return np.asarray(f(p), dtype=float)
 
     return ExcessDemandModel(dim=1, evaluate=evaluate, label=label,
-                             declared_properties=declared,
-                             domain=(float(lo), float(hi)))
+                             declared_properties=declared)
 
 
 @dataclass(frozen=True)
@@ -254,15 +249,15 @@ def scalar_catalog() -> dict[str, ExcessDemandModel]:
     """Named one-commodity economies referenced from problem files."""
     return {
         "negslope_half": scalar_economy(
-            lambda t: 0.5 - t, 0.0, 1.0, label="negslope_half",
+            lambda t: 0.5 - t, label="negslope_half",
             declared=frozenset(),
         ),
         "posslope_half": scalar_economy(
-            lambda t: t - 0.5, 0.0, 1.0, label="posslope_half",
+            lambda t: t - 0.5, label="posslope_half",
             declared=_ALL_CLASSES,
         ),
         "affine_positive": scalar_economy(
-            lambda t: t + 0.1, 0.0, 1.0, label="affine_positive",
+            lambda t: t + 0.1, label="affine_positive",
             declared=_ALL_CLASSES,
         ),
     }

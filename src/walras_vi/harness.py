@@ -76,7 +76,6 @@ __all__ = [
     "check_theorem_4_1",
     "check_theorem_4_2",
     "check_theorem_4_3",
-    "run_catalog",
     "run_catalog_with_evidence",
     "failure_events",
     "summary_table",
@@ -325,12 +324,6 @@ def run_catalog_with_evidence(catalog: Optional[dict] = None,
     evidences = [gather_evidence(f, config, plans) for f in fixtures]
     results = [check(ev) for ev in evidences for check in _CHECKS]
     return results, {ev.fixture.label: ev for ev in evidences}
-
-
-def run_catalog(catalog: Optional[dict] = None,
-                config: HarnessConfig = HarnessConfig()) -> list[TheoremCheckResult]:
-    results, _ = run_catalog_with_evidence(catalog, config)
-    return results
 
 
 def failure_events(results) -> list[TheoremCheckResult]:

@@ -82,8 +82,8 @@ class SamplePlan:
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.base_points, dtype=float))
-        if pts.shape[0] < 2:
-            raise ValueError("plan needs at least two base points")
+        if pts.shape[0] < 1:
+            raise ValueError("plan needs at least one base point")
         if self.tuple_size_max < 2:
             raise ValueError("tuple_size_max must be >= 2")
         if self.weight_grid_resolution < 3:

@@ -3,8 +3,8 @@
 Three region kinds are supported: the unit price simplex, per-commodity
 price boxes (with optional unbounded upper edges), and polyhedra given by
 half-space systems A x <= b.  Every region is immutable after construction
-and every operation is a pure function, so regions are safe to share
-across threads.
+and every operation is a pure function, so fixtures share regions
+freely.
 
 Projections are exact for the simplex (sort-and-threshold) and the box
 (componentwise clamp); a polyhedral projection is one nonnegative
@@ -29,18 +29,12 @@ from .constants import TAU_FEAS, TAU_PROJ
 
 FloatArray = NDArray[np.float64]
 
-# A price vector is a finite 1-D float array; helpers below validate shape.
-PriceVector = FloatArray
-
 __all__ = [
-    "PriceVector",
     "as_price_vector",
     "ConvexRegion",
     "Simplex",
     "Box",
     "Polyhedron",
-    "ConvexCombination",
-    "combine",
     "project_onto_simplex",
     "ProjectionBudgetError",
 ]
@@ -78,12 +72,14 @@ def first_distinct(points: FloatArray, dist: float) -> NDArray[np.bool_]:
     return keep
 
 
-class ProjectionBudgetError(RuntimeError):
+class ProjectionBudgetError(ValueError):
     """A polyhedral projection could not be verified.
 
     Raised when the NNLS solve hits its iteration cap or its result fails
-    the KKT check.  Carries the best point found and the KKT residual it
-    achieved, so callers can inspect how far the projection got.
+    the KKT check, which happens for input the kernel cannot resolve (such
+    as nearly parallel constraint normals), so it is a ``ValueError`` like
+    every other input failure.  Carries the best point found and the KKT
+    residual it achieved, so callers can inspect how far the projection got.
     """
 
     def __init__(self, best: FloatArray, achieved: float):
@@ -540,33 +536,3 @@ class Polyhedron(ConvexRegion):
 
     def __repr__(self) -> str:
         return f"Polyhedron(m={self.A.shape[0]}, n={self.dim})"
-
-
-@dataclass(frozen=True, eq=False)
-class ConvexCombination:
-    """Weighted point set with weights on the unit weight simplex."""
-
-    points: FloatArray
-    weights: FloatArray
-
-    def __init__(self, points, weights):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        w = np.atleast_1d(np.asarray(weights, dtype=float))
-        if pts.shape[0] != w.size:
-            raise ValueError("one weight per point is required")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("combination points must be finite")
-        if np.any(w < -TAU_FEAS) or np.any(w > 1 + TAU_FEAS):
-            raise ValueError("weights must lie in [0, 1]")
-        if abs(w.sum() - 1.0) > TAU_FEAS:
-            raise ValueError("weights must sum to 1")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
-
-    def value(self) -> FloatArray:
-        return self.weights @ self.points
-
-
-def combine(c: ConvexCombination) -> FloatArray:
-    """The point sum_j alpha_j p_j of a validated convex combination."""
-    return c.value()

@@ -27,7 +27,6 @@ full-grid minimum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -43,17 +42,13 @@ __all__ = [
     "BUDGET_EXHAUSTED",
     "VIProblem",
     "VISolveResult",
-    "VerificationReport",
     "SolutionSetEstimate",
     "solve_extragradient",
     "residual",
     "minty_gap",
-    "verify_stampacchia",
-    "verify_minty",
     "enumerate_solutions",
     "MemberClusters",
     "cluster_members",
-    "uniqueness_probe",
 ]
 
 CONVERGED = "converged"
@@ -165,40 +160,6 @@ def solve_extragradient(problem: VIProblem, start=None,
         trace=np.asarray(trace),
         status=status,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class VerificationReport:
-    satisfied: bool
-    worst_value: float
-    worst_point: FloatArray
-
-    def __bool__(self) -> bool:
-        return self.satisfied
-
-
-def verify_stampacchia(problem: VIProblem, x, probe, tol: float) -> VerificationReport:
-    """Check E(x).(p - x) >= -tol over the probe set; report the minimizer."""
-    p = as_price_vector(x, problem.dim)
-    pts = np.atleast_2d(np.asarray(probe, dtype=float))
-    if pts.shape[0] == 0:
-        raise ValueError("empty probe set")
-    vals = (pts - p[None, :]) @ problem.model(p)
-    worst = int(np.argmin(vals))
-    return VerificationReport(bool(vals[worst] >= -tol), float(vals[worst]),
-                              pts[worst])
-
-
-def verify_minty(problem: VIProblem, x, probe, tol: float) -> VerificationReport:
-    """Check E(p).(p - x) >= -tol over the probe set; report the minimizer."""
-    p = as_price_vector(x, problem.dim)
-    pts = np.atleast_2d(np.asarray(probe, dtype=float))
-    if pts.shape[0] == 0:
-        raise ValueError("empty probe set")
-    vals = np.einsum("ij,ij->i", problem.model(pts), pts - p[None, :])
-    worst = int(np.argmin(vals))
-    return VerificationReport(bool(vals[worst] >= -tol), float(vals[worst]),
-                              pts[worst])
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,13 +330,3 @@ def cluster_members(points, threshold: float) -> MemberClusters:
     clusters = np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if k else []
     centroids = np.array([pts[idx].mean(axis=0) for idx in clusters])
     return MemberClusters(k, clusters, centroids, diameter)
-
-
-def uniqueness_probe(problem: VIProblem, grid_spacing: float,
-                     lipschitz_scale: float,
-                     estimate: Optional[SolutionSetEstimate] = None) -> bool:
-    """True iff the primal members form one cluster of diameter <= 2h."""
-    est = estimate if estimate is not None else enumerate_solutions(
-        problem, grid_spacing, lipschitz_scale)
-    link = 2.0 * est.grid_spacing
-    return cluster_members(est.stampacchia_members, link).is_single(link)

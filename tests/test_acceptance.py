@@ -47,7 +47,6 @@ from walras_vi.vi_core import (
     cluster_members,
     enumerate_solutions,
     solve_extragradient,
-    uniqueness_probe,
 )
 
 CATALOG = default_catalog()
@@ -241,11 +240,10 @@ def test_criterion_4_uniqueness_and_contrapositive():
     for label, fixture in strict_passing:
         problem = VIProblem(fixture.model, fixture.region)
         est = enumerate_solutions(problem, config.grid_spacing, fixture.lipschitz)
-        clusters = cluster_members(est.stampacchia_members,
-                                   2 * config.grid_spacing).clusters
-        assert len(clusters) == 1, label
-        assert uniqueness_probe(problem, config.grid_spacing, fixture.lipschitz,
-                                estimate=est), label
+        link = 2 * config.grid_spacing
+        members = cluster_members(est.stampacchia_members, link)
+        assert len(members.clusters) == 1, label
+        assert members.is_single(link), label
 
     # the constant field refutes strictness with an exactly-zero witness and
     # the oracle exhibits a solution face
@@ -260,8 +258,8 @@ def test_criterion_4_uniqueness_and_contrapositive():
     face = est.stampacchia_members
     assert np.all(face[:, 0] <= est.tolerance)
     assert face[:, 1].max() - face[:, 1].min() >= 0.9
-    assert not uniqueness_probe(problem, config.grid_spacing, constant.lipschitz,
-                                estimate=est)
+    link = 2 * config.grid_spacing
+    assert not cluster_members(face, link).is_single(link)
 
 
 # ---------------------------------------------------------------------------

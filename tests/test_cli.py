@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 import walras_vi
 from walras_vi.cli import load_problem, main
 from walras_vi.harness import HarnessConfig
+from walras_vi.monotonicity import CLASS_NAMES
 from walras_vi.vi_core import solve_extragradient
 
 LINEAR_PROBLEM = {
@@ -166,6 +167,24 @@ def test_check_holds_exit_code(runner, tmp_path):
     assert payload["witness"] is None
 
 
+ONE_POINT_REGIONS = {
+    "simplex-1": ({"kind": "linear", "M": [[1.0]], "c": [0.5]},
+                  {"kind": "simplex", "n": 1}),
+    "box-point": (LINEAR_PROBLEM["economy"],
+                  {"kind": "box", "lower": [0.25, 0.5], "upper": [0.25, 0.5]}),
+}
+
+
+@pytest.mark.parametrize("class_name", CLASS_NAMES)
+@pytest.mark.parametrize("region", sorted(ONE_POINT_REGIONS))
+def test_check_on_one_point_region(runner, tmp_path, region, class_name):
+    economy, spec = ONE_POINT_REGIONS[region]
+    path = write(tmp_path, "problem.json", {"economy": economy, "region": spec})
+    result = runner.invoke(main, ["check", path, "--class", class_name])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["verdict"] == "holds_on_samples"
+
+
 def test_check_unknown_class(runner, tmp_path):
     path = write(tmp_path, "problem.json", NEGSLOPE_PROBLEM)
     result = runner.invoke(main, ["check", path, "--class", "frobnicate"])
@@ -240,6 +259,18 @@ def test_cli_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("region", sorted(ONE_POINT_REGIONS))
+def test_harness_on_one_point_region(runner, tmp_path, region):
+    economy, spec = ONE_POINT_REGIONS[region]
+    catalog = {"fixtures": [{"label": region, "economy": economy, "region": spec}]}
+    path = write(tmp_path, "catalog.json", catalog)
+    result = runner.invoke(main, ["harness", "--catalog", path, "--grid", "0.1"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    assert len(payload["results"]) == 5
+    assert payload["failure_events"] == []
 
 
 def test_harness_catalog_parse_failure(runner, tmp_path):
@@ -462,13 +493,20 @@ def test_deeply_nested_files_are_one_error_line(runner, tmp_path, command, text)
     (["solve", "{problem}", "--trace", "{missing}/t.csv"], "cannot write trace file"),
     (["harness", "--grid", "0.5", "--trace-dir", "{problem}"],
      "cannot write trace directory"),
-], ids=["harness-out", "solve-trace", "trace-dir-is-a-file"])
+    (["harness", "--catalog", "{long_label}", "--grid", "0.5",
+      "--trace-dir", "{traces}"], "cannot write trace file"),
+], ids=["harness-out", "solve-trace", "trace-dir-is-a-file", "harness-long-label"])
 def test_unwritable_outputs_are_one_error_line(runner, tmp_path, argv, message):
+    # every output opens before the run, so a failed one prints nothing else
+    long_label = {"fixtures": [{**POS_FIXTURE, "label": "x" * 300}]}
     paths = {"missing": tmp_path / "missing",
-             "problem": write(tmp_path, "problem.json", LINEAR_PROBLEM)}
+             "problem": write(tmp_path, "problem.json", LINEAR_PROBLEM),
+             "long_label": write(tmp_path, "catalog.json", long_label),
+             "traces": tmp_path / "traces"}
     result = runner.invoke(main, [a.format(**paths) for a in argv])
     _assert_one_error_line(result)
     assert message in result.stderr
+    assert result.stdout == ""
     assert not paths["missing"].exists()
 
 

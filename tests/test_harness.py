@@ -16,7 +16,6 @@ from walras_vi.harness import (
     check_theorem_4_3,
     failure_events,
     gather_evidence,
-    run_catalog,
     run_catalog_with_evidence,
     summary_table,
 )
@@ -145,7 +144,7 @@ def test_positivity_gate_records_failing_premise(evidence):
 
 
 def test_run_catalog_shape_and_gate():
-    results = run_catalog()
+    results = run_catalog_with_evidence()[0]
     assert len(results) == 5 * len(CATALOG)
     assert failure_events(results) == []
     seen = {(r.fixture_label, r.theorem_id) for r in results}
@@ -153,17 +152,17 @@ def test_run_catalog_shape_and_gate():
 
 
 def test_run_catalog_empty():
-    assert run_catalog(catalog={}) == []
+    assert run_catalog_with_evidence(catalog={})[0] == []
 
 
 def test_run_catalog_single_fixture_has_five_results():
     single = {"linear_identity": CATALOG["linear_identity"]}
-    results = run_catalog(catalog=single)
+    results = run_catalog_with_evidence(catalog=single)[0]
     assert [r.theorem_id for r in results] == list(THEOREM_IDS)
 
 
 def test_run_catalog_clusters_each_solution_set_once(monkeypatch):
-    # uniqueness_probe would re-cluster through vi_core's binding
+    # a helper that re-clustered would go through vi_core's binding
     calls = []
     original = vi_core.cluster_members
 
@@ -175,13 +174,14 @@ def test_run_catalog_clusters_each_solution_set_once(monkeypatch):
     monkeypatch.setattr(vi_core, "cluster_members", counting)
     labels = ("linear_identity", "scalar_negslope", "constant_positive")
     config = HarnessConfig(grid_spacing=0.1)
-    results = run_catalog({label: CATALOG[label] for label in labels}, config)
+    results, _ = run_catalog_with_evidence({label: CATALOG[label] for label in labels},
+                                           config)
     assert len(results) == 5 * len(labels)
     assert calls == [2 * config.grid_spacing] * (2 * len(labels))
 
 
 def test_summary_table_marks():
-    results = run_catalog()
+    results = run_catalog_with_evidence()[0]
     table = summary_table(results)
     lines = table.splitlines()
     assert lines[0].split()[0] == "fixture"
@@ -199,7 +199,8 @@ def test_summary_table_marks():
 
 
 def test_results_serialize_to_json():
-    results = run_catalog(catalog={"scalar_posslope": CATALOG["scalar_posslope"]})
+    results, _ = run_catalog_with_evidence(
+        catalog={"scalar_posslope": CATALOG["scalar_posslope"]})
     payload = json.dumps([r.to_dict() for r in results])
     parsed = json.loads(payload)
     assert len(parsed) == 5

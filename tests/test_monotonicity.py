@@ -61,7 +61,8 @@ def test_plan_base_points_feasible_and_start_with_vertices(interval_plan):
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        SamplePlan(np.array([[0.5]]))                      # too few points
+        SamplePlan(np.empty((0, 1)))                       # no points
+    assert SamplePlan(np.array([[0.5]])).size == 1         # a one-point region
     with pytest.raises(ValueError):
         SamplePlan(np.array([[0.0], [1.0]]), tuple_size_max=1)
     with pytest.raises(ValueError):

@@ -15,12 +15,10 @@ from walras_vi.economy import is_positive, linear_economy
 from walras_vi.monotonicity import SamplePlan
 from walras_vi.regions import (
     Box,
-    ConvexCombination,
     Polyhedron,
     Simplex,
     _halton,
     as_price_vector,
-    combine,
     first_distinct,
     project_onto_simplex,
 )
@@ -358,6 +356,15 @@ def test_polyhedron_projection_budget_reports_best_iterate(monkeypatch):
         assert np.isfinite(excinfo.value.achieved)
 
 
+def test_projection_failure_is_a_value_error():
+    # the CLI reports every input failure, this one included, as a ValueError
+    from walras_vi.regions import ProjectionBudgetError
+
+    error = ProjectionBudgetError(np.zeros(2), 1.0)
+    assert isinstance(error, ValueError)
+    assert "KKT" in str(error)
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         Simplex(3).project([1.0, 0.0])
@@ -446,44 +453,6 @@ def test_batched_membership_callers_keep_their_messages():
         SamplePlan(outside).validate_for(square)
     with pytest.raises(ValueError, match="^positivity samples must lie in the region$"):
         is_positive(model, square, outside)
-
-
-# ---------------------------------------------------------------------------
-# convex combinations
-
-
-def test_combine_degenerate_weight():
-    c = ConvexCombination([[0.3, 0.7], [0.9, 0.1]], [1.0, 0.0])
-    assert_allclose(combine(c), [0.3, 0.7])
-
-
-def test_combine_midpoint():
-    c = ConvexCombination([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
-    assert_allclose(combine(c), [0.5, 0.5])
-
-
-def test_combine_simplex_vertices():
-    c = ConvexCombination(np.eye(3), [0.25, 0.25, 0.5])
-    assert_allclose(combine(c), [0.25, 0.25, 0.5])
-
-
-def test_combine_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        ConvexCombination([[0.0], [1.0]], [0.7, 0.7])
-    with pytest.raises(ValueError):
-        ConvexCombination([[0.0], [1.0]], [-0.2, 1.2])
-    with pytest.raises(ValueError):
-        ConvexCombination([[0.0], [1.0]], [1.0])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3))
-def test_combination_lies_in_hull_bounds(raw):
-    w = np.asarray(raw) / np.sum(raw)
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    value = ConvexCombination(pts, w).value()
-    assert np.all(value >= -1e-12)
-    assert value.sum() <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,6 @@ from walras_vi.vi_core import (
     minty_gap,
     residual,
     solve_extragradient,
-    uniqueness_probe,
-    verify_minty,
-    verify_stampacchia,
 )
 
 UNIT_INTERVAL = Box([0.0], [1.0])
@@ -140,42 +137,6 @@ def test_minty_gap_signs():
     # at the dual-stationary point of an increasing field the gap is <= 0
     assert minty_gap(POSSLOPE, [0.5]) <= 1e-12
     assert minty_gap(NEGSLOPE, [0.5]) > 0.1
-
-
-# ---------------------------------------------------------------------------
-# verification
-
-
-def test_verify_stampacchia_examples():
-    grid = UNIT_INTERVAL.grid(0.01)
-    assert verify_stampacchia(NEGSLOPE, [1.0], grid, tol=1e-12).satisfied
-    report = verify_stampacchia(NEGSLOPE, [0.25], grid, tol=1e-12)
-    assert not report.satisfied
-    assert report.worst_value == pytest.approx(0.25 * (0.0 - 0.25))
-    assert report.worst_point[0] == pytest.approx(0.0)
-
-
-def test_verify_stampacchia_interior_zero():
-    prob = VIProblem(linear_economy(np.eye(2), [0.5, 0.5]), UNIT_SQUARE)
-    grid = UNIT_SQUARE.grid(0.1)
-    assert verify_stampacchia(prob, [0.5, 0.5], grid, tol=1e-12).satisfied
-
-
-def test_verify_minty_examples():
-    grid = UNIT_INTERVAL.grid(0.01)
-    assert verify_minty(POSSLOPE, [0.5], grid, tol=1e-12).satisfied
-    for x in ([0.0], [0.4], [1.0]):
-        assert not verify_minty(NEGSLOPE, x, grid, tol=1e-3).satisfied
-    prob = VIProblem(linear_economy(np.eye(2), [0.5, 0.5]), UNIT_SQUARE)
-    assert verify_minty(prob, [0.5, 0.5], UNIT_SQUARE.grid(0.1),
-                        tol=1e-12).satisfied
-
-
-def test_verify_rejects_empty_probe():
-    with pytest.raises(ValueError):
-        verify_stampacchia(POSSLOPE, [0.5], np.empty((0, 1)), tol=0.0)
-    with pytest.raises(ValueError):
-        verify_minty(POSSLOPE, [0.5], np.empty((0, 1)), tol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +404,15 @@ def test_cluster_members_spans_several_pair_blocks():
 
 def test_uniqueness_probe_strictly_monotone():
     prob = VIProblem(linear_economy(np.eye(2), [0.5, 0.5]), UNIT_SQUARE)
-    assert uniqueness_probe(prob, 0.02, 0.1)
+    est = enumerate_solutions(prob, 0.02, 0.1)
+    link = 2 * est.grid_spacing
+    assert cluster_members(est.stampacchia_members, link).is_single(link)
 
 
 def test_uniqueness_probe_negslope_three_clusters():
-    assert not uniqueness_probe(NEGSLOPE, 0.01, 0.25)
+    est = enumerate_solutions(NEGSLOPE, 0.01, 0.25)
+    link = 2 * est.grid_spacing
+    assert not cluster_members(est.stampacchia_members, link).is_single(link)
 
 
 def test_uniqueness_probe_constant_field_solution_face():
@@ -457,7 +422,8 @@ def test_uniqueness_probe_constant_field_solution_face():
     # the whole face x1 = 0 satisfies the primal condition
     assert np.all(members[:, 0] <= est.tolerance)
     assert members[:, 1].max() - members[:, 1].min() >= 0.9
-    assert not uniqueness_probe(prob, 0.02, fixture.lipschitz, estimate=est)
+    link = 2 * est.grid_spacing
+    assert not cluster_members(members, link).is_single(link)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +458,8 @@ def test_minty_members_are_stampacchia_at_relaxed_tolerance(catalog_estimates):
         lo, hi = prob.region.bounding_box()
         relax = 2.0 * np.sqrt(est.tolerance) * np.linalg.norm(hi - lo)
         for x in est.minty_members:
-            report = verify_stampacchia(prob, x, est.grid_points, tol=relax)
-            assert report.satisfied, (label, x, report.worst_value)
+            worst = float(((est.grid_points - x) @ prob.model(x)).min())
+            assert worst >= -relax, (label, x, worst)
 
 
 def test_residual_soundness_two_sided(catalog_estimates):
