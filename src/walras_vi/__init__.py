@@ -30,11 +30,6 @@ from .monotonicity import (
     SamplePlan,
     build_plan,
     check_class,
-    check_properly_quasimonotone,
-    check_properly_quasimonotone_dual,
-    check_pseudomonotone,
-    check_strict_properly_quasimonotone,
-    check_strictly_pseudomonotone,
     replay_witness,
 )
 from .regions import (

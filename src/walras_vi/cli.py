@@ -331,10 +331,7 @@ def check(ctx, problem_file, class_name, out):
         spec = load_problem(problem_file)
         config = spec.config
         out_fh = _open_output(files, out, "output file")
-        plan = build_plan(spec.problem.region, num_points=config.num_points,
-                          tuple_size_max=config.tuple_size_max,
-                          weight_grid_resolution=config.weight_grid_resolution,
-                          eps_strict=config.eps_strict)
+        plan = build_plan(spec.problem.region, config)
         report = check_class(class_name, spec.problem.model,
                              spec.problem.region, plan)
         _emit_json(report.to_dict(), out_fh)

@@ -1,8 +1,11 @@
-"""Default tolerances and scan parameters.
+"""Default tolerances and scan parameters, and a run's settings.
 
 A run can set the ``HarnessConfig`` fields and the checkers' ``tau_feas``;
 DISTINCT_DIST, TAU_PROJ and the other uses of TAU_FEAS are fixed.
 """
+
+from dataclasses import dataclass
+from math import isfinite
 
 # Feasibility tolerance: membership tests and weight-sum checks.
 TAU_FEAS = 1e-10
@@ -30,3 +33,37 @@ DEFAULT_BUDGET = 100_000
 DEFAULT_M_MAX = 3
 DEFAULT_WEIGHT_RESOLUTION = 11
 DEFAULT_SAMPLE_COUNT = 24
+
+
+@dataclass(frozen=True)
+class HarnessConfig:
+    """A run's settings: sample plan, solver and oracle grid.
+
+    Every command reads its settings from one of these, and its
+    constructor makes every range check on them.
+    """
+
+    grid_spacing: float = 0.02
+    num_points: int = DEFAULT_SAMPLE_COUNT
+    tuple_size_max: int = DEFAULT_M_MAX
+    weight_grid_resolution: int = DEFAULT_WEIGHT_RESOLUTION
+    eps_strict: float = EPS_STRICT
+    step: float = DEFAULT_STEP
+    budget: int = DEFAULT_BUDGET
+    tol_solve: float = TAU_SOLVE
+
+    def __post_init__(self):
+        for name in ("grid_spacing", "eps_strict", "step", "tol_solve"):
+            value = getattr(self, name)
+            if not (isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if self.num_points < 0:
+            raise ValueError(f"plan points must be nonnegative: num_points is "
+                             f"{self.num_points}")
+        if self.tuple_size_max < 2:
+            raise ValueError(f"tuple_size_max must be >= 2, got {self.tuple_size_max}")
+        if self.weight_grid_resolution < 3:
+            raise ValueError(f"weight_grid_resolution must be >= 3, got "
+                             f"{self.weight_grid_resolution}")
+        if self.budget < 0:
+            raise ValueError(f"budget must be nonnegative, got {self.budget}")

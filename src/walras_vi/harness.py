@@ -31,20 +31,11 @@ build-failing event; `failure_events` collects exactly those.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isfinite
 from typing import Optional
 
 import numpy as np
 
-from .constants import (
-    DEFAULT_BUDGET,
-    DEFAULT_M_MAX,
-    DEFAULT_SAMPLE_COUNT,
-    DEFAULT_STEP,
-    DEFAULT_WEIGHT_RESOLUTION,
-    EPS_STRICT,
-    TAU_SOLVE,
-)
+from .constants import HarnessConfig
 from .economy import Fixture, default_catalog, is_positive
 from .monotonicity import (
     MonotonicityReport,
@@ -88,40 +79,6 @@ THEOREM_IDS = ("L2_1", "L2_2", "T4_1", "T4_2", "T4_3")
 GATED_THEOREMS = frozenset({"L2_2", "T4_1", "T4_2"})
 
 
-@dataclass(frozen=True)
-class HarnessConfig:
-    """A run's settings: sample plan, solver and oracle grid.
-
-    Every command reads its settings from one of these, and its
-    constructor makes every range check on them.
-    """
-
-    grid_spacing: float = 0.02
-    num_points: int = DEFAULT_SAMPLE_COUNT
-    tuple_size_max: int = DEFAULT_M_MAX
-    weight_grid_resolution: int = DEFAULT_WEIGHT_RESOLUTION
-    eps_strict: float = EPS_STRICT
-    step: float = DEFAULT_STEP
-    budget: int = DEFAULT_BUDGET
-    tol_solve: float = TAU_SOLVE
-
-    def __post_init__(self):
-        for name in ("grid_spacing", "eps_strict", "step", "tol_solve"):
-            value = getattr(self, name)
-            if not (isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.num_points < 0:
-            raise ValueError(f"plan points must be nonnegative: num_points is "
-                             f"{self.num_points}")
-        if self.tuple_size_max < 2:
-            raise ValueError(f"tuple_size_max must be >= 2, got {self.tuple_size_max}")
-        if self.weight_grid_resolution < 3:
-            raise ValueError(f"weight_grid_resolution must be >= 3, got "
-                             f"{self.weight_grid_resolution}")
-        if self.budget < 0:
-            raise ValueError(f"budget must be nonnegative, got {self.budget}")
-
-
 @dataclass(frozen=True, eq=False)
 class FixtureEvidence:
     """Everything the theorem checks consume, computed once per fixture.
@@ -163,13 +120,7 @@ class TheoremCheckResult:
 def gather_evidence(fixture: Fixture, config: HarnessConfig = HarnessConfig(),
                     plans: Optional[dict] = None) -> FixtureEvidence:
     """Run checkers, oracle and solver once; ``plans`` holds a run's shared plans."""
-    plan = build_plan(
-        fixture.region,
-        num_points=config.num_points,
-        tuple_size_max=config.tuple_size_max,
-        weight_grid_resolution=config.weight_grid_resolution,
-        eps_strict=config.eps_strict,
-    )
+    plan = build_plan(fixture.region, config)
     if plans is not None:
         plan = plans.setdefault((plan.base_points.shape,
                                  plan.base_points.tobytes()), plan)
@@ -357,5 +308,5 @@ def summary_table(results) -> str:
             else:
                 mark = "✗"
             row.append(mark.ljust(col))
-        lines.append("".join(row).rstrip())
-    return "\n".join(lines)
+        lines.append("".join(row))
+    return "\n".join(line.rstrip() for line in lines)

@@ -29,11 +29,11 @@ import numpy as np
 
 from .constants import (
     DEFAULT_M_MAX,
-    DEFAULT_SAMPLE_COUNT,
     DEFAULT_WEIGHT_RESOLUTION,
     DISTINCT_DIST,
     EPS_STRICT,
     TAU_FEAS,
+    HarnessConfig,
 )
 from .economy import ExcessDemandModel
 from .regions import ConvexRegion, FloatArray, first_distinct
@@ -44,11 +44,6 @@ __all__ = [
     "build_plan",
     "Witness",
     "MonotonicityReport",
-    "check_pseudomonotone",
-    "check_strictly_pseudomonotone",
-    "check_properly_quasimonotone",
-    "check_properly_quasimonotone_dual",
-    "check_strict_properly_quasimonotone",
     "check_tuple_classes",
     "check_class",
     "replay_witness",
@@ -109,21 +104,24 @@ class SamplePlan:
         return _strict_exclusions(self)
 
 
-def build_plan(region: ConvexRegion, num_points: int = DEFAULT_SAMPLE_COUNT,
-               tuple_size_max: int = DEFAULT_M_MAX,
-               weight_grid_resolution: int = DEFAULT_WEIGHT_RESOLUTION,
-               eps_strict: float = EPS_STRICT) -> SamplePlan:
-    """Region vertices plus projected Halton points, deduplicated."""
+def build_plan(region: ConvexRegion,
+               config: HarnessConfig = HarnessConfig()) -> SamplePlan:
+    """Region vertices plus ``config.num_points`` projected Halton points,
+    deduplicated, with the config's tuple size, weight grid and eps_strict."""
     chunks = []
     try:
         chunks.append(region.vertices())
     except ValueError:
         pass  # vertex enumeration unavailable (e.g. huge box); samples suffice
-    if num_points > 0:
-        chunks.append(region.sample(num_points))
+    if config.num_points > 0:
+        chunks.append(region.sample(config.num_points))
+    if not chunks:
+        raise ValueError("sample plan is empty: the region's vertices cannot be "
+                         "enumerated, so plan.points must be at least 1")
     stacked = np.vstack(chunks)
     plan = SamplePlan(stacked[first_distinct(stacked, DISTINCT_DIST)],
-                      tuple_size_max, weight_grid_resolution, eps_strict)
+                      config.tuple_size_max, config.weight_grid_resolution,
+                      config.eps_strict)
     plan.validate_for(region)
     return plan
 
@@ -228,22 +226,6 @@ def _pair_scan(name: str, model: ExcessDemandModel, region: ConvexRegion,
     return MonotonicityReport(name, HOLDS, samples, margin)
 
 
-def check_pseudomonotone(model: ExcessDemandModel, region: ConvexRegion,
-                         plan: SamplePlan,
-                         tau_feas: float = TAU_FEAS) -> MonotonicityReport:
-    """Scan ordered sample pairs for E(x).(y-x) >= 0 => E(y).(y-x) >= 0."""
-    return _pair_scan("pseudo", model, region, plan, tau_feas, -tau_feas,
-                      strict=False)
-
-
-def check_strictly_pseudomonotone(model: ExcessDemandModel, region: ConvexRegion,
-                                  plan: SamplePlan,
-                                  tau_feas: float = TAU_FEAS) -> MonotonicityReport:
-    """Same pair scan with the strict conclusion E(y).(y-x) > eps for y != x."""
-    return _pair_scan("strict_pseudo", model, region, plan, tau_feas,
-                      plan.eps_strict, strict=True)
-
-
 def _first(mask) -> Optional[tuple]:
     """Index of the first True entry in C order, or None."""
     found = np.argwhere(mask)
@@ -258,50 +240,24 @@ def _extend_combinations(combos, n: int):
     return np.column_stack([rows, rows[:, -1] + 1 + offsets])
 
 
-def _lane_order(m: int) -> tuple:
-    """The k order of the two lanes that sum Σ_k G[j, k] w_k.
-
-    Even k go to one lane and odd k to the other, and the lanes are added
-    last; while eight or more terms remain, each block of eight enters its
-    lanes from the block's end.  This is the order of numpy's contiguous
-    einsum dot loop with two float64 lanes and separate multiply and add
-    (the x86-64 baseline), so the sums equal that einsum's bit for bit.
-    """
-    lanes = ([], [])
-    blocks = m // 8 * 8
-    for lo in range(0, blocks, 8):
-        for lane in (0, 1):
-            lanes[lane].extend(lo + lane + d for d in (6, 4, 2, 0))
-    for k in range(blocks, m):
-        lanes[k % 2].append(k)
-    return lanes
-
-
 def _member_dots(G, g, combos, j, Wt, bufs):
     """E(p_j).(p_j - c) of member j of each tuple, as (weight row, tuple) in bufs[0].
 
-    E(p_j).c = Σ_k G[j, k] w_k is summed in the order of ``_lane_order``;
-    ``bufs`` holds three scratch arrays of at least (len(Wt[0]), len(combos)).
-    The lanes start from their first product, not from +0.0 as einsum's
-    do; that can change only the sign of an all-zero sum, and g - sum
-    cannot show it because g, an einsum reduction, is never -0.0.
+    E(p_j).c = Σ_k G[j, k] w_k is summed in k order, from the k = 0 product;
+    ``bufs`` holds two scratch arrays of at least (len(Wt[0]), len(combos)).
     """
     cj = combos[:, j]
-    out, lane, prod = bufs[:, :, :len(combos)]
-    lanes = _lane_order(combos.shape[1])
-    for acc, ks in zip((out, lane), lanes):
-        for i, k in enumerate(ks):
-            np.multiply(Wt[k][:, None], G[cj, combos[:, k]], out=prod if i else acc)
-            if i:
-                np.add(acc, prod, out=acc)
-    if lanes[1]:
-        np.add(out, lane, out=out)
+    out, prod = bufs[:, :, :len(combos)]
+    np.multiply(Wt[0][:, None], G[cj, combos[:, 0]], out=out)
+    for k in range(1, combos.shape[1]):
+        np.multiply(Wt[k][:, None], G[cj, combos[:, k]], out=prod)
+        np.add(out, prod, out=out)
     return np.subtract(g[cj], out, out=out)
 
 
 def _tuple_dots(G, g, combo, Wt):
     """All pairings dots[j, w] of one tuple, for its witness."""
-    bufs = np.empty((3, Wt.shape[1], 1))
+    bufs = np.empty((2, Wt.shape[1], 1))
     return np.array([_member_dots(G, g, combo[None], j, Wt, bufs)[:, 0].copy()
                      for j in range(len(combo))])
 
@@ -344,10 +300,19 @@ def _certified(P, combos, steps: int):
     return (m - 1) / steps * dist - allowance > 2 * DISTINCT_DIST
 
 
+def _combine(W, Pc):
+    """Combinations c = Σ_k w_k p_k, summed in k order, of weight rows W
+    (rows, m) and tuples Pc (T, m, n), as (T, rows, n)."""
+    out = W[:, 0, None] * Pc[:, None, 0]
+    for k in range(1, W.shape[1]):
+        out += W[:, k, None] * Pc[:, None, k]
+    return out
+
+
 def _combination_hit(P, G, g, combo, w, W, inner, threshold):
     """Margin and witness of a violating (tuple, interior weights) pair."""
     dots = _tuple_dots(G, g, combo, W.T)[:, inner[w]]
-    combined = np.einsum("wk,tkn->twn", W[inner], P[combo][None])[0, w]
+    combined = _combine(W[inner[w]][None], P[combo][None])[0, 0]
     witness = Witness(points=P[combo], dot_products=dots,
                       weights=W[inner[w]], combined=combined,
                       indices=tuple(int(i) for i in combo))
@@ -364,9 +329,9 @@ def _tuple_sizes(plan: SamplePlan):
 
 
 def _strict_exclusions(plan: SamplePlan) -> dict:
-    """(tuple, interior weight) pairs whose c = Σ_k w_k p_k (an einsum) fails
-    ||c - p_j|| > DISTINCT_DIST (squares summed in coordinate order) at a
-    member j that ``_certified`` leaves."""
+    """(tuple, interior weight) pairs whose c = Σ_k w_k p_k (``_combine``)
+    fails ||c - p_j|| > DISTINCT_DIST (squares summed in coordinate order)
+    at a member j that ``_certified`` leaves."""
     P, steps, out = plan.base_points, plan.weight_grid_resolution - 1, {}
     for m, all_combos, W, interior in _tuple_sizes(plan):
         Wi, found = W[interior], [np.empty(0, dtype=np.intp)]
@@ -375,7 +340,7 @@ def _strict_exclusions(plan: SamplePlan) -> dict:
             combos = all_combos[lo:lo + step]
             uncertain = ~_certified(P, combos, steps)
             rows = np.flatnonzero(uncertain.any(axis=1))
-            combined = np.einsum("wk,tkn->twn", Wi, P[combos[rows]])
+            combined = _combine(Wi, P[combos[rows]])
             near = np.zeros((rows.size, len(Wi)), dtype=bool)
             for j in range(m):
                 sel = np.flatnonzero(uncertain[rows, j])
@@ -393,10 +358,10 @@ def _strict_exclusions(plan: SamplePlan) -> dict:
 
 def _fold(G, g, combos, Wt, bufs, ufuncs):
     """Member pairings at the weight columns Wt, folded over members by each
-    ufunc into bufs[3:]; bufs[:3] is ``_member_dots``'s scratch."""
-    folds = bufs[3:3 + len(ufuncs), :, :len(combos)]
+    ufunc into bufs[2:]; bufs[:2] is ``_member_dots``'s scratch."""
+    folds = bufs[2:2 + len(ufuncs), :, :len(combos)]
     for j in range(combos.shape[1]):
-        dots = _member_dots(G, g, combos, j, Wt, bufs[:3])
+        dots = _member_dots(G, g, combos, j, Wt, bufs[:2])
         for acc, ufunc in zip(folds, ufuncs):
             ufunc(acc, dots, out=acc) if j else np.copyto(acc, dots)
     return folds
@@ -416,7 +381,7 @@ def check_tuple_classes(model: ExcessDemandModel, region: ConvexRegion,
     pairs the boundary rows for the tuples whose interior ``achieved`` (max
     over rows of the min over members) is below max(-tau_feas, exact min of
     ``achieved`` so far): no other tuple can fail or lower that minimum.
-    Pairings are summed in ``_lane_order``; the strict class skips the
+    Pairings are summed in k order; the strict class skips the
     pairs in ``SamplePlan.strict_exclusions``, computed once per plan.
     """
     plan.validate_for(region)
@@ -430,7 +395,7 @@ def check_tuple_classes(model: ExcessDemandModel, region: ConvexRegion,
     for m, all_combos, W, interior in _tuple_sizes(plan):
         inner, outer = np.flatnonzero(interior), np.flatnonzero(~interior)
         Wi, step = inner.size, max(1, _SCAN_PAIRS // len(W))
-        bufs = np.empty((5, len(W), min(len(all_combos), step)))
+        bufs = np.empty((4, len(W), min(len(all_combos), step)))
         for lo in range(0, len(all_combos), step):
             combos = all_combos[lo:lo + step]
             mindots, maxdots = _fold(G, g, combos, W[inner].T, bufs[:, :Wi],
@@ -487,50 +452,24 @@ def check_tuple_classes(model: ExcessDemandModel, region: ConvexRegion,
             for name in _TUPLE_CLASSES}
 
 
-def check_properly_quasimonotone(model: ExcessDemandModel, region: ConvexRegion,
-                                 plan: SamplePlan,
-                                 tau_feas: float = TAU_FEAS) -> MonotonicityReport:
-    """Every interior combination of every tuple needs one E(p_j).(p_j - p) >= 0."""
-    return check_tuple_classes(model, region, plan, tau_feas)["proper_quasi"]
-
-
-def check_properly_quasimonotone_dual(model: ExcessDemandModel,
-                                      region: ConvexRegion, plan: SamplePlan,
-                                      tau_feas: float = TAU_FEAS) -> MonotonicityReport:
-    """Every tuple needs one combination with all pairings >= 0 at once."""
-    return check_tuple_classes(model, region, plan, tau_feas)["proper_quasi_dual"]
-
-
-def check_strict_properly_quasimonotone(model: ExcessDemandModel,
-                                        region: ConvexRegion, plan: SamplePlan,
-                                        tau_feas: float = TAU_FEAS) -> MonotonicityReport:
-    """Strict variant: combinations distinct from all members need a > 0 pairing.
-
-    Combinations closer than the distinctness tolerance to any tuple member
-    are excluded, matching the definition's p != p_i side condition.
-    """
-    return check_tuple_classes(model, region, plan, tau_feas)["strict_proper_quasi"]
-
-
-_CHECKERS = {
-    "pseudo": check_pseudomonotone,
-    "strict_pseudo": check_strictly_pseudomonotone,
-    "proper_quasi": check_properly_quasimonotone,
-    "proper_quasi_dual": check_properly_quasimonotone_dual,
-    "strict_proper_quasi": check_strict_properly_quasimonotone,
-}
-
-
 def check_class(name: str, model: ExcessDemandModel, region: ConvexRegion,
                 plan: SamplePlan, tau_feas: float = TAU_FEAS) -> MonotonicityReport:
-    """Dispatch a checker by monotonicity-class name."""
-    try:
-        checker = _CHECKERS[name]
-    except KeyError:
+    """Check one monotonicity class by name.
+
+    pseudo: E(x).(y-x) >= 0 => E(y).(y-x) >= 0 on ordered sample pairs;
+    strict_pseudo: the same scan with E(y).(y-x) > eps for y != x.  The
+    three combination classes read their report from ``check_tuple_classes``.
+    """
+    if name == "pseudo":
+        return _pair_scan(name, model, region, plan, tau_feas, -tau_feas,
+                          strict=False)
+    if name == "strict_pseudo":
+        return _pair_scan(name, model, region, plan, tau_feas, plan.eps_strict,
+                          strict=True)
+    if name not in _TUPLE_CLASSES:
         raise ValueError(
-            f"unknown monotonicity class {name!r}; expected one of {CLASS_NAMES}"
-        ) from None
-    return checker(model, region, plan, tau_feas=tau_feas)
+            f"unknown monotonicity class {name!r}; expected one of {CLASS_NAMES}")
+    return check_tuple_classes(model, region, plan, tau_feas)[name]
 
 
 def replay_witness(model: ExcessDemandModel, report: MonotonicityReport,

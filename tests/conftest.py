@@ -5,11 +5,12 @@ reusing the library's own grid or scan machinery, so the tests cross
 two independent routes wherever the library computes something nontrivial.
 The exceptions are the reference pair and tuple scans, the reference
 clustering and the two-pass Minty scan at the end: they are the library's
-earlier pair checkers, its earlier per-class scans, its earlier
-einsum-based fused scan, its earlier union-find clustering and its earlier
-dual scan, kept verbatim, against which the pair checkers,
-``check_tuple_classes``, ``cluster_members`` and the Minty rejection
-cascade must agree byte for byte (the Minty scans on grids where every
+earlier pair checkers, its earlier per-class scans, its earlier fused
+scan, its earlier union-find clustering and its earlier dual scan, kept
+verbatim apart from the fused scan's sums, which run in k order as the
+library's do.  The pair checkers, ``check_tuple_classes``,
+``cluster_members`` and the Minty rejection cascade must agree with them
+byte for byte (the per-class scans and the Minty scans on grids where every
 pairing is exact; elsewhere up to BLAS rounding).
 """
 
@@ -367,9 +368,10 @@ REFERENCE_PAIR_CHECKERS = {
 
 
 # ---------------------------------------------------------------------------
-# reference fused scan: the einsum-based check_tuple_classes that preceded
-# the lane-ordered pairing sums and the certified distinctness prefilter,
-# kept verbatim (helpers renamed) as the reference for the current scan
+# reference fused scan: the check_tuple_classes that preceded the chunked
+# member folds and the certified distinctness prefilter, kept verbatim
+# (helpers renamed) but for its two sums over members, now explicit loops in
+# k order, as the reference for the current scan
 
 
 def _boundary_weight_grid(parts: int, resolution: int) -> FloatArray:
@@ -412,8 +414,13 @@ def fused_tuple_scan(model: ExcessDemandModel, region: ConvexRegion,
             combos = all_combos[lo:lo + _TUPLE_CHUNK]
             Pc = P[combos]                                     # (T, m, n)
             Gsub = G[combos[:, :, None], combos[:, None, :]]   # (T, m, m)
-            dots = g[combos][:, :, None] - np.einsum("tjk,wk->tjw", Gsub, W)
-            combined = np.einsum("wk,tkn->twn", W[inner], Pc)  # (T, Wi, n)
+            Wi = W[inner]
+            dotc = Gsub[:, :, 0, None] * W[:, 0]               # (T, m, W)
+            combined = Wi[:, 0, None] * Pc[:, None, 0]         # (T, Wi, n)
+            for k in range(1, m):
+                dotc = dotc + Gsub[:, :, k, None] * W[:, k]
+                combined = combined + Wi[:, k, None] * Pc[:, None, k]
+            dots = g[combos][:, :, None] - dotc
             maxdots = dots.max(axis=1)[:, inner]               # (T, Wi)
             mindots = dots.min(axis=1)                         # (T, W)
             achieved = mindots.max(axis=1)     # best combination per tuple

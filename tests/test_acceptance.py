@@ -33,14 +33,7 @@ from walras_vi.harness import (
     failure_events,
     run_catalog_with_evidence,
 )
-from walras_vi.monotonicity import (
-    build_plan,
-    check_properly_quasimonotone,
-    check_properly_quasimonotone_dual,
-    check_strict_properly_quasimonotone,
-    check_strictly_pseudomonotone,
-    replay_witness,
-)
+from walras_vi.monotonicity import build_plan, check_class, replay_witness
 from walras_vi.regions import Box, Polyhedron, Simplex
 from walras_vi.vi_core import (
     VIProblem,
@@ -204,7 +197,7 @@ def test_criterion_3_separation_fixture():
     assert est.minty_members.shape[0] == 0
 
     plan = build_plan(neg.region)
-    report = check_properly_quasimonotone(neg.model, neg.region, plan)
+    report = check_class("proper_quasi", neg.model, neg.region, plan)
     assert report.refuted
     assert replay_witness(neg.model, report) > 0
 
@@ -215,7 +208,7 @@ def test_criterion_3_separation_fixture():
     minty_centroids = cluster_members(est.minty_members, 0.02).centroids
     assert minty_centroids.shape[0] == 1
     assert minty_centroids[0][0] == pytest.approx(0.5, abs=0.01)
-    report = check_properly_quasimonotone(pos.model, pos.region, plan)
+    report = check_class("proper_quasi", pos.model, pos.region, plan)
     assert not report.refuted
 
 
@@ -230,9 +223,8 @@ def test_criterion_4_uniqueness_and_contrapositive():
     for label, fixture in CATALOG.items():
         plan = build_plan(fixture.region)
         strict = (
-            check_strictly_pseudomonotone(fixture.model, fixture.region, plan),
-            check_strict_properly_quasimonotone(fixture.model, fixture.region,
-                                                plan),
+            check_class("strict_pseudo", fixture.model, fixture.region, plan),
+            check_class("strict_proper_quasi", fixture.model, fixture.region, plan),
         )
         if all(not r.refuted for r in strict):
             strict_passing.append((label, fixture))
@@ -249,8 +241,7 @@ def test_criterion_4_uniqueness_and_contrapositive():
     # the oracle exhibits a solution face
     constant = CATALOG["constant_field"]
     plan = build_plan(constant.region)
-    report = check_strict_properly_quasimonotone(constant.model,
-                                                 constant.region, plan)
+    report = check_class("strict_proper_quasi", constant.model, constant.region, plan)
     assert report.refuted
     assert_allclose(report.witness.dot_products, 0.0, atol=1e-15)
     problem = VIProblem(constant.model, constant.region)
@@ -269,12 +260,10 @@ def test_criterion_4_uniqueness_and_contrapositive():
 @criterion(5, budget_seconds=60.0)
 def test_criterion_5_dual_consistency():
     for label, fixture in CATALOG.items():
-        plan = build_plan(fixture.region, tuple_size_max=3,
-                          weight_grid_resolution=11)
-        primal = check_properly_quasimonotone(fixture.model, fixture.region,
-                                              plan)
-        dual = check_properly_quasimonotone_dual(fixture.model, fixture.region,
-                                                 plan)
+        plan = build_plan(fixture.region, HarnessConfig(
+            tuple_size_max=3, weight_grid_resolution=11))
+        primal = check_class("proper_quasi", fixture.model, fixture.region, plan)
+        dual = check_class("proper_quasi_dual", fixture.model, fixture.region, plan)
         assert primal.verdict == dual.verdict, label
 
 

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
@@ -183,6 +184,20 @@ def test_check_on_one_point_region(runner, tmp_path, region, class_name):
     result = runner.invoke(main, ["check", path, "--class", class_name])
     assert result.exit_code == 0, result.output
     assert json.loads(result.stdout)["verdict"] == "holds_on_samples"
+
+
+def test_check_on_an_empty_plan_is_one_error_line(runner, tmp_path):
+    # a 17-coordinate box has no vertex enumeration, so no plan points
+    # leave the plan empty
+    n = 17
+    problem = {"economy": {"kind": "linear", "M": np.eye(n).tolist(), "c": [0.5] * n},
+               "region": {"kind": "box", "lower": [0.0] * n, "upper": [1.0] * n},
+               "plan": {"points": 0}}
+    path = write(tmp_path, "problem.json", problem)
+    result = runner.invoke(main, ["check", path, "--class", "pseudo"])
+    _assert_one_error_line(result)
+    assert "plan.points" in result.stderr
+    assert result.stdout == ""
 
 
 def test_check_unknown_class(runner, tmp_path):

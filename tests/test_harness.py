@@ -9,6 +9,7 @@ from walras_vi.harness import (
     GATED_THEOREMS,
     THEOREM_IDS,
     HarnessConfig,
+    TheoremCheckResult,
     check_lemma_2_1,
     check_lemma_2_2,
     check_theorem_4_1,
@@ -178,6 +179,13 @@ def test_run_catalog_clusters_each_solution_set_once(monkeypatch):
                                            config)
     assert len(results) == 5 * len(labels)
     assert calls == [2 * config.grid_spacing] * (2 * len(labels))
+
+
+def test_summary_table_lines_end_without_whitespace():
+    results = [TheoremCheckResult(tid, label, [], False, True)
+               for label in ("a", "long_fixture_label") for tid in THEOREM_IDS[:2]]
+    for line in summary_table(results).splitlines():
+        assert line == line.rstrip(), repr(line)
 
 
 def test_summary_table_marks():

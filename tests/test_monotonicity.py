@@ -12,18 +12,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from walras_vi import monotonicity
-from walras_vi.constants import DISTINCT_DIST, EPS_STRICT, TAU_FEAS
+from walras_vi.constants import DISTINCT_DIST, EPS_STRICT, TAU_FEAS, HarnessConfig
 from walras_vi.economy import default_catalog, linear_economy, scalar_catalog
 from walras_vi.monotonicity import (
     CLASS_NAMES,
     SamplePlan,
     build_plan,
     check_class,
-    check_properly_quasimonotone,
-    check_properly_quasimonotone_dual,
-    check_pseudomonotone,
-    check_strict_properly_quasimonotone,
-    check_strictly_pseudomonotone,
     check_tuple_classes,
     replay_witness,
 )
@@ -87,7 +82,7 @@ _PAIR_ENTRIES = st.sampled_from([-1.0, -0.5, -0.3, 0.0, 0.25, 0.7, 1.0])
        points=st.integers(0, 12), pick=st.integers(0, 10**6))
 def test_pair_checkers_match_reference_scans(M, c, region, points, pick):
     model = linear_economy(np.reshape(M, (2, 2)), c)
-    plan = build_plan(region, num_points=points)
+    plan = build_plan(region, HarnessConfig(num_points=points))
     # a threshold placed on one conclusion value E(p_j).(p_j - p_i) makes
     # the comparison's equality case decide that pair
     P = plan.base_points
@@ -108,13 +103,13 @@ def test_pair_checkers_match_reference_scans(M, c, region, points, pick):
 
 
 def test_pseudo_holds_for_monotone_field(square_plan):
-    report = check_pseudomonotone(IDENTITY, UNIT_SQUARE, square_plan)
+    report = check_class("pseudo", IDENTITY, UNIT_SQUARE, square_plan)
     assert report.verdict == "holds_on_samples"
     assert report.witness is None
 
 
 def test_pseudo_refuted_for_negslope(interval_plan):
-    report = check_pseudomonotone(NEGSLOPE, UNIT_INTERVAL, interval_plan)
+    report = check_class("pseudo", NEGSLOPE, UNIT_INTERVAL, interval_plan)
     assert report.refuted
     # lexicographically first violating pair is the two interval endpoints
     assert_allclose(report.witness.points, [[0.0], [1.0]])
@@ -123,7 +118,7 @@ def test_pseudo_refuted_for_negslope(interval_plan):
 
 
 def test_pseudo_holds_for_constant_field(square_plan):
-    report = check_pseudomonotone(CONSTANT, UNIT_SQUARE, square_plan)
+    report = check_class("pseudo", CONSTANT, UNIT_SQUARE, square_plan)
     assert report.verdict == "holds_on_samples"
 
 
@@ -132,12 +127,12 @@ def test_pseudo_holds_for_constant_field(square_plan):
 
 
 def test_strict_pseudo_holds_for_monotone_field(square_plan):
-    report = check_strictly_pseudomonotone(IDENTITY, UNIT_SQUARE, square_plan)
+    report = check_class("strict_pseudo", IDENTITY, UNIT_SQUARE, square_plan)
     assert report.verdict == "holds_on_samples"
 
 
 def test_strict_pseudo_constant_field_orthogonal_pair(square_plan):
-    report = check_strictly_pseudomonotone(CONSTANT, UNIT_SQUARE, square_plan)
+    report = check_class("strict_pseudo", CONSTANT, UNIT_SQUARE, square_plan)
     assert report.refuted
     assert_allclose(report.witness.points, [[0.0, 0.0], [0.0, 1.0]])
     assert report.witness.extra["premise"] == pytest.approx(0.0, abs=1e-15)
@@ -145,7 +140,7 @@ def test_strict_pseudo_constant_field_orthogonal_pair(square_plan):
 
 
 def test_strict_pseudo_holds_for_posslope(interval_plan):
-    report = check_strictly_pseudomonotone(POSSLOPE, UNIT_INTERVAL, interval_plan)
+    report = check_class("strict_pseudo", POSSLOPE, UNIT_INTERVAL, interval_plan)
     assert report.verdict == "holds_on_samples"
 
 
@@ -154,12 +149,12 @@ def test_strict_pseudo_holds_for_posslope(interval_plan):
 
 
 def test_proper_quasi_holds_for_posslope(interval_plan):
-    report = check_properly_quasimonotone(POSSLOPE, UNIT_INTERVAL, interval_plan)
+    report = check_class("proper_quasi", POSSLOPE, UNIT_INTERVAL, interval_plan)
     assert report.verdict == "holds_on_samples"
 
 
 def test_proper_quasi_refuted_for_negslope(interval_plan):
-    report = check_properly_quasimonotone(NEGSLOPE, UNIT_INTERVAL, interval_plan)
+    report = check_class("proper_quasi", NEGSLOPE, UNIT_INTERVAL, interval_plan)
     assert report.refuted
     w = report.witness
     assert_allclose(w.points, [[0.0], [1.0]])
@@ -180,8 +175,7 @@ def test_degenerate_single_point_tuple_is_satisfied():
 
 
 def test_dual_holds_for_posslope(interval_plan):
-    report = check_properly_quasimonotone_dual(POSSLOPE, UNIT_INTERVAL,
-                                               interval_plan)
+    report = check_class("proper_quasi_dual", POSSLOPE, UNIT_INTERVAL, interval_plan)
     assert report.verdict == "holds_on_samples"
 
 
@@ -195,8 +189,7 @@ def test_dual_tuple_witness_for_posslope_endpoints():
 
 
 def test_dual_refuted_for_negslope(interval_plan):
-    report = check_properly_quasimonotone_dual(NEGSLOPE, UNIT_INTERVAL,
-                                               interval_plan)
+    report = check_class("proper_quasi_dual", NEGSLOPE, UNIT_INTERVAL, interval_plan)
     assert report.refuted
     w = report.witness
     assert_allclose(w.points, [[0.0], [1.0]])
@@ -224,14 +217,12 @@ def test_strict_proper_example_values():
 
 
 def test_strict_proper_holds_for_posslope(interval_plan):
-    report = check_strict_properly_quasimonotone(POSSLOPE, UNIT_INTERVAL,
-                                                 interval_plan)
+    report = check_class("strict_proper_quasi", POSSLOPE, UNIT_INTERVAL, interval_plan)
     assert report.verdict == "holds_on_samples"
 
 
 def test_strict_proper_refuted_for_constant(square_plan):
-    report = check_strict_properly_quasimonotone(CONSTANT, UNIT_SQUARE,
-                                                 square_plan)
+    report = check_class("strict_proper_quasi", CONSTANT, UNIT_SQUARE, square_plan)
     assert report.refuted
     w = report.witness
     # orthogonal segment: all pairings vanish identically
@@ -241,14 +232,12 @@ def test_strict_proper_refuted_for_constant(square_plan):
 
 
 def test_strict_proper_holds_for_identity(square_plan):
-    report = check_strict_properly_quasimonotone(IDENTITY, UNIT_SQUARE,
-                                                 square_plan)
+    report = check_class("strict_proper_quasi", IDENTITY, UNIT_SQUARE, square_plan)
     assert report.verdict == "holds_on_samples"
 
 
 def test_strict_proper_distinctness_excludes_members(interval_plan):
-    report = check_strict_properly_quasimonotone(NEGSLOPE, UNIT_INTERVAL,
-                                                 interval_plan)
+    report = check_class("strict_proper_quasi", NEGSLOPE, UNIT_INTERVAL, interval_plan)
     assert report.refuted
     w = report.witness
     for member in w.points:
@@ -324,7 +313,7 @@ def test_simplex_rotation_is_strictly_pseudomonotone_on_segment():
     rotation = linear_economy([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0])
     simplex = Simplex(2)
     plan = build_plan(simplex)
-    report = check_strictly_pseudomonotone(rotation, simplex, plan)
+    report = check_class("strict_pseudo", rotation, simplex, plan)
     assert report.verdict == "holds_on_samples"
 
 
@@ -432,7 +421,7 @@ def test_check_class_selects_from_the_shared_scan(catalog_reports):
 def test_shared_scan_witnesses_replay_at_40_points():
     refuted = 0
     for label, fixture in default_catalog().items():
-        plan = build_plan(fixture.region, num_points=40)
+        plan = build_plan(fixture.region, HarnessConfig(num_points=40))
         for name, report in check_tuple_classes(fixture.model, fixture.region,
                                                 plan).items():
             if report.refuted:
@@ -443,7 +432,7 @@ def test_shared_scan_witnesses_replay_at_40_points():
 
 
 # ---------------------------------------------------------------------------
-# the lane-ordered, prefiltered scan against the einsum-based fused scan
+# the k-ordered, prefiltered scan against the fused reference scan
 
 
 def _same_as_fused(model, region, plan):
@@ -452,8 +441,25 @@ def _same_as_fused(model, region, plan):
         assert _same_reports(report, reference[name]), name
 
 
+def _k_order_dots(G, g, combos, W):
+    """dots[t, j, w] = g_j - Σ_k w_k G[j, k] in Python floats, summed in k order."""
+    G, g, W = G.tolist(), g.tolist(), W.tolist()
+    out = []
+    for combo in combos.tolist():
+        out.append([])
+        for j in combo:
+            terms, dots = [G[j][k] for k in combo], []
+            for w in W:
+                s = w[0] * terms[0]
+                for wk, Gk in zip(w[1:], terms[1:]):
+                    s += wk * Gk
+                dots.append(g[j] - s)
+            out[-1].append(dots)
+    return np.array(out)
+
+
 @pytest.mark.parametrize("m", range(1, 13))
-def test_member_dots_sum_in_einsum_lane_order(m):
+def test_member_dots_sum_in_k_order(m):
     # random weight rows sum every term inexactly; T covers chunk tails
     rng = np.random.default_rng(m)
     n = m + 3
@@ -461,15 +467,14 @@ def test_member_dots_sum_in_einsum_lane_order(m):
     G, g = E @ P.T, np.einsum("ij,ij->i", E, P)
     W = 0.37 * rng.random((40, m))
     combos = np.array(list(itertools.combinations(range(n), m)))
+    expected = _k_order_dots(G, g, combos, W)           # (T, m, W)
     for rows in (slice(0, 1), slice(0, 2), slice(0, 3), slice(0, 7),
                  slice(None), slice(None, None, 3)):
         c = combos[rows]
-        expected = (g[c][:, :, None]
-                    - np.einsum("tjk,wk->tjw", G[c[:, :, None], c[:, None, :]], W))
-        bufs = np.empty((3, len(W), len(c)))
+        bufs = np.empty((2, len(W), len(c)))
         for j in range(m):
             got = monotonicity._member_dots(G, g, c, j, W.T.copy(), bufs)
-            assert np.array_equal(got, expected[:, j].T), (rows, j)
+            assert np.array_equal(got, expected[rows, j].T), (rows, j)
 
 
 def test_combination_rows_are_lexicographic():
@@ -487,7 +492,8 @@ CATALOG = default_catalog()
 # the default plans, and their Halton points alone: region vertices come
 # first in a plan, and their 0/1 coordinates make many pairings exact
 HALTON_PLANS = {
-    (label, points, vertices): (build_plan(fixture.region, num_points=points)
+    (label, points, vertices): (build_plan(fixture.region,
+                                           HarnessConfig(num_points=points))
                                 .base_points if vertices
                                 else fixture.region.sample(points))
     for label, fixture in CATALOG.items() for points in (24, 40)
@@ -605,8 +611,8 @@ def test_collinear_simplex_plan_matches_fused_reference():
 
 
 def test_four_tuples_have_no_bound():
-    plan = SamplePlan(build_plan(UNIT_SQUARE, num_points=8).base_points,
-                      tuple_size_max=4, weight_grid_resolution=7)
+    base = build_plan(UNIT_SQUARE, HarnessConfig(num_points=8)).base_points
+    plan = SamplePlan(base, tuple_size_max=4, weight_grid_resolution=7)
     quads = np.array(list(itertools.combinations(range(plan.size), 4)))
     assert not monotonicity._certified(plan.base_points, quads, 6).any()
     for model in (IDENTITY, CONSTANT, CATALOG["rotation"].model):
@@ -637,8 +643,9 @@ def test_chunk_tails_match_fused_reference(monkeypatch, chunk):
         for label in ("rotation", "scalar_negslope", "simplex_positive",
                       "mortgage_linear", "constant_positive"):
             fixture = CATALOG[label]
-            plan = build_plan(fixture.region, num_points=6, tuple_size_max=m_max,
-                              weight_grid_resolution=resolution)
+            plan = build_plan(fixture.region, HarnessConfig(
+                num_points=6, tuple_size_max=m_max,
+                weight_grid_resolution=resolution))
             _same_as_fused(fixture.model, fixture.region, plan)
     # 3-tuple chunks of `chunk` tuples and shorter tails both take the
     # boundary pass
@@ -671,7 +678,7 @@ def test_running_dual_minimum_across_tiny_chunks(monkeypatch, pairs):
     # tiny budgets update the running minimum of achieved chunk by chunk;
     # wide tolerances let tuples that pass inside still hold that minimum
     monkeypatch.setattr(monotonicity, "_SCAN_PAIRS", pairs)
-    base = build_plan(UNIT_SQUARE, num_points=6).base_points
+    base = build_plan(UNIT_SQUARE, HarnessConfig(num_points=6)).base_points
     for resolution, m_max in ((11, 3), (3, 3), (5, 4)):
         plan = SamplePlan(base, tuple_size_max=m_max,
                           weight_grid_resolution=resolution)
@@ -685,7 +692,7 @@ def test_running_dual_minimum_across_tiny_chunks(monkeypatch, pairs):
 
 def test_scan_memory_stays_in_small_chunks():
     fixture = CATALOG["simplex_positive"]
-    plan = build_plan(fixture.region, num_points=64)
+    plan = build_plan(fixture.region, HarnessConfig(num_points=64))
     tracemalloc.start()
     try:
         check_tuple_classes(fixture.model, fixture.region, plan)
