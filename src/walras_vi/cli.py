@@ -65,8 +65,7 @@ def parse_region(spec: dict) -> ConvexRegion:
         if kind == "simplex":
             return Simplex(_integer(spec["n"]))
         if kind == "box":
-            upper = [np.inf if u is None else float(u) for u in spec["upper"]]
-            return Box(spec["lower"], upper)
+            return Box(spec["lower"], spec["upper"])
         if kind == "polyhedron":
             return Polyhedron(spec["A"], spec["b"], lower=spec.get("lower"),
                               upper=spec.get("upper"))

@@ -202,8 +202,6 @@ def mortgage_region(terms: MortgageTerms, lower, upper, n: int = 2,
     upper = np.asarray(upper, dtype=float)
     if lower.shape != (n,) or upper.shape != (n,):
         raise ValueError("bound arrays must have one entry per commodity")
-    if not np.all(np.isfinite(upper)):
-        raise ValueError("mortgage region requires bounded bounds")
     r0 = terms.rate if reference_rate is None else float(reference_rate)
     ref = MortgageTerms(terms.principal, terms.periods, r0, terms.down_payment)
     value_at_ref = terms.down_payment + terms.periods * mortgage_payment(ref)

@@ -1,10 +1,10 @@
 """Convex feasible regions and Euclidean projections onto them.
 
 Three region kinds are supported: the unit price simplex, per-commodity
-price boxes (with optional unbounded upper edges), and polyhedra given by
-half-space systems A x <= b.  Every region is immutable after construction
-and every operation is a pure function, so fixtures share regions
-freely.
+price boxes, and polyhedra given by half-space systems A x <= b.  Every
+region is nonempty and bounded when built (construction raises
+otherwise), immutable after construction, and every operation is a pure
+function, so fixtures share regions freely.
 
 Projections are exact for the simplex (sort-and-threshold) and the box
 (componentwise clamp); a polyhedral projection is one nonnegative
@@ -175,11 +175,11 @@ class ConvexRegion(ABC):
 
     @abstractmethod
     def bounding_box(self) -> tuple[FloatArray, FloatArray]:
-        """Per-axis (lower, upper) bounds; entries may be +inf."""
+        """Per-axis (lower, upper) bounds."""
 
     @abstractmethod
     def vertices(self) -> FloatArray:
-        """Extreme points, shape (k, dim). Requires a bounded region."""
+        """Extreme points, shape (k, dim)."""
 
     @property
     def is_bounded(self) -> bool:
@@ -189,8 +189,7 @@ class ConvexRegion(ABC):
     def feasible_point(self) -> FloatArray:
         """A canonical interior-ish point of the region."""
         lo, hi = self.bounding_box()
-        mid = np.where(np.isfinite(hi), 0.5 * (lo + hi), lo + 1.0)
-        return self.project(mid)
+        return self.project(0.5 * (lo + hi))
 
     def project_many(self, points) -> FloatArray:
         """Row-wise projection of an (m, dim) array."""
@@ -207,8 +206,6 @@ class ConvexRegion(ABC):
             raise ValueError("grid spacing must be positive")
         if self.dim > 3:
             raise ValueError("grid enumeration is desk-scale only (dim <= 3)")
-        if not self.is_bounded:
-            raise ValueError("grid enumeration requires a bounded region")
         lo, hi = self.bounding_box()
         axes = [_axis_mesh(lo[j], hi[j], spacing) for j in range(self.dim)]
         mesh = np.stack(
@@ -226,8 +223,6 @@ class ConvexRegion(ABC):
         """
         if count < 1:
             raise ValueError("sample count must be positive")
-        if not self.is_bounded:
-            raise ValueError("sampling requires a bounded region")
         lo, hi = self.bounding_box()
         return self.project_many(lo + _halton(count, self.dim) * (hi - lo))
 
@@ -326,7 +321,7 @@ class Simplex(ConvexRegion):
 
 @dataclass(frozen=True, eq=False)
 class Box(ConvexRegion):
-    """Per-commodity price bounds 0 <= a_j <= x_j <= b_j (b_j may be +inf)."""
+    """Per-commodity price bounds 0 <= a_j <= x_j <= b_j, all finite."""
 
     lower: FloatArray
     upper: FloatArray
@@ -343,8 +338,8 @@ class Box(ConvexRegion):
             raise ValueError("lower bounds must be finite")
         if np.any(lo < 0):
             raise ValueError("lower price bounds must be nonnegative")
-        if np.any(np.isnan(hi)) or np.any(hi < lo):
-            raise ValueError("upper bounds must satisfy b_j >= a_j")
+        if not np.all(np.isfinite(hi)) or np.any(hi < lo):
+            raise ValueError("upper bounds must be finite and satisfy b_j >= a_j")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -371,8 +366,6 @@ class Box(ConvexRegion):
         return self.lower.copy(), self.upper.copy()
 
     def vertices(self) -> FloatArray:
-        if not self.is_bounded:
-            raise ValueError("an unbounded box has no vertex enumeration")
         if self.dim > 16:
             raise ValueError("vertex enumeration limited to dim <= 16")
         corners = itertools.product(*zip(self.lower, self.upper))
@@ -380,13 +373,11 @@ class Box(ConvexRegion):
 
 
 class Polyhedron(ConvexRegion):
-    """Half-space intersection {x : A x <= b}, certified nonempty.
+    """Half-space intersection {x : A x <= b}, certified nonempty and bounded.
 
-    Construction solves the 2n bounding-box LPs; any optimum among them is
-    a feasible anchor point.  If none has one, a zero-objective LP, which
-    cannot be unbounded, either certifies the set empty (construction
-    raises) or supplies the anchor.
-    Optional per-axis lower/upper bounds are folded in as extra rows.
+    Construction solves the 2n bounding-box LPs and raises unless every
+    one has an optimum; the first optimum is a feasible anchor point.
+    Optional finite per-axis lower/upper bounds are folded in as extra rows.
     """
 
     kind = "polyhedron"
@@ -401,19 +392,16 @@ class Polyhedron(ConvexRegion):
         n = A.shape[1]
         rows = [A]
         rhs = [b]
-        if lower is not None:
-            lo = np.asarray(lower, dtype=float)
-            if lo.shape != (n,):
-                raise ValueError("lower bounds must have one entry per axis")
-            rows.append(-np.eye(n))
-            rhs.append(-lo)
-        if upper is not None:
-            hi = np.asarray(upper, dtype=float)
-            if hi.shape != (n,):
-                raise ValueError("upper bounds must have one entry per axis")
-            finite = np.isfinite(hi)
-            rows.append(np.eye(n)[finite])
-            rhs.append(hi[finite])
+        for name, bound, sign in (("lower", lower, -1.0), ("upper", upper, 1.0)):
+            if bound is None:
+                continue
+            v = np.asarray(bound, dtype=float)
+            if v.shape != (n,):
+                raise ValueError(f"{name} bounds must have one entry per axis")
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} bounds must be finite")
+            rows.append(sign * np.eye(n))
+            rhs.append(sign * v)
         self.A = np.vstack(rows)
         self.b = np.concatenate(rhs)
         norms = np.linalg.norm(self.A, axis=1)
@@ -423,26 +411,14 @@ class Polyhedron(ConvexRegion):
         self._unit_b = self.b / norms
         self._dim = n
         box = np.empty(2 * n)
-        self._anchor = None
         for k, c in enumerate(np.vstack((np.eye(n), -np.eye(n)))):
             res = self._lp(c)
-            if res.status == 0:
-                box[k] = res.x[k % n]
-                if self._anchor is None:
-                    self._anchor = res.x
-            elif res.status in (2, 3) or self._recedes(c):
-                # Status 2 ("infeasible") also covers HiGHS presolve
-                # misreporting an LP that is unbounded in its direction.
-                box[k] = -math.inf if k < n else math.inf
-            else:
-                raise ValueError(f"bounding-box LP failed: {res.message}")
-        if self._anchor is None:  # empty, or unbounded in every direction
-            res = self._lp(np.zeros(n))  # cannot be unbounded
-            if res.status == 2:
-                raise ValueError("polyhedron is empty (feasibility LP infeasible)")
-            if not res.success:
-                raise ValueError(f"feasibility LP failed: {res.message}")
-            self._anchor = res.x
+            if res.status != 0:
+                raise ValueError(
+                    f"polyhedron must be nonempty and bounded ({res.message})")
+            box[k] = res.x[k % n]
+            if k == 0:
+                self._anchor = res.x
         self._lower, self._upper = box[:n], box[n:]
         self._feasible = self.project(np.zeros(n))
 
@@ -508,26 +484,18 @@ class Polyhedron(ConvexRegion):
         return linprog(c, A_ub=self.A, b_ub=self.b,
                        bounds=[(None, None)] * self.dim, method="highs")
 
-    def _recedes(self, c: FloatArray) -> bool:
-        """Whether min c.x is unbounded: some d with A d <= 0 has c.d < 0.
-
-        Asked only when HiGHS cannot classify the LP itself; this LP is
-        feasible (d = 0) and bounded, so HiGHS solves it.
-        """
-        res = linprog(c, A_ub=self.A, b_ub=np.zeros(self.b.size),
-                      bounds=[(-1.0, 1.0)] * self.dim, method="highs")
-        return bool(res.status == 0 and res.fun < -TAU_FEAS)
-
     def vertices(self) -> FloatArray:
-        """Basic feasible points from all n-subsets of active constraints."""
+        """Basic feasible points from all n-subsets of active constraints.
+
+        A subset is a basis when its unit rows have |det| >= 1e-12, so the
+        test does not depend on how the rows are scaled; each vertex is
+        solved from the rows as given.
+        """
         if self.dim > 3:
             raise ValueError("vertex enumeration is desk-scale only (dim <= 3)")
-        if not self.is_bounded:
-            raise ValueError("vertex enumeration requires a bounded region")
         rows = np.array(list(itertools.combinations(range(self.A.shape[0]), self.dim)))
-        subs = self.A[rows]
-        basic = np.abs(np.linalg.det(subs)) >= 1e-12
-        pts = np.linalg.solve(subs[basic], self.b[rows[basic]][..., None])[..., 0]
+        rows = rows[np.abs(np.linalg.det(self._unit_A[rows])) >= 1e-12]
+        pts = np.linalg.solve(self.A[rows], self.b[rows][..., None])[..., 0]
         pts = pts[self.contains_many(pts, tol=1e-9)]
         if pts.shape[0] == 0:
             raise ValueError("no vertices found (degenerate polyhedron)")

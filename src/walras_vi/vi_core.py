@@ -71,11 +71,6 @@ class VIProblem:
                 f"model dimension {self.model.dim} does not match region "
                 f"dimension {self.region.dim}"
             )
-        if not self.region.is_bounded:
-            raise ValueError(
-                "solving requires a bounded region (standing compactness "
-                "assumption)"
-            )
 
     @property
     def dim(self) -> int:

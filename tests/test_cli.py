@@ -122,12 +122,21 @@ def test_solve_dimension_mismatch(runner, tmp_path):
     assert result.exit_code == 1
 
 
-def test_solve_unbounded_region_rejected(runner, tmp_path):
-    bad = dict(LINEAR_PROBLEM, region={"kind": "box", "lower": [0.0, 0.0],
-                                       "upper": [1.0, None]})
-    path = write(tmp_path, "problem.json", bad)
+@pytest.mark.parametrize("region", [
+    pytest.param({"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, None]},
+                 id="box-null"),
+    pytest.param({"kind": "polyhedron", "A": [[1, 1]], "b": [5],
+                  "lower": [0, 0], "upper": [None, 1]}, id="polyhedron-null-upper"),
+    pytest.param({"kind": "polyhedron", "A": [[1, 1]], "b": [5],
+                  "lower": [None, 0], "upper": [1, 1]}, id="polyhedron-null-lower"),
+    pytest.param({"kind": "polyhedron", "A": [[1, 1]], "b": [5]},
+                 id="halfplane"),
+])
+def test_solve_unbounded_region_rejected(runner, tmp_path, region):
+    path = write(tmp_path, "problem.json", dict(LINEAR_PROBLEM, region=region))
     result = runner.invoke(main, ["solve", path])
-    assert result.exit_code == 1
+    _assert_one_error_line(result)
+    assert result.stdout == ""
 
 
 def test_problem_file_rejects_nonpositive_tolerances(runner, tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -114,17 +116,6 @@ def test_box_componentwise_clamp():
     assert_allclose(k2.project([0.5, 2.3]), [0.5, 2.0])
 
 
-def test_box_unbounded_edges():
-    k = Box([0.0, 1.0], [np.inf, 2.0])
-    assert not k.is_bounded
-    assert_allclose(k.project([9.0, 0.0]), [9.0, 1.0])
-    assert k.contains([100.0, 1.5])
-    with pytest.raises(ValueError):
-        k.vertices()
-    with pytest.raises(ValueError):
-        k.grid(0.1)
-
-
 def test_box_validation():
     with pytest.raises(ValueError):
         Box([-1.0], [1.0])          # negative price floor
@@ -170,7 +161,7 @@ def test_polyhedron_unit_square_corner():
 
 
 def test_polyhedron_halfplane_projection():
-    halfplane = Polyhedron([[1.0, 1.0]], [1.0])
+    halfplane = Polyhedron([[1.0, 1.0]], [1.0], lower=[0, 0], upper=[1, 1])
     assert_allclose(halfplane.project([1.0, 1.0]), [0.5, 0.5], atol=1e-10)
 
 
@@ -187,19 +178,37 @@ def test_polyhedron_bounding_box_and_vertices():
     assert_allclose(verts, [[0, 0], [0, 1], [1, 0], [1, 1]], atol=1e-9)
 
 
-def test_polyhedron_unbounded_direction():
-    halfplane = Polyhedron([[1.0, 1.0]], [1.0])
-    assert not halfplane.is_bounded
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: Box([0.0, 1.0], [np.inf, 2.0]), id="box-inf"),
+    pytest.param(lambda: Box([0.0, 1.0], [np.nan, 2.0]), id="box-nan"),
+    pytest.param(lambda: Polyhedron([[1.0, 1.0]], [1.0]), id="halfplane"),
+    pytest.param(lambda: Polyhedron([[1.0, 1.0]], [5.0], lower=[0.0, 0.0],
+                                    upper=[np.nan, 1.0]), id="poly-nan-upper"),
+    pytest.param(lambda: Polyhedron([[1.0, 1.0]], [5.0], lower=[np.nan, 0.0],
+                                    upper=[1.0, 1.0]), id="poly-nan-lower"),
+    pytest.param(lambda: Polyhedron([[1.0, 1.0]], [5.0], lower=[0.0, 0.0],
+                                    upper=[np.inf, 1.0]), id="poly-inf-upper"),
     # HiGHS presolve calls the LP min x_2 over this cone infeasible
-    cone = Polyhedron([[0, 0, -1], [0, 1, 0.5], [1, 0, -1], [1, -1, -1],
-                       [-1, 0, -1]], [0, 0, 0, 0, 1])
-    lo, hi = cone.bounding_box()
-    assert_allclose(lo, [-np.inf, -np.inf, 0.0])
-    assert_allclose(hi, [np.inf, 0.0, np.inf])
+    pytest.param(lambda: Polyhedron([[0, 0, -1], [0, 1, 0.5], [1, 0, -1],
+                                     [1, -1, -1], [-1, 0, -1]], [0, 0, 0, 0, 1]),
+                 id="cone"),
     # and cannot classify max x_1 here, unbounded along (1, 3, 4) / 4
-    ray = Polyhedron(np.array([[0, 1, -3], [1, -3, 2], [0, -2, 1], [0, 4, -3],
-                               [1, 0, -2]]) / 8, [0, 0, 0, 1, 0])
-    assert ray.bounding_box()[1][0] == np.inf
+    pytest.param(lambda: Polyhedron(np.array([[0, 1, -3], [1, -3, 2], [0, -2, 1],
+                                              [0, 4, -3], [1, 0, -2]]) / 8,
+                                    [0, 0, 0, 1, 0]), id="ray"),
+])
+def test_unbounded_regions_rejected(build):
+    with pytest.raises(ValueError, match="finite|bounded"):
+        build()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-5, 1e3])
+def test_polyhedron_vertices_do_not_depend_on_row_scale(scale):
+    # at 1e-5 the raw rows have det 1e-15, but the unit rows have det 1
+    cube = Polyhedron(scale * np.vstack([np.eye(3), -np.eye(3)]),
+                      scale * np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
+    corners = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
+    assert np.array_equal(cube.vertices(), corners)
 
 
 @settings(max_examples=40, deadline=None)
@@ -252,7 +261,11 @@ def polyhedron_cases(draw):
     """A nonempty polyhedron around a random center, and a point to project.
 
     Rows are random normals through or beyond the center; an opposite row
-    pair makes the set flat, and zero-width bounds pin a coordinate.  Row
+    pair makes the set flat.  Bounds are either drawn, with a zero width
+    that pins a coordinate, or a box of half-width 20 * scale around the
+    center, which keeps the set bounded and is never active: the point
+    lies within 5 sqrt(3) scale of the center, so its projection lies
+    within twice that.  Row
     entries are multiples of 1/8, so distinct normals are never nearly
     parallel: at an angle of 1e-8 the multipliers reach 1e8 and the NNLS
     result loses the accuracy the KKT check asks for.
@@ -270,11 +283,11 @@ def polyhedron_cases(draw):
     if draw(st.booleans()):  # flat: a.z <= a.c and -a.z <= -a.c
         A = np.vstack([A, A[0], -A[0]])
         b = np.concatenate([b, [A[0] @ center, -A[0] @ center]])
-    lower = upper = None
+    width = np.full(n, 20.0 * scale)
     if draw(st.booleans()):
         width = scale * np.array(draw(coords(n, 0.0, 1.0)))
         width[draw(st.integers(0, n - 1))] = 0.0  # lower == upper
-        lower, upper = center - width, center + width
+    lower, upper = center - width, center + width
     x = center + scale * np.array(draw(coords(n, -5.0, 5.0)))
     return Polyhedron(A, b, lower=lower, upper=upper), x, scale
 
@@ -395,11 +408,13 @@ def _contains_by_definition(region, p, tol):
 
 MEMBERSHIP_REGIONS = [
     Simplex(1), Simplex(2), Simplex(3),
-    Box([0.0, 0.5], [1.0, np.inf]), Box([0.25], [0.25]),
-    Box([0.0, 1.0, 0.0], [np.inf, 2.0, np.inf]),
+    Box([0.0, 0.5], [1.0, 2.5]), Box([0.25], [0.25]),
+    Box([0.0, 1.0, 0.0], [2.0, 2.0, 2.0]),
     UNIT_SQUARE_POLY,
     Polyhedron([[1.0, 1.0, 1.0]], [2.0], np.zeros(3), np.ones(3)),
-    Polyhedron([[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0]),
+    # flat: the segment from (1, 0) to (0, 1); the upper rows are redundant
+    # but give it an id distinct from the unit square's
+    Polyhedron([[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0], np.zeros(2), np.ones(2)),
 ]
 
 
@@ -407,12 +422,9 @@ MEMBERSHIP_REGIONS = [
 @settings(max_examples=50, deadline=None)
 @given(data=st.data(), tol=st.sampled_from([1e-9, TAU_FEAS, 1e-3]))
 def test_contains_many_matches_rowwise_contains(region, data, tol):
-    # rows built from bounding-box values (unbounded edges read as lower
-    # + 2) moved by at most two tolerances, so many sit within +-tol of
-    # a constraint
+    # rows built from bounding-box values moved by at most two
+    # tolerances, so many sit within +-tol of a constraint
     lo, hi = region.bounding_box()
-    lo = np.where(np.isfinite(lo), lo, -2.0)
-    hi = np.where(np.isfinite(hi), hi, lo + 2.0)
     levels = np.stack([lo, hi, 0.5 * (lo + hi), lo - 1.0, hi + 1.0])
     cell = st.tuples(st.integers(0, 4), st.sampled_from([-2.0, -0.5, 0.0, 0.5, 2.0]))
     rows = data.draw(st.lists(st.lists(cell, min_size=region.dim,
