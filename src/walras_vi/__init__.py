@@ -6,7 +6,6 @@ from .economy import (
     MortgageTerms,
     affine_rate_cap_region,
     default_catalog,
-    is_positive,
     linear_economy,
     mortgage_payment,
     mortgage_region,
@@ -30,6 +29,7 @@ from .monotonicity import (
     SamplePlan,
     build_plan,
     check_class,
+    is_positive,
     replay_witness,
 )
 from .regions import (

@@ -303,12 +303,10 @@ def solve(ctx, problem_file, out, trace_path):
     """Run the extragradient solver on a problem file."""
     with _command(ctx) as files:
         spec = load_problem(problem_file)
-        config = spec.config
         out_fh = _open_output(files, out, "output file")
         trace_fh = _open_output(files, trace_path, "trace file", newline="")
         result = solve_extragradient(spec.problem, start=spec.start,
-                                     step=config.step, budget=config.budget,
-                                     tol=config.tol_solve)
+                                     config=spec.config)
         _emit_json(result.to_dict(), out_fh)
         if trace_fh:
             _write_trace_csv(trace_fh, result.trace)
@@ -328,11 +326,9 @@ def check(ctx, problem_file, class_name, out):
             raise ProblemFileError(
                 f"unknown class {class_name!r}; expected one of {CLASS_NAMES}")
         spec = load_problem(problem_file)
-        config = spec.config
         out_fh = _open_output(files, out, "output file")
-        plan = build_plan(spec.problem.region, config)
-        report = check_class(class_name, spec.problem.model,
-                             spec.problem.region, plan)
+        plan = build_plan(spec.problem.region, spec.config)
+        report = check_class(class_name, spec.problem.model, plan)
         _emit_json(report.to_dict(), out_fh)
     ctx.exit(EXIT_REFUTED if report.refuted else EXIT_OK)
 

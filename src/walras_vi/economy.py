@@ -25,7 +25,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constants import EPS_STRICT
 from .regions import Box, ConvexRegion, FloatArray, Polyhedron, Simplex
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "mortgage_payment_slope",
     "affine_rate_cap_region",
     "mortgage_region",
-    "is_positive",
     "Fixture",
     "default_catalog",
     "scalar_catalog",
@@ -209,17 +207,6 @@ def mortgage_region(terms: MortgageTerms, lower, upper, n: int = 2,
     beta0 = value_at_ref - slope * r0
     # p_2 >= beta0 + slope * p_1  <=>  p_1 <= (p_2 - beta0) / slope
     return affine_rate_cap_region(-beta0 / slope, 1.0 / slope, lower, upper)
-
-
-def is_positive(model: ExcessDemandModel, region: ConvexRegion, samples,
-                eps_strict: float = EPS_STRICT) -> bool:
-    """True iff every component of E is > eps_strict at every sample."""
-    pts = np.atleast_2d(np.asarray(samples, dtype=float))
-    if pts.shape[0] == 0:
-        raise ValueError("empty sample set")
-    if not region.contains_many(pts, tol=1e-8).all():
-        raise ValueError("positivity samples must lie in the region")
-    return bool(np.all(model(pts) > eps_strict))
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,13 +36,14 @@ from typing import Optional
 import numpy as np
 
 from .constants import HarnessConfig
-from .economy import Fixture, default_catalog, is_positive
+from .economy import Fixture, default_catalog
 from .monotonicity import (
     MonotonicityReport,
     SamplePlan,
     build_plan,
     check_class,
     check_tuple_classes,
+    is_positive,
 )
 from .vi_core import (
     CONVERGED,
@@ -124,15 +125,13 @@ def gather_evidence(fixture: Fixture, config: HarnessConfig = HarnessConfig(),
     if plans is not None:
         plan = plans.setdefault((plan.base_points.shape,
                                  plan.base_points.tobytes()), plan)
-    reports = {name: check_class(name, fixture.model, fixture.region, plan)
+    reports = {name: check_class(name, fixture.model, plan)
                for name in ("pseudo", "strict_pseudo")}
-    reports.update(check_tuple_classes(fixture.model, fixture.region, plan))
+    reports.update(check_tuple_classes(fixture.model, plan))
     problem = VIProblem(fixture.model, fixture.region)
     estimate = enumerate_solutions(problem, config.grid_spacing, fixture.lipschitz)
-    solve = solve_extragradient(problem, step=config.step, budget=config.budget,
-                                tol=config.tol_solve)
-    positive = is_positive(fixture.model, fixture.region, plan.base_points,
-                           eps_strict=config.eps_strict)
+    solve = solve_extragradient(problem, config=config)
+    positive = is_positive(fixture.model, plan)
     link = 2.0 * estimate.grid_spacing
     return FixtureEvidence(fixture, plan, reports, estimate, solve, positive,
                            cluster_members(estimate.stampacchia_members, link),

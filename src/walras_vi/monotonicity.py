@@ -20,21 +20,14 @@ each class reports its own first violation, so reports are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
-from .constants import (
-    DEFAULT_M_MAX,
-    DEFAULT_WEIGHT_RESOLUTION,
-    DISTINCT_DIST,
-    EPS_STRICT,
-    TAU_FEAS,
-    HarnessConfig,
-)
+from .constants import DISTINCT_DIST, TAU_FEAS, HarnessConfig
 from .economy import ExcessDemandModel
 from .regions import ConvexRegion, FloatArray, first_distinct
 
@@ -47,6 +40,7 @@ __all__ = [
     "check_tuple_classes",
     "check_class",
     "replay_witness",
+    "is_positive",
 ]
 
 CLASS_NAMES = (
@@ -68,34 +62,31 @@ _SCAN_PAIRS = 1 << 16           # pairings per scan buffer, which stays in cache
 
 @dataclass(frozen=True, eq=False)
 class SamplePlan:
-    """Deterministic discretization of the checkers' quantifiers."""
+    """Deterministic discretization of the checkers' quantifiers over a region.
 
+    Construction checks that there is at least one base point, that the
+    points have the region's dimension and that they lie in it at TAU_FEAS;
+    the region itself is not kept.  ``config`` supplies the tuple size,
+    weight grid and eps_strict every check on the plan reads.
+    """
+
+    region: InitVar[ConvexRegion]
     base_points: FloatArray
-    tuple_size_max: int = DEFAULT_M_MAX
-    weight_grid_resolution: int = DEFAULT_WEIGHT_RESOLUTION
-    eps_strict: float = EPS_STRICT
+    config: HarnessConfig = HarnessConfig()
 
-    def __post_init__(self):
+    def __post_init__(self, region: ConvexRegion):
         pts = np.atleast_2d(np.asarray(self.base_points, dtype=float))
         if pts.shape[0] < 1:
             raise ValueError("plan needs at least one base point")
-        if self.tuple_size_max < 2:
-            raise ValueError("tuple_size_max must be >= 2")
-        if self.weight_grid_resolution < 3:
-            raise ValueError("weight grid needs at least 3 steps per axis")
-        if not self.eps_strict > 0:
-            raise ValueError("eps_strict must be positive")
+        if pts.shape[1] != region.dim:
+            raise ValueError("plan dimension does not match the region")
+        if not region.contains_many(pts, tol=TAU_FEAS).all():
+            raise ValueError("plan base points must lie in the region")
         object.__setattr__(self, "base_points", pts)
 
     @property
     def size(self) -> int:
         return self.base_points.shape[0]
-
-    def validate_for(self, region: ConvexRegion) -> None:
-        if self.base_points.shape[1] != region.dim:
-            raise ValueError("plan dimension does not match the region")
-        if not region.contains_many(self.base_points, tol=TAU_FEAS).all():
-            raise ValueError("plan base points must lie in the region")
 
     @cached_property
     def strict_exclusions(self) -> dict:
@@ -107,7 +98,7 @@ class SamplePlan:
 def build_plan(region: ConvexRegion,
                config: HarnessConfig = HarnessConfig()) -> SamplePlan:
     """Region vertices plus ``config.num_points`` projected Halton points,
-    deduplicated, with the config's tuple size, weight grid and eps_strict."""
+    deduplicated, in a plan that carries ``config``."""
     chunks = []
     try:
         chunks.append(region.vertices())
@@ -119,11 +110,14 @@ def build_plan(region: ConvexRegion,
         raise ValueError("sample plan is empty: the region's vertices cannot be "
                          "enumerated, so plan.points must be at least 1")
     stacked = np.vstack(chunks)
-    plan = SamplePlan(stacked[first_distinct(stacked, DISTINCT_DIST)],
-                      config.tuple_size_max, config.weight_grid_resolution,
-                      config.eps_strict)
-    plan.validate_for(region)
-    return plan
+    return SamplePlan(region, stacked[first_distinct(stacked, DISTINCT_DIST)],
+                      config)
+
+
+def is_positive(model: ExcessDemandModel, plan: SamplePlan) -> bool:
+    """True iff every component of E is > ``plan.config.eps_strict`` at every
+    plan point; the plan guarantees the points are nonempty and in the region."""
+    return bool(np.all(model(plan.base_points) > plan.config.eps_strict))
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,16 +182,14 @@ def _pairings(model: ExcessDemandModel, plan: SamplePlan):
     return P, Ev, G, g
 
 
-def _pair_scan(name: str, model: ExcessDemandModel, region: ConvexRegion,
-               plan: SamplePlan, tau_feas: float, bound: float,
-               strict: bool) -> MonotonicityReport:
+def _pair_scan(name: str, model: ExcessDemandModel, plan: SamplePlan,
+               tau_feas: float, bound: float, strict: bool) -> MonotonicityReport:
     """Scan ordered sample pairs: E(x).(y-x) >= -tau_feas => E(y).(y-x) vs ``bound``.
 
     The conclusion fails below ``bound``, or also at it when ``strict``;
     strict scans skip every pair closer than the distinctness tolerance,
     the others only the diagonal.
     """
-    plan.validate_for(region)
     P, Ev, G, g = _pairings(model, plan)
     premise = G - g[:, None]          # premise[i, j] = E(p_i).(p_j - p_i)
     conclusion = g[None, :] - G.T     # conclusion[i, j] = E(p_j).(p_j - p_i)
@@ -322,9 +314,9 @@ def _combination_hit(P, G, g, combo, w, W, inner, threshold):
 def _tuple_sizes(plan: SamplePlan):
     """(m, tuples, weight grid, interior rows mask) for m = 1 .. tuple_size_max."""
     combos = np.arange(plan.size)[:, None]
-    for m in range(1, plan.tuple_size_max + 1):
+    for m in range(1, plan.config.tuple_size_max + 1):
         combos = _extend_combinations(combos, plan.size) if m > 1 else combos
-        W = _weight_grid(m, plan.weight_grid_resolution)
+        W = _weight_grid(m, plan.config.weight_grid_resolution)
         yield m, combos, W, (W > 0).all(axis=1)
 
 
@@ -332,7 +324,7 @@ def _strict_exclusions(plan: SamplePlan) -> dict:
     """(tuple, interior weight) pairs whose c = Σ_k w_k p_k (``_combine``)
     fails ||c - p_j|| > DISTINCT_DIST (squares summed in coordinate order)
     at a member j that ``_certified`` leaves."""
-    P, steps, out = plan.base_points, plan.weight_grid_resolution - 1, {}
+    P, steps, out = plan.base_points, plan.config.weight_grid_resolution - 1, {}
     for m, all_combos, W, interior in _tuple_sizes(plan):
         Wi, found = W[interior], [np.empty(0, dtype=np.intp)]
         step = max(1, _SCAN_PAIRS // max(1, len(Wi)))
@@ -367,8 +359,7 @@ def _fold(G, g, combos, Wt, bufs, ufuncs):
     return folds
 
 
-def check_tuple_classes(model: ExcessDemandModel, region: ConvexRegion,
-                        plan: SamplePlan,
+def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan,
                         tau_feas: float = TAU_FEAS) -> dict:
     """Reports of the three combination classes from one scan, by class name.
 
@@ -384,9 +375,8 @@ def check_tuple_classes(model: ExcessDemandModel, region: ConvexRegion,
     Pairings are summed in k order; the strict class skips the
     pairs in ``SamplePlan.strict_exclusions``, computed once per plan.
     """
-    plan.validate_for(region)
     P, Ev, G, g = _pairings(model, plan)
-    eps = plan.eps_strict
+    eps = plan.config.eps_strict
     excluded = plan.strict_exclusions
     samples = dict.fromkeys(_TUPLE_CLASSES, 0)
     best = dict.fromkeys(_TUPLE_CLASSES, float("inf"))
@@ -452,8 +442,8 @@ def check_tuple_classes(model: ExcessDemandModel, region: ConvexRegion,
             for name in _TUPLE_CLASSES}
 
 
-def check_class(name: str, model: ExcessDemandModel, region: ConvexRegion,
-                plan: SamplePlan, tau_feas: float = TAU_FEAS) -> MonotonicityReport:
+def check_class(name: str, model: ExcessDemandModel, plan: SamplePlan,
+                tau_feas: float = TAU_FEAS) -> MonotonicityReport:
     """Check one monotonicity class by name.
 
     pseudo: E(x).(y-x) >= 0 => E(y).(y-x) >= 0 on ordered sample pairs;
@@ -461,28 +451,28 @@ def check_class(name: str, model: ExcessDemandModel, region: ConvexRegion,
     three combination classes read their report from ``check_tuple_classes``.
     """
     if name == "pseudo":
-        return _pair_scan(name, model, region, plan, tau_feas, -tau_feas,
-                          strict=False)
+        return _pair_scan(name, model, plan, tau_feas, -tau_feas, strict=False)
     if name == "strict_pseudo":
-        return _pair_scan(name, model, region, plan, tau_feas, plan.eps_strict,
+        return _pair_scan(name, model, plan, tau_feas, plan.config.eps_strict,
                           strict=True)
     if name not in _TUPLE_CLASSES:
         raise ValueError(
             f"unknown monotonicity class {name!r}; expected one of {CLASS_NAMES}")
-    return check_tuple_classes(model, region, plan, tau_feas)[name]
+    return check_tuple_classes(model, plan, tau_feas)[name]
 
 
 def replay_witness(model: ExcessDemandModel, report: MonotonicityReport,
-                   tau_feas: float = TAU_FEAS,
-                   eps_strict: float = EPS_STRICT) -> float:
+                   plan: SamplePlan, tau_feas: float = TAU_FEAS) -> float:
     """Re-evaluate a refutation witness from scratch.
 
-    Returns the recomputed violation margin; a genuine witness reproduces
-    at least the recorded margin (up to floating-point noise).
+    ``plan`` is the plan the report was checked on; the strict classes
+    replay at its ``config.eps_strict``.  Returns the recomputed violation
+    margin; a genuine witness reproduces at least the recorded margin (up
+    to floating-point noise).
     """
     if report.witness is None:
         raise ValueError("report carries no witness")
-    w = report.witness
+    w, eps_strict = report.witness, plan.config.eps_strict
     cls = report.class_checked
     if cls in ("pseudo", "strict_pseudo"):
         x, y = w.points

@@ -433,9 +433,11 @@ class Polyhedron(ConvexRegion):
         return bool(self.contains_many(as_price_vector(x, self.dim), tol)[0])
 
     def contains_many(self, points, tol: float = TAU_FEAS) -> NDArray[np.bool_]:
+        """Slack on the unit rows up to tol * max(1, |b_u|), so scaling a
+        row does not change membership."""
         p = _price_rows(points, self.dim)
-        slack = p @ self.A.T - self.b
-        return np.all(slack <= tol * np.maximum(1.0, np.abs(self.b)), axis=1)
+        slack = p @ self._unit_A.T - self._unit_b
+        return np.all(slack <= tol * np.maximum(1.0, np.abs(self._unit_b)), axis=1)
 
     def project(self, x) -> FloatArray:
         """Exact projection by one least-distance NNLS, KKT-verified.

@@ -33,7 +33,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull
 
-from .constants import DEFAULT_BUDGET, DEFAULT_STEP, TAU_SOLVE
+from .constants import HarnessConfig
 from .economy import ExcessDemandModel
 from .regions import ConvexRegion, FloatArray, as_price_vector
 
@@ -117,21 +117,16 @@ class VISolveResult:
 
 
 def solve_extragradient(problem: VIProblem, start=None,
-                        step: float = DEFAULT_STEP,
-                        budget: int = DEFAULT_BUDGET,
-                        tol: float = TAU_SOLVE) -> VISolveResult:
-    """Two-projection extragradient iteration.
+                        config: HarnessConfig = HarnessConfig()) -> VISolveResult:
+    """Two-projection extragradient iteration, with ``config``'s step,
+    budget and tol_solve.
 
     Each step takes y = Pi(x - step E(x)) then x = Pi(x - step E(y)).
-    Stops when the natural-map residual drops to ``tol`` or the budget is
-    spent; budget exhaustion is a status, not an error, and the best
-    iterate is still returned.  Residuals per iteration are recorded in
-    the trace (index 0 is the starting residual).
+    Stops when the natural-map residual drops to ``tol_solve`` or the
+    budget is spent; budget exhaustion is a status, not an error, and the
+    best iterate is still returned.  Residuals per iteration are recorded
+    in the trace (index 0 is the starting residual).
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
     region, model = problem.region, problem.model
     if start is None:
         x = region.feasible_point()
@@ -139,9 +134,10 @@ def solve_extragradient(problem: VIProblem, start=None,
         x = as_price_vector(start, problem.dim)
         if not region.contains(x, tol=1e-8):
             raise ValueError("start point must lie in the region")
+    step, tol = config.step, config.tol_solve
     trace = [residual(problem, x)]
     iterations = 0
-    while trace[-1] > tol and iterations < budget:
+    while trace[-1] > tol and iterations < config.budget:
         y = region.project(x - step * model(x))
         x = region.project(x - step * model(y))
         trace.append(residual(problem, x))

@@ -24,7 +24,7 @@ from walras_vi.constants import DISTINCT_DIST, TAU_FEAS
 from walras_vi.economy import ExcessDemandModel
 from walras_vi.monotonicity import (HOLDS, REFUTED, MonotonicityReport,
                                     SamplePlan, Witness)
-from walras_vi.regions import ConvexRegion, FloatArray
+from walras_vi.regions import FloatArray
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,7 @@ def _tuple_scan(model, plan, sizes, interior, tau_feas):
     P, Ev, G, g = _pairings(model, plan)
     n = plan.size
     for m in sizes:
-        W = _weight_grid(m, plan.weight_grid_resolution, interior)
+        W = _weight_grid(m, plan.config.weight_grid_resolution, interior)
         all_combos = list(itertools.combinations(range(n), m))
         for lo in range(0, len(all_combos), _TUPLE_CHUNK):
             combos = np.asarray(all_combos[lo:lo + _TUPLE_CHUNK], dtype=int)
@@ -174,8 +174,7 @@ def _tuple_scan(model, plan, sizes, interior, tau_feas):
             yield combos, W, combined, dots
 
 
-def check_properly_quasimonotone(model: ExcessDemandModel, region: ConvexRegion,
-                                 plan: SamplePlan,
+def check_properly_quasimonotone(model: ExcessDemandModel, plan: SamplePlan,
                                  tau_feas: float = TAU_FEAS) -> MonotonicityReport:
     """Every combination of every tuple needs one E(p_j).(p_j - p) >= 0.
 
@@ -183,13 +182,12 @@ def check_properly_quasimonotone(model: ExcessDemandModel, region: ConvexRegion,
     interior combination of one of its sub-tuples, and all tuple sizes up
     to the plan maximum are scanned.
     """
-    plan.validate_for(region)
     P = plan.base_points
     samples = 0
     best = float("inf")
     hit = None
     for combos, W, combined, dots in _tuple_scan(
-            model, plan, range(1, plan.tuple_size_max + 1), True, tau_feas):
+            model, plan, range(1, plan.config.tuple_size_max + 1), True, tau_feas):
         maxdots = dots.max(axis=1)                 # (T, W)
         samples += maxdots.size
         if hit is None:
@@ -208,20 +206,19 @@ def check_properly_quasimonotone(model: ExcessDemandModel, region: ConvexRegion,
 
 
 def check_properly_quasimonotone_dual(model: ExcessDemandModel,
-                                      region: ConvexRegion, plan: SamplePlan,
+                                      plan: SamplePlan,
                                       tau_feas: float = TAU_FEAS) -> MonotonicityReport:
     """Every tuple needs one combination with all pairings >= 0 at once.
 
     The existential ranges over the closed hull, so the weight grid here
     includes boundary weights (tuple members themselves are candidates).
     """
-    plan.validate_for(region)
     P = plan.base_points
     samples = 0
     best = float("inf")
     hit = None
     for combos, W, combined, dots in _tuple_scan(
-            model, plan, range(1, plan.tuple_size_max + 1), False, tau_feas):
+            model, plan, range(1, plan.config.tuple_size_max + 1), False, tau_feas):
         mindots = dots.min(axis=1)                 # (T, W)
         samples += mindots.size
         achieved = mindots.max(axis=1)             # best combination per tuple
@@ -251,21 +248,20 @@ def check_properly_quasimonotone_dual(model: ExcessDemandModel,
 
 
 def check_strict_properly_quasimonotone(model: ExcessDemandModel,
-                                        region: ConvexRegion, plan: SamplePlan,
+                                        plan: SamplePlan,
                                         tau_feas: float = TAU_FEAS) -> MonotonicityReport:
     """Strict variant: combinations distinct from all members need a > 0 pairing.
 
     Combinations closer than the distinctness tolerance to any tuple member
     are excluded, matching the definition's p != p_i side condition.
     """
-    plan.validate_for(region)
     P = plan.base_points
-    eps = plan.eps_strict
+    eps = plan.config.eps_strict
     samples = 0
     best = float("inf")
     hit = None
     for combos, W, combined, dots in _tuple_scan(
-            model, plan, range(2, plan.tuple_size_max + 1), True, tau_feas):
+            model, plan, range(2, plan.config.tuple_size_max + 1), True, tau_feas):
         member_pts = P[combos]                     # (T, m, n)
         gaps = np.linalg.norm(
             combined[:, :, None, :] - member_pts[:, None, :, :], axis=-1)
@@ -301,11 +297,9 @@ REFERENCE_TUPLE_CHECKERS = {
 # scan body, kept verbatim
 
 
-def check_pseudomonotone(model: ExcessDemandModel, region: ConvexRegion,
-                         plan: SamplePlan,
+def check_pseudomonotone(model: ExcessDemandModel, plan: SamplePlan,
                          tau_feas: float = TAU_FEAS) -> MonotonicityReport:
     """Scan ordered sample pairs for E(x).(y-x) >= 0 => E(y).(y-x) >= 0."""
-    plan.validate_for(region)
     P, Ev, G, g = _pairings(model, plan)
     n = plan.size
     premise = G - g[:, None]          # premise[i, j] = E(p_i).(p_j - p_i)
@@ -330,13 +324,11 @@ def check_pseudomonotone(model: ExcessDemandModel, region: ConvexRegion,
     return MonotonicityReport("pseudo", HOLDS, samples, margin)
 
 
-def check_strictly_pseudomonotone(model: ExcessDemandModel, region: ConvexRegion,
-                                  plan: SamplePlan,
+def check_strictly_pseudomonotone(model: ExcessDemandModel, plan: SamplePlan,
                                   tau_feas: float = TAU_FEAS) -> MonotonicityReport:
     """Same pair scan with the strict conclusion E(y).(y-x) > eps for y != x."""
-    plan.validate_for(region)
     P, Ev, G, g = _pairings(model, plan)
-    eps = plan.eps_strict
+    eps = plan.config.eps_strict
     n = plan.size
     premise = G - g[:, None]
     conclusion = g[None, :] - G.T
@@ -395,18 +387,17 @@ def _combination_hit(P, combos, hit, weights, combined, dots, threshold):
     return float(threshold - dots[t, :, w].max()), witness
 
 
-def fused_tuple_scan(model: ExcessDemandModel, region: ConvexRegion,
-                     plan: SamplePlan, tau_feas: float = TAU_FEAS) -> dict:
+def fused_tuple_scan(model: ExcessDemandModel, plan: SamplePlan,
+                     tau_feas: float = TAU_FEAS) -> dict:
     """Reports of the three combination classes from one scan, by class name."""
-    plan.validate_for(region)
     P, Ev, G, g = _pairings(model, plan)
-    eps = plan.eps_strict
+    eps = plan.config.eps_strict
     names = tuple(REFERENCE_TUPLE_CHECKERS)
     samples = dict.fromkeys(names, 0)
     best = dict.fromkeys(names, float("inf"))
     hits: dict = {}                          # class name -> (margin, witness)
-    for m in range(1, plan.tuple_size_max + 1):
-        W = _boundary_weight_grid(m, plan.weight_grid_resolution)
+    for m in range(1, plan.config.tuple_size_max + 1):
+        W = _boundary_weight_grid(m, plan.config.weight_grid_resolution)
         inner = np.flatnonzero((W > 0).all(axis=1))
         all_combos = np.array(list(itertools.combinations(range(plan.size), m)),
                               dtype=int).reshape(-1, m)

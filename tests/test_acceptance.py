@@ -166,8 +166,8 @@ def test_criterion_2_solver_against_oracle():
     oracle_runs = 0
     for n, kind, exterior in cases:
         problem, m, step = _monotone_case(rng, n, kind, exterior)
-        result = solve_extragradient(problem, step=step, budget=100_000,
-                                     tol=1e-8)
+        result = solve_extragradient(problem, config=HarnessConfig(
+            step=step, budget=100_000, tol_solve=1e-8))
         assert result.status == "converged", (n, kind, exterior)
         assert result.residual <= 1e-8
         if n <= 3:
@@ -197,9 +197,9 @@ def test_criterion_3_separation_fixture():
     assert est.minty_members.shape[0] == 0
 
     plan = build_plan(neg.region)
-    report = check_class("proper_quasi", neg.model, neg.region, plan)
+    report = check_class("proper_quasi", neg.model, plan)
     assert report.refuted
-    assert replay_witness(neg.model, report) > 0
+    assert replay_witness(neg.model, report, plan) > 0
 
     pos = CATALOG["scalar_posslope"]
     pos_problem = VIProblem(pos.model, pos.region)
@@ -208,7 +208,7 @@ def test_criterion_3_separation_fixture():
     minty_centroids = cluster_members(est.minty_members, 0.02).centroids
     assert minty_centroids.shape[0] == 1
     assert minty_centroids[0][0] == pytest.approx(0.5, abs=0.01)
-    report = check_class("proper_quasi", pos.model, pos.region, plan)
+    report = check_class("proper_quasi", pos.model, plan)
     assert not report.refuted
 
 
@@ -223,8 +223,8 @@ def test_criterion_4_uniqueness_and_contrapositive():
     for label, fixture in CATALOG.items():
         plan = build_plan(fixture.region)
         strict = (
-            check_class("strict_pseudo", fixture.model, fixture.region, plan),
-            check_class("strict_proper_quasi", fixture.model, fixture.region, plan),
+            check_class("strict_pseudo", fixture.model, plan),
+            check_class("strict_proper_quasi", fixture.model, plan),
         )
         if all(not r.refuted for r in strict):
             strict_passing.append((label, fixture))
@@ -241,7 +241,7 @@ def test_criterion_4_uniqueness_and_contrapositive():
     # the oracle exhibits a solution face
     constant = CATALOG["constant_field"]
     plan = build_plan(constant.region)
-    report = check_class("strict_proper_quasi", constant.model, constant.region, plan)
+    report = check_class("strict_proper_quasi", constant.model, plan)
     assert report.refuted
     assert_allclose(report.witness.dot_products, 0.0, atol=1e-15)
     problem = VIProblem(constant.model, constant.region)
@@ -262,8 +262,8 @@ def test_criterion_5_dual_consistency():
     for label, fixture in CATALOG.items():
         plan = build_plan(fixture.region, HarnessConfig(
             tuple_size_max=3, weight_grid_resolution=11))
-        primal = check_class("proper_quasi", fixture.model, fixture.region, plan)
-        dual = check_class("proper_quasi_dual", fixture.model, fixture.region, plan)
+        primal = check_class("proper_quasi", fixture.model, plan)
+        dual = check_class("proper_quasi_dual", fixture.model, plan)
         assert primal.verdict == dual.verdict, label
 
 

@@ -62,9 +62,7 @@ def test_solve_json_roundtrips_bit_exactly(runner, tmp_path):
     result = runner.invoke(main, ["solve", path])
     payload = json.loads(result.output)
     spec = load_problem(path)
-    reference = solve_extragradient(spec.problem, step=spec.config.step,
-                                    budget=spec.config.budget,
-                                    tol=spec.config.tol_solve)
+    reference = solve_extragradient(spec.problem, config=spec.config)
     assert payload["solution"] == reference.solution.tolist()
     assert payload["residual"] == reference.residual
     assert payload["minty_gap"] == reference.minty_gap
@@ -78,9 +76,7 @@ def test_solve_trace_csv_roundtrip(runner, tmp_path):
     result = runner.invoke(main, ["solve", path, "--trace", str(trace_path)])
     assert result.exit_code == 0
     spec = load_problem(path)
-    reference = solve_extragradient(spec.problem, step=spec.config.step,
-                                    budget=spec.config.budget,
-                                    tol=spec.config.tol_solve)
+    reference = solve_extragradient(spec.problem, config=spec.config)
     with open(trace_path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["iteration", "residual"]

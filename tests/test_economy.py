@@ -8,7 +8,6 @@ from walras_vi.economy import (
     MortgageTerms,
     affine_rate_cap_region,
     default_catalog,
-    is_positive,
     linear_economy,
     mortgage_payment,
     mortgage_payment_slope,
@@ -16,6 +15,7 @@ from walras_vi.economy import (
     scalar_catalog,
     scalar_economy,
 )
+from walras_vi.monotonicity import SamplePlan, is_positive
 from walras_vi.regions import Box, Simplex
 
 
@@ -183,26 +183,20 @@ def test_mortgage_region_requires_bounded_bounds():
 def test_is_positive_constant_field():
     model = linear_economy(np.zeros((2, 2)), [-1.0, -1.0])
     square = Box([0.0, 0.0], [1.0, 1.0])
-    assert is_positive(model, square, square.vertices())
+    assert is_positive(model, SamplePlan(square, square.vertices()))
 
 
 def test_is_positive_zero_component_fails():
     model = linear_economy(np.eye(2), [0.5, 0.5])
     square = Box([0.0, 0.0], [1.0, 1.0])
     samples = np.vstack([square.vertices(), [[0.5, 0.5]]])
-    assert not is_positive(model, square, samples)
+    assert not is_positive(model, SamplePlan(square, samples))
 
 
 def test_is_positive_shifted_identity_on_simplex():
     model = linear_economy(np.eye(3), [-0.1, -0.1, -0.1])
     simplex = Simplex(3)
-    assert is_positive(model, simplex, simplex.vertices())
-
-
-def test_is_positive_rejects_empty_samples():
-    model = linear_economy(np.eye(2), [0.0, 0.0])
-    with pytest.raises(ValueError):
-        is_positive(model, Box([0.0, 0.0], [1.0, 1.0]), np.empty((0, 2)))
+    assert is_positive(model, SamplePlan(simplex, simplex.vertices()))
 
 
 # ---------------------------------------------------------------------------

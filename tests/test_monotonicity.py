@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -55,18 +56,18 @@ def test_plan_base_points_feasible_and_start_with_vertices(interval_plan):
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError):
-        SamplePlan(np.empty((0, 1)))                       # no points
-    assert SamplePlan(np.array([[0.5]])).size == 1         # a one-point region
-    with pytest.raises(ValueError):
-        SamplePlan(np.array([[0.0], [1.0]]), tuple_size_max=1)
-    with pytest.raises(ValueError):
-        SamplePlan(np.array([[0.0], [1.0]]), eps_strict=-1.0)
-    plan = SamplePlan(np.array([[0.0], [2.0]]))
-    with pytest.raises(ValueError):
-        plan.validate_for(UNIT_INTERVAL)                   # 2.0 not in [0, 1]
-    with pytest.raises(ValueError):
-        plan.validate_for(UNIT_SQUARE)                     # wrong dimension
+    with pytest.raises(ValueError, match="^plan needs at least one base point$"):
+        SamplePlan(UNIT_INTERVAL, np.empty((0, 1)))        # no points
+    point = Box([0.5], [0.5])                              # a one-point region
+    assert SamplePlan(point, np.array([[0.5]])).size == 1
+    with pytest.raises(ValueError, match="^tuple_size_max must be >= 2"):
+        HarnessConfig(tuple_size_max=1)
+    with pytest.raises(ValueError, match="^eps_strict must be positive"):
+        HarnessConfig(eps_strict=-1.0)
+    with pytest.raises(ValueError, match="^plan base points must lie in the region$"):
+        SamplePlan(UNIT_INTERVAL, np.array([[0.0], [2.0]]))  # 2.0 not in [0, 1]
+    with pytest.raises(ValueError, match="^plan dimension does not match the region$"):
+        SamplePlan(UNIT_SQUARE, np.array([[0.0], [1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -92,24 +93,25 @@ def test_pair_checkers_match_reference_scans(M, c, region, points, pick):
     v = float(values[pick % values.size])
     cases = [(plan, TAU_FEAS)]
     if v > 0:
-        cases.append((SamplePlan(P, eps_strict=v), TAU_FEAS))
+        strict = SamplePlan(region, P, HarnessConfig(eps_strict=v))
+        cases.append((strict, TAU_FEAS))
     elif v < 0:
         cases.append((plan, -v))
     for case_plan, tau_feas in cases:
         for name, reference in REFERENCE_PAIR_CHECKERS.items():
-            got = check_class(name, model, region, case_plan, tau_feas=tau_feas)
-            want = reference(model, region, case_plan, tau_feas=tau_feas)
+            got = check_class(name, model, case_plan, tau_feas=tau_feas)
+            want = reference(model, case_plan, tau_feas=tau_feas)
             assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
 def test_pseudo_holds_for_monotone_field(square_plan):
-    report = check_class("pseudo", IDENTITY, UNIT_SQUARE, square_plan)
+    report = check_class("pseudo", IDENTITY, square_plan)
     assert report.verdict == "holds_on_samples"
     assert report.witness is None
 
 
 def test_pseudo_refuted_for_negslope(interval_plan):
-    report = check_class("pseudo", NEGSLOPE, UNIT_INTERVAL, interval_plan)
+    report = check_class("pseudo", NEGSLOPE, interval_plan)
     assert report.refuted
     # lexicographically first violating pair is the two interval endpoints
     assert_allclose(report.witness.points, [[0.0], [1.0]])
@@ -118,7 +120,7 @@ def test_pseudo_refuted_for_negslope(interval_plan):
 
 
 def test_pseudo_holds_for_constant_field(square_plan):
-    report = check_class("pseudo", CONSTANT, UNIT_SQUARE, square_plan)
+    report = check_class("pseudo", CONSTANT, square_plan)
     assert report.verdict == "holds_on_samples"
 
 
@@ -127,12 +129,12 @@ def test_pseudo_holds_for_constant_field(square_plan):
 
 
 def test_strict_pseudo_holds_for_monotone_field(square_plan):
-    report = check_class("strict_pseudo", IDENTITY, UNIT_SQUARE, square_plan)
+    report = check_class("strict_pseudo", IDENTITY, square_plan)
     assert report.verdict == "holds_on_samples"
 
 
 def test_strict_pseudo_constant_field_orthogonal_pair(square_plan):
-    report = check_class("strict_pseudo", CONSTANT, UNIT_SQUARE, square_plan)
+    report = check_class("strict_pseudo", CONSTANT, square_plan)
     assert report.refuted
     assert_allclose(report.witness.points, [[0.0, 0.0], [0.0, 1.0]])
     assert report.witness.extra["premise"] == pytest.approx(0.0, abs=1e-15)
@@ -140,7 +142,7 @@ def test_strict_pseudo_constant_field_orthogonal_pair(square_plan):
 
 
 def test_strict_pseudo_holds_for_posslope(interval_plan):
-    report = check_class("strict_pseudo", POSSLOPE, UNIT_INTERVAL, interval_plan)
+    report = check_class("strict_pseudo", POSSLOPE, interval_plan)
     assert report.verdict == "holds_on_samples"
 
 
@@ -149,12 +151,12 @@ def test_strict_pseudo_holds_for_posslope(interval_plan):
 
 
 def test_proper_quasi_holds_for_posslope(interval_plan):
-    report = check_class("proper_quasi", POSSLOPE, UNIT_INTERVAL, interval_plan)
+    report = check_class("proper_quasi", POSSLOPE, interval_plan)
     assert report.verdict == "holds_on_samples"
 
 
 def test_proper_quasi_refuted_for_negslope(interval_plan):
-    report = check_class("proper_quasi", NEGSLOPE, UNIT_INTERVAL, interval_plan)
+    report = check_class("proper_quasi", NEGSLOPE, interval_plan)
     assert report.refuted
     w = report.witness
     assert_allclose(w.points, [[0.0], [1.0]])
@@ -175,7 +177,7 @@ def test_degenerate_single_point_tuple_is_satisfied():
 
 
 def test_dual_holds_for_posslope(interval_plan):
-    report = check_class("proper_quasi_dual", POSSLOPE, UNIT_INTERVAL, interval_plan)
+    report = check_class("proper_quasi_dual", POSSLOPE, interval_plan)
     assert report.verdict == "holds_on_samples"
 
 
@@ -189,7 +191,7 @@ def test_dual_tuple_witness_for_posslope_endpoints():
 
 
 def test_dual_refuted_for_negslope(interval_plan):
-    report = check_class("proper_quasi_dual", NEGSLOPE, UNIT_INTERVAL, interval_plan)
+    report = check_class("proper_quasi_dual", NEGSLOPE, interval_plan)
     assert report.refuted
     w = report.witness
     assert_allclose(w.points, [[0.0], [1.0]])
@@ -217,12 +219,12 @@ def test_strict_proper_example_values():
 
 
 def test_strict_proper_holds_for_posslope(interval_plan):
-    report = check_class("strict_proper_quasi", POSSLOPE, UNIT_INTERVAL, interval_plan)
+    report = check_class("strict_proper_quasi", POSSLOPE, interval_plan)
     assert report.verdict == "holds_on_samples"
 
 
 def test_strict_proper_refuted_for_constant(square_plan):
-    report = check_class("strict_proper_quasi", CONSTANT, UNIT_SQUARE, square_plan)
+    report = check_class("strict_proper_quasi", CONSTANT, square_plan)
     assert report.refuted
     w = report.witness
     # orthogonal segment: all pairings vanish identically
@@ -232,12 +234,12 @@ def test_strict_proper_refuted_for_constant(square_plan):
 
 
 def test_strict_proper_holds_for_identity(square_plan):
-    report = check_class("strict_proper_quasi", IDENTITY, UNIT_SQUARE, square_plan)
+    report = check_class("strict_proper_quasi", IDENTITY, square_plan)
     assert report.verdict == "holds_on_samples"
 
 
 def test_strict_proper_distinctness_excludes_members(interval_plan):
-    report = check_class("strict_proper_quasi", NEGSLOPE, UNIT_INTERVAL, interval_plan)
+    report = check_class("strict_proper_quasi", NEGSLOPE, interval_plan)
     assert report.refuted
     w = report.witness
     for member in w.points:
@@ -254,7 +256,7 @@ def catalog_reports():
     for label, fixture in default_catalog().items():
         plan = build_plan(fixture.region)
         out[label] = {
-            name: check_class(name, fixture.model, fixture.region, plan)
+            name: check_class(name, fixture.model, plan)
             for name in CLASS_NAMES
         }
     return out
@@ -283,11 +285,19 @@ def test_dual_agrees_with_primal(catalog_reports):
 
 
 def test_witness_replay(catalog_reports):
-    for label, fixture in default_catalog().items():
-        for name, report in catalog_reports[label].items():
+    cases = [(label, fixture.model, build_plan(fixture.region), catalog_reports[label])
+             for label, fixture in default_catalog().items()]
+    # the strict classes replay at the plan's eps_strict, not the default
+    identity = default_catalog()["linear_identity"]
+    plan = build_plan(identity.region, HarnessConfig(eps_strict=0.05))
+    reports = {name: check_class(name, identity.model, plan) for name in CLASS_NAMES}
+    assert reports["strict_pseudo"].refuted and reports["strict_proper_quasi"].refuted
+    cases.append(("linear_identity eps_strict=0.05", identity.model, plan, reports))
+    for label, model, plan, reports in cases:
+        for name, report in reports.items():
             if not report.refuted:
                 continue
-            margin = replay_witness(fixture.model, report)
+            margin = replay_witness(model, report, plan)
             assert margin >= report.margin - 1e-12, (label, name)
             assert margin > 0, (label, name)
 
@@ -297,7 +307,7 @@ def test_reports_are_deterministic():
     dumps = []
     for _ in range(2):
         plan = build_plan(fixture.region)
-        reports = [check_class(name, fixture.model, fixture.region, plan)
+        reports = [check_class(name, fixture.model, plan)
                    for name in CLASS_NAMES]
         dumps.append(json.dumps([r.to_dict() for r in reports], sort_keys=True))
     assert dumps[0] == dumps[1]
@@ -305,7 +315,7 @@ def test_reports_are_deterministic():
 
 def test_unknown_class_name_rejected(interval_plan):
     with pytest.raises(ValueError, match="unknown monotonicity class"):
-        check_class("frobnicate", NEGSLOPE, UNIT_INTERVAL, interval_plan)
+        check_class("frobnicate", NEGSLOPE, interval_plan)
 
 
 def test_simplex_rotation_is_strictly_pseudomonotone_on_segment():
@@ -313,7 +323,7 @@ def test_simplex_rotation_is_strictly_pseudomonotone_on_segment():
     rotation = linear_economy([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0])
     simplex = Simplex(2)
     plan = build_plan(simplex)
-    report = check_class("strict_pseudo", rotation, simplex, plan)
+    report = check_class("strict_pseudo", rotation, plan)
     assert report.verdict == "holds_on_samples"
 
 
@@ -363,56 +373,58 @@ def tuple_scan_cases(draw):
     else:
         M = np.array(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n)))
     c = draw(st.lists(ENTRIES, min_size=n, max_size=n))
-    plan = SamplePlan(lattice[rows], tuple_size_max=draw(st.integers(2, 4)),
-                      weight_grid_resolution=draw(st.integers(3, 11)))
-    return region, linear_economy(M.reshape(n, n), c), plan
+    config = HarnessConfig(tuple_size_max=draw(st.integers(2, 4)),
+                           weight_grid_resolution=draw(st.integers(3, 11)))
+    return linear_economy(M.reshape(n, n), c), region, lattice[rows], config
 
 
 @settings(max_examples=150, deadline=None)
 @given(tuple_scan_cases())
 def test_shared_tuple_scan_matches_reference_byte_for_byte(case):
-    region, model, plan = case
-    fused = check_tuple_classes(model, region, plan)
+    model, region, base, config = case
+    plan = SamplePlan(region, base, config)
+    fused = check_tuple_classes(model, plan)
     for name, reference in REFERENCE_TUPLE_CHECKERS.items():
         try:
-            expected = reference(model, region, plan)
+            expected = reference(model, plan)
         except ValueError:
             # the reference fails on a tuple size with no interior weights
             assert name != "proper_quasi_dual"
-            assert plan.weight_grid_resolution - 1 < plan.tuple_size_max
+            assert (plan.config.weight_grid_resolution - 1
+                    < plan.config.tuple_size_max)
             continue
         assert _same_reports(fused[name], expected), name
 
 
 def test_distinctness_excludes_exact_collinear_coincidences():
     # (0, 1, 1/2) with weights (1/4, 1/4, 1/2) combines exactly onto 1/2
-    plan = SamplePlan(np.array([[0.0], [1.0], [0.5]]), tuple_size_max=3,
-                      weight_grid_resolution=5)
-    fused = check_tuple_classes(NEGSLOPE, UNIT_INTERVAL, plan)
+    plan = SamplePlan(UNIT_INTERVAL, np.array([[0.0], [1.0], [0.5]]),
+                      HarnessConfig(tuple_size_max=3, weight_grid_resolution=5))
+    fused = check_tuple_classes(NEGSLOPE, plan)
     combinations = fused["proper_quasi"].samples_used - plan.size  # m >= 2
     assert fused["strict_proper_quasi"].samples_used < combinations
     for name, reference in REFERENCE_TUPLE_CHECKERS.items():
-        assert _same_reports(fused[name], reference(NEGSLOPE, UNIT_INTERVAL, plan))
+        assert _same_reports(fused[name], reference(NEGSLOPE, plan))
 
 
 def test_tuple_sizes_without_interior_weights_add_no_samples():
     # steps of 1/2 leave 3-tuples no interior weights; the dual class
     # still scans their boundary combinations
-    plan = SamplePlan(np.array([[0.0], [1.0], [0.5]]), tuple_size_max=3,
-                      weight_grid_resolution=3)
-    fused = check_tuple_classes(POSSLOPE, UNIT_INTERVAL, plan)
+    plan = SamplePlan(UNIT_INTERVAL, np.array([[0.0], [1.0], [0.5]]),
+                      HarnessConfig(tuple_size_max=3, weight_grid_resolution=3))
+    fused = check_tuple_classes(POSSLOPE, plan)
     assert fused["proper_quasi"].samples_used == 3 + 3
     assert fused["strict_proper_quasi"].samples_used == 3
     assert fused["proper_quasi_dual"].samples_used == 3 + 3 * 3 + 6
     reference = REFERENCE_TUPLE_CHECKERS["proper_quasi_dual"]
     assert _same_reports(fused["proper_quasi_dual"],
-                         reference(POSSLOPE, UNIT_INTERVAL, plan))
+                         reference(POSSLOPE, plan))
 
 
 def test_check_class_selects_from_the_shared_scan(catalog_reports):
     for label, fixture in default_catalog().items():
         plan = build_plan(fixture.region)
-        shared = check_tuple_classes(fixture.model, fixture.region, plan)
+        shared = check_tuple_classes(fixture.model, plan)
         assert list(shared) == list(REFERENCE_TUPLE_CHECKERS)
         for name, report in shared.items():
             assert _same_reports(report, catalog_reports[label][name]), (label, name)
@@ -422,22 +434,99 @@ def test_shared_scan_witnesses_replay_at_40_points():
     refuted = 0
     for label, fixture in default_catalog().items():
         plan = build_plan(fixture.region, HarnessConfig(num_points=40))
-        for name, report in check_tuple_classes(fixture.model, fixture.region,
-                                                plan).items():
+        for name, report in check_tuple_classes(fixture.model, plan).items():
             if report.refuted:
                 refuted += 1
-                margin = replay_witness(fixture.model, report)
+                margin = replay_witness(fixture.model, report, plan)
                 assert margin >= report.margin - 1e-12, (label, name)
     assert refuted > 0
+
+
+# Every default fixture is affine, E(p) = M p - c; the scalar ones have
+# M = [[+-1]].  The table is checked against the fixtures below.
+AFFINE_FIXTURES = {
+    "linear_identity": ([[1, 0], [0, 1]], [0.5, 0.5]),
+    "constant_field": ([[0, 0], [0, 0]], [-1.0, 0.0]),
+    "constant_positive": ([[0, 0], [0, 0]], [-1.0, -1.0]),
+    "rotation": ([[0, 1], [-1, 0]], [0.0, 0.0]),
+    "scalar_negslope": ([[-1]], [-0.5]),
+    "scalar_posslope": ([[1]], [0.5]),
+    "scalar_positive": ([[1]], [-0.1]),
+    "simplex_positive": ([[1, 0], [0, 1]], [-0.1, -0.1]),
+    "mortgage_linear": ([[1, 0], [0, 1]], [0.5, 2.5]),
+}
+
+
+def _exact_dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _exact_combination(weights, points):
+    """sum_k w_k p_k / sum_k w_k in Fractions: a convex combination of the
+    points, whether or not the float weights sum to exactly 1."""
+    w = [Fraction(x) for x in weights]
+    assert min(w) >= 0 and sum(w) > 0
+    return [sum(wk * p[i] for wk, p in zip(w, points)) / sum(w)
+            for i in range(len(points[0]))]
+
+
+@pytest.mark.parametrize("points", [24, 64])
+def test_catalog_refutations_replay_exactly(points):
+    # each witness, in exact arithmetic on its float points and weights,
+    # meets the premise and violates the class: strictly for the non-strict
+    # classes, non-strictly (<= 0, at a distinct point) for the strict ones
+    assert sorted(AFFINE_FIXTURES) == sorted(CATALOG)
+    refuted = 0
+    for label, fixture in CATALOG.items():
+        M, c = AFFINE_FIXTURES[label]
+
+        def E(p):
+            return [_exact_dot(map(Fraction, row), p) - Fraction(ci)
+                    for row, ci in zip(M, c)]
+
+        plan = build_plan(fixture.region, HarnessConfig(num_points=points))
+        rounded = [[float(v) for v in E([Fraction(x) for x in p])]
+                   for p in plan.base_points.tolist()]
+        assert rounded == fixture.model(plan.base_points).tolist(), label
+        for name in CLASS_NAMES:
+            report = check_class(name, fixture.model, plan)
+            if not report.refuted:
+                continue
+            refuted += 1
+            w, case = report.witness, (label, name)
+            P = [[Fraction(x) for x in p] for p in w.points.tolist()]
+
+            def pairing(j, q):                  # E(p_j).(p_j - q)
+                return _exact_dot(E(P[j]), [a - b for a, b in zip(P[j], q)])
+
+            if name in ("pseudo", "strict_pseudo"):
+                x, y = P
+                assert -pairing(0, y) >= 0, case    # E(x).(y - x) >= 0
+                if name == "pseudo":
+                    assert pairing(1, x) < 0, case
+                else:
+                    assert x != y and pairing(1, x) <= 0, case
+            elif name == "proper_quasi_dual":
+                for entry in w.extra["per_combination"]:
+                    q = _exact_combination(entry["weights"], P)
+                    assert min(pairing(j, q) for j in range(len(P))) < 0, case
+            else:
+                q = _exact_combination(w.weights.tolist(), P)
+                dots = [pairing(j, q) for j in range(len(P))]
+                if name == "proper_quasi":
+                    assert max(dots) < 0, case
+                else:
+                    assert q not in P and max(dots) <= 0, case
+    assert refuted == 11
 
 
 # ---------------------------------------------------------------------------
 # the k-ordered, prefiltered scan against the fused reference scan
 
 
-def _same_as_fused(model, region, plan):
-    reference = fused_tuple_scan(model, region, plan)
-    for name, report in check_tuple_classes(model, region, plan).items():
+def _same_as_fused(model, plan):
+    reference = fused_tuple_scan(model, plan)
+    for name, report in check_tuple_classes(model, plan).items():
         assert _same_reports(report, reference[name]), name
 
 
@@ -521,9 +610,8 @@ def rounded_scan_cases(draw):
         rows = draw(st.lists(st.integers(0, size - 1), min_size=3, max_size=3,
                              unique=True))
         model = _rotation(draw(ROUNDED_ENTRIES.filter(bool)), base[rows])
-    plan = SamplePlan(base, tuple_size_max=m_max,
-                      weight_grid_resolution=resolution)
-    return model, region, plan
+    config = HarnessConfig(tuple_size_max=m_max, weight_grid_resolution=resolution)
+    return model, region, base, config
 
 
 def _rotation(scale, points):
@@ -539,8 +627,8 @@ def _rotation(scale, points):
 
 def _rotation_case(label, points, scale, resolution):
     base = HALTON_PLANS[label, points, False]
-    return (_rotation(scale, base[[3, 5, 8]]), CATALOG[label].region,
-            SamplePlan(base, tuple_size_max=3, weight_grid_resolution=resolution))
+    return (_rotation(scale, base[[3, 5, 8]]), CATALOG[label].region, base,
+            HarnessConfig(tuple_size_max=3, weight_grid_resolution=resolution))
 
 
 @settings(max_examples=40, deadline=None)
@@ -548,7 +636,10 @@ def _rotation_case(label, points, scale, resolution):
 @example(_rotation_case("linear_identity", 24, 0.117, 7))
 @example(_rotation_case("mortgage_linear", 40, -0.351, 11))
 def test_tuple_scan_matches_fused_reference_on_rounded_plans(case):
-    _same_as_fused(*case)
+    # cases carry the plan's inputs: Hypothesis prints a dataclass by its
+    # init fields, and a plan does not keep its region
+    model, region, base, config = case
+    _same_as_fused(model, SamplePlan(region, base, config))
 
 
 def _certification_line(points_for, m):
@@ -581,10 +672,9 @@ def test_members_on_either_side_of_the_certification_line(m, points_for):
         assert monotonicity._certified(P, np.array([list(range(m))]),
                                        10)[0, -1] == certified
         # certified and uncertain members must give the same reports
-        plan = SamplePlan(np.vstack([P, P[-1] + [0.0, 0.5]]), tuple_size_max=3,
-                          weight_grid_resolution=11)
+        plan = SamplePlan(UNIT_SQUARE, np.vstack([P, P[-1] + [0.0, 0.5]]))
         for model in (IDENTITY, CONSTANT):
-            _same_as_fused(model, UNIT_SQUARE, plan)
+            _same_as_fused(model, plan)
 
 
 def test_large_coordinates_take_the_exact_path():
@@ -594,8 +684,8 @@ def test_large_coordinates_take_the_exact_path():
         combos = np.array(list(itertools.combinations(range(plan.size), m)))
         assert not monotonicity._certified(plan.base_points, combos, 10).any()
     _same_as_fused(linear_economy(np.array([[1e-6, 0.0], [0.0, 0.0]]),
-                                  [0.117, -0.234]), region, plan)
-    _same_as_fused(linear_economy(np.zeros((2, 2)), [-1.0, 0.0]), region, plan)
+                                  [0.117, -0.234]), plan)
+    _same_as_fused(linear_economy(np.zeros((2, 2)), [-1.0, 0.0]), plan)
 
 
 def test_collinear_simplex_plan_matches_fused_reference():
@@ -607,16 +697,17 @@ def test_collinear_simplex_plan_matches_fused_reference():
     for model in (CATALOG["simplex_positive"].model, CONSTANT,
                   linear_economy(np.array([[0.117, -0.351], [0.234, 0.0]]),
                                  [0.117, 0.468])):
-        _same_as_fused(model, simplex, plan)
+        _same_as_fused(model, plan)
 
 
 def test_four_tuples_have_no_bound():
     base = build_plan(UNIT_SQUARE, HarnessConfig(num_points=8)).base_points
-    plan = SamplePlan(base, tuple_size_max=4, weight_grid_resolution=7)
+    plan = SamplePlan(UNIT_SQUARE, base,
+                      HarnessConfig(tuple_size_max=4, weight_grid_resolution=7))
     quads = np.array(list(itertools.combinations(range(plan.size), 4)))
     assert not monotonicity._certified(plan.base_points, quads, 6).any()
     for model in (IDENTITY, CONSTANT, CATALOG["rotation"].model):
-        _same_as_fused(model, UNIT_SQUARE, plan)
+        _same_as_fused(model, plan)
 
 
 def _spy_folds(monkeypatch):
@@ -646,7 +737,7 @@ def test_chunk_tails_match_fused_reference(monkeypatch, chunk):
             plan = build_plan(fixture.region, HarnessConfig(
                 num_points=6, tuple_size_max=m_max,
                 weight_grid_resolution=resolution))
-            _same_as_fused(fixture.model, fixture.region, plan)
+            _same_as_fused(fixture.model, plan)
     # 3-tuple chunks of `chunk` tuples and shorter tails both take the
     # boundary pass
     scored = [first[2] for first, then in zip(calls, calls[1:])
@@ -660,17 +751,16 @@ def test_boundary_weight_clears_a_tuple_whose_interior_fails_the_dual():
     # 0 - c < 0 with member 0, but c = 0, a boundary weight, pairs >= 0
     # with every member, so the tuple is no dual violation
     model = linear_economy([[0.0]], [-1.0])
-    plan = SamplePlan(np.array([[0.0], [0.5], [1.0]]), tuple_size_max=3,
-                      weight_grid_resolution=11)
+    plan = SamplePlan(UNIT_INTERVAL, np.array([[0.0], [0.5], [1.0]]))
     P, _, G, g = monotonicity._pairings(model, plan)
     W = monotonicity._weight_grid(3, 11)
     achieved = monotonicity._tuple_dots(G, g, np.arange(3), W.T).min(axis=0)
     interior = (W > 0).all(axis=1)
     assert (achieved[interior] < -TAU_FEAS).all()
     assert (achieved[~interior] >= 0).any()
-    report = check_tuple_classes(model, UNIT_INTERVAL, plan)["proper_quasi_dual"]
+    report = check_tuple_classes(model, plan)["proper_quasi_dual"]
     assert report.verdict == "holds_on_samples"
-    _same_as_fused(model, UNIT_INTERVAL, plan)
+    _same_as_fused(model, plan)
 
 
 @pytest.mark.parametrize("pairs", [1, 5, 64])
@@ -680,12 +770,12 @@ def test_running_dual_minimum_across_tiny_chunks(monkeypatch, pairs):
     monkeypatch.setattr(monotonicity, "_SCAN_PAIRS", pairs)
     base = build_plan(UNIT_SQUARE, HarnessConfig(num_points=6)).base_points
     for resolution, m_max in ((11, 3), (3, 3), (5, 4)):
-        plan = SamplePlan(base, tuple_size_max=m_max,
-                          weight_grid_resolution=resolution)
+        plan = SamplePlan(UNIT_SQUARE, base, HarnessConfig(
+            tuple_size_max=m_max, weight_grid_resolution=resolution))
         for model, tau in itertools.product((CONSTANT, IDENTITY),
                                             (TAU_FEAS, 0.05, 0.5)):
-            reference = fused_tuple_scan(model, UNIT_SQUARE, plan, tau)
-            for name, report in check_tuple_classes(model, UNIT_SQUARE, plan,
+            reference = fused_tuple_scan(model, plan, tau)
+            for name, report in check_tuple_classes(model, plan,
                                                     tau).items():
                 assert _same_reports(report, reference[name]), (name, tau)
 
@@ -695,7 +785,7 @@ def test_scan_memory_stays_in_small_chunks():
     plan = build_plan(fixture.region, HarnessConfig(num_points=64))
     tracemalloc.start()
     try:
-        check_tuple_classes(fixture.model, fixture.region, plan)
+        check_tuple_classes(fixture.model, plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

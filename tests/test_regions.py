@@ -13,8 +13,8 @@ from conftest import (
     simplex_lattice,
 )
 from walras_vi.constants import TAU_FEAS
-from walras_vi.economy import is_positive, linear_economy
-from walras_vi.monotonicity import SamplePlan
+from walras_vi.economy import linear_economy
+from walras_vi.monotonicity import SamplePlan, is_positive
 from walras_vi.regions import (
     Box,
     Polyhedron,
@@ -211,6 +211,16 @@ def test_polyhedron_vertices_do_not_depend_on_row_scale(scale):
     assert np.array_equal(cube.vertices(), corners)
 
 
+
+@pytest.mark.parametrize("scale", [1.0, 1e-5, 1e3])
+def test_polyhedron_membership_does_not_depend_on_row_scale(scale):
+    # slack is measured on unit rows: at 1e-5 the raw slack of the point
+    # 2e-9 outside is 2e-14, far inside TAU_FEAS
+    cube = Polyhedron(scale * np.vstack([np.eye(3), -np.eye(3)]),
+                      scale * np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
+    assert cube.contains_many([[1 + 2e-9, 0.5, 0.5], [1 + 5e-11, 0.5, 0.5]],
+                              TAU_FEAS).tolist() == [False, True]
+
 @settings(max_examples=40, deadline=None)
 @given(coords(2))
 def test_polyhedron_projection_properties(x):
@@ -403,7 +413,9 @@ def _contains_by_definition(region, p, tol):
         return bool(np.all(p >= -tol) and abs(p.sum() - 1.0) <= tol)
     if isinstance(region, Box):
         return bool(np.all(p >= region.lower - tol) and np.all(p <= region.upper + tol))
-    return bool(np.all(region.A @ p - region.b <= tol * np.maximum(1.0, np.abs(region.b))))
+    norms = np.linalg.norm(region.A, axis=1)
+    A, b = region.A / norms[:, None], region.b / norms    # unit rows
+    return bool(np.all(A @ p - b <= tol * np.maximum(1.0, np.abs(b))))
 
 
 MEMBERSHIP_REGIONS = [
@@ -459,12 +471,9 @@ def test_batched_membership_callers_keep_their_messages():
     inside = np.array([[0.5, 0.5], [0.0, 1.0]])
     outside = np.vstack([inside, [[1.5, 0.5]]])
     model = linear_economy(np.eye(2), -np.ones(2))
-    SamplePlan(inside).validate_for(square)
-    assert is_positive(model, square, inside)
+    assert is_positive(model, SamplePlan(square, inside))
     with pytest.raises(ValueError, match="^plan base points must lie in the region$"):
-        SamplePlan(outside).validate_for(square)
-    with pytest.raises(ValueError, match="^positivity samples must lie in the region$"):
-        is_positive(model, square, outside)
+        SamplePlan(square, outside)
 
 
 # ---------------------------------------------------------------------------

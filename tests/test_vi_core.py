@@ -15,7 +15,7 @@ from conftest import (
     stampacchia_members_bruteforce,
 )
 from walras_vi import vi_core
-from walras_vi.constants import TAU_PROJ, TAU_SOLVE
+from walras_vi.constants import TAU_PROJ, TAU_SOLVE, HarnessConfig
 from walras_vi.economy import default_catalog, linear_economy, scalar_catalog
 from walras_vi.regions import Box, Polyhedron, Simplex
 from walras_vi.vi_core import (
@@ -103,7 +103,8 @@ def test_solver_scalar_interior():
 
 def test_solver_budget_exhaustion_returns_best_iterate():
     prob, _ = catalog_problem("rotation")
-    result = solve_extragradient(prob, start=[0.3, 0.8], budget=1)
+    result = solve_extragradient(prob, start=[0.3, 0.8],
+                                 config=HarnessConfig(budget=1))
     assert result.status == BUDGET_EXHAUSTED
     assert result.iterations == 1
     assert prob.region.contains(result.solution, tol=1e-9)
