@@ -109,18 +109,25 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """``float`` that refuses booleans, as ``_integer`` does."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 # Coerced entries per input-file section: (file key, field name, cast).
 # Every field but ``lipschitz`` is a ``HarnessConfig`` field.
 _SECTION_FIELDS = {
-    "plan": (("eps_strict", "eps_strict", float), ("points", "num_points", _integer),
+    "plan": (("eps_strict", "eps_strict", _real), ("points", "num_points", _integer),
              ("m_max", "tuple_size_max", _integer),
-             ("grid_spacing", "grid_spacing", float),
+             ("grid_spacing", "grid_spacing", _real),
              ("weight_resolution", "weight_grid_resolution", _integer)),
-    "solver": (("step", "step", float), ("budget", "budget", _integer),
-               ("tol", "tol_solve", float)),
-    "oracle": (("grid_spacing", "grid_spacing", float),
-               ("lipschitz", "lipschitz", float)),
-    "fixture": (("lipschitz", "lipschitz", float),),
+    "solver": (("step", "step", _real), ("budget", "budget", _integer),
+               ("tol", "tol_solve", _real)),
+    "oracle": (("grid_spacing", "grid_spacing", _real),
+               ("lipschitz", "lipschitz", _real)),
+    "fixture": (("lipschitz", "lipschitz", _real),),
 }
 
 

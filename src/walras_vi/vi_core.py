@@ -26,12 +26,13 @@ full-grid minimum.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .constants import HarnessConfig
 from .economy import ExcessDemandModel
@@ -54,7 +55,6 @@ __all__ = [
 CONVERGED = "converged"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
-_PAIR_BLOCK = 1 << 18
 _MINTY_PAIRS = 1 << 22
 
 
@@ -193,16 +193,19 @@ class SolutionSetEstimate:
 def _extreme_points(grid: FloatArray) -> FloatArray:
     """Grid rows that include every vertex of the grid's convex hull.
 
-    qhull runs in the principal coordinates of the grid's affine hull; a
-    grid of rank <= 1 (a point or a segment) returns its two endpoints.
+    qhull runs in the principal coordinates of the grid's affine hull, in
+    one fewer each time it finds the points flat within its rounding; rank
+    <= 1 (a point or a segment) gives the two endpoints.  Centering on the
+    first row keeps a coordinate that is constant over the grid exactly 0.
     """
-    centered = grid - grid.mean(axis=0)
+    centered = grid - grid[0]
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     rank = int(np.sum(s > s.max() * max(centered.shape) * np.finfo(float).eps))
-    if rank <= 1:
-        t = centered @ vt[0]
-        return grid[[t.argmin(), t.argmax()]]
-    return grid[ConvexHull(centered @ vt[:rank].T).vertices]
+    for r in range(rank, 1, -1):
+        with suppress(QhullError):
+            return grid[ConvexHull(centered @ vt[:r].T).vertices]
+    t = centered @ vt[0]
+    return grid[[t.argmin(), t.argmax()]]
 
 
 def _minty_values(grid: FloatArray, evals: FloatArray, diag: FloatArray,
@@ -252,8 +255,9 @@ def enumerate_solutions(problem: VIProblem, grid_spacing: float,
     rejection cascade of ``_minty_values``, exact on every member.
     Desk-scale only (dim <= 3).
     """
-    if lipschitz_scale <= 0:
-        raise ValueError("lipschitz scale must be positive")
+    if not (np.isfinite(lipschitz_scale) and lipschitz_scale > 0):
+        raise ValueError(f"lipschitz_scale must be positive and finite, got "
+                         f"{lipschitz_scale!r}")
     grid = problem.region.grid(grid_spacing)
     evals = problem.model(grid)
     diag = np.einsum("ij,ij->i", evals, grid)
@@ -295,29 +299,24 @@ class MemberClusters:
 
 
 def cluster_members(points, threshold: float) -> MemberClusters:
-    """Single-linkage clusters at link distance ``threshold``, in one pass.
+    """Single-linkage clusters at link distance ``threshold``.
 
-    A block of rows i, at most ``_PAIR_BLOCK`` pairs (one row when a row
-    alone has more), is scored as ||p_j - p_i|| against every j from the
-    block's first row on, so each pair is scored at least once and a pair
-    scored twice gives the same norm.  Each block's links merge the running
-    component labels, and the diameter is the largest norm.
+    A k-d tree proposes pairs within ``threshold * (1 + 1e-9)``; a pair
+    i < j links when ||p_j - p_i|| <= threshold.  The diameter is the
+    largest such norm between the hull vertices of ``_extreme_points``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     k = pts.shape[0]
-    labels = np.arange(k)
-    diameter = 0.0
-    rows = max(1, _PAIR_BLOCK // max(k, 1))
-    for lo in range(0, k, rows):
-        dist = np.linalg.norm(pts[None, lo:] - pts[lo:lo + rows, None], axis=2)
-        diameter = max(diameter, float(dist.max()))
-        i, j = np.nonzero(dist <= threshold)
-        links = coo_matrix((np.ones(i.size), (labels[i + lo], labels[j + lo])),
-                           shape=(k, k))
-        labels = connected_components(links, directed=False)[1][labels]
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    key = first[inverse]
+    if k == 0:
+        return MemberClusters(0, [], np.array([]), 0.0)
+    i, j = cKDTree(pts).query_pairs(threshold * (1 + 1e-9), output_type="ndarray").T
+    near = np.linalg.norm(pts[j] - pts[i], axis=1) <= threshold
+    links = coo_matrix((np.ones(near.sum()), (i[near], j[near])), shape=(k, k))
+    labels = connected_components(links, directed=False)[1]
+    key = np.unique(labels, return_index=True)[1][labels]  # each cluster's first row
     order = np.argsort(key, kind="stable")
-    clusters = np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if k else []
+    clusters = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
     centroids = np.array([pts[idx].mean(axis=0) for idx in clusters])
+    hull = _extreme_points(pts)
+    diameter = float(np.linalg.norm(hull[:, None] - hull, axis=2).max())
     return MemberClusters(k, clusters, centroids, diameter)

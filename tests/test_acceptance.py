@@ -21,6 +21,7 @@ from conftest import (
     simplex_lattice,
 )
 from walras_vi.economy import (
+    Fixture,
     MortgageTerms,
     affine_rate_cap_region,
     default_catalog,
@@ -327,3 +328,20 @@ def test_criterion_7_harness_gate():
             assert all(isinstance(v, bool) for v in triple.values())
         else:
             assert r.vacuous
+
+
+# ---------------------------------------------------------------------------
+# 8. a solution face: the zero field, where every grid point is a member
+
+
+@criterion(8, budget_seconds=2.0)
+def test_criterion_8_zero_field_solution_face():
+    zero = Fixture(label="zero", model=linear_economy(np.zeros((2, 2)), np.zeros(2)),
+                   region=Box([0.0, 0.0], [1.0, 1.0]), lipschitz=1.0)
+    _, evidence = run_catalog_with_evidence({"zero": zero},
+                                            HarnessConfig(grid_spacing=0.01))
+    ev = evidence["zero"]
+    for members in (ev.stampacchia, ev.minty):
+        assert members.member_count == 101 * 101
+        assert len(members.clusters) == 1
+        assert members.diameter == np.sqrt(2.0)

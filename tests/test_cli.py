@@ -324,6 +324,20 @@ def test_oracle_without_grid_points(runner, tmp_path):
     assert "grid_points" not in payload
 
 
+def test_oracle_on_flat_box(runner, tmp_path):
+    # three grid points whose rounded mean lies off their line: qhull used
+    # to reject the mean-centered grid as a flat simplex
+    problem = {"economy": LINEAR_PROBLEM["economy"],
+               "region": {"kind": "box", "lower": [0.1, 0], "upper": [0.1, 0.04]},
+               "oracle": {"lipschitz": 0.1}}
+    path = write(tmp_path, "problem.json", problem)
+    result = runner.invoke(main, ["oracle", path, "--grid", "0.02"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.stdout)
+    assert payload["grid_point_count"] == 3
+    assert payload["stampacchia_members"] == [[0.1, 0.04]]
+
+
 def test_oracle_bad_grid(runner, tmp_path):
     path = write(tmp_path, "problem.json", NEGSLOPE_PROBLEM)
     result = runner.invoke(main, ["oracle", path, "--grid", "-0.5"])
@@ -433,7 +447,8 @@ def test_problem_section_numeric_strings_are_coerced(runner, tmp_path):
     assert runner.invoke(main, ["solve", path]).exit_code == 0
 
 
-@pytest.mark.parametrize("value", [None, "steep", [1.0]], ids=["null", "string", "list"])
+@pytest.mark.parametrize("value", [None, "steep", [1.0], True],
+                         ids=["null", "string", "list", "boolean"])
 def test_catalog_fixture_lipschitz_is_coerced(runner, tmp_path, value):
     catalog = {"fixtures": [{"label": "pos", "lipschitz": value,
                              "economy": {"kind": "catalog", "name": "scalar_positive"}}]}
@@ -547,6 +562,25 @@ def test_integer_entries_are_not_truncated(runner, tmp_path, command, section,
                                          if command == "check" else []))
     _assert_one_error_line(result)
     assert f"invalid {section} entry {key!r}" in result.stderr
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("solve", "solver", "step"),
+    ("solve", "solver", "tol"),
+    ("check", "plan", "eps_strict"),
+    ("oracle", "oracle", "grid_spacing"),
+    ("oracle", "oracle", "lipschitz"),
+])
+def test_float_entries_refuse_booleans(runner, tmp_path, command, section, key):
+    # float(True) is 1.0, so these used to run with the value 1
+    problem = json.loads(json.dumps(LINEAR_PROBLEM))
+    problem.setdefault(section, {})[key] = True
+    argv = [command, write(tmp_path, "problem.json", problem)]
+    result = runner.invoke(main, argv + (["--class", "pseudo"]
+                                         if command == "check" else []))
+    _assert_one_error_line(result)
+    assert f"invalid {section} entry {key!r}: expected a number, got True" in (
+        result.stderr)
 
 
 @pytest.mark.parametrize("plan, message", [

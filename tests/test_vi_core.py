@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,8 +170,10 @@ def test_enumerate_guards():
                     Box(np.zeros(4), np.ones(4)))
     with pytest.raises(ValueError, match="desk-scale"):
         enumerate_solutions(big, 0.1, 1.0)
-    with pytest.raises(ValueError):
-        enumerate_solutions(POSSLOPE, 0.01, -1.0)
+    # NaN used to give empty member sets, and inf every grid point
+    for scale in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lipschitz_scale must be positive"):
+            enumerate_solutions(POSSLOPE, 0.01, scale)
 
 
 def test_grid_with_no_feasible_points_raises():
@@ -250,6 +250,34 @@ def test_enumerate_matches_bruteforce_on_degenerate_grids(region, spacings, data
     full = (grid @ evals.T).min(axis=0)
     ulps = 4 * np.finfo(float).eps * (np.abs(evals) @ np.abs(grid).max(axis=0))
     assert np.all(np.abs(hull - full) <= ulps)
+
+
+# Flat regions with a few grid points, off the dyadic lattice: their rounded
+# mean lies off their line, and qhull rejected the mean-centered grid as a
+# flat initial simplex.
+FLAT_REGIONS = [
+    pytest.param(Box([0.1, 0.0], [0.1, 0.04]), 0.02, id="box-x-0.1"),
+    pytest.param(Box([0.2, 0.7], [0.3, 0.7]), 0.02, id="box-y-0.7"),
+    pytest.param(Box([1.1, 0.2], [1.1, 0.5]), 0.05, id="box-x-1.1"),
+    pytest.param(Box([0.2, 2.3], [0.5, 2.3]), 0.05, id="box-y-2.3"),
+    pytest.param(Polyhedron([[1.0, 1.0], [-1.0, -1.0]], [0.7, -0.7],
+                            [0.2, 0.0], [0.26, 2.0]), 0.05, id="segment-0.7"),
+    pytest.param(Polyhedron([[1.0, 1.0], [-1.0, -1.0]], [1.1, -1.1],
+                            [0.2, 0.0], [0.3, 2.0]), 0.05, id="segment-1.1"),
+]
+
+
+@pytest.mark.parametrize("region, spacing", FLAT_REGIONS)
+def test_enumerate_and_cluster_on_flat_regions(region, spacing):
+    # the scale 0.117 keeps the tolerance off the pairing values
+    model = linear_economy(np.eye(2), [0.1, 0.2])
+    est = enumerate_solutions(VIProblem(model, region), spacing, 0.117)
+    grid, tol = est.grid_points, est.tolerance
+    assert_allclose(est.stampacchia_members,
+                    stampacchia_members_bruteforce(model, grid, tol))
+    assert_allclose(est.minty_members, minty_members_bruteforce(model, grid, tol))
+    for members in (grid, est.stampacchia_members, est.minty_members):
+        _assert_matches_reference_clustering(members, 2 * spacing)
 
 
 # (region, spacing, grid size): sizes on both sides of the 16-, 256- and
@@ -382,12 +410,10 @@ def lattice_sets(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(lattice_sets(), st.sampled_from([1, 3, 7, 1 << 18]))
-def test_cluster_members_matches_reference(case, block):
-    # small pair blocks split rows across blocks, and one row can exceed one
+@given(lattice_sets())
+def test_cluster_members_matches_reference(case):
     pts, spacing = case
-    with mock.patch.object(vi_core, "_PAIR_BLOCK", block):
-        _assert_matches_reference_clustering(pts, 2.0 * spacing)
+    _assert_matches_reference_clustering(pts, 2.0 * spacing)
 
 
 @pytest.mark.parametrize("pts", [np.empty((0, 2)), np.array([[0.25, 0.5]])],
@@ -397,11 +423,90 @@ def test_cluster_members_empty_and_one_point(pts):
 
 
 def test_cluster_members_spans_several_pair_blocks():
-    # 900 rows make 404,550 pairs, more than one 2^18-pair block
+    # 900 rows on a 12 x 12 lattice: 404,550 pairs, most of them duplicates
     rng = np.random.default_rng(3)
     pts = 0.25 * rng.integers(0, 12, size=(900, 2)).astype(float)
-    assert pts.shape[0] * (pts.shape[0] - 1) // 2 > vi_core._PAIR_BLOCK
     _assert_matches_reference_clustering(pts, 0.5)
+
+
+@pytest.mark.parametrize("threshold, rim", [
+    (0.02, (0.012739233746429086, 0.015417909182306217)),
+    (0.5, (0.3058307173369425, 0.3955598214343454)),
+])
+def test_cluster_members_links_to_the_last_ulp(threshold, rim):
+    # the row norm of rim rounds to the threshold, yet scipy's k-d tree
+    # queried at the bare threshold misses the pair (0, rim)
+    inside, outside = np.nextafter(threshold, 0.0), np.nextafter(threshold, 1.0)
+    cases = [([[0.0], [inside]], True), ([[0.0], [threshold]], True),
+             ([[0.0], [outside]], False), ([[0.0, 0.0], rim], True),
+             ([[0.3, 0.5], [0.3 + inside, 0.5]], None),
+             ([[0.3, 0.5], [0.3 + outside, 0.5]], None)]
+    for rows, linked in cases:
+        pts = np.array(rows)
+        _assert_matches_reference_clustering(pts, threshold)
+        if linked is not None:
+            assert (len(cluster_members(pts, threshold).clusters) == 1) == linked
+
+
+@pytest.mark.parametrize("y", [np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)],
+                         ids=["vertical-longer", "vertical-shorter"])
+def test_cluster_members_diameter_between_hull_pairs_an_ulp_apart(y):
+    # |2y - 2| is one ulp of 2: the farthest pair is decided by the last bit
+    pts = np.array([[1.0, 0.0], [0.0, y], [0.0, 0.0], [-1.0, 0.0], [0.0, -y]])
+    got = cluster_members(pts, 0.5)
+    assert got.diameter == max(2.0, 2 * y) == set_diameter(pts)
+    _assert_matches_reference_clustering(pts, 0.5)
+
+
+FLAT_SETS = [
+    pytest.param([[0.1, 0.0], [0.1, 0.0], [0.1, 0.02]], id="duplicated-axis"),
+    pytest.param([[0.1, 0.0], [0.1, 0.02], [0.1, 0.04], [0.1, 0.04], [0.1, 0.0]],
+                 id="duplicated-axis-5"),
+    pytest.param(np.outer([1, 2, 3, 3, 5], [0.1, 0.3]) + 0.7, id="duplicated-diagonal"),
+    # the Stampacchia members of E(p) = p - (0.41, 0.59) at scale 2
+    pytest.param(Simplex(2).grid(1 / 41)[16:19], id="simplex-2-members"),
+    pytest.param([[0.2, 0.1, 0.3], [0.3, 0.1, 0.3], [0.2, 0.2, 0.3], [0.3, 0.2, 0.3],
+                  [0.2, 0.1, 0.3]], id="coplanar-axis-3d"),
+    pytest.param(Simplex(3).grid(1 / 89)[::97], id="coplanar-simplex-3d"),
+    pytest.param(np.array([[0.3, 0.4, 0.3], [0.3, 0.3, 0.4], [0.4, 0.3, 0.3],
+                           [0.4, 0.3, 0.3]]) * 3, id="coplanar-tilted-3d"),
+]
+
+
+@pytest.mark.parametrize("pts", FLAT_SETS)
+def test_cluster_members_on_flat_sets(pts):
+    pts = np.asarray(pts, dtype=float)
+    for threshold in (0.05, 0.5):
+        _assert_matches_reference_clustering(pts, threshold)
+
+
+@st.composite
+def offset_lattice_subsets(draw):
+    """Lattice subsets of dimension 1-3, often flat, with duplicated rows.
+
+    Coordinates are integers over a denominator, as on a simplex grid, so
+    flat subsets are flat only up to rounding.
+    """
+    dim = draw(st.integers(1, 3))
+    denominator = draw(st.sampled_from([4, 10, 50, 3, 41, 89]))
+    offset = draw(st.sampled_from([0.0, 0.3, 2.5]))
+    steps = st.tuples(*[st.integers(-3, 3)] * dim)
+    directions = draw(st.lists(steps, min_size=1, max_size=dim))
+    origin = np.array(draw(st.tuples(*[st.integers(0, 6)] * dim)))
+    coefs = draw(st.lists(st.tuples(*[st.integers(0, 4)] * len(directions)),
+                          min_size=1, max_size=12))
+    rows = origin + np.array(coefs) @ np.array(directions)
+    rows = np.vstack([rows, rows[draw(st.lists(st.integers(0, len(rows) - 1),
+                                               max_size=3))]])
+    return offset + rows / denominator
+
+
+@settings(max_examples=300, deadline=None)
+@given(offset_lattice_subsets())
+def test_extreme_points_reproduce_the_diameter(pts):
+    ext = _extreme_points(pts)
+    assert all((pts == row).all(axis=1).any() for row in ext)
+    assert np.linalg.norm(ext[:, None] - ext, axis=2).max() == set_diameter(pts)
 
 
 def test_uniqueness_probe_strictly_monotone():
