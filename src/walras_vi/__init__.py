@@ -10,7 +10,6 @@ from .economy import (
     mortgage_payment,
     mortgage_region,
     scalar_catalog,
-    scalar_economy,
 )
 from .harness import (
     HarnessConfig,

@@ -65,10 +65,11 @@ def parse_region(spec: dict) -> ConvexRegion:
         if kind == "simplex":
             return Simplex(_integer(spec["n"]))
         if kind == "box":
-            return Box(spec["lower"], spec["upper"])
+            return Box(_reals(spec["lower"], "lower"), _reals(spec["upper"], "upper"))
         if kind == "polyhedron":
-            return Polyhedron(spec["A"], spec["b"], lower=spec.get("lower"),
-                              upper=spec.get("upper"))
+            return Polyhedron(_reals(spec["A"], "A"), _reals(spec["b"], "b"),
+                              lower=_reals(spec.get("lower"), "lower"),
+                              upper=_reals(spec.get("upper"), "upper"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemFileError(f"invalid {kind} region: {exc}") from exc
     raise ProblemFileError(f"unknown region kind {kind!r}")
@@ -80,7 +81,7 @@ def parse_economy(spec: dict) -> tuple[ExcessDemandModel, Optional[Fixture]]:
     kind = spec["kind"]
     try:
         if kind == "linear":
-            return linear_economy(spec["M"], spec["c"]), None
+            return linear_economy(_reals(spec["M"], "M"), _reals(spec["c"], "c")), None
         if kind == "scalar":
             models = scalar_catalog()
             _require(spec.get("name") in models,
@@ -114,6 +115,18 @@ def _real(value) -> float:
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def _reals(value, name: str):
+    """Array entry ``name`` as given, once no item at any depth of its lists
+    is a boolean, which numpy would read as 1.0 or 0.0."""
+    items = [value]
+    while items:
+        item = items.pop()
+        if isinstance(item, bool):
+            raise ValueError(f"entry {name!r}: expected numbers, got {item!r}")
+        items.extend(item if isinstance(item, list) else ())
+    return value
 
 
 # Coerced entries per input-file section: (file key, field name, cast).
@@ -206,7 +219,7 @@ def load_problem(path: str) -> ProblemFile:
         problem = VIProblem(model, region)
         start_arr = None
         if start is not None:
-            start_arr = np.asarray(start, dtype=float)
+            start_arr = np.asarray(_reals(start, "solver.start"), dtype=float)
             _require(start_arr.shape == (region.dim,),
                      "solver start must match the region dimension")
             _require(region.contains(start_arr, tol=1e-8),

@@ -30,7 +30,6 @@ from .regions import Box, ConvexRegion, FloatArray, Polyhedron, Simplex
 __all__ = [
     "ExcessDemandModel",
     "linear_economy",
-    "scalar_economy",
     "MortgageTerms",
     "mortgage_payment",
     "mortgage_payment_slope",
@@ -48,14 +47,11 @@ class ExcessDemandModel:
 
     ``evaluate`` must accept arrays of shape (n,) or (m, n) and return the
     same shape with finite entries; all fixtures are continuous.
-    ``declared_properties`` names the monotonicity classes the fixture is
-    known to satisfy (used only for fixture self-consistency tests).
     """
 
     dim: int
     evaluate: Callable[[FloatArray], FloatArray]
     label: str = "anonymous"
-    declared_properties: frozenset = frozenset()
 
     def __call__(self, p) -> FloatArray:
         arr = np.asarray(p, dtype=float)
@@ -64,13 +60,12 @@ class ExcessDemandModel:
             raise ValueError(
                 f"{self.label}: evaluate returned shape {out.shape} for input {arr.shape}"
             )
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise ValueError(f"{self.label}: excess demand must be finite")
         return out
 
 
-def linear_economy(M, c, label: Optional[str] = None,
-                   declared: frozenset = frozenset()) -> ExcessDemandModel:
+def linear_economy(M, c, label: Optional[str] = None) -> ExcessDemandModel:
     """Affine field E(p) = M p - c.
 
     Positive-definite M gives a strictly monotone fixture, M = 0 a
@@ -86,27 +81,8 @@ def linear_economy(M, c, label: Optional[str] = None,
     def evaluate(p: FloatArray) -> FloatArray:
         return p @ M.T - c
 
-    return ExcessDemandModel(
-        dim=c.size,
-        evaluate=evaluate,
-        label=label or f"linear[{c.size}]",
-        declared_properties=declared,
-    )
-
-
-def scalar_economy(f: Callable[[FloatArray], FloatArray], label: str = "scalar",
-                   declared: frozenset = frozenset()) -> ExcessDemandModel:
-    """One-commodity model E(t) = f(t).
-
-    ``f`` must be continuous and vectorized over numpy arrays; the region
-    it is solved on, such as a one-coordinate ``Box``, is chosen separately.
-    """
-
-    def evaluate(p: FloatArray) -> FloatArray:
-        return np.asarray(f(p), dtype=float)
-
-    return ExcessDemandModel(dim=1, evaluate=evaluate, label=label,
-                             declared_properties=declared)
+    return ExcessDemandModel(dim=c.size, evaluate=evaluate,
+                             label=label or f"linear[{c.size}]")
 
 
 @dataclass(frozen=True)
@@ -223,28 +199,13 @@ class Fixture:
     lipschitz: float
 
 
-_ALL_CLASSES = frozenset(
-    {"pseudo", "strict_pseudo", "proper_quasi", "proper_quasi_dual",
-     "strict_proper_quasi"}
-)
-_PSEUDO_ONLY = frozenset({"pseudo", "proper_quasi", "proper_quasi_dual"})
-
-
 def scalar_catalog() -> dict[str, ExcessDemandModel]:
-    """Named one-commodity economies referenced from problem files."""
+    """Named one-commodity economies referenced from problem files: the
+    affine fields 0.5 - t, t - 0.5 and t + 0.1."""
     return {
-        "negslope_half": scalar_economy(
-            lambda t: 0.5 - t, label="negslope_half",
-            declared=frozenset(),
-        ),
-        "posslope_half": scalar_economy(
-            lambda t: t - 0.5, label="posslope_half",
-            declared=_ALL_CLASSES,
-        ),
-        "affine_positive": scalar_economy(
-            lambda t: t + 0.1, label="affine_positive",
-            declared=_ALL_CLASSES,
-        ),
+        "negslope_half": linear_economy([[-1.0]], [-0.5], label="negslope_half"),
+        "posslope_half": linear_economy([[1.0]], [0.5], label="posslope_half"),
+        "affine_positive": linear_economy([[1.0]], [-0.1], label="affine_positive"),
     }
 
 
@@ -271,29 +232,27 @@ def _default_fixtures() -> dict[str, Fixture]:
     fixtures = [
         Fixture(
             label="linear_identity",
-            model=linear_economy(np.eye(2), [0.5, 0.5], label="linear_identity",
-                                 declared=_ALL_CLASSES),
+            model=linear_economy(np.eye(2), [0.5, 0.5], label="linear_identity"),
             region=unit_square,
             lipschitz=0.1,
         ),
         Fixture(
             label="constant_field",
-            model=linear_economy(np.zeros((2, 2)), [-1.0, 0.0],
-                                 label="constant_field", declared=_PSEUDO_ONLY),
+            model=linear_economy(np.zeros((2, 2)), [-1.0, 0.0], label="constant_field"),
             region=unit_square,
             lipschitz=0.25,
         ),
         Fixture(
             label="constant_positive",
             model=linear_economy(np.zeros((2, 2)), [-1.0, -1.0],
-                                 label="constant_positive", declared=_PSEUDO_ONLY),
+                                 label="constant_positive"),
             region=unit_square,
             lipschitz=0.25,
         ),
         Fixture(
             label="rotation",
             model=linear_economy([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0],
-                                 label="rotation", declared=_PSEUDO_ONLY),
+                                 label="rotation"),
             region=unit_square,
             lipschitz=0.25,
         ),
@@ -317,15 +276,13 @@ def _default_fixtures() -> dict[str, Fixture]:
         ),
         Fixture(
             label="simplex_positive",
-            model=linear_economy(np.eye(2), [-0.1, -0.1],
-                                 label="simplex_positive", declared=_ALL_CLASSES),
+            model=linear_economy(np.eye(2), [-0.1, -0.1], label="simplex_positive"),
             region=Simplex(2),
             lipschitz=0.02,
         ),
         Fixture(
             label="mortgage_linear",
-            model=linear_economy(np.eye(2), [0.5, 2.5],
-                                 label="mortgage_linear", declared=_ALL_CLASSES),
+            model=linear_economy(np.eye(2), [0.5, 2.5], label="mortgage_linear"),
             region=affine_rate_cap_region(-1.0, 1.0, mortgage_box_lo, mortgage_box_hi),
             lipschitz=0.1,
         ),

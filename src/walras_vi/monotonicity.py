@@ -88,6 +88,9 @@ class SamplePlan:
     def size(self) -> int:
         return self.base_points.shape[0]
 
+    def _repr_pretty_(self, printer, cycle):  # a region field could not be read back
+        printer.text(repr(self))
+
     @cached_property
     def strict_exclusions(self) -> dict:
         """Per tuple size m >= 2, sorted flat indices t * Wi + w of the (tuple,

@@ -47,7 +47,7 @@ def as_price_vector(x, dim: Optional[int] = None) -> FloatArray:
         raise ValueError(f"price vector must be 1-D, got shape {p.shape}")
     if p.size < 1:
         raise ValueError("price vector must have at least one entry")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("price vector entries must be finite")
     if dim is not None and p.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {p.size}")
@@ -57,7 +57,7 @@ def as_price_vector(x, dim: Optional[int] = None) -> FloatArray:
 def _price_rows(points, dim: int) -> FloatArray:
     """Validate and return ``points`` as a finite (m, dim) float64 array."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != dim or not np.all(np.isfinite(pts)):
+    if pts.ndim != 2 or pts.shape[1] != dim or not np.isfinite(pts).all():
         raise ValueError(f"need finite price rows of dimension {dim}, got {pts.shape}")
     return pts
 
@@ -93,15 +93,20 @@ class ProjectionBudgetError(ValueError):
 def project_onto_simplex(v: FloatArray) -> FloatArray:
     """Euclidean projection of ``v`` onto {x >= 0, sum(x) = 1}.
 
-    Sort-and-threshold algorithm, O(n log n); ties at the threshold are
-    resolved by the cumulative-sum arithmetic itself.
+    Sort-and-threshold algorithm, O(n log n), in Python floats: theta is
+    (s_k - 1) / k for the last k at which the k-th largest entry exceeds it,
+    s_k the running sum of the k largest.  Ties at the threshold are
+    resolved by that arithmetic itself; a ValueError means rounding left no
+    such k, which takes entries of magnitude 2**53 or more.
     """
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, v.size + 1)
-    positive = u - css / ks > 0
-    rho = np.nonzero(positive)[0][-1]
-    theta = css[rho] / (rho + 1.0)
+    total, theta = 0.0, None
+    for k, u in enumerate(sorted(v.tolist(), reverse=True), 1):
+        total += u
+        t = (total - 1.0) / k
+        if u - t > 0:
+            theta = t
+    if theta is None:
+        raise ValueError("simplex projection threshold lost to rounding")
     return np.maximum(v - theta, 0.0)
 
 
@@ -119,15 +124,17 @@ def nnls(A: FloatArray, b: FloatArray) -> FloatArray:
     only if its gradient exceeds rounding level and its coefficient comes
     out positive, which turns away columns that depend on the passive ones
     (duplicate, opposite or flat constraints).  ``scipy.optimize.nnls``
-    can return a wrong x with a zero reported residual on such input.
+    can return a wrong x with a zero reported residual on such input.  The
+    short coefficient vectors are read through ``tolist``, and a step whose
+    coefficients all come out positive skips the ratio loop.
     """
     m, n = A.shape
     passive, coef = [], np.zeros(0)
     tol = 10.0 * np.finfo(float).eps * max(m, n) * max(1.0, float(np.abs(A).max()))
     w = A.T @ b
     for _ in range(3 * n):
-        if passive:
-            w[passive] = -np.inf
+        for i in passive:
+            w[i] = -np.inf
         j = int(w.argmax())
         if w[j] <= tol or len(passive) == m:
             x = np.zeros(n)
@@ -136,20 +143,22 @@ def nnls(A: FloatArray, b: FloatArray) -> FloatArray:
         trial = passive + [j]
         cols = A[:, trial]
         z = _lstsq(cols, b)
-        if z[-1] <= 0.0:
+        zl = z.tolist()
+        if zl[-1] <= 0.0:
             w[j] = -np.inf
             continue
-        xp = np.append(coef, 0.0)
-        while z.min() <= 0.0:  # step toward z until a coefficient hits zero
-            neg = np.flatnonzero(z <= 0.0)
-            ratios = xp[neg] / (xp[neg] - z[neg])
-            k = int(ratios.argmin())
-            xp = xp + ratios[k] * (z - xp)
-            xp[neg[k]] = 0.0
-            trial = [i for i, v in zip(trial, xp) if v > 0.0]
-            xp = xp[xp > 0.0]
-            cols = A[:, trial]
-            z = _lstsq(cols, b)
+        if min(zl) <= 0.0:  # step toward z until a coefficient hits zero
+            xp = np.concatenate((coef, (0.0,)))
+            while z.min() <= 0.0:
+                neg = np.flatnonzero(z <= 0.0)
+                ratios = xp[neg] / (xp[neg] - z[neg])
+                k = int(ratios.argmin())
+                xp = xp + ratios[k] * (z - xp)
+                xp[neg[k]] = 0.0
+                trial = [i for i, v in zip(trial, xp) if v > 0.0]
+                xp = xp[xp > 0.0]
+                cols = A[:, trial]
+                z = _lstsq(cols, b)
         passive, coef = trial, z
         w = A.T @ (b - cols @ z)
     raise RuntimeError("Maximum number of iterations reached.")
@@ -410,6 +419,9 @@ class Polyhedron(ConvexRegion):
         self._unit_A = self.A / norms[:, None]
         self._unit_b = self.b / norms
         self._dim = n
+        # project's least-distance matrix [A_u^T; c^T], c written per call
+        self._lsd = np.vstack((self._unit_A.T, np.zeros_like(self.b)))
+        self._e = np.eye(n + 1)[n]
         box = np.empty(2 * n)
         for k, c in enumerate(np.vstack((np.eye(n), -np.eye(n)))):
             res = self._lp(c)
@@ -445,7 +457,9 @@ class Polyhedron(ConvexRegion):
         On the unit rows, z = y - x solves min ||z|| s.t. -A_u z >= h with
         h = A_u x - b_u.  Lawson and Hanson (1974, ch. 23) reduce that to
         u = argmin_{u >= 0} ||E u - e_{n+1}||, E = [A_u^T; c^T], c = h / s
-        (the sign of the top block does not change the objective); then
+        (the sign of the top block does not change the objective).  The
+        region holds E with a zero c row and e_{n+1}, built once; a call
+        copies E, C-ordered as ``np.vstack`` made it, and writes its c.  Then
         lambda = s u / (1 - c.u) and y = x - A_u^T lambda, so stationarity
         holds by construction.  The scale
         s = max(1, max|h|, ||x - f||), f feasible, bounds ||z|| from above;
@@ -455,16 +469,17 @@ class Polyhedron(ConvexRegion):
         """
         p = as_price_vector(x, self.dim)
         h = self._unit_A @ p - self._unit_b
-        worst = float(h.max())
+        hl = h.tolist()
+        worst = max(hl)
         if worst <= 0.0:
             return p
         d = p - self._anchor
-        s = max(1.0, worst, -float(h.min()), math.sqrt(d @ d))
+        s = max(1.0, worst, -min(hl), math.sqrt(d @ d))
         c = h / s
-        e = np.zeros(self.dim + 1)
-        e[-1] = 1.0
+        E = self._lsd.copy()
+        E[-1] = c
         try:
-            u = nnls(np.vstack((self._unit_A.T, c)), e)
+            u = nnls(E, self._e)
         except RuntimeError:  # iteration cap
             raise ProjectionBudgetError(p, worst) from None
         gap = 1.0 - float(c @ u)  # -r[n]; positive iff the program is feasible
@@ -473,8 +488,8 @@ class Polyhedron(ConvexRegion):
         lam = s / gap * u
         y = p - self._unit_A.T @ lam
         slack = self._unit_b - self._unit_A @ y
-        residual = max(-float(lam.min()), -float(slack.min()),
-                       float(np.minimum(lam, np.abs(slack)).max()))
+        lam_, slack_ = lam.tolist(), slack.tolist()
+        residual = max(-min(lam_), -min(slack_), max(map(min, lam_, map(abs, slack_))))
         if not residual <= TAU_PROJ * s:
             raise ProjectionBudgetError(y, residual)
         return y

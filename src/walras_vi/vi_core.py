@@ -125,7 +125,8 @@ def solve_extragradient(problem: VIProblem, start=None,
     Stops when the natural-map residual drops to ``tol_solve`` or the
     budget is spent; budget exhaustion is a status, not an error, and the
     best iterate is still returned.  Residuals per iteration are recorded
-    in the trace (index 0 is the starting residual).
+    in the trace (index 0 is the starting residual).  E(x_k) is evaluated
+    once, for x_k's residual and the next y-step: 2k + 2 field calls in all.
     """
     region, model = problem.region, problem.model
     if start is None:
@@ -135,12 +136,14 @@ def solve_extragradient(problem: VIProblem, start=None,
         if not region.contains(x, tol=1e-8):
             raise ValueError("start point must lie in the region")
     step, tol = config.step, config.tol_solve
-    trace = [residual(problem, x)]
+    ex = model(x)
+    trace = [float(np.linalg.norm(x - region.project(x - ex)))]
     iterations = 0
     while trace[-1] > tol and iterations < config.budget:
-        y = region.project(x - step * model(x))
+        y = region.project(x - step * ex)
         x = region.project(x - step * model(y))
-        trace.append(residual(problem, x))
+        ex = model(x)
+        trace.append(float(np.linalg.norm(x - region.project(x - ex))))
         iterations += 1
     status = CONVERGED if trace[-1] <= tol else BUDGET_EXHAUSTED
     return VISolveResult(

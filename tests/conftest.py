@@ -4,27 +4,32 @@ Everything here is deliberately written from the definitions, without
 reusing the library's own grid or scan machinery, so the tests cross
 two independent routes wherever the library computes something nontrivial.
 The exceptions are the reference pair and tuple scans, the reference
-clustering and the two-pass Minty scan at the end: they are the library's
-earlier pair checkers, its earlier per-class scans, its earlier fused
-scan, its earlier union-find clustering and its earlier dual scan, kept
-verbatim apart from the fused scan's sums, which run in k order as the
-library's do.  The pair checkers, ``check_tuple_classes``,
-``cluster_members`` and the Minty rejection cascade must agree with them
-byte for byte (the per-class scans and the Minty scans on grids where every
-pairing is exact; elsewhere up to BLAS rounding).
+clustering and the two-pass Minty scan, and the projection and solver
+references at the end: they are the library's earlier pair checkers, its
+earlier per-class scans, its earlier fused scan, its earlier union-find
+clustering, its earlier dual scan, and its earlier simplex projection,
+NNLS, polyhedral projection and extragradient loop, kept verbatim apart
+from the fused scan's sums, which run in k order as the library's do.  The
+pair checkers, ``check_tuple_classes``, ``cluster_members`` and the Minty
+rejection cascade must agree with them byte for byte (the per-class scans
+and the Minty scans on grids where every pairing is exact; elsewhere up to
+BLAS rounding); the projections and the solver must agree bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+from scipy.linalg import lapack
 
-from walras_vi.constants import DISTINCT_DIST, TAU_FEAS
+from walras_vi.constants import DISTINCT_DIST, TAU_FEAS, TAU_PROJ
 from walras_vi.economy import ExcessDemandModel
 from walras_vi.monotonicity import (HOLDS, REFUTED, MonotonicityReport,
                                     SamplePlan, Witness)
-from walras_vi.regions import FloatArray
+from walras_vi.regions import FloatArray, ProjectionBudgetError, as_price_vector
+from walras_vi.vi_core import residual
 
 
 # ---------------------------------------------------------------------------
@@ -546,3 +551,105 @@ def minty_values_two_pass(grid: FloatArray, evals: FloatArray, diag: FloatArray,
             np.minimum(full, part, out=full)
         vals[idx] = full
     return vals
+
+
+# ---------------------------------------------------------------------------
+# the projection kernels and the solver loop as they were before their
+# per-call overhead was cut: numpy reductions, a vstack per projection, and
+# a second field evaluation per iterate inside ``residual``
+
+
+def project_onto_simplex_reference(v: FloatArray) -> FloatArray:
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    ks = np.arange(1, v.size + 1)
+    positive = u - css / ks > 0
+    rho = np.nonzero(positive)[0][-1]
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+def _lstsq_reference(A: FloatArray, b: FloatArray) -> FloatArray:
+    k = A.shape[1]
+    return lapack.dgelsy(A, b, np.zeros(k, np.int32), 1e-13, 4 * k + 1)[1][:k]
+
+
+def nnls_reference(A: FloatArray, b: FloatArray) -> FloatArray:
+    m, n = A.shape
+    passive, coef = [], np.zeros(0)
+    tol = 10.0 * np.finfo(float).eps * max(m, n) * max(1.0, float(np.abs(A).max()))
+    w = A.T @ b
+    for _ in range(3 * n):
+        if passive:
+            w[passive] = -np.inf
+        j = int(w.argmax())
+        if w[j] <= tol or len(passive) == m:
+            x = np.zeros(n)
+            x[passive] = coef
+            return x
+        trial = passive + [j]
+        cols = A[:, trial]
+        z = _lstsq_reference(cols, b)
+        if z[-1] <= 0.0:
+            w[j] = -np.inf
+            continue
+        xp = np.append(coef, 0.0)
+        while z.min() <= 0.0:  # step toward z until a coefficient hits zero
+            neg = np.flatnonzero(z <= 0.0)
+            ratios = xp[neg] / (xp[neg] - z[neg])
+            k = int(ratios.argmin())
+            xp = xp + ratios[k] * (z - xp)
+            xp[neg[k]] = 0.0
+            trial = [i for i, v in zip(trial, xp) if v > 0.0]
+            xp = xp[xp > 0.0]
+            cols = A[:, trial]
+            z = _lstsq_reference(cols, b)
+        passive, coef = trial, z
+        w = A.T @ (b - cols @ z)
+    raise RuntimeError("Maximum number of iterations reached.")
+
+
+def polyhedron_project_reference(region, x) -> FloatArray:
+    """``Polyhedron.project`` on ``region``'s unit rows and anchor."""
+    p = as_price_vector(x, region.dim)
+    h = region._unit_A @ p - region._unit_b
+    worst = float(h.max())
+    if worst <= 0.0:
+        return p
+    d = p - region._anchor
+    s = max(1.0, worst, -float(h.min()), math.sqrt(d @ d))
+    c = h / s
+    e = np.zeros(region.dim + 1)
+    e[-1] = 1.0
+    try:
+        u = nnls_reference(np.vstack((region._unit_A.T, c)), e)
+    except RuntimeError:  # iteration cap
+        raise ProjectionBudgetError(p, worst) from None
+    gap = 1.0 - float(c @ u)  # -r[n]; positive iff the program is feasible
+    if not gap > 0.0:
+        raise ProjectionBudgetError(p, worst)
+    lam = s / gap * u
+    y = p - region._unit_A.T @ lam
+    slack = region._unit_b - region._unit_A @ y
+    achieved = max(-float(lam.min()), -float(slack.min()),
+                   float(np.minimum(lam, np.abs(slack)).max()))
+    if not achieved <= TAU_PROJ * s:
+        raise ProjectionBudgetError(y, achieved)
+    return y
+
+
+def extragradient_reference(problem, start, config):
+    """(solution, trace, iterations) of the loop that calls ``residual``,
+    and so evaluates E(x_k) a second time, every iteration."""
+    region, model = problem.region, problem.model
+    x = region.feasible_point() if start is None else as_price_vector(start,
+                                                                      problem.dim)
+    step, tol = config.step, config.tol_solve
+    trace = [residual(problem, x)]
+    iterations = 0
+    while trace[-1] > tol and iterations < config.budget:
+        y = region.project(x - step * model(x))
+        x = region.project(x - step * model(y))
+        trace.append(residual(problem, x))
+        iterations += 1
+    return x, np.asarray(trace), iterations

@@ -583,6 +583,67 @@ def test_float_entries_refuse_booleans(runner, tmp_path, command, section, key):
         result.stderr)
 
 
+POLY_REGION = {"kind": "polyhedron", "A": [[1.0, 1.0]], "b": [1.5],
+               "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("economy", "M"), [[True, 0], [0, 1]], "invalid linear economy: entry 'M'"),
+    (("economy", "c"), [0.5, False], "invalid linear economy: entry 'c'"),
+    (("region", "lower"), [False, 0], "invalid box region: entry 'lower'"),
+    (("region", "upper"), [True, 1], "invalid box region: entry 'upper'"),
+    (("poly", "A"), [[1.0, True]], "invalid polyhedron region: entry 'A'"),
+    (("poly", "b"), [True], "invalid polyhedron region: entry 'b'"),
+    (("poly", "lower"), [0.0, False], "invalid polyhedron region: entry 'lower'"),
+    (("poly", "upper"), [True, 1.0], "invalid polyhedron region: entry 'upper'"),
+    (("solver", "start"), [0.5, True], "entry 'solver.start'"),
+    (("economy", "M"), [[[True]], [0, 1]], "invalid linear economy: entry 'M'"),
+], ids=["M", "c", "box-lower", "box-upper", "poly-A", "poly-b", "poly-lower",
+        "poly-upper", "start", "nested"])
+def test_array_entries_refuse_booleans(runner, tmp_path, path, value, message):
+    # numpy reads true as 1.0 and false as 0.0, so these used to run
+    problem = json.loads(json.dumps(LINEAR_PROBLEM))
+    section, key = path
+    if section == "poly":
+        problem["region"], section = dict(POLY_REGION), "region"
+    problem.setdefault(section, {})[key] = value
+    result = runner.invoke(main, ["solve", write(tmp_path, "problem.json", problem)])
+    _assert_one_error_line(result)
+    assert message in result.stderr
+    assert "expected numbers, got " in result.stderr
+
+
+def test_catalog_fixture_arrays_refuse_booleans(runner, tmp_path):
+    catalog = {"fixtures": [{"label": "lin", "economy": {
+        "kind": "linear", "M": [[1.0]], "c": [0.5]},
+        "region": {"kind": "box", "lower": [0.0], "upper": [True]}}]}
+    path = write(tmp_path, "catalog.json", catalog)
+    result = runner.invoke(main, ["harness", "--catalog", path, "--grid", "0.1"])
+    _assert_one_error_line(result)
+    assert "invalid box region: entry 'upper': expected numbers, got True" in (
+        result.stderr)
+
+
+def test_simplex_projection_lost_to_rounding_is_one_error_line(runner, tmp_path):
+    # the first step lands near -3e16 on every axis, where the threshold
+    # test rounds to 0 for every k; this used to end in an IndexError
+    problem = {"economy": {"kind": "linear", "M": (1e18 * np.eye(3)).tolist(),
+                           "c": [0.0, 0.0, 0.0]},
+               "region": {"kind": "simplex", "n": 3}}
+    result = runner.invoke(main, ["solve", write(tmp_path, "problem.json", problem)])
+    _assert_one_error_line(result)
+    assert "simplex projection threshold lost to rounding" in result.stderr
+
+
+def test_integer_array_entries_still_run(runner, tmp_path):
+    problem = json.loads(json.dumps(LINEAR_PROBLEM))
+    problem["economy"]["M"] = [[1, 0], [0, 1]]
+    problem["region"] = dict(POLY_REGION, A=[[1, 1]], lower=[0, 0], upper=[1, 1])
+    problem["solver"]["start"] = [0, 1]
+    result = runner.invoke(main, ["solve", write(tmp_path, "problem.json", problem)])
+    assert result.exit_code == 0, result.output
+
+
 @pytest.mark.parametrize("plan, message", [
     ({"m_max": 3.9}, "invalid plan entry 'm_max'"),
     ({"points": -5}, "plan points must be nonnegative"),

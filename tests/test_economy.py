@@ -13,7 +13,6 @@ from walras_vi.economy import (
     mortgage_payment_slope,
     mortgage_region,
     scalar_catalog,
-    scalar_economy,
 )
 from walras_vi.monotonicity import SamplePlan, is_positive
 from walras_vi.regions import Box, Simplex
@@ -46,11 +45,19 @@ def test_linear_economy_batch_evaluation():
     assert_allclose(model(pts), [[1.0, 2.0], [-1.0, -1.0]])
 
 
-def test_scalar_economy_examples():
-    neg = scalar_economy(lambda t: 0.5 - t)
-    assert_allclose(neg(np.array([0.5])), [0.0])
-    pos = scalar_economy(lambda t: t - 0.5)
-    assert_allclose(pos(np.array([0.0])), [-0.5])
+@pytest.mark.parametrize("name, field", [
+    ("negslope_half", lambda t: 0.5 - t),
+    ("posslope_half", lambda t: t - 0.5),
+    ("affine_positive", lambda t: t + 0.1),
+], ids=["negslope_half", "posslope_half", "affine_positive"])
+def test_scalar_catalog_matches_its_scalar_fields(name, field):
+    # the 1-D linear models give the bits of the scalar formulas they
+    # replace: one product by +-1 is exact, and x - (-y) rounds as x + y
+    t = np.concatenate([np.linspace(0.0, 1.0, 1001), [0.1, 0.3, 0.7, 1e-300]])
+    model = scalar_catalog()[name]
+    assert model(t[:, None]).tobytes() == field(t[:, None]).tobytes()
+    assert model(t[:1]).shape == (1,)
+    assert model(t[:1]).tobytes() == field(t[:1]).tobytes()
 
 
 def test_model_rejects_bad_shapes():

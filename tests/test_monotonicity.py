@@ -70,6 +70,27 @@ def test_plan_validation():
         SamplePlan(UNIT_SQUARE, np.array([[0.0], [1.0]]))
 
 
+def test_sample_plan_pretty_prints():
+    # Hypothesis prints a dataclass through its init fields, and ``region``
+    # is an init-only field a plan cannot read back
+    from hypothesis.vendor.pretty import pretty
+
+    text = pretty(build_plan(UNIT_SQUARE))
+    assert text.startswith("SamplePlan(base_points=array(") and "config=" in text
+
+
+def test_sample_plan_in_a_falsifying_example():
+    # a failing property over plans reports its own assertion, not an
+    # AttributeError raised while printing the example
+    @settings(max_examples=1, database=None, deadline=None)
+    @given(st.builds(build_plan, st.just(UNIT_SQUARE)))
+    def never(plan):
+        assert plan.size < 0
+
+    with pytest.raises(AssertionError):
+        never()
+
+
 # ---------------------------------------------------------------------------
 # pseudomonotone
 
@@ -262,9 +283,24 @@ def catalog_reports():
     return out
 
 
+# The monotonicity classes each default fixture is known to satisfy.
+_PSEUDO_ONLY = {"pseudo", "proper_quasi", "proper_quasi_dual"}
+DECLARED_CLASSES = {
+    "linear_identity": set(CLASS_NAMES),
+    "constant_field": _PSEUDO_ONLY,
+    "constant_positive": _PSEUDO_ONLY,
+    "rotation": _PSEUDO_ONLY,
+    "scalar_negslope": set(),
+    "scalar_posslope": set(CLASS_NAMES),
+    "scalar_positive": set(CLASS_NAMES),
+    "simplex_positive": set(CLASS_NAMES),
+    "mortgage_linear": set(CLASS_NAMES),
+}
+
+
 def test_fixture_self_consistency(catalog_reports):
-    for label, fixture in default_catalog().items():
-        declared = fixture.model.declared_properties
+    assert sorted(DECLARED_CLASSES) == sorted(default_catalog())
+    for label, declared in DECLARED_CLASSES.items():
         for name, report in catalog_reports[label].items():
             expected = "holds_on_samples" if name in declared else "refuted"
             assert report.verdict == expected, (label, name)

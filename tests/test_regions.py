@@ -9,6 +9,9 @@ from numpy.testing import assert_allclose
 from conftest import (
     box_grid,
     nearest_grid_point,
+    nnls_reference,
+    polyhedron_project_reference,
+    project_onto_simplex_reference,
     projection_kkt_residual,
     simplex_lattice,
 )
@@ -18,6 +21,7 @@ from walras_vi.monotonicity import SamplePlan, is_positive
 from walras_vi.regions import (
     Box,
     Polyhedron,
+    ProjectionBudgetError,
     Simplex,
     _halton,
     as_price_vector,
@@ -323,20 +327,27 @@ def test_polyhedron_projection_at_scale_100():
     assert projection_kkt_residual(region.A, region.b, x, y, 1e-6) <= 1e-6
 
 
+@st.composite
+def nnls_cases(draw):
+    """A small quarter-integer matrix, sometimes with an opposite or
+    duplicate column, and a right-hand side."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    entry = st.integers(-4, 4).map(lambda k: k / 4)
+    A = np.array(draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows)))
+    if cols > 1 and draw(st.booleans()):  # opposite or duplicate column
+        A[:, -1] = A[:, 0] * draw(st.sampled_from([-1.0, 1.0]))
+    return A, np.array(draw(coords(rows, -2.0, 2.0)))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 8), st.data())
-def test_nnls_matches_bounded_least_squares(rows, cols, data):
+@given(nnls_cases())
+def test_nnls_matches_bounded_least_squares(case):
     from scipy.optimize import lsq_linear
 
     from walras_vi.regions import nnls
 
-    entry = st.integers(-4, 4).map(lambda k: k / 4)
-    A = np.array(data.draw(st.lists(st.lists(entry, min_size=cols,
-                                             max_size=cols),
-                                    min_size=rows, max_size=rows)))
-    if cols > 1 and data.draw(st.booleans()):  # opposite or duplicate column
-        A[:, -1] = A[:, 0] * data.draw(st.sampled_from([-1.0, 1.0]))
-    b = np.array(data.draw(coords(rows, -2.0, 2.0)))
+    A, b = case
     x = nnls(A, b)
     reference = lsq_linear(A, b, bounds=(0.0, np.inf), method="bvls",
                            tol=1e-15).x
@@ -356,6 +367,87 @@ def test_nnls_turns_away_dependent_columns():
     from walras_vi.regions import nnls
 
     assert np.linalg.norm(E @ nnls(E, e) - e) == pytest.approx(0.9925440466151525)
+
+
+def _same_bits_or_same_error(fast, reference):
+    """``fast()`` returns the bytes ``reference()`` returns, or raises the
+    same exception type, with the same best point and residual when it is a
+    ``ProjectionBudgetError``."""
+    try:
+        expected = reference()
+    except Exception as exc:  # noqa: BLE001 - compared below
+        with pytest.raises(type(exc)) as excinfo:
+            fast()
+        if isinstance(exc, ProjectionBudgetError):
+            assert excinfo.value.best.tobytes() == exc.best.tobytes()
+            assert excinfo.value.achieved == exc.achieved
+        return
+    got = fast()
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(nnls_cases())
+def test_nnls_matches_reference_bit_for_bit(case):
+    from walras_vi.regions import nnls
+
+    A, b = case
+    _same_bits_or_same_error(lambda: nnls(A, b), lambda: nnls_reference(A, b))
+    # the least-distance shape Polyhedron.project builds: [A^T; c^T], e_{n+1}
+    E = np.vstack((A.T, b))
+    e = np.eye(E.shape[0])[-1]
+    _same_bits_or_same_error(lambda: nnls(E, e), lambda: nnls_reference(E, e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(polyhedron_cases())
+def test_polyhedron_projection_matches_reference_bit_for_bit(case):
+    region, x, _ = case
+    _same_bits_or_same_error(lambda: region.project(x),
+                             lambda: polyhedron_project_reference(region, x))
+
+
+NEAR_PARALLEL = Polyhedron([[1.0, 1.0], [1.0, 1.0 + 1e-8]], [1.0, 1.0],
+                           lower=[-5.0, -5.0], upper=[5.0, 5.0])
+
+
+@pytest.mark.parametrize("x, raises", [
+    ([3.0, 3.0], True), ([4.0, -1.0], False), ([0.7, 0.4], False),
+    ([-2.0, 4.5], True), ([1.0, 1.0], True), ([0.6, 0.6], False),
+    ([10.0, -3.0], True),
+])
+def test_polyhedron_projection_raises_where_the_reference_raises(monkeypatch, x,
+                                                                 raises):
+    # with no KKT slack, both kernels refuse every projection on nearly
+    # parallel normals whose residual is not exactly 0, and report the same
+    # best point and residual
+    import conftest
+    import walras_vi.regions as regions_module
+
+    monkeypatch.setattr(regions_module, "TAU_PROJ", 0.0)
+    monkeypatch.setattr(conftest, "TAU_PROJ", 0.0)
+    _same_bits_or_same_error(lambda: NEAR_PARALLEL.project(x),
+                             lambda: polyhedron_project_reference(NEAR_PARALLEL, x))
+    if raises:
+        with pytest.raises(ProjectionBudgetError):
+            NEAR_PARALLEL.project(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: coords(n, -1e3, 1e3)))
+def test_simplex_projection_matches_reference_bit_for_bit(x):
+    # the second vector duplicates an entry, a tie at the threshold
+    for v in (np.array(x), np.array(x + x[:1])):
+        _same_bits_or_same_error(lambda: project_onto_simplex(v),
+                                 lambda: project_onto_simplex_reference(v))
+
+
+def test_simplex_projection_refuses_a_threshold_lost_to_rounding():
+    # 1e17 - 1.0 rounds to 1e17, so no k passes the threshold test; the
+    # numpy version raised IndexError here, which escaped the CLI
+    with pytest.raises(ValueError, match="rounding"):
+        Simplex(3).project([1e17, 0.0, 0.0])
 
 
 def test_polyhedron_projection_budget_reports_best_iterate(monkeypatch):

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import (
     cluster_centroids,
+    extragradient_reference,
     minty_members_bruteforce,
     minty_values_two_pass,
     set_diameter,
@@ -14,7 +15,12 @@ from conftest import (
 )
 from walras_vi import vi_core
 from walras_vi.constants import TAU_PROJ, TAU_SOLVE, HarnessConfig
-from walras_vi.economy import default_catalog, linear_economy, scalar_catalog
+from walras_vi.economy import (
+    ExcessDemandModel,
+    default_catalog,
+    linear_economy,
+    scalar_catalog,
+)
 from walras_vi.regions import Box, Polyhedron, Simplex
 from walras_vi.vi_core import (
     BUDGET_EXHAUSTED,
@@ -137,6 +143,82 @@ def test_minty_gap_signs():
     # at the dual-stationary point of an increasing field the gap is <= 0
     assert minty_gap(POSSLOPE, [0.5]) <= 1e-12
     assert minty_gap(NEGSLOPE, [0.5]) > 0.1
+
+
+# Problems with boundary solutions on each region kind, as the solve
+# benchmark poses them: E(p) = alpha p - alpha (s + v), v normal at s.
+POLY3 = Polyhedron([[1.0, 1.0, 1.0]], [2.0], lower=np.zeros(3), upper=np.ones(3))
+SOLVER_PROBLEMS = {
+    "simplex": VIProblem(linear_economy(0.35 * np.eye(6), 0.35 * np.array(
+        [0.55, 0.35, 0.25, -0.2, -0.2, -0.2])), Simplex(6)),
+    "box": VIProblem(linear_economy(np.eye(4), [1.5, 0.2, 0.5, -0.4]),
+                     Box([0.0, 0.1, 0.2, 0.0], [1.0, 1.2, 0.9, 0.5])),
+    "polyhedron": VIProblem(linear_economy(np.eye(3), [1.5, 0.9, 0.7]), POLY3),
+    "mortgage": catalog_problem("mortgage_linear")[0],
+    "rotation": catalog_problem("rotation")[0],
+}
+SOLVER_CASES = [(name, None, HarnessConfig()) for name in SOLVER_PROBLEMS] + [
+    ("polyhedron", [0.1, 0.9, 0.2], HarnessConfig(step=0.3)),
+    ("simplex", [0.1, 0.1, 0.1, 0.1, 0.1, 0.5], HarnessConfig(tol_solve=1e-12)),
+    ("box", [0.0, 1.2, 0.2, 0.5], HarnessConfig(budget=5)),       # exhausted
+    ("mortgage", [0.2, 3.9], HarnessConfig(budget=17, step=0.05)),  # exhausted
+]
+
+
+@pytest.mark.parametrize("name, start, config", SOLVER_CASES)
+def test_solver_matches_the_two_evaluation_loop_bit_for_bit(name, start, config):
+    # sharing E(x_k) between the residual and the next y-step must not move
+    # one bit of the trace, the solution or the iteration count
+    problem = SOLVER_PROBLEMS[name]
+    result = solve_extragradient(problem, start=start, config=config)
+    solution, trace, iterations = extragradient_reference(problem, start, config)
+    assert result.iterations == iterations
+    assert result.trace.tobytes() == trace.tobytes()
+    assert result.solution.tobytes() == solution.tobytes()
+    assert result.residual == trace[-1]
+    assert result.status == (CONVERGED if trace[-1] <= config.tol_solve
+                             else BUDGET_EXHAUSTED)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["simplex", "box", "polyhedron", "mortgage"]),
+       seed=st.integers(0, 2**32 - 1), budget=st.integers(0, 60))
+def test_solver_matches_the_reference_from_random_starts(name, seed, budget):
+    problem = SOLVER_PROBLEMS[name]
+    lo, hi = problem.region.bounding_box()
+    start = problem.region.project(np.random.default_rng(seed).uniform(lo, hi))
+    config = HarnessConfig(budget=budget)
+    result = solve_extragradient(problem, start=start, config=config)
+    solution, trace, iterations = extragradient_reference(problem, start, config)
+    assert (result.iterations, result.trace.tobytes(), result.solution.tobytes()) == (
+        iterations, trace.tobytes(), solution.tobytes())
+
+
+def _counting(model):
+    """``model`` behind a wrapper that records every field evaluation."""
+    calls = []
+
+    def evaluate(p):
+        calls.append(np.shape(p))
+        return model.evaluate(p)
+
+    return ExcessDemandModel(model.dim, evaluate, model.label), calls
+
+
+@pytest.mark.parametrize("name, start, config", SOLVER_CASES + [
+    ("polyhedron", [1.0, 0.6, 0.4], HarnessConfig()),   # starts at the solution
+    ("box", [0.0, 1.2, 0.2, 0.5], HarnessConfig(budget=0)),
+])
+def test_solver_evaluates_the_field_once_per_iterate(name, start, config):
+    # E(x_0), then E(y_k) and E(x_{k+1}) per iteration, then one batch for
+    # minty_gap; the two-evaluation loop made 3 * iterations + 2 calls
+    problem = SOLVER_PROBLEMS[name]
+    model, calls = _counting(problem.model)
+    result = solve_extragradient(VIProblem(model, problem.region), start=start,
+                                 config=config)
+    assert len(calls) == 2 * result.iterations + 2
+    assert calls[-1][0] > 1 and all(shape == (model.dim,) for shape in calls[:-1])
+    assert result.iterations == extragradient_reference(problem, start, config)[2]
 
 
 # ---------------------------------------------------------------------------
