@@ -297,12 +297,13 @@ def _write_trace_csv(fh, trace) -> None:
 
 @contextmanager
 def _command(ctx):
-    """A command's scope: the outputs it opens close on leaving it, and a
-    ``ValueError`` becomes one ``error:`` line on stderr and exit 1."""
+    """A command's scope: the outputs it opens close on leaving it, numpy
+    overflow and invalid operations raise, and a ``ValueError`` or
+    ``FloatingPointError`` becomes one ``error:`` line on stderr and exit 1."""
     try:
-        with ExitStack() as files:
+        with ExitStack() as files, np.errstate(over="raise", invalid="raise"):
             yield files
-    except ValueError as exc:
+    except (ValueError, FloatingPointError) as exc:
         click.echo(f"error: {exc}", err=True)
         ctx.exit(EXIT_INPUT_ERROR)
 

@@ -1,7 +1,8 @@
 """Default tolerances and scan parameters, and a run's settings.
 
 A run can set the ``HarnessConfig`` fields and the checkers' ``tau_feas``;
-DISTINCT_DIST, TAU_PROJ and the other uses of TAU_FEAS are fixed.
+DISTINCT_DIST, TAU_PROJ, GRID_POINT_LIMIT and the other uses of TAU_FEAS
+are fixed.
 """
 
 from dataclasses import dataclass
@@ -23,6 +24,10 @@ EPS_STRICT = 1e-9
 
 # Points closer than this are treated as equal in distinctness filters.
 DISTINCT_DIST = 10 * TAU_FEAS
+
+# Largest grid the oracle builds: a region's grid, or the bounding-box mesh
+# it is cut from, is refused above this many points (4,194,304).
+GRID_POINT_LIMIT = 1 << 22
 
 # Extragradient defaults.
 DEFAULT_STEP = 0.1

@@ -1,8 +1,7 @@
 """Excess-demand models and fixture economies.
 
-An excess-demand model is the map E(p) = -D(p) + S(p) evaluated directly;
-demand and supply are never represented separately because nothing
-downstream needs the split.  The module also builds the mortgage-market
+An excess-demand model E(p) = -D(p) + S(p) is affine, E(p) = M p - c, and
+is kept as its data M and c.  The module also builds the mortgage-market
 feasible region: the periodic payment on a loan couples the interest rate
 (price of credit) to the property price through
 
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -43,23 +42,34 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ExcessDemandModel:
-    """Evaluatable excess-demand map E: X -> R^n.
-
-    ``evaluate`` must accept arrays of shape (n,) or (m, n) and return the
-    same shape with finite entries; all fixtures are continuous.
+    """Affine excess-demand map E(p) = M p - c on R^n, labelled ``linear[n]``
+    by default.  Construction checks that M is square, matches c and is
+    finite, and keeps read-only copies in the input's memory layout.  A call
+    takes an array of shape (n,) or (m, n) and returns the same shape.
     """
 
-    dim: int
-    evaluate: Callable[[FloatArray], FloatArray]
-    label: str = "anonymous"
+    M: FloatArray
+    c: FloatArray
+    label: Optional[str] = None
+
+    def __post_init__(self):
+        M = np.atleast_2d(np.array(self.M, dtype=float, order="K"))
+        c = np.atleast_1d(np.array(self.c, dtype=float, order="K"))
+        if M.ndim != 2 or c.ndim != 1 or M.shape != (c.size, c.size):
+            raise ValueError("M must be square and match c")
+        if not (np.all(np.isfinite(M)) and np.all(np.isfinite(c))):
+            raise ValueError("M and c must be finite")
+        M.flags.writeable = c.flags.writeable = False
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "label", self.label or f"linear[{c.size}]")
+
+    @property
+    def dim(self) -> int:
+        return self.c.size
 
     def __call__(self, p) -> FloatArray:
-        arr = np.asarray(p, dtype=float)
-        out = np.asarray(self.evaluate(arr), dtype=float)
-        if out.shape != arr.shape:
-            raise ValueError(
-                f"{self.label}: evaluate returned shape {out.shape} for input {arr.shape}"
-            )
+        out = np.asarray(p, dtype=float) @ self.M.T - self.c
         if not np.isfinite(out).all():
             raise ValueError(f"{self.label}: excess demand must be finite")
         return out
@@ -71,18 +81,7 @@ def linear_economy(M, c, label: Optional[str] = None) -> ExcessDemandModel:
     Positive-definite M gives a strictly monotone fixture, M = 0 a
     constant field, skew M a rotation field.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if M.shape[0] != M.shape[1] or M.shape[0] != c.size:
-        raise ValueError("M must be square and match c")
-    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(c))):
-        raise ValueError("M and c must be finite")
-
-    def evaluate(p: FloatArray) -> FloatArray:
-        return p @ M.T - c
-
-    return ExcessDemandModel(dim=c.size, evaluate=evaluate,
-                             label=label or f"linear[{c.size}]")
+    return ExcessDemandModel(M, c, label)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from numpy.typing import NDArray
 from scipy.linalg import lapack
 from scipy.optimize import linprog
 
-from .constants import TAU_FEAS, TAU_PROJ
+from .constants import GRID_POINT_LIMIT, TAU_FEAS, TAU_PROJ
 
 FloatArray = NDArray[np.float64]
 
@@ -168,7 +168,6 @@ class ConvexRegion(ABC):
     """Common surface of the feasible-region kinds."""
 
     dim: int
-    kind: str
 
     @abstractmethod
     def project(self, x) -> FloatArray:
@@ -216,6 +215,9 @@ class ConvexRegion(ABC):
         if self.dim > 3:
             raise ValueError("grid enumeration is desk-scale only (dim <= 3)")
         lo, hi = self.bounding_box()
+        # each axis holds floor((hi - lo) / spacing + 1e-9) + 1 or + 2 points
+        _check_grid_size(math.prod((b - a) / spacing + 2.0
+                                   for a, b in zip(lo.tolist(), hi.tolist())))
         axes = [_axis_mesh(lo[j], hi[j], spacing) for j in range(self.dim)]
         mesh = np.stack(
             [g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1
@@ -259,6 +261,14 @@ def _halton(count: int, dim: int) -> FloatArray:
     return out
 
 
+def _check_grid_size(points: float) -> None:
+    """Refuse a grid of more than GRID_POINT_LIMIT points before it is built;
+    ``points`` is its size or an upper bound on it, infinite included."""
+    if not points <= GRID_POINT_LIMIT:
+        raise ValueError(f"grid would hold {points:.4g} points, more than "
+                         f"the limit of {GRID_POINT_LIMIT}; use a coarser spacing")
+
+
 def _axis_mesh(lo: float, hi: float, spacing: float) -> FloatArray:
     n_steps = int(math.floor((hi - lo) / spacing + 1e-9))
     axis = lo + spacing * np.arange(n_steps + 1)
@@ -272,7 +282,6 @@ class Simplex(ConvexRegion):
     """Unit price simplex: x_j >= 0 and sum_j x_j = 1."""
 
     n: int
-    kind = "simplex"
 
     def __post_init__(self):
         if self.n < 1:
@@ -291,6 +300,8 @@ class Simplex(ConvexRegion):
         css = np.cumsum(u, axis=1) - 1.0
         ks = np.arange(1, self.n + 1)
         positive = u - css / ks > 0
+        if not positive.any(axis=1).all():
+            raise ValueError("simplex projection threshold lost to rounding")
         rho = self.n - 1 - np.argmax(positive[:, ::-1], axis=1)
         theta = css[np.arange(pts.shape[0]), rho] / (rho + 1.0)
         return np.maximum(pts - theta[:, None], 0.0)
@@ -316,9 +327,11 @@ class Simplex(ConvexRegion):
             raise ValueError("grid spacing must be positive")
         if self.n > 3:
             raise ValueError("grid enumeration is desk-scale only (dim <= 3)")
-        k = max(1, round(1.0 / spacing))
         if self.n == 1:
             return np.array([[1.0]])
+        _check_grid_size(1.0 / spacing)  # < k + 1, the points on one edge
+        k = max(1, round(1.0 / spacing))
+        _check_grid_size(math.comb(k + self.n - 1, self.n - 1))
         if self.n == 2:
             i = np.arange(k + 1)
             return np.stack([i, k - i], axis=-1) / k
@@ -330,15 +343,15 @@ class Simplex(ConvexRegion):
 
 @dataclass(frozen=True, eq=False)
 class Box(ConvexRegion):
-    """Per-commodity price bounds 0 <= a_j <= x_j <= b_j, all finite."""
+    """Per-commodity price bounds 0 <= a_j <= x_j <= b_j, all finite, held
+    as read-only copies."""
 
     lower: FloatArray
     upper: FloatArray
-    kind = "box"
 
     def __init__(self, lower, upper):
-        lo = np.asarray(lower, dtype=float)
-        hi = np.asarray(upper, dtype=float)
+        lo = np.array(lower, dtype=float)
+        hi = np.array(upper, dtype=float)
         if lo.ndim != 1 or hi.shape != lo.shape:
             raise ValueError("lower and upper bounds must be 1-D and equal length")
         if lo.size < 1:
@@ -349,6 +362,7 @@ class Box(ConvexRegion):
             raise ValueError("lower price bounds must be nonnegative")
         if not np.all(np.isfinite(hi)) or np.any(hi < lo):
             raise ValueError("upper bounds must be finite and satisfy b_j >= a_j")
+        lo.flags.writeable = hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -386,10 +400,9 @@ class Polyhedron(ConvexRegion):
 
     Construction solves the 2n bounding-box LPs and raises unless every
     one has an optimum; the first optimum is a feasible anchor point.
-    Optional finite per-axis lower/upper bounds are folded in as extra rows.
+    Optional finite per-axis lower/upper bounds are folded in as extra rows;
+    the resulting ``A`` and ``b`` are read-only.
     """
-
-    kind = "polyhedron"
 
     def __init__(self, A, b, lower=None, upper=None):
         A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -413,6 +426,7 @@ class Polyhedron(ConvexRegion):
             rhs.append(sign * v)
         self.A = np.vstack(rows)
         self.b = np.concatenate(rhs)
+        self.A.flags.writeable = self.b.flags.writeable = False
         norms = np.linalg.norm(self.A, axis=1)
         if np.any(norms == 0):
             raise ValueError("zero constraint rows are not allowed")
@@ -459,7 +473,7 @@ class Polyhedron(ConvexRegion):
         u = argmin_{u >= 0} ||E u - e_{n+1}||, E = [A_u^T; c^T], c = h / s
         (the sign of the top block does not change the objective).  The
         region holds E with a zero c row and e_{n+1}, built once; a call
-        copies E, C-ordered as ``np.vstack`` made it, and writes its c.  Then
+        copies E, column-major as ``np.vstack`` made it, and writes its c.  Then
         lambda = s u / (1 - c.u) and y = x - A_u^T lambda, so stationarity
         holds by construction.  The scale
         s = max(1, max|h|, ||x - f||), f feasible, bounds ||z|| from above;
@@ -476,7 +490,7 @@ class Polyhedron(ConvexRegion):
         d = p - self._anchor
         s = max(1.0, worst, -min(hl), math.sqrt(d @ d))
         c = h / s
-        E = self._lsd.copy()
+        E = self._lsd.copy(order="K")  # the layout sets the BLAS path
         E[-1] = c
         try:
             u = nnls(E, self._e)

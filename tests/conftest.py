@@ -171,12 +171,20 @@ def _tuple_scan(model, plan, sizes, interior, tau_feas):
         W = _weight_grid(m, plan.config.weight_grid_resolution, interior)
         all_combos = list(itertools.combinations(range(n), m))
         for lo in range(0, len(all_combos), _TUPLE_CHUNK):
+            if W.ndim != 2:
+                raise ValueError(f"no weights for the tuples of size {m}")
             combos = np.asarray(all_combos[lo:lo + _TUPLE_CHUNK], dtype=int)
             gsub = g[combos]                                   # (T, m)
             Gsub = G[combos[:, :, None], combos[:, None, :]]   # (T, m, m)
-            dots = gsub[:, :, None] - np.einsum("tjk,wk->tjw", Gsub, W)
-            combined = np.einsum("wk,tkn->twn", W, P[combos])  # (T, W, n)
-            yield combos, W, combined, dots
+            Pc = P[combos]                                     # (T, m, n)
+            # sums over the members in k order, as the scan documents; an
+            # einsum may take them in another order and differ in the last bit
+            paired = Gsub[:, :, None, 0] * W[:, 0]             # (T, m, W)
+            combined = W[None, :, 0, None] * Pc[:, None, 0]    # (T, W, n)
+            for k in range(1, m):
+                paired = paired + Gsub[:, :, None, k] * W[:, k]
+                combined = combined + W[None, :, k, None] * Pc[:, None, k]
+            yield combos, W, combined, gsub[:, :, None] - paired
 
 
 def check_properly_quasimonotone(model: ExcessDemandModel, plan: SamplePlan,

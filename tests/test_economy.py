@@ -5,6 +5,7 @@ from scipy.spatial import ConvexHull
 
 from conftest import box_grid, final_balance, payment_by_bisection
 from walras_vi.economy import (
+    ExcessDemandModel,
     MortgageTerms,
     affine_rate_cap_region,
     default_catalog,
@@ -64,6 +65,43 @@ def test_model_rejects_bad_shapes():
     model = linear_economy(np.eye(2), [0.0, 0.0])
     with pytest.raises(ValueError):
         model([1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("M, c, message", [
+    (np.ones((2, 2, 2)), [0.0, 0.0], "square"),        # 3-D M
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.0, 0.0], "square"),
+    (np.eye(2), [0.0, 0.0, 0.0], "square"),            # c of another size
+    (np.eye(2), [[0.0, 0.0]], "square"),               # 2-D c
+    ([[1.0, np.nan], [0.0, 1.0]], [0.0, 0.0], "finite"),
+    (np.eye(2), [np.inf, 0.0], "finite"),
+], ids=["3d-M", "non-square-M", "mismatched-c", "2d-c", "nan-M", "inf-c"])
+def test_model_refuses_malformed_data_when_built(M, c, message):
+    with pytest.raises(ValueError, match=message):
+        ExcessDemandModel(M, c)
+    with pytest.raises(ValueError, match=message):
+        linear_economy(M, c)
+
+
+def test_model_holds_read_only_copies_of_its_data():
+    A, c = np.eye(2), np.zeros(2)
+    model = linear_economy(A, c)
+    A[0, 0] = 5.0
+    c[1] = 1.0
+    assert model([1.0, 0.0]).tolist() == [1.0, 0.0]
+    for arr in (model.M, model.c):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 2.0
+    assert (model.dim, model.label) == (2, "linear[2]")
+
+
+def test_model_copy_keeps_the_input_layout():
+    # a Fortran-ordered M stays Fortran-ordered, so p @ M.T takes the BLAS
+    # path the caller's array would take
+    A = np.asfortranarray(np.arange(9.0).reshape(3, 3) / 7.0)
+    model = ExcessDemandModel(A, [0.1, 0.2, 0.3])
+    assert model.M.flags.f_contiguous and not model.M.flags.c_contiguous
+    p = np.linspace(0.0, 1.0, 12).reshape(4, 3)
+    assert model(p).tobytes() == (p @ A.T - np.array([0.1, 0.2, 0.3])).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from conftest import (
     simplex_lattice,
 )
 from walras_vi.constants import TAU_FEAS
-from walras_vi.economy import linear_economy
+from walras_vi.economy import default_catalog, linear_economy
 from walras_vi.monotonicity import SamplePlan, is_positive
 from walras_vi.regions import (
     Box,
@@ -98,10 +98,35 @@ def test_simplex_batch_projection_agrees_with_rowwise():
     assert_allclose(batch, rows, atol=1e-12)
 
 
+def test_simplex_batch_projection_refuses_a_threshold_lost_to_rounding():
+    # the second row's running sums leave no k with u_k > theta_k in floats;
+    # project raises on it, and so must the batch
+    rows = [[1e17, 0.0, 0.0], [-3.3e16] * 3]
+    with pytest.raises(ValueError, match="lost to rounding"):
+        Simplex(3).project(rows[1])
+    with pytest.raises(ValueError, match="lost to rounding"):
+        Simplex(3).project_many(rows)
+
+
 def test_simplex_grid_is_lattice():
     g = Simplex(3).grid(0.5)
     assert g.shape == (6, 3)
     assert_allclose(g.sum(axis=1), 1.0)
+
+
+@pytest.mark.parametrize("region, spacing", [
+    (Box([0.0, 0.0], [1e308, 1.0]), 0.02),   # the axis length overflows
+    (Box([0.0, 0.0], [1e12, 1.0]), 0.02),    # 5e13 mesh points
+    (Simplex(2), 1e-320),                    # 1 / spacing overflows
+    (Box([0.0], [1.0]), 2.0 ** -22),         # one past the limit
+], ids=["box-1e308", "box-1e12", "simplex-1e-320", "box-limit"])
+def test_grid_beyond_the_point_limit_is_refused_before_it_is_built(region, spacing):
+    with pytest.raises(ValueError, match="grid would hold"):
+        region.grid(spacing)
+
+
+def test_one_point_simplex_grid_has_no_size_limit():
+    assert Simplex(1).grid(1e-320).tolist() == [[1.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +143,40 @@ def test_box_componentwise_clamp():
     assert_allclose(k.project([-1.0, 5.0]), [0.0, 1.0])
     k2 = Box([0.0, 1.0], [1.0, 2.0])
     assert_allclose(k2.project([0.5, 2.3]), [0.5, 2.0])
+
+
+def test_box_holds_read_only_copies_of_its_bounds():
+    lo = np.array([0.0, 0.0])
+    b = Box(lo, [1.0, 1.0])
+    lo[0] = 0.9
+    assert b.lower.tolist() == [0.0, 0.0]
+    assert b.project([0.0, 0.0]).tolist() == [0.0, 0.0]
+    for arr in (b.lower, b.upper):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+
+
+def test_polyhedron_constraints_are_read_only():
+    A, rhs = np.array([[1.0, 1.0]]), np.array([1.0])
+    region = Polyhedron(A, rhs, lower=[0.0, 0.0], upper=[1.0, 1.0])
+    A[0, 0] = rhs[0] = 7.0
+    assert region.A[0].tolist() == [1.0, 1.0] and region.b[0] == 1.0
+    for arr in (region.A, region.b):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+
+
+def test_catalog_regions_cannot_be_written():
+    # four default fixtures share one unit square, and the catalog is
+    # cached, so a write would reach every later default_catalog()
+    written = 0
+    for fixture in default_catalog().values():
+        for name, arr in vars(fixture.region).items():
+            if isinstance(arr, np.ndarray) and not name.startswith("_"):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.5
+                written += 1
+    assert written == 2 * 8  # four unit squares, three intervals, the mortgage
 
 
 def test_box_validation():
@@ -404,6 +463,20 @@ def test_nnls_matches_reference_bit_for_bit(case):
 @given(polyhedron_cases())
 def test_polyhedron_projection_matches_reference_bit_for_bit(case):
     region, x, _ = case
+    _same_bits_or_same_error(lambda: region.project(x),
+                             lambda: polyhedron_project_reference(region, x))
+
+
+def test_polyhedron_projection_matches_reference_on_a_pinned_flat_set():
+    # repeated and opposite rows pin x_1 and x_3; a row-major copy of the
+    # column-major least-distance matrix took another BLAS path here and
+    # moved the last bits of the projection
+    A = np.vstack([[[0.0, 0.0, 0.125]] * 3, [[0.0, 0.125, 0.0], [0.0, 0.125, 0.125]],
+                   -np.eye(3), np.eye(3)])
+    b = [0.0, 0.0, 0.0, 0.13892807890929085, 0.13892807890929085, -0.0,
+         -1.1114246312743268, -0.0, 0.0, 1.1114246312743268, 0.0]
+    region = Polyhedron(A, b)
+    x = np.array([0.0, 2.8897040413132498, 1.1256703294558041])
     _same_bits_or_same_error(lambda: region.project(x),
                              lambda: polyhedron_project_reference(region, x))
 

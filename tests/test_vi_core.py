@@ -195,14 +195,15 @@ def test_solver_matches_the_reference_from_random_starts(name, seed, budget):
 
 
 def _counting(model):
-    """``model`` behind a wrapper that records every field evaluation."""
+    """``model``'s field in a subclass that records every evaluation."""
     calls = []
 
-    def evaluate(p):
-        calls.append(np.shape(p))
-        return model.evaluate(p)
+    class Counting(ExcessDemandModel):
+        def __call__(self, p):
+            calls.append(np.shape(p))
+            return super().__call__(p)
 
-    return ExcessDemandModel(model.dim, evaluate, model.label), calls
+    return Counting(model.M, model.c, model.label), calls
 
 
 @pytest.mark.parametrize("name, start, config", SOLVER_CASES + [
