@@ -57,7 +57,7 @@ _TUPLE_CLASSES = CLASS_NAMES[2:]
 HOLDS = "holds_on_samples"
 REFUTED = "refuted"
 
-_SCAN_PAIRS = 1 << 16           # pairings per scan buffer, which stays in cache
+_SCAN_PAIRS = 1 << 17       # entries per scan buffer: m = 3 rows 3,640 tuples wide
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,6 +257,14 @@ def _tuple_dots(G, g, combo, Wt):
                      for j in range(len(combo))])
 
 
+def _allowance(P, m: int) -> float:
+    """Rounding allowance of ``_certified`` and ``_line_kept`` on m-tuples of P;
+    inf, certifying nothing, for m >= 4 or where not below DISTINCT_DIST."""
+    allowance = (16 * (m + P.shape[1] + 4) * np.sqrt(P.shape[1])
+                 * np.finfo(float).eps * np.abs(P).max())
+    return allowance if m <= 3 and allowance < DISTINCT_DIST else np.inf
+
+
 def _certified(P, combos, steps: int):
     """(T, m) mask of the members no interior combination comes near.
 
@@ -264,21 +272,16 @@ def _certified(P, combos, steps: int):
     of the other members, and 1 - w_j >= (m - 1)/steps, so ||c - p_j|| is at
     least (m - 1)/steps times the distance from p_j to that hull: the other
     point for m = 2, the segment of the other two for m = 3.  A member is
-    certified when that bound, less an allowance for rounding in the bound
+    certified when that bound, less ``_allowance`` for rounding in the bound
     and in the float test, exceeds 2 DISTINCT_DIST: the float test then
-    passes for every interior weight.  The allowance grows with m, n and
-    max |P|; m >= 4, and plans whose allowance is not below DISTINCT_DIST,
-    certify nothing.
+    passes for every interior weight.
     """
     T, m = combos.shape
-    n = P.shape[1]
-    # With u = eps/2 and L = max |P|: the computed distance exceeds the true
-    # one by at most about 4 √n (3n + 10) u L (the clipped projection
-    # parameter is off by a few n u), and the computed combination is off
-    # by at most √n (m + 1) u L; the allowance is over twice their sum.
-    allowance = (16 * (m + n + 4) * np.sqrt(n) * np.finfo(float).eps
-                 * np.abs(P).max())
-    if m > 3 or not allowance < DISTINCT_DIST:
+    # u = eps/2, L = max |P|: the computed distance exceeds the true one by at
+    # most about 4 √n (3n + 10) u L (the clipped projection parameter is off
+    # by a few n u), the combination by √n (m + 1) u L: under half the allowance.
+    allowance = _allowance(P, m)
+    if allowance == np.inf:
         return np.zeros((T, m), dtype=bool)
     Pc = P[combos]
     if m == 2:
@@ -293,6 +296,27 @@ def _certified(P, combos, steps: int):
                 s = np.clip((x * d).sum(axis=1) / (d * d).sum(axis=1), 0.0, 1.0)
                 dist[:, j] = np.linalg.norm(x - s[:, None] * d, axis=1)
     return (m - 1) / steps * dist - allowance > 2 * DISTINCT_DIST
+
+
+def _line_kept(Pc, j: int, Wi, allowance: float):
+    """(T, Wi) mask of the interior weights whose combination of tuples Pc
+    (T, m <= 3, n) may come near member j; the float test passes elsewhere.
+
+    With x_k = p_k - p_j, u = eps/2 and L = max |P|, for any v
+    ||c - p_j|| ||v|| >= |Σ_{k≠j} w_k x_k·v| - √n u L ||v||, as the float
+    weights sum to 1 within u.  v runs along the other two members (from p_j
+    for m = 2), so on a line the bound is the distance.  A weight is dropped
+    where the computed |Σ w_k x_k·v| exceeds (2 DISTINCT_DIST + allowance)
+    times the computed ||v||.  That sum errs by at most 2√n (n + 3) u L ||v||,
+    the norm and product by (n + 3) u relative, and the float test's
+    distance by √n (m + n + 4) u L; the allowance is over twice their sum.
+    """
+    others = [k for k in range(Pc.shape[1]) if k != j]
+    a, b = ([j] + others)[-2:]
+    v = Pc[:, b] - Pc[:, a]
+    s = np.einsum("tkn,tn->tk", Pc[:, others] - Pc[:, j, None], v)
+    limit = (2 * DISTINCT_DIST + allowance) * np.linalg.norm(v, axis=1)
+    return ~(np.abs(s @ Wi[:, others].T) > limit[:, None])
 
 
 def _combine(W, Pc):
@@ -326,14 +350,18 @@ def _tuple_sizes(plan: SamplePlan):
 def _strict_exclusions(plan: SamplePlan) -> dict:
     """(tuple, interior weight) pairs whose c = Σ_k w_k p_k (``_combine``)
     fails ||c - p_j|| > DISTINCT_DIST (squares summed in coordinate order)
-    at a member j that ``_certified`` leaves."""
+    at a member j that ``_certified`` leaves and ``_line_kept`` keeps at some
+    weight (the test passes at the others), in chunks of _SCAN_PAIRS coordinates."""
     P, steps, out = plan.base_points, plan.config.weight_grid_resolution - 1, {}
     for m, all_combos, W, interior in _tuple_sizes(plan):
-        Wi, found = W[interior], [np.empty(0, dtype=np.intp)]
-        step = max(1, _SCAN_PAIRS // max(1, len(Wi)))
+        Wi, found, allowance = W[interior], [np.empty(0, np.intp)], _allowance(P, m)
+        step = max(1, _SCAN_PAIRS // max(1, len(Wi) * P.shape[1]))
         for lo in range(0, len(all_combos) if m > 1 else 0, step):
             combos = all_combos[lo:lo + step]
             uncertain = ~_certified(P, combos, steps)
+            for j in range(m if allowance < np.inf else 0):
+                sel = np.flatnonzero(uncertain[:, j])
+                uncertain[sel, j] = _line_kept(P[combos[sel]], j, Wi, allowance).any(1)
             rows = np.flatnonzero(uncertain.any(axis=1))
             combined = _combine(Wi, P[combos[rows]])
             near = np.zeros((rows.size, len(Wi)), dtype=bool)
@@ -366,17 +394,19 @@ def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan,
                         tau_feas: float = TAU_FEAS) -> dict:
     """Reports of the three combination classes from one scan, by class name.
 
-    Tuples of each size m come in lexicographic order, in chunks of about
-    ``_SCAN_PAIRS`` pairings; each class seeks its first violation only in
-    chunks whose minimum is not above its threshold.  Members pair first
-    with the interior weight rows (all weights positive), all the primal
-    classes read, since a boundary combination of a tuple is an interior
-    one of a sub-tuple.  Until its first violation, the dual class then
-    pairs the boundary rows for the tuples whose interior ``achieved`` (max
-    over rows of the min over members) is below max(-tau_feas, exact min of
-    ``achieved`` so far): no other tuple can fail or lower that minimum.
-    Pairings are summed in k order; the strict class skips the
-    pairs in ``SamplePlan.strict_exclusions``, computed once per plan.
+    Tuples of each size m come in lexicographic order, in chunks of
+    ``_SCAN_PAIRS`` pairings per buffer row block (interior or boundary
+    weight rows, whichever are more; numpy 2.4's broadcast multiply is about
+    four times slower per element on rows under about 3,000 tuples).  Each
+    class seeks its first violation only in chunks whose minimum is not
+    above its threshold.  Members pair first with the interior weight rows
+    (all weights positive), all the primal classes read, since a boundary
+    combination of a tuple is an interior one of a sub-tuple.  Until its
+    first violation, the dual class then pairs the boundary rows for the
+    tuples whose interior ``achieved`` (max over rows of the min over
+    members) is below max(-tau_feas, exact min of ``achieved`` so far): no
+    other tuple can fail or lower that minimum.  Pairings are summed in k
+    order; the strict class skips the pairs in ``SamplePlan.strict_exclusions``.
     """
     P, Ev, G, g = _pairings(model, plan)
     eps = plan.config.eps_strict
@@ -387,8 +417,8 @@ def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan,
     dual_min = float("inf")                  # exact min of achieved so far
     for m, all_combos, W, interior in _tuple_sizes(plan):
         inner, outer = np.flatnonzero(interior), np.flatnonzero(~interior)
-        Wi, step = inner.size, max(1, _SCAN_PAIRS // len(W))
-        bufs = np.empty((4, len(W), min(len(all_combos), step)))
+        Wi, step = inner.size, max(1, _SCAN_PAIRS // max(inner.size, outer.size))
+        bufs = np.empty((4, max(Wi, outer.size), min(len(all_combos), step)))
         for lo in range(0, len(all_combos), step):
             combos = all_combos[lo:lo + step]
             mindots, maxdots = _fold(G, g, combos, W[inner].T, bufs[:, :Wi],

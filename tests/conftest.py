@@ -4,16 +4,18 @@ Everything here is deliberately written from the definitions, without
 reusing the library's own grid or scan machinery, so the tests cross
 two independent routes wherever the library computes something nontrivial.
 The exceptions are the reference pair and tuple scans, the reference
-clustering and the two-pass Minty scan, and the projection and solver
-references at the end: they are the library's earlier pair checkers, its
-earlier per-class scans, its earlier fused scan, its earlier union-find
+strict exclusions, the reference clustering and the two-pass Minty scan,
+and the projection and solver references at the end: they are the
+library's earlier pair checkers, its earlier per-class scans, its earlier
+fused scan, its earlier strict exclusions, its earlier union-find
 clustering, its earlier dual scan, and its earlier simplex projection,
 NNLS, polyhedral projection and extragradient loop, kept verbatim apart
 from the fused scan's sums, which run in k order as the library's do.  The
-pair checkers, ``check_tuple_classes``, ``cluster_members`` and the Minty
-rejection cascade must agree with them byte for byte (the per-class scans
-and the Minty scans on grids where every pairing is exact; elsewhere up to
-BLAS rounding); the projections and the solver must agree bit for bit.
+pair checkers, ``check_tuple_classes``, ``SamplePlan.strict_exclusions``,
+``cluster_members`` and the Minty rejection cascade must agree with them
+byte for byte (the per-class scans and the Minty scans on grids where
+every pairing is exact; elsewhere up to BLAS rounding); the projections
+and the solver must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from scipy.linalg import lapack
 
 from walras_vi.constants import DISTINCT_DIST, TAU_FEAS, TAU_PROJ
 from walras_vi.economy import ExcessDemandModel
-from walras_vi.monotonicity import (HOLDS, REFUTED, MonotonicityReport,
-                                    SamplePlan, Witness)
+from walras_vi.monotonicity import (_SCAN_PAIRS, HOLDS, REFUTED,
+                                    MonotonicityReport, SamplePlan, Witness,
+                                    _certified, _combine, _tuple_sizes)
 from walras_vi.regions import FloatArray, ProjectionBudgetError, as_price_vector
 from walras_vi.vi_core import residual
 
@@ -474,6 +477,40 @@ def fused_tuple_scan(model: ExcessDemandModel, plan: SamplePlan,
             if name in hits else
             MonotonicityReport(name, HOLDS, samples[name], best[name])
             for name in names}
+
+
+# reference strict exclusions: the library's earlier _strict_exclusions,
+# which takes the float distinctness test at every interior weight of every
+# member ``_certified`` leaves, kept verbatim as the reference for the line
+# filter
+
+
+def strict_exclusions_reference(plan: SamplePlan) -> dict:
+    """(tuple, interior weight) pairs whose c = Σ_k w_k p_k (``_combine``)
+    fails ||c - p_j|| > DISTINCT_DIST (squares summed in coordinate order)
+    at a member j that ``_certified`` leaves."""
+    P, steps, out = plan.base_points, plan.config.weight_grid_resolution - 1, {}
+    for m, all_combos, W, interior in _tuple_sizes(plan):
+        Wi, found = W[interior], [np.empty(0, dtype=np.intp)]
+        step = max(1, _SCAN_PAIRS // max(1, len(Wi)))
+        for lo in range(0, len(all_combos) if m > 1 else 0, step):
+            combos = all_combos[lo:lo + step]
+            uncertain = ~_certified(P, combos, steps)
+            rows = np.flatnonzero(uncertain.any(axis=1))
+            combined = _combine(Wi, P[combos[rows]])
+            near = np.zeros((rows.size, len(Wi)), dtype=bool)
+            for j in range(m):
+                sel = np.flatnonzero(uncertain[rows, j])
+                # summed in q order: the row norm bit for bit below 8 dims
+                d = combined[sel] - P[combos[rows[sel], j]][:, None, :]
+                sq = d[..., 0] ** 2
+                for q in range(1, d.shape[-1]):
+                    sq = sq + d[..., q] ** 2
+                near[sel] |= ~(np.sqrt(sq) > DISTINCT_DIST)
+            t, w = np.nonzero(near)
+            found.append((lo + rows[t]) * len(Wi) + w)
+        out[m] = np.concatenate(found)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ from math import comb
 import numpy as np
 import pytest
 from conftest import (REFERENCE_PAIR_CHECKERS, REFERENCE_TUPLE_CHECKERS,
-                      box_grid, fused_tuple_scan)
-from hypothesis import example, given, settings
+                      box_grid, fused_tuple_scan, strict_exclusions_reference)
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -582,6 +582,16 @@ def _same_as_fused(model, plan):
         assert _same_reports(report, reference[name]), name
 
 
+def _same_exclusions(plan):
+    got = monotonicity._strict_exclusions(plan)
+    expected = strict_exclusions_reference(plan)
+    assert got.keys() == expected.keys()
+    for m, pairs in expected.items():
+        assert got[m].dtype == pairs.dtype, m
+        assert got[m].tobytes() == pairs.tobytes(), m
+    return got
+
+
 def _k_order_dots(G, g, combos, W):
     """dots[t, j, w] = g_j - Σ_k w_k G[j, k] in Python floats, summed in k order."""
     G, g, W = G.tolist(), g.tolist(), W.tolist()
@@ -735,6 +745,9 @@ def test_large_coordinates_take_the_exact_path():
     for m in (2, 3):
         combos = np.array(list(itertools.combinations(range(plan.size), m)))
         assert not monotonicity._certified(plan.base_points, combos, 10).any()
+        # nor does the line filter drop a weight
+        assert monotonicity._allowance(plan.base_points, m) == np.inf
+    _same_exclusions(plan)
     _same_as_fused(linear_economy(np.array([[1e-6, 0.0], [0.0, 0.0]]),
                                   [0.117, -0.234]), plan)
     _same_as_fused(linear_economy(np.zeros((2, 2)), [-1.0, 0.0]), plan)
@@ -762,6 +775,114 @@ def test_four_tuples_have_no_bound():
         _same_as_fused(model, plan)
 
 
+# ---------------------------------------------------------------------------
+# strict exclusions through the line filter against the float test everywhere
+
+
+def _plan_64(label):
+    return build_plan(CATALOG[label].region, HarnessConfig(num_points=64))
+
+
+def _line_plan(P, m_max=3, resolution=11):
+    return SamplePlan(Box(P.min(axis=0), P.max(axis=0)), P, HarnessConfig(
+        tuple_size_max=m_max, weight_grid_resolution=resolution))
+
+
+# 0, one ulp ("ulp"), and either side of DISTINCT_DIST, 2 DISTINCT_DIST and
+# the lines where 2 DISTINCT_DIST falls at a tie weight's distance
+NUDGES = st.one_of(
+    st.sampled_from([0.0, "ulp"]),
+    st.builds(lambda k, d, sign: sign * k * DISTINCT_DIST * (1 + d),
+              st.sampled_from([1, 2, 2.5, 4, 5, 10, 20]),
+              st.sampled_from([-1e-3, -1e-5, 0.0, 1e-5, 1e-3]),
+              st.sampled_from([-1, 1])))
+FRACTIONS = st.sampled_from([0.0, 1.0, 1 / 2, 1 / 3, 2 / 3, 1 / 4, 3 / 4, 1 / 8,
+                             0.3, 0.7, 0.117, 5 / 16])
+
+
+def _nudge(p, direction, by):
+    if by == "ulp":
+        return np.nextafter(p, p + direction)
+    return p + by * direction
+
+
+@st.composite
+def line_plans(draw):
+    """Points on a line, one of them nudged along it and across it, on
+    dyadic or rounded coordinates, near 0 or near 1e6."""
+    n = draw(st.integers(1, 3))
+    dyadic = draw(st.booleans())
+    coord = (st.integers(-16, 16).map(lambda k: k / 16) if dyadic else
+             st.floats(-1, 1, allow_subnormal=False))
+    # a in [2, 3]^n keeps the nudged points positive, as a box's prices are
+    a = 2 + np.abs(draw(st.lists(coord, min_size=n, max_size=n)))
+    d = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    assume(np.linalg.norm(d) > 0.05)
+    along = d / np.linalg.norm(d)
+    across = np.roll(along, 1) * ([-1] + [1] * (n - 1)) if n > 1 else along
+    across = across - (across @ along) * along
+    fractions = draw(st.lists(FRACTIONS, min_size=3, max_size=7, unique=True))
+    P = draw(st.sampled_from([1.0, 1e6])) * (a + np.outer(fractions, d))
+    row = draw(st.integers(0, len(P) - 1))
+    P[row] = _nudge(_nudge(P[row], along, draw(NUDGES)), across, draw(NUDGES))
+    resolution = draw(st.sampled_from([3, 5, 9, 11, 17]))
+    m_max = draw(st.integers(2, 4 if resolution < 17 else 3))
+    return P, m_max, resolution
+
+
+def _nudged_midpoint(by):
+    """A midpoint moved by ``by`` along its line: the nearest interior
+    combination, w = (1/8, 3/4, 1/8), lies by / 4 from it."""
+    P = np.array([[1.0, 1.0], [1.5, 1.25], [2.0, 1.5]])
+    P[1] += by * (P[2] - P[0]) / np.linalg.norm(P[2] - P[0])
+    return P, 3, 9
+
+
+@settings(max_examples=150, deadline=None)
+@given(line_plans())
+@example(_nudged_midpoint(4 * DISTINCT_DIST * (1 - 1e-5)))
+@example(_nudged_midpoint(4 * DISTINCT_DIST * (1 + 1e-5)))
+@example(_nudged_midpoint(8 * DISTINCT_DIST * (1 - 1e-5)))
+@example(_nudged_midpoint(8 * DISTINCT_DIST * (1 + 1e-5)))
+@example((np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5 + 2 * DISTINCT_DIST]]),
+          3, 11))
+@example((np.array([[0.0, 0.0], [1.0, 1.0], [0.5 + 1e-8, 0.5 + 1e-8]]), 3, 11))
+@example((np.array([[0.0], [0.25], [0.5], [0.75], [1.0]]), 3, 9))
+def test_line_filter_matches_the_float_test_everywhere(case):
+    P, m_max, resolution = case
+    _same_exclusions(_line_plan(P, m_max, resolution))
+
+
+def test_line_filter_keeps_exactly_the_ties_of_a_line():
+    # on a line the bound is the distance itself: of a middle member, the
+    # filter keeps the weights whose combination lands on it, no more
+    P = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 2.0]])
+    W = monotonicity._weight_grid(3, 9)
+    Wi = W[(W > 0).all(axis=1)]
+    kept = monotonicity._line_kept(P[None], 1, Wi,
+                                   monotonicity._allowance(P, 3))[0]
+    assert kept.tolist() == (Wi[:, 0] == Wi[:, 2]).tolist()
+    assert kept.sum() == 3
+    assert _same_exclusions(_line_plan(P, resolution=9))[3].tolist() == \
+        np.flatnonzero(kept).tolist()
+
+
+@pytest.mark.parametrize("label, excluded", [
+    ("linear_identity", 112), ("scalar_negslope", 16_223),
+    ("simplex_positive", 215), ("mortgage_linear", 71)])
+def test_default_plans_exclude_the_reference_pairs(label, excluded):
+    # the four distinct 64-point plans of the default catalog
+    got = _same_exclusions(_plan_64(label))
+    assert {m: len(pairs) for m, pairs in got.items()} == {1: 0, 2: 0, 3: excluded}
+
+
+def _scan_rows(m, resolution):
+    """Rows of the scan buffers for m-tuples: the larger of the interior and
+    boundary weight counts."""
+    interior = (monotonicity._weight_grid(m, resolution) > 0).all(axis=1)
+    return max(interior.sum(), (~interior).sum())
+
+
 def _spy_folds(monkeypatch):
     """Record (m, pass, tuples) for every fold of the tuple scan."""
     calls, fold = [], monotonicity._fold
@@ -779,10 +900,10 @@ def _spy_folds(monkeypatch):
 def test_chunk_tails_match_fused_reference(monkeypatch, chunk):
     calls = _spy_folds(monkeypatch)
     for resolution, m_max in ((11, 3), (3, 3), (5, 4)):
-        # a budget of `chunk` pairings per weight row makes 3-tuple chunks
+        # a budget of `chunk` pairings per buffer row makes 3-tuple chunks
         # of `chunk` tuples, then a shorter tail
-        weights = len(monotonicity._weight_grid(3, resolution))
-        monkeypatch.setattr(monotonicity, "_SCAN_PAIRS", chunk * weights)
+        monkeypatch.setattr(monotonicity, "_SCAN_PAIRS",
+                            chunk * _scan_rows(3, resolution))
         for label in ("rotation", "scalar_negslope", "simplex_positive",
                       "mortgage_linear", "constant_positive"):
             fixture = CATALOG[label]
@@ -830,6 +951,37 @@ def test_running_dual_minimum_across_tiny_chunks(monkeypatch, pairs):
             for name, report in check_tuple_classes(model, plan,
                                                     tau).items():
                 assert _same_reports(report, reference[name]), (name, tau)
+
+
+@pytest.mark.parametrize("label", ["constant_field", "rotation",
+                                   "scalar_positive"])
+def test_reports_do_not_depend_on_the_chunk_width(monkeypatch, label):
+    # the dual boundary pass scores nearly every tuple of these plans, so
+    # running minima and first hits cross chunk edges at every width
+    fixture, plan = CATALOG[label], _plan_64(label)
+    widths = {}
+    for pairs in (monotonicity._SCAN_PAIRS, 1 << 16, 1000):
+        monkeypatch.setattr(monotonicity, "_SCAN_PAIRS", pairs)
+        widths[pairs] = json.dumps({name: report.to_dict() for name, report
+                                    in check_tuple_classes(fixture.model,
+                                                           plan).items()})
+    assert len(set(widths.values())) == 1
+
+
+# numpy 2.4's broadcast multiply runs about four times slower per element
+# on rows narrower than about 3,000 than on wider ones
+MIN_SCAN_ROW = 3000
+
+
+def test_three_tuple_folds_run_on_wide_rows(monkeypatch):
+    calls = _spy_folds(monkeypatch)
+    fixture = CATALOG["linear_identity"]
+    plan = _plan_64("linear_identity")
+    check_tuple_classes(fixture.model, plan)
+    widths = [tuples for m, scan, tuples in calls
+              if (m, scan) == (3, "interior")]
+    assert sum(widths) == comb(plan.size, 3) and len(widths) > 1
+    assert min(widths[:-1]) >= MIN_SCAN_ROW
 
 
 def test_scan_memory_stays_in_small_chunks():
