@@ -252,8 +252,6 @@ def load_catalog_file(path: str) -> tuple[dict, HarnessConfig]:
             region = base.region
         else:
             raise ProblemFileError(f"fixture {label!r} needs a region")
-        _require(model.dim == region.dim,
-                 f"fixture {label!r} has mismatched dimensions")
         lipschitz = _lipschitz(parse_section("fixture", entry),
                                base.lipschitz if base is not None else 1.0)
         fixtures[label] = Fixture(label=label, model=model, region=region,

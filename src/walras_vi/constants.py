@@ -1,8 +1,8 @@
 """Default tolerances and scan parameters, and a run's settings.
 
-A run can set the ``HarnessConfig`` fields and the checkers' ``tau_feas``;
-DISTINCT_DIST, TAU_PROJ, GRID_POINT_LIMIT and the other uses of TAU_FEAS
-are fixed.
+A run can set the ``HarnessConfig`` fields; TAU_FEAS, DISTINCT_DIST,
+TAU_PROJ, GRID_POINT_LIMIT and the plan limits PLAN_POINT_LIMIT and
+PLAN_PAIR_LIMIT are fixed.
 """
 
 from dataclasses import dataclass
@@ -28,6 +28,14 @@ DISTINCT_DIST = 10 * TAU_FEAS
 # Largest grid the oracle builds: a region's grid, or the bounding-box mesh
 # it is cut from, is refused above this many points (4,194,304).
 GRID_POINT_LIMIT = 1 << 22
+
+# Largest sample plan: at most this many points, region vertices and plan
+# points counted before deduplication, and a tuple scan of at most
+# PLAN_PAIR_LIMIT (tuple, weight) pairs, counted before the plan is built
+# and scanned.  The 64-point default catalog plans hold 68 points and scan
+# about 3.3 million pairs.
+PLAN_POINT_LIMIT = 1 << 10
+PLAN_PAIR_LIMIT = 1 << 26
 
 # Extragradient defaults.
 DEFAULT_STEP = 0.1
@@ -65,6 +73,9 @@ class HarnessConfig:
         if self.num_points < 0:
             raise ValueError(f"plan points must be nonnegative: num_points is "
                              f"{self.num_points}")
+        if self.num_points > PLAN_POINT_LIMIT:
+            raise ValueError(f"plan points must be at most {PLAN_POINT_LIMIT}: "
+                             f"num_points is {self.num_points}")
         if self.tuple_size_max < 2:
             raise ValueError(f"tuple_size_max must be >= 2, got {self.tuple_size_max}")
         if self.weight_grid_resolution < 3:

@@ -189,13 +189,20 @@ class Fixture:
     """Catalog entry: a model, its region, and oracle calibration data.
 
     ``lipschitz`` scales the solution-set oracle's verification tolerance
-    (tol = grid spacing * lipschitz) and is calibrated per fixture.
+    (tol = grid spacing * lipschitz) and is calibrated per fixture.  The
+    model and the region must have one dimension.
     """
 
     label: str
     model: ExcessDemandModel
     region: ConvexRegion
     lipschitz: float
+
+    def __post_init__(self):
+        if self.model.dim != self.region.dim:
+            raise ValueError(f"fixture {self.label!r}: model dimension "
+                             f"{self.model.dim} does not match region dimension "
+                             f"{self.region.dim}")
 
 
 def scalar_catalog() -> dict[str, ExcessDemandModel]:

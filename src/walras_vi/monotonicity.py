@@ -22,14 +22,15 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import combinations
+from math import comb
 from typing import Optional
 
 import numpy as np
 
-from .constants import DISTINCT_DIST, TAU_FEAS, HarnessConfig
+from .constants import (DISTINCT_DIST, GRID_POINT_LIMIT, PLAN_PAIR_LIMIT,
+                        PLAN_POINT_LIMIT, TAU_FEAS, HarnessConfig)
 from .economy import ExcessDemandModel
-from .regions import ConvexRegion, FloatArray, first_distinct
+from .regions import ConvexRegion, FloatArray, first_distinct, simplex_lattice
 
 __all__ = [
     "CLASS_NAMES",
@@ -65,9 +66,12 @@ class SamplePlan:
     """Deterministic discretization of the checkers' quantifiers over a region.
 
     Construction checks that there is at least one base point, that the
-    points have the region's dimension and that they lie in it at TAU_FEAS;
-    the region itself is not kept.  ``config`` supplies the tuple size,
-    weight grid and eps_strict every check on the plan reads.
+    points have the region's dimension and that they lie in it at TAU_FEAS,
+    and that the tuple scan, counted exactly in integers, pairs at most
+    PLAN_PAIR_LIMIT (tuple, weight) pairs on weight grids of at most
+    GRID_POINT_LIMIT rows; the region itself is not kept.  ``config``
+    supplies the tuple size, weight grid and eps_strict every check on the
+    plan reads.
     """
 
     region: InitVar[ConvexRegion]
@@ -82,6 +86,19 @@ class SamplePlan:
             raise ValueError("plan dimension does not match the region")
         if not region.contains_many(pts, tol=TAU_FEAS).all():
             raise ValueError("plan base points must lie in the region")
+        r, pairs = self.config.weight_grid_resolution, 0
+        for m in range(1, min(self.config.tuple_size_max, len(pts)) + 1):
+            rows = comb(r + m - 2, m - 1)        # simplex_lattice(m, r - 1)
+            pairs += comb(len(pts), m) * rows
+            if rows > GRID_POINT_LIMIT:
+                raise ValueError(f"the weight grid of {m}-tuples would hold more "
+                                 f"than {GRID_POINT_LIMIT} rows; use a smaller "
+                                 f"weight_resolution")
+            if pairs > PLAN_PAIR_LIMIT:
+                raise ValueError(f"the tuple scan up to {m}-tuples would pair more "
+                                 f"than {PLAN_PAIR_LIMIT} (tuple, weight) pairs; use "
+                                 f"fewer plan points, a smaller m_max or a smaller "
+                                 f"weight_resolution")
         object.__setattr__(self, "base_points", pts)
 
     @property
@@ -102,18 +119,15 @@ def build_plan(region: ConvexRegion,
                config: HarnessConfig = HarnessConfig()) -> SamplePlan:
     """Region vertices plus ``config.num_points`` projected Halton points,
     deduplicated, in a plan that carries ``config``."""
-    chunks = []
-    try:
-        chunks.append(region.vertices())
-    except ValueError:
-        pass  # vertex enumeration unavailable (e.g. huge box); samples suffice
-    if config.num_points > 0:
-        chunks.append(region.sample(config.num_points))
-    if not chunks:
+    points = region.probe_points(config.num_points)
+    if points.shape[0] == 0:
         raise ValueError("sample plan is empty: the region's vertices cannot be "
                          "enumerated, so plan.points must be at least 1")
-    stacked = np.vstack(chunks)
-    return SamplePlan(region, stacked[first_distinct(stacked, DISTINCT_DIST)],
+    if points.shape[0] > PLAN_POINT_LIMIT:      # before first_distinct pairs them
+        raise ValueError(f"the region's vertices and plan.points give "
+                         f"{points.shape[0]} plan points, more than the limit "
+                         f"of {PLAN_POINT_LIMIT}")
+    return SamplePlan(region, points[first_distinct(points, DISTINCT_DIST)],
                       config)
 
 
@@ -168,32 +182,23 @@ class MonotonicityReport:
         return out
 
 
-def _weight_grid(parts: int, resolution: int) -> FloatArray:
-    """Uniform grid on the weight simplex, zeros included, lexicographic: a
-    row counts the slots between its parts - 1 bars, taken lexicographically."""
-    slots = resolution + parts - 2
-    bars = np.array(list(combinations(range(slots), parts - 1)), dtype=int)
-    return (np.diff(bars, prepend=-1, append=slots) - 1) / (resolution - 1)
-
-
 def _pairings(model: ExcessDemandModel, plan: SamplePlan):
-    """Precompute E at base points and all inner products E(p_i) . p_k."""
+    """The base points P and all inner products G[i, k] = E(p_i) . p_k, with
+    their diagonal g."""
     P = plan.base_points
     Ev = model(P)
-    G = Ev @ P.T
-    g = np.einsum("ij,ij->i", Ev, P)
-    return P, Ev, G, g
+    return P, Ev @ P.T, np.einsum("ij,ij->i", Ev, P)
 
 
 def _pair_scan(name: str, model: ExcessDemandModel, plan: SamplePlan,
-               tau_feas: float, bound: float, strict: bool) -> MonotonicityReport:
-    """Scan ordered sample pairs: E(x).(y-x) >= -tau_feas => E(y).(y-x) vs ``bound``.
+               bound: float, strict: bool) -> MonotonicityReport:
+    """Scan ordered sample pairs: E(x).(y-x) >= -TAU_FEAS => E(y).(y-x) vs ``bound``.
 
     The conclusion fails below ``bound``, or also at it when ``strict``;
     strict scans skip every pair closer than the distinctness tolerance,
     the others only the diagonal.
     """
-    P, Ev, G, g = _pairings(model, plan)
+    P, G, g = _pairings(model, plan)
     premise = G - g[:, None]          # premise[i, j] = E(p_i).(p_j - p_i)
     conclusion = g[None, :] - G.T     # conclusion[i, j] = E(p_j).(p_j - p_i)
     if strict:
@@ -202,7 +207,7 @@ def _pair_scan(name: str, model: ExcessDemandModel, plan: SamplePlan,
     else:
         off = ~np.eye(plan.size, dtype=bool)
         fails = conclusion < bound
-    checked = off & (premise >= -tau_feas)
+    checked = off & (premise >= -TAU_FEAS)
     samples = int(off.sum())
     hit = _first(checked & fails)
     if hit is not None:
@@ -339,11 +344,12 @@ def _combination_hit(P, G, g, combo, w, W, inner, threshold):
 
 
 def _tuple_sizes(plan: SamplePlan):
-    """(m, tuples, weight grid, interior rows mask) for m = 1 .. tuple_size_max."""
+    """(m, tuples, weight grid, interior rows mask) for m = 1 .. tuple_size_max,
+    up to the plan size: larger tuples do not exist."""
     combos = np.arange(plan.size)[:, None]
-    for m in range(1, plan.config.tuple_size_max + 1):
+    for m in range(1, min(plan.config.tuple_size_max, plan.size) + 1):
         combos = _extend_combinations(combos, plan.size) if m > 1 else combos
-        W = _weight_grid(m, plan.config.weight_grid_resolution)
+        W = simplex_lattice(m, plan.config.weight_grid_resolution - 1)
         yield m, combos, W, (W > 0).all(axis=1)
 
 
@@ -390,8 +396,7 @@ def _fold(G, g, combos, Wt, bufs, ufuncs):
     return folds
 
 
-def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan,
-                        tau_feas: float = TAU_FEAS) -> dict:
+def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan) -> dict:
     """Reports of the three combination classes from one scan, by class name.
 
     Tuples of each size m come in lexicographic order, in chunks of
@@ -404,11 +409,11 @@ def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan,
     combination of a tuple is an interior one of a sub-tuple.  Until its
     first violation, the dual class then pairs the boundary rows for the
     tuples whose interior ``achieved`` (max over rows of the min over
-    members) is below max(-tau_feas, exact min of ``achieved`` so far): no
+    members) is below max(-TAU_FEAS, exact min of ``achieved`` so far): no
     other tuple can fail or lower that minimum.  Pairings are summed in k
     order; the strict class skips the pairs in ``SamplePlan.strict_exclusions``.
     """
-    P, Ev, G, g = _pairings(model, plan)
+    P, G, g = _pairings(model, plan)
     eps = plan.config.eps_strict
     excluded = plan.strict_exclusions
     samples = dict.fromkeys(_TUPLE_CLASSES, 0)
@@ -426,11 +431,11 @@ def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan,
 
             samples["proper_quasi"] += maxdots.size
             low = float(maxdots.min(initial=np.inf))
-            best["proper_quasi"] = min(best["proper_quasi"], low + tau_feas)
-            if ("proper_quasi" not in hits and not low >= -tau_feas
-                    and (hit := _first(maxdots.T < -tau_feas))):
+            best["proper_quasi"] = min(best["proper_quasi"], low + TAU_FEAS)
+            if ("proper_quasi" not in hits and not low >= -TAU_FEAS
+                    and (hit := _first(maxdots.T < -TAU_FEAS))):
                 hits["proper_quasi"] = _combination_hit(
-                    P, G, g, combos[hit[0]], hit[1], W, inner, -tau_feas)
+                    P, G, g, combos[hit[0]], hit[1], W, inner, -TAU_FEAS)
 
             if m > 1:       # strict: excluded pairs score +inf, which no test selects
                 ex = excluded[m]
@@ -450,33 +455,33 @@ def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan,
             if "proper_quasi_dual" in hits:
                 continue
             achieved = mindots.max(axis=0, initial=-np.inf)
-            need = np.flatnonzero(~(achieved >= max(-tau_feas, dual_min)))
+            need = np.flatnonzero(~(achieved >= max(-TAU_FEAS, dual_min)))
             achieved = achieved[need]
             (bmin,) = _fold(G, g, combos[need], W[outer].T, bufs[:, :outer.size],
                             (np.minimum,))
             np.maximum(achieved, bmin.max(axis=0, initial=-np.inf), out=achieved)
             low = float(achieved.min(initial=np.inf))
             dual_min = min(dual_min, low)
-            if not low >= -tau_feas and (hit := _first(achieved < -tau_feas)):
+            if not low >= -TAU_FEAS and (hit := _first(achieved < -TAU_FEAS)):
                 combo, worst = combos[need[hit[0]]], float(achieved[hit[0]])
                 dots = _tuple_dots(G, g, combo, W.T)
                 mins = dots.min(axis=0)
                 per_comb = [{"weights": W[w].tolist(), "min_dot": float(mins[w]),
                              "failing_index": int(dots[:, w].argmin())}
                             for w in range(W.shape[0])]
-                hits["proper_quasi_dual"] = (-tau_feas - worst, Witness(
+                hits["proper_quasi_dual"] = (-TAU_FEAS - worst, Witness(
                     points=P[combo], dot_products=dots[:, mins.argmax()],
                     indices=tuple(int(i) for i in combo),
                     extra={"per_combination": per_comb, "best_achieved": worst}))
-    best["proper_quasi_dual"] = dual_min + tau_feas
+    best["proper_quasi_dual"] = dual_min + TAU_FEAS
     return {name: MonotonicityReport(name, REFUTED, samples[name], *hits[name])
             if name in hits else
             MonotonicityReport(name, HOLDS, samples[name], best[name])
             for name in _TUPLE_CLASSES}
 
 
-def check_class(name: str, model: ExcessDemandModel, plan: SamplePlan,
-                tau_feas: float = TAU_FEAS) -> MonotonicityReport:
+def check_class(name: str, model: ExcessDemandModel,
+                plan: SamplePlan) -> MonotonicityReport:
     """Check one monotonicity class by name.
 
     pseudo: E(x).(y-x) >= 0 => E(y).(y-x) >= 0 on ordered sample pairs;
@@ -484,18 +489,17 @@ def check_class(name: str, model: ExcessDemandModel, plan: SamplePlan,
     three combination classes read their report from ``check_tuple_classes``.
     """
     if name == "pseudo":
-        return _pair_scan(name, model, plan, tau_feas, -tau_feas, strict=False)
+        return _pair_scan(name, model, plan, -TAU_FEAS, strict=False)
     if name == "strict_pseudo":
-        return _pair_scan(name, model, plan, tau_feas, plan.config.eps_strict,
-                          strict=True)
+        return _pair_scan(name, model, plan, plan.config.eps_strict, strict=True)
     if name not in _TUPLE_CLASSES:
         raise ValueError(
             f"unknown monotonicity class {name!r}; expected one of {CLASS_NAMES}")
-    return check_tuple_classes(model, plan, tau_feas)[name]
+    return check_tuple_classes(model, plan)[name]
 
 
 def replay_witness(model: ExcessDemandModel, report: MonotonicityReport,
-                   plan: SamplePlan, tau_feas: float = TAU_FEAS) -> float:
+                   plan: SamplePlan) -> float:
     """Re-evaluate a refutation witness from scratch.
 
     ``plan`` is the plan the report was checked on; the strict classes
@@ -510,15 +514,15 @@ def replay_witness(model: ExcessDemandModel, report: MonotonicityReport,
     if cls in ("pseudo", "strict_pseudo"):
         x, y = w.points
         premise = float(model(x) @ (y - x))
-        if premise < -tau_feas:
+        if premise < -TAU_FEAS:
             raise ValueError("witness premise does not hold on replay")
         conclusion = float(model(y) @ (y - x))
-        threshold = eps_strict if cls == "strict_pseudo" else -tau_feas
+        threshold = eps_strict if cls == "strict_pseudo" else -TAU_FEAS
         return threshold - conclusion
     evals = model(w.points)
     if cls in ("proper_quasi", "strict_proper_quasi"):
         dots = np.einsum("jn,jn->j", evals, w.points - w.combined[None, :])
-        threshold = eps_strict if cls == "strict_proper_quasi" else -tau_feas
+        threshold = eps_strict if cls == "strict_proper_quasi" else -TAU_FEAS
         return float(threshold - dots.max())
     if cls == "proper_quasi_dual":
         achieved = -np.inf
@@ -527,5 +531,5 @@ def replay_witness(model: ExcessDemandModel, report: MonotonicityReport,
             combined = weights @ w.points
             dots = np.einsum("jn,jn->j", evals, w.points - combined[None, :])
             achieved = max(achieved, float(dots.min()))
-        return -tau_feas - achieved
+        return -TAU_FEAS - achieved
     raise ValueError(f"unknown class in report: {cls}")

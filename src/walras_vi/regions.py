@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional
 
@@ -227,6 +228,16 @@ class ConvexRegion(ABC):
             raise ValueError("grid produced no feasible points")
         return pts
 
+    def probe_points(self, count: int) -> FloatArray:
+        """The region's vertices, where ``vertices`` can enumerate them, then
+        ``count`` points of ``sample``."""
+        chunks = [np.empty((0, self.dim))]
+        with suppress(ValueError):
+            chunks.append(self.vertices())
+        if count > 0:
+            chunks.append(self.sample(count))
+        return np.vstack(chunks)
+
     def sample(self, count: int) -> FloatArray:
         """Deterministic low-discrepancy points inside the region.
 
@@ -267,6 +278,18 @@ def _check_grid_size(points: float) -> None:
     if not points <= GRID_POINT_LIMIT:
         raise ValueError(f"grid would hold {points:.4g} points, more than "
                          f"the limit of {GRID_POINT_LIMIT}; use a coarser spacing")
+
+
+def simplex_lattice(parts: int, steps: int) -> FloatArray:
+    """Rows of ``parts`` weights w >= 0 with sum 1 and steps * w integral, zeros
+    included, lexicographic: each pass splits a last count r into j, r - j."""
+    counts = np.full((1, 1), steps, dtype=np.intp)
+    for _ in range(parts - 1):
+        reps = counts[:, -1] + 1
+        j = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        counts = np.insert(np.repeat(counts, reps, axis=0), -1, j, axis=1)
+        counts[:, -1] -= j
+    return counts / steps
 
 
 def _axis_mesh(lo: float, hi: float, spacing: float) -> FloatArray:
@@ -332,13 +355,7 @@ class Simplex(ConvexRegion):
         _check_grid_size(1.0 / spacing)  # < k + 1, the points on one edge
         k = max(1, round(1.0 / spacing))
         _check_grid_size(math.comb(k + self.n - 1, self.n - 1))
-        if self.n == 2:
-            i = np.arange(k + 1)
-            return np.stack([i, k - i], axis=-1) / k
-        i, j = np.meshgrid(np.arange(k + 1), np.arange(k + 1), indexing="ij")
-        keep = i + j <= k
-        i, j = i[keep], j[keep]
-        return np.stack([i, j, k - i - j], axis=-1) / k
+        return simplex_lattice(self.n, k)
 
 
 @dataclass(frozen=True, eq=False)

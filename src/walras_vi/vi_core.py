@@ -84,15 +84,10 @@ def residual(problem: VIProblem, x) -> float:
 
 
 def minty_gap(problem: VIProblem, x) -> float:
-    """max of E(p).(x - p) over 64 Halton points and the region's vertices;
-    <= 0 means dual-consistent there."""
+    """max of E(p).(x - p) over the region's vertices and 64 Halton points
+    (``ConvexRegion.probe_points``); <= 0 means dual-consistent there."""
     p = as_price_vector(x, problem.dim)
-    pts = [problem.region.sample(64)]
-    try:
-        pts.append(problem.region.vertices())
-    except ValueError:
-        pass
-    pts = np.vstack(pts)
+    pts = problem.region.probe_points(64)
     evals = problem.model(pts)
     return float(np.einsum("ij,ij->i", evals, p[None, :] - pts).max())
 

@@ -5,17 +5,18 @@ reusing the library's own grid or scan machinery, so the tests cross
 two independent routes wherever the library computes something nontrivial.
 The exceptions are the reference pair and tuple scans, the reference
 strict exclusions, the reference clustering and the two-pass Minty scan,
-and the projection and solver references at the end: they are the
-library's earlier pair checkers, its earlier per-class scans, its earlier
-fused scan, its earlier strict exclusions, its earlier union-find
-clustering, its earlier dual scan, and its earlier simplex projection,
-NNLS, polyhedral projection and extragradient loop, kept verbatim apart
+the projection and solver references, and the simplex grid and dual gap
+at the end: they are the library's earlier pair checkers, its earlier
+per-class scans, its earlier fused scan, its earlier strict exclusions,
+its earlier union-find clustering, its earlier dual scan, its earlier
+simplex projection, NNLS, polyhedral projection and extragradient loop,
+and its earlier ``Simplex.grid`` and ``minty_gap``, kept verbatim apart
 from the fused scan's sums, which run in k order as the library's do.  The
 pair checkers, ``check_tuple_classes``, ``SamplePlan.strict_exclusions``,
 ``cluster_members`` and the Minty rejection cascade must agree with them
 byte for byte (the per-class scans and the Minty scans on grids where
-every pairing is exact; elsewhere up to BLAS rounding); the projections
-and the solver must agree bit for bit.
+every pairing is exact; elsewhere up to BLAS rounding); the projections,
+the solver, the simplex grid and the dual gap must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from walras_vi.economy import ExcessDemandModel
 from walras_vi.monotonicity import (_SCAN_PAIRS, HOLDS, REFUTED,
                                     MonotonicityReport, SamplePlan, Witness,
                                     _certified, _combine, _tuple_sizes)
-from walras_vi.regions import FloatArray, ProjectionBudgetError, as_price_vector
+from walras_vi.regions import (FloatArray, ProjectionBudgetError, _check_grid_size,
+                               as_price_vector)
 from walras_vi.vi_core import residual
 
 
@@ -698,3 +700,42 @@ def extragradient_reference(problem, start, config):
         trace.append(residual(problem, x))
         iterations += 1
     return x, np.asarray(trace), iterations
+
+
+# ---------------------------------------------------------------------------
+# the simplex grid and the dual gap as they were before one lattice builder
+# and one probe set served them: an n == 2 stack and an n == 3 meshgrid, and
+# the Halton samples ahead of the vertices
+
+
+def simplex_grid_reference(self, spacing: float) -> FloatArray:
+    """``Simplex.grid`` of simplex ``self``."""
+    if spacing <= 0:
+        raise ValueError("grid spacing must be positive")
+    if self.n > 3:
+        raise ValueError("grid enumeration is desk-scale only (dim <= 3)")
+    if self.n == 1:
+        return np.array([[1.0]])
+    _check_grid_size(1.0 / spacing)  # < k + 1, the points on one edge
+    k = max(1, round(1.0 / spacing))
+    _check_grid_size(math.comb(k + self.n - 1, self.n - 1))
+    if self.n == 2:
+        i = np.arange(k + 1)
+        return np.stack([i, k - i], axis=-1) / k
+    i, j = np.meshgrid(np.arange(k + 1), np.arange(k + 1), indexing="ij")
+    keep = i + j <= k
+    i, j = i[keep], j[keep]
+    return np.stack([i, j, k - i - j], axis=-1) / k
+
+
+def minty_gap_reference(problem, x) -> float:
+    """max of E(p).(x - p) over 64 Halton points and the region's vertices."""
+    p = as_price_vector(x, problem.dim)
+    pts = [problem.region.sample(64)]
+    try:
+        pts.append(problem.region.vertices())
+    except ValueError:
+        pass
+    pts = np.vstack(pts)
+    evals = problem.model(pts)
+    return float(np.einsum("ij,ij->i", evals, p[None, :] - pts).max())

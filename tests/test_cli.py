@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -203,6 +204,54 @@ def test_check_on_an_empty_plan_is_one_error_line(runner, tmp_path):
     _assert_one_error_line(result)
     assert "plan.points" in result.stderr
     assert result.stdout == ""
+
+
+def _box_problem(n, **plan):
+    return {"economy": {"kind": "linear", "M": np.eye(n).tolist(), "c": [0.5] * n},
+            "region": {"kind": "box", "lower": [0.0] * n, "upper": [1.0] * n},
+            "plan": plan}
+
+
+@pytest.mark.parametrize("problem, class_name, message", [
+    # 65,536 vertices: first_distinct would ask for 512 GiB
+    (_box_problem(16), "pseudo", "give 65560 plan points, more than the limit of 1024"),
+    (_box_problem(2, points=100_000), "pseudo", "plan points must be at most 1024"),
+    (_box_problem(2, weight_resolution=100_000), "proper_quasi",
+     "the weight grid of 3-tuples would hold more than 4194304 rows"),
+    (_box_problem(2, m_max=14), "proper_quasi",
+     "the tuple scan up to 5-tuples would pair more than 67108864"),
+], ids=["box16", "points", "weight_resolution", "m_max"])
+def test_oversized_plans_are_refused_before_they_are_built(runner, tmp_path, problem,
+                                                           class_name, message):
+    path = write(tmp_path, "problem.json", problem)
+    start = time.perf_counter()
+    result = runner.invoke(main, ["check", path, "--class", class_name])
+    elapsed = time.perf_counter() - start
+    _assert_one_error_line(result)
+    assert message in result.stderr
+    assert result.stdout == ""
+    assert elapsed < 1.0
+
+
+def test_oversized_catalog_plan_is_refused(runner, tmp_path):
+    catalog = {"plan": {"points": 100_000}, "fixtures": [
+        {"label": "square", "economy": {"kind": "catalog", "name": "linear_identity"}}]}
+    result = runner.invoke(main, ["harness", "--catalog",
+                                  write(tmp_path, "catalog.json", catalog)])
+    _assert_one_error_line(result)
+    assert "plan points must be at most 1024" in result.stderr
+
+
+def test_catalog_fixture_dimensions_must_match(runner, tmp_path):
+    catalog = {"fixtures": [{"label": "bad", "region": {"kind": "box", "lower": [0.0],
+                                                        "upper": [1.0]},
+                             "economy": {"kind": "linear", "M": np.eye(2).tolist(),
+                                         "c": [0.5, 0.5]}}]}
+    result = runner.invoke(main, ["harness", "--catalog",
+                                  write(tmp_path, "catalog.json", catalog)])
+    _assert_one_error_line(result)
+    assert result.stderr == ("error: fixture 'bad': model dimension 2 does not "
+                             "match region dimension 1\n")
 
 
 def test_check_unknown_class(runner, tmp_path):

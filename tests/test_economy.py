@@ -6,6 +6,7 @@ from scipy.spatial import ConvexHull
 from conftest import box_grid, final_balance, payment_by_bisection
 from walras_vi.economy import (
     ExcessDemandModel,
+    Fixture,
     MortgageTerms,
     affine_rate_cap_region,
     default_catalog,
@@ -21,6 +22,13 @@ from walras_vi.regions import Box, Simplex
 
 # ---------------------------------------------------------------------------
 # model constructors
+
+
+def test_fixture_dimensions_must_match():
+    # refused when built, not at the first field evaluation on the region
+    with pytest.raises(ValueError, match="^fixture 'bad': model dimension 2 does "
+                                         "not match region dimension 1$"):
+        Fixture("bad", linear_economy(np.eye(2), [0.5, 0.5]), Box([0.0], [1.0]), 0.1)
 
 
 def test_linear_economy_zero_of_field():

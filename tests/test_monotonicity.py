@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -23,7 +24,7 @@ from walras_vi.monotonicity import (
     check_tuple_classes,
     replay_witness,
 )
-from walras_vi.regions import Box, Polyhedron, Simplex
+from walras_vi.regions import Box, Polyhedron, Simplex, simplex_lattice
 
 UNIT_INTERVAL = Box([0.0], [1.0])
 UNIT_SQUARE = Box([0.0, 0.0], [1.0, 1.0])
@@ -68,6 +69,35 @@ def test_plan_validation():
         SamplePlan(UNIT_INTERVAL, np.array([[0.0], [2.0]]))  # 2.0 not in [0, 1]
     with pytest.raises(ValueError, match="^plan dimension does not match the region$"):
         SamplePlan(UNIT_SQUARE, np.array([[0.0], [1.0]]))
+
+
+def test_plan_work_is_counted_before_the_plan_is_built():
+    # the 64-point default plans scan about 3.3 million pairs
+    base = build_plan(UNIT_SQUARE, HarnessConfig(num_points=64)).base_points
+    assert len(base) == 68
+    pairs = sum(comb(68, m) * comb(9 + m, m - 1) for m in (1, 2, 3))
+    assert 3.3e6 < pairs < monotonicity.PLAN_PAIR_LIMIT
+    with pytest.raises(ValueError, match="^the tuple scan up to 4-tuples would pair"):
+        SamplePlan(UNIT_SQUARE, base, HarnessConfig(tuple_size_max=4))
+    with pytest.raises(ValueError, match="^the weight grid of 2-tuples would hold"):
+        SamplePlan(UNIT_INTERVAL, np.array([[0.0], [1.0]]),
+                   HarnessConfig(weight_grid_resolution=(1 << 22) + 1))
+    with pytest.raises(ValueError, match="^plan points must be at most 1024"):
+        HarnessConfig(num_points=1025)
+    small = HarnessConfig(num_points=1020, tuple_size_max=2, weight_grid_resolution=3)
+    assert build_plan(UNIT_SQUARE, small).size == 1024
+    with pytest.raises(ValueError, match="give 1025 plan points, more than the limit"):
+        build_plan(UNIT_SQUARE, replace(small, num_points=1021))
+
+
+def test_tuples_larger_than_the_plan_are_not_scanned():
+    # a one-point plan has only 1-tuples, so no weight grid of a larger size
+    # is built, whatever its resolution
+    plan = SamplePlan(UNIT_INTERVAL, np.array([[0.5]]), HarnessConfig(
+        tuple_size_max=50, weight_grid_resolution=10**6))
+    assert [m for m, *_ in monotonicity._tuple_sizes(plan)] == [1]
+    reports = check_tuple_classes(POSSLOPE, plan)
+    assert {r.samples_used for r in reports.values()} == {1, 0}
 
 
 def test_sample_plan_pretty_prints():
@@ -119,10 +149,13 @@ def test_pair_checkers_match_reference_scans(M, c, region, points, pick):
     elif v < 0:
         cases.append((plan, -v))
     for case_plan, tau_feas in cases:
-        for name, reference in REFERENCE_PAIR_CHECKERS.items():
-            got = check_class(name, model, case_plan, tau_feas=tau_feas)
-            want = reference(model, case_plan, tau_feas=tau_feas)
-            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        # Hypothesis refuses function-scoped fixtures, so no monkeypatch
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(monotonicity, "TAU_FEAS", tau_feas)
+            for name, reference in REFERENCE_PAIR_CHECKERS.items():
+                got = check_class(name, model, case_plan)
+                want = reference(model, case_plan, tau_feas=tau_feas)
+                assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
 def test_pseudo_holds_for_monotone_field(square_plan):
@@ -857,7 +890,7 @@ def test_line_filter_keeps_exactly_the_ties_of_a_line():
     # on a line the bound is the distance itself: of a middle member, the
     # filter keeps the weights whose combination lands on it, no more
     P = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 2.0]])
-    W = monotonicity._weight_grid(3, 9)
+    W = simplex_lattice(3, 8)
     Wi = W[(W > 0).all(axis=1)]
     kept = monotonicity._line_kept(P[None], 1, Wi,
                                    monotonicity._allowance(P, 3))[0]
@@ -879,7 +912,7 @@ def test_default_plans_exclude_the_reference_pairs(label, excluded):
 def _scan_rows(m, resolution):
     """Rows of the scan buffers for m-tuples: the larger of the interior and
     boundary weight counts."""
-    interior = (monotonicity._weight_grid(m, resolution) > 0).all(axis=1)
+    interior = (simplex_lattice(m, resolution - 1) > 0).all(axis=1)
     return max(interior.sum(), (~interior).sum())
 
 
@@ -925,8 +958,8 @@ def test_boundary_weight_clears_a_tuple_whose_interior_fails_the_dual():
     # with every member, so the tuple is no dual violation
     model = linear_economy([[0.0]], [-1.0])
     plan = SamplePlan(UNIT_INTERVAL, np.array([[0.0], [0.5], [1.0]]))
-    P, _, G, g = monotonicity._pairings(model, plan)
-    W = monotonicity._weight_grid(3, 11)
+    P, G, g = monotonicity._pairings(model, plan)
+    W = simplex_lattice(3, 10)
     achieved = monotonicity._tuple_dots(G, g, np.arange(3), W.T).min(axis=0)
     interior = (W > 0).all(axis=1)
     assert (achieved[interior] < -TAU_FEAS).all()
@@ -942,14 +975,15 @@ def test_running_dual_minimum_across_tiny_chunks(monkeypatch, pairs):
     # wide tolerances let tuples that pass inside still hold that minimum
     monkeypatch.setattr(monotonicity, "_SCAN_PAIRS", pairs)
     base = build_plan(UNIT_SQUARE, HarnessConfig(num_points=6)).base_points
-    for resolution, m_max in ((11, 3), (3, 3), (5, 4)):
-        plan = SamplePlan(UNIT_SQUARE, base, HarnessConfig(
-            tuple_size_max=m_max, weight_grid_resolution=resolution))
+    plans = [SamplePlan(UNIT_SQUARE, base, HarnessConfig(
+        tuple_size_max=m_max, weight_grid_resolution=resolution))
+        for resolution, m_max in ((11, 3), (3, 3), (5, 4))]
+    for plan in plans:
         for model, tau in itertools.product((CONSTANT, IDENTITY),
                                             (TAU_FEAS, 0.05, 0.5)):
             reference = fused_tuple_scan(model, plan, tau)
-            for name, report in check_tuple_classes(model, plan,
-                                                    tau).items():
+            monkeypatch.setattr(monotonicity, "TAU_FEAS", tau)
+            for name, report in check_tuple_classes(model, plan).items():
                 assert _same_reports(report, reference[name]), (name, tau)
 
 

@@ -13,9 +13,11 @@ from conftest import (
     polyhedron_project_reference,
     project_onto_simplex_reference,
     projection_kkt_residual,
+    simplex_grid_reference,
     simplex_lattice,
 )
 from walras_vi.constants import TAU_FEAS
+from walras_vi import regions
 from walras_vi.economy import default_catalog, linear_economy
 from walras_vi.monotonicity import SamplePlan, is_positive
 from walras_vi.regions import (
@@ -112,6 +114,16 @@ def test_simplex_grid_is_lattice():
     g = Simplex(3).grid(0.5)
     assert g.shape == (6, 3)
     assert_allclose(g.sum(axis=1), 1.0)
+    # one lattice builder, byte for byte the brute-force lattice
+    for n, k in itertools.product(range(1, 5), range(1, 13)):
+        got = regions.simplex_lattice(n, k)
+        assert got.dtype == np.float64
+        assert got.tobytes() == simplex_lattice(n, k).tobytes(), (n, k)
+    # and the grid the per-dimension stacks and meshgrids built before it
+    for n, spacing in itertools.product(
+            (1, 2, 3), (1.5, 1.0, 0.5, 1 / 3, 0.3, 0.07, 0.02, 0.01, 0.005, 0.0007)):
+        got, want = Simplex(n).grid(spacing), simplex_grid_reference(Simplex(n), spacing)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, spacing)
 
 
 @pytest.mark.parametrize("region, spacing", [

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from conftest import (
     cluster_centroids,
     extragradient_reference,
+    minty_gap_reference,
     minty_members_bruteforce,
     minty_values_two_pass,
     set_diameter,
@@ -145,9 +146,41 @@ def test_minty_gap_signs():
     assert minty_gap(NEGSLOPE, [0.5]) > 0.1
 
 
+# The four regions of the solve benchmark.
+POLY3 = Polyhedron([[1.0, 1.0, 1.0]], [2.0], lower=np.zeros(3), upper=np.ones(3))
+SOLVE_SWEEP_REGIONS = {
+    "simplex10": Simplex(10),
+    "box10": Box(np.linspace(0.0, 0.9, 10), np.linspace(1.0, 2.8, 10)),
+    "poly3": POLY3,
+    "mortgage": Polyhedron([[1.0, -1.0]], [-1.0], lower=[0.0, 1.0],
+                           upper=[2.0, 4.0]),
+}
+
+
+def _gap_problems():
+    for label, fixture in default_catalog().items():
+        yield label, VIProblem(fixture.model, fixture.region)
+    for name, region in SOLVE_SWEEP_REGIONS.items():
+        n = region.dim
+        skew = np.triu(np.full((n, n), 0.3), 1)
+        for k, M in enumerate((0.35 * np.eye(n), np.eye(n) + skew - skew.T,
+                               -np.eye(n))):
+            yield f"{name}-{k}", VIProblem(
+                linear_economy(M, M @ region.feasible_point()), region)
+
+
+@pytest.mark.parametrize("label, problem", list(_gap_problems()))
+def test_minty_gap_matches_the_samples_first_scan(label, problem):
+    # the probe rows now come vertices first; the gap is their maximum, so
+    # it must not move by a bit
+    region = problem.region
+    for x in np.vstack([region.feasible_point()[None], region.sample(7),
+                        region.probe_points(0)[:5]]):
+        assert minty_gap(problem, x) == minty_gap_reference(problem, x), x
+
+
 # Problems with boundary solutions on each region kind, as the solve
 # benchmark poses them: E(p) = alpha p - alpha (s + v), v normal at s.
-POLY3 = Polyhedron([[1.0, 1.0, 1.0]], [2.0], lower=np.zeros(3), upper=np.ones(3))
 SOLVER_PROBLEMS = {
     "simplex": VIProblem(linear_economy(0.35 * np.eye(6), 0.35 * np.array(
         [0.55, 0.35, 0.25, -0.2, -0.2, -0.2])), Simplex(6)),

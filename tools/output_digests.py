@@ -1,0 +1,138 @@
+"""Digest the outputs of a fixed matrix of CLI runs, to show that a change
+keeps every emitted byte.
+
+The runs go through the ``walras-vi`` command in process (click's test
+runner), on input files written into a temporary directory:
+
+* ``harness`` on the default catalog at grid 0.05, 0.02, 0.01 and 0.005;
+* ``harness`` on the 64-point catalog of the ``harness_plan`` benchmark
+  workload, at grid 0.02;
+* ``solve`` on the 48 ``solve_sweep`` problem files of seeds 1-3, and
+  ``oracle`` on the eight of seed 1 whose dimension is at most 3;
+* ``check`` for each of the five classes, ``oracle`` and ``solve`` on one
+  problem file per default fixture, with 24 and with 64 plan points.
+
+That is 187 runs.  The benchmark's input files come from
+``bench/workloads.py``, which is only read.  The output is one JSON object,
+case name -> sha256 of the run's stdout, stderr and exit code.
+
+    python tools/output_digests.py > after.json
+    python tools/output_digests.py --src ../parent/src > before.json
+    python tools/output_digests.py --compare before.json after.json
+
+``--compare`` lists the cases whose digests differ or that only one file
+holds, and exits 1 if there are any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+HARNESS_GRIDS = ("0.05", "0.02", "0.01", "0.005")
+SOLVE_SEEDS = (1, 2, 3)
+FIXTURE_POINTS = (24, 64)
+
+
+def _region_spec(region) -> dict:
+    """A problem-file region entry that rebuilds ``region``."""
+    from walras_vi.regions import Box, Simplex
+
+    if isinstance(region, Simplex):
+        return {"kind": "simplex", "n": region.n}
+    if isinstance(region, Box):
+        return {"kind": "box", "lower": region.lower.tolist(),
+                "upper": region.upper.tolist()}
+    return {"kind": "polyhedron", "A": region.A.tolist(), "b": region.b.tolist()}
+
+
+def cases(directory: Path) -> dict:
+    """Case name -> argv, with every input file written into ``directory``."""
+    import workloads
+    from walras_vi.economy import default_catalog
+
+    out = {f"harness-grid-{grid}": ["harness", "--grid", grid]
+           for grid in HARNESS_GRIDS}
+    (op,) = workloads.generate("harness_plan", 1, directory / "harness_plan")
+    out["harness_plan"] = list(op.argv)
+    for seed in SOLVE_SEEDS:
+        for op in workloads.generate("solve_sweep", seed, directory / f"seed{seed}"):
+            out[f"solve-seed{seed}-{op.key}"] = list(op.argv)
+            region = workloads.REGIONS_BY_NAME[workloads.region_of(op.key)]
+            if seed == 1 and region.dim <= 3:
+                out[f"oracle-seed{seed}-{op.key}"] = ["oracle", op.argv[1]]
+    for label, fixture in default_catalog().items():
+        for points in FIXTURE_POINTS:
+            path = directory / f"{label}-{points}.json"
+            path.write_text(json.dumps({
+                "economy": {"kind": "catalog", "name": label},
+                "region": _region_spec(fixture.region),
+                "plan": {"points": points}}))
+            for name in ("pseudo", "strict_pseudo", "proper_quasi",
+                         "proper_quasi_dual", "strict_proper_quasi"):
+                out[f"check-{label}-{points}-{name}"] = ["check", str(path),
+                                                         "--class", name]
+            out[f"oracle-{label}-{points}"] = ["oracle", str(path)]
+            out[f"solve-{label}-{points}"] = ["solve", str(path)]
+    return out
+
+
+def digest(result, directory: Path) -> str:
+    """sha256 of a run's stdout, stderr and exit code; the input directory
+    is masked, and an exception other than the exit is part of the digest."""
+    h = hashlib.sha256()
+    for stream in (result.stdout, result.stderr):
+        h.update(stream.replace(str(directory), "<dir>").encode())
+        h.update(b"\0")
+    h.update(str(result.exit_code).encode())
+    if result.exception is not None and not isinstance(result.exception, SystemExit):
+        h.update(repr(result.exception).encode())
+    return h.hexdigest()
+
+
+def run_all() -> dict:
+    from click.testing import CliRunner
+    from walras_vi.cli import main
+
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        return {name: digest(runner.invoke(main, argv), directory)
+                for name, argv in cases(directory).items()}
+
+
+def compare(before: dict, after: dict) -> list[str]:
+    """One line per case whose digest differs or that only one side holds."""
+    lines = [f"differs: {name}" for name in before
+             if name in after and before[name] != after[name]]
+    lines += [f"only in the first file: {name}" for name in before if name not in after]
+    lines += [f"only in the second file: {name}" for name in after if name not in before]
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory that holds the walras_vi package to run "
+                             "(default: this checkout's src)")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), type=Path,
+                        help="compare two digest files instead of running")
+    args = parser.parse_args(argv)
+    if args.compare:
+        before, after = (json.loads(p.read_text()) for p in args.compare)
+        lines = compare(before, after)
+        print("\n".join(lines) if lines else
+              f"all {len(before)} cases identical")
+        return 1 if lines else 0
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "bench")]
+    print(json.dumps(run_all(), indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
