@@ -21,7 +21,7 @@ each class reports its own first violation, so reports are reproducible.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb
 from typing import Optional
 
@@ -30,7 +30,8 @@ import numpy as np
 from .constants import (DISTINCT_DIST, GRID_POINT_LIMIT, PLAN_PAIR_LIMIT,
                         PLAN_POINT_LIMIT, TAU_FEAS, HarnessConfig)
 from .economy import ExcessDemandModel
-from .regions import ConvexRegion, FloatArray, first_distinct, simplex_lattice
+from .regions import (ConvexRegion, FloatArray, first_distinct, simplex_lattice,
+                      within_distance)
 
 __all__ = [
     "CLASS_NAMES",
@@ -202,7 +203,7 @@ def _pair_scan(name: str, model: ExcessDemandModel, plan: SamplePlan,
     premise = G - g[:, None]          # premise[i, j] = E(p_i).(p_j - p_i)
     conclusion = g[None, :] - G.T     # conclusion[i, j] = E(p_j).(p_j - p_i)
     if strict:
-        off = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=-1) > DISTINCT_DIST
+        off = ~within_distance(P, DISTINCT_DIST)
         fails = conclusion <= bound
     else:
         off = ~np.eye(plan.size, dtype=bool)
@@ -396,6 +397,50 @@ def _fold(G, g, combos, Wt, bufs, ufuncs):
     return folds
 
 
+def _tuple_bounds(D, combos, steps: int, scale: float):
+    """Lower bounds (lb, vlb), each (T,), on the interior ``maxdots`` of
+    each tuple and on its dual ``achieved``; -inf where none holds.
+
+    With A_jk = D[c_j, c_k] = g_j - G[c_j, c_k] and Σ_k w_k = 1, member j
+    pairs Σ_k w_k A_jk at weights w.  At a vertex row e_k the scan only
+    multiplies by 0 and 1, so it pairs the float A_jk bit for bit: the
+    dual's ``achieved``, a max over rows that include e_k, is at least
+    vlb = max_k min_j A_jk, exactly.  Interior weights have w_k >= 1/s
+    (s = steps >= m), and a linear function on {w >= 1/s, Σ w = 1} is
+    least at a vertex (1/s, ..., 1 - (m - 1)/s, ..., 1/s), so member j pairs
+    at least L_j = (Σ_k A_jk + (s - m) min_k A_jk) / s at every interior
+    weight, and ``maxdots`` is at least max_j L_j.
+
+    lb is the float max_j L_j less an allowance for rounding.  With
+    u = eps/2, Γ = max |g| + max |G| (``scale``) and w_k = i_k/s: the
+    weight rows round by u w_k, which costs u max|G|; the k-order sum of
+    m products errs by γ_m (1 + u) max|G|, and the final g_j - S by
+    u (|g_j| + |S|), so a scan entry is off by at most (m + 3) u Γ.  The
+    float L_j: the A_jk round by u Γ each, the (m - 1)-term sum by
+    γ_{m-1} m Γ, and the product by s - m, the sum and the division by s
+    by u s Γ each before the division, which s >= m turns into at most
+    (m + 4) u Γ on L_j.  Subtracting the allowance rounds by u (Γ + it).
+    Underflow adds at most η/2 (η the least subnormal) at each of the
+    m + 2 products and divisions.  The allowance, (2m + 9)(eps Γ + η), is
+    twice the at most (2m + 9) u Γ + (m + 2) η / 2 these sum to.  lb is
+    -inf where there are no interior weights (s < m) or 4 s Γ overflows,
+    vlb where Γ is not finite.
+    """
+    T, m = combos.shape
+    unbounded = np.full(T, -np.inf)
+    if not np.isfinite(scale):
+        return unbounded, unbounded
+    A = [[D.take(row + ck) for ck in combos.T] for row in combos.T * len(D)]
+    vlb = reduce(np.maximum, [reduce(np.minimum, col) for col in zip(*A)])
+    if steps < m or not np.isfinite(4 * steps * scale):
+        return unbounded, vlb
+    lb = reduce(np.maximum, [(reduce(np.add, row)                 # in k order
+                              + (steps - m) * reduce(np.minimum, row)) / steps
+                             for row in A])
+    tiny = np.finfo(float)
+    return lb - (2 * m + 9) * (tiny.eps * scale + tiny.smallest_subnormal), vlb
+
+
 def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan) -> dict:
     """Reports of the three combination classes from one scan, by class name.
 
@@ -403,35 +448,55 @@ def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan) -> dict:
     ``_SCAN_PAIRS`` pairings per buffer row block (interior or boundary
     weight rows, whichever are more; numpy 2.4's broadcast multiply is about
     four times slower per element on rows under about 3,000 tuples).  Each
-    class seeks its first violation only in chunks whose minimum is not
-    above its threshold.  Members pair first with the interior weight rows
-    (all weights positive), all the primal classes read, since a boundary
-    combination of a tuple is an interior one of a sub-tuple.  Until its
-    first violation, the dual class then pairs the boundary rows for the
-    tuples whose interior ``achieved`` (max over rows of the min over
-    members) is below max(-TAU_FEAS, exact min of ``achieved`` so far): no
-    other tuple can fail or lower that minimum.  Pairings are summed in k
-    order; the strict class skips the pairs in ``SamplePlan.strict_exclusions``.
+    chunk is first bounded by ``_tuple_bounds``, and only the tuples some
+    class still needs are scored.  A primal class needs none once it has
+    its first violation, and otherwise the tuples whose lb is not above its
+    least score so far: that least is not below its threshold, so a tuple
+    above it can neither lower it nor violate.  The dual class needs none
+    once refuted, and otherwise the tuples whose vlb is below
+    max(-TAU_FEAS, least ``achieved`` so far).  Members pair first with the
+    interior weight rows (all weights positive), all the primal classes
+    read, since a boundary combination of a tuple is an interior one of a
+    sub-tuple.  The dual class then pairs the boundary rows for the tuples
+    it needs whose interior ``achieved`` (max over rows of the min over
+    members) is below that same threshold.  Scored tuples stay in
+    lexicographic order, so each class keeps its first violation and exact
+    least score; ``samples_used`` counts every pair of the plan.  Pairings
+    are summed in k order; the strict class skips the pairs in
+    ``SamplePlan.strict_exclusions``.
     """
     P, G, g = _pairings(model, plan)
-    eps = plan.config.eps_strict
+    D = g[:, None] - G                       # D[j, k] = E(p_j).(p_j - p_k)
+    scale = float(np.abs(G).max() + np.abs(g).max())
+    eps, steps = plan.config.eps_strict, plan.config.weight_grid_resolution - 1
     excluded = plan.strict_exclusions
     samples = dict.fromkeys(_TUPLE_CLASSES, 0)
-    best = dict.fromkeys(_TUPLE_CLASSES, float("inf"))
+    least = dict.fromkeys(_TUPLE_CLASSES, float("inf"))     # least score so far
     hits: dict = {}                          # class name -> (margin, witness)
-    dual_min = float("inf")                  # exact min of achieved so far
     for m, all_combos, W, interior in _tuple_sizes(plan):
         inner, outer = np.flatnonzero(interior), np.flatnonzero(~interior)
         Wi, step = inner.size, max(1, _SCAN_PAIRS // max(inner.size, outer.size))
         bufs = np.empty((4, max(Wi, outer.size), min(len(all_combos), step)))
+        # the primal classes that score m-tuples: none without interior
+        # weights, and no strict class for 1-tuples
+        primal = ("proper_quasi", "strict_proper_quasi")[:m] if Wi else ()
         for lo in range(0, len(all_combos), step):
-            combos = all_combos[lo:lo + step]
+            chunk = all_combos[lo:lo + step]
+            lb, vlb = _tuple_bounds(D, chunk, steps, scale)
+            dual_floor = max(-TAU_FEAS, least["proper_quasi_dual"])
+            dual = ~(vlb >= dual_floor) & ("proper_quasi_dual" not in hits)
+            keep = dual.copy()
+            for name in primal:
+                if name not in hits:
+                    keep |= ~(lb > least[name])
+            kept = np.flatnonzero(keep)
+            combos = chunk[kept]
             mindots, maxdots = _fold(G, g, combos, W[inner].T, bufs[:, :Wi],
                                      (np.minimum, np.maximum))       # (Wi, T)
 
-            samples["proper_quasi"] += maxdots.size
+            samples["proper_quasi"] += len(chunk) * Wi
             low = float(maxdots.min(initial=np.inf))
-            best["proper_quasi"] = min(best["proper_quasi"], low + TAU_FEAS)
+            least["proper_quasi"] = min(least["proper_quasi"], low)
             if ("proper_quasi" not in hits and not low >= -TAU_FEAS
                     and (hit := _first(maxdots.T < -TAU_FEAS))):
                 hits["proper_quasi"] = _combination_hit(
@@ -439,29 +504,29 @@ def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan) -> dict:
 
             if m > 1:       # strict: excluded pairs score +inf, which no test selects
                 ex = excluded[m]
-                span = np.searchsorted(ex, (lo * Wi, (lo + len(combos)) * Wi))
+                span = np.searchsorted(ex, (lo * Wi, (lo + len(chunk)) * Wi))
                 t, w = np.divmod(ex[span[0]:span[1]] - lo * Wi, Wi)
-                maxdots[w, t] = np.inf
-                samples["strict_proper_quasi"] += maxdots.size - len(t)
+                samples["strict_proper_quasi"] += len(chunk) * Wi - len(t)
+                scored = keep[t]
+                maxdots[w[scored], np.searchsorted(kept, t[scored])] = np.inf
                 low = float(maxdots.min(initial=np.inf))
-                best["strict_proper_quasi"] = min(best["strict_proper_quasi"],
-                                                  low - eps)
+                least["strict_proper_quasi"] = min(least["strict_proper_quasi"], low)
                 if ("strict_proper_quasi" not in hits and not low > eps
                         and (hit := _first(maxdots.T <= eps))):
                     hits["strict_proper_quasi"] = _combination_hit(
                         P, G, g, combos[hit[0]], hit[1], W, inner, eps)
 
-            samples["proper_quasi_dual"] += len(combos) * len(W)
+            samples["proper_quasi_dual"] += len(chunk) * len(W)
             if "proper_quasi_dual" in hits:
                 continue
             achieved = mindots.max(axis=0, initial=-np.inf)
-            need = np.flatnonzero(~(achieved >= max(-TAU_FEAS, dual_min)))
+            need = np.flatnonzero(dual[kept] & ~(achieved >= dual_floor))
             achieved = achieved[need]
             (bmin,) = _fold(G, g, combos[need], W[outer].T, bufs[:, :outer.size],
                             (np.minimum,))
             np.maximum(achieved, bmin.max(axis=0, initial=-np.inf), out=achieved)
             low = float(achieved.min(initial=np.inf))
-            dual_min = min(dual_min, low)
+            least["proper_quasi_dual"] = min(least["proper_quasi_dual"], low)
             if not low >= -TAU_FEAS and (hit := _first(achieved < -TAU_FEAS)):
                 combo, worst = combos[need[hit[0]]], float(achieved[hit[0]])
                 dots = _tuple_dots(G, g, combo, W.T)
@@ -473,7 +538,9 @@ def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan) -> dict:
                     points=P[combo], dot_products=dots[:, mins.argmax()],
                     indices=tuple(int(i) for i in combo),
                     extra={"per_combination": per_comb, "best_achieved": worst}))
-    best["proper_quasi_dual"] = dual_min + TAU_FEAS
+    best = {"proper_quasi": least["proper_quasi"] + TAU_FEAS,
+            "strict_proper_quasi": least["strict_proper_quasi"] - eps,
+            "proper_quasi_dual": least["proper_quasi_dual"] + TAU_FEAS}
     return {name: MonotonicityReport(name, REFUTED, samples[name], *hits[name])
             if name in hits else
             MonotonicityReport(name, HOLDS, samples[name], best[name])

@@ -63,9 +63,28 @@ def _price_rows(points, dim: int) -> FloatArray:
     return pts
 
 
+_BLOCK_ENTRIES = 1 << 20    # coordinate differences per row block: 8 MiB
+
+
+def within_distance(points: FloatArray, dist: float) -> NDArray[np.bool_]:
+    """(N, N) mask of the row pairs at most ``dist`` apart.
+
+    Distances are taken in blocks of rows of at most _BLOCK_ENTRIES
+    coordinate differences, each by the same per-pair norm, so the mask
+    does not depend on the block size and memory stays O(N^2) bits.
+    """
+    n, dim = points.shape
+    step = max(1, _BLOCK_ENTRIES // max(1, n * dim))
+    near = np.empty((n, n), dtype=bool)
+    for lo in range(0, n, step):
+        block = points[lo:lo + step, None] - points[None]
+        near[lo:lo + step] = np.linalg.norm(block, axis=-1) <= dist
+    return near
+
+
 def first_distinct(points: FloatArray, dist: float) -> NDArray[np.bool_]:
     """Mask of the rows farther than ``dist`` from every earlier kept row."""
-    near = np.linalg.norm(points[:, None] - points[None], axis=-1) <= dist
+    near = within_distance(points, dist)
     keep = np.ones(points.shape[0], dtype=bool)
     for i in range(points.shape[0]):  # first occurrence wins
         if keep[i]:

@@ -929,6 +929,22 @@ def _spy_folds(monkeypatch):
     return calls
 
 
+def _zero_field(n):
+    return linear_economy(np.zeros((n, n)), np.zeros(n))
+
+
+def _bound_keeping_fields(plan, model):
+    """``model``, then fields whose bounds keep tuples on ``plan``: the zero
+    field, where every pairing ties at 0, and, in 2-D, two rotations, which
+    fail the dual at vertices."""
+    n = plan.base_points.shape[1]
+    fields = [model, _zero_field(n)]
+    if n == 2:
+        fields += [_rotation(0.117, plan.base_points[rows])
+                   for rows in ([0, 1, 2], [0, 1, 5])]
+    return fields
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 7])
 def test_chunk_tails_match_fused_reference(monkeypatch, chunk):
     calls = _spy_folds(monkeypatch)
@@ -943,9 +959,10 @@ def test_chunk_tails_match_fused_reference(monkeypatch, chunk):
             plan = build_plan(fixture.region, HarnessConfig(
                 num_points=6, tuple_size_max=m_max,
                 weight_grid_resolution=resolution))
-            _same_as_fused(fixture.model, plan)
-    # 3-tuple chunks of `chunk` tuples and shorter tails both take the
-    # boundary pass
+            for model in _bound_keeping_fields(plan, fixture.model):
+                _same_as_fused(model, plan)
+    # folds of `chunk` 3-tuples and of fewer (a tail, or a chunk the bounds
+    # thinned) both take the boundary pass
     scored = [first[2] for first, then in zip(calls, calls[1:])
               if first[:2] == (3, "interior") and then[:2] == (3, "boundary")
               and then[2]]
@@ -990,16 +1007,23 @@ def test_running_dual_minimum_across_tiny_chunks(monkeypatch, pairs):
 @pytest.mark.parametrize("label", ["constant_field", "rotation",
                                    "scalar_positive"])
 def test_reports_do_not_depend_on_the_chunk_width(monkeypatch, label):
-    # the dual boundary pass scores nearly every tuple of these plans, so
-    # running minima and first hits cross chunk edges at every width
+    # the bounds keep tuples of these fields in many chunks, so running
+    # minima and first hits cross chunk edges at every width
+    calls = _spy_folds(monkeypatch)
     fixture, plan = CATALOG[label], _plan_64(label)
-    widths = {}
-    for pairs in (monotonicity._SCAN_PAIRS, 1 << 16, 1000):
-        monkeypatch.setattr(monotonicity, "_SCAN_PAIRS", pairs)
-        widths[pairs] = json.dumps({name: report.to_dict() for name, report
-                                    in check_tuple_classes(fixture.model,
-                                                           plan).items()})
-    assert len(set(widths.values())) == 1
+    for k, model in enumerate(_bound_keeping_fields(plan, fixture.model)[:3]):
+        widths = {}
+        for pairs in (monotonicity._SCAN_PAIRS, 1 << 16, 1000):
+            monkeypatch.setattr(monotonicity, "_SCAN_PAIRS", pairs)
+            calls.clear()
+            widths[pairs] = json.dumps({name: report.to_dict() for name, report
+                                        in check_tuple_classes(model,
+                                                               plan).items()})
+        assert len(set(widths.values())) == 1
+        # at the narrowest width, the zero field and the rotation score
+        # 3-tuples in hundreds of chunks
+        assert k == 0 or sum(1 for m, scan, tuples in calls
+                             if (m, scan) == (3, "interior") and tuples) > 500
 
 
 # numpy 2.4's broadcast multiply runs about four times slower per element
@@ -1008,10 +1032,11 @@ MIN_SCAN_ROW = 3000
 
 
 def test_three_tuple_folds_run_on_wide_rows(monkeypatch):
+    # every pairing of the zero field ties at 0, so the primal bound keeps
+    # every tuple and each chunk folds whole
     calls = _spy_folds(monkeypatch)
-    fixture = CATALOG["linear_identity"]
     plan = _plan_64("linear_identity")
-    check_tuple_classes(fixture.model, plan)
+    check_tuple_classes(_zero_field(2), plan)
     widths = [tuples for m, scan, tuples in calls
               if (m, scan) == (3, "interior")]
     assert sum(widths) == comb(plan.size, 3) and len(widths) > 1
@@ -1028,3 +1053,133 @@ def test_scan_memory_stays_in_small_chunks():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the per-tuple bounds that let the scan skip tuples
+
+
+def _assert_bounds_hold(model, plan, width=2048):
+    """lb is at most every float interior ``maxdots`` entry of its tuple,
+    and vlb is the max over vertex rows of the scan's min over members,
+    whose pairings are the float D entries bit for bit."""
+    P, G, g = monotonicity._pairings(model, plan)
+    D = g[:, None] - G
+    scale = float(np.abs(G).max() + np.abs(g).max())
+    steps = plan.config.weight_grid_resolution - 1
+    for m, all_combos, W, interior in monotonicity._tuple_sizes(plan):
+        vertices = [int(np.flatnonzero(W[:, k] == 1)[0]) for k in range(m)]
+        for lo in range(0, len(all_combos), width):
+            combos = all_combos[lo:lo + width]
+            lb, vlb = monotonicity._tuple_bounds(D, combos, steps, scale)
+            bufs = np.empty((3, len(W), len(combos)))
+            if interior.any():
+                (maxdots,) = monotonicity._fold(G, g, combos, W[interior].T,
+                                                bufs[:, :interior.sum()],
+                                                (np.maximum,))
+                assert (lb <= maxdots.min(axis=0)).all(), m
+            else:
+                assert np.isneginf(lb).all()
+            at_vertices = np.array([monotonicity._member_dots(
+                G, g, combos, j, W[vertices].T, bufs[:2, :m]).copy()
+                for j in range(m)])                             # (j, k, T)
+            exact = D[combos.T[:, None], combos.T[None, :]]     # (j, k, T)
+            assert at_vertices.tobytes() == exact.tobytes(), m
+            assert np.array_equal(vlb, at_vertices.min(axis=0).max(axis=0)), m
+
+
+@pytest.mark.parametrize("label", sorted(CATALOG))
+def test_bounds_hold_on_the_default_plans(label):
+    _assert_bounds_hold(CATALOG[label].model, _plan_64(label))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rounded_scan_cases())
+@example(_rotation_case("linear_identity", 24, 0.117, 7))
+def test_bounds_hold_on_rounded_plans(case):
+    model, region, base, config = case
+    _assert_bounds_hold(model, SamplePlan(region, base, config))
+
+
+@pytest.mark.parametrize("resolution", [3, 5, 11])
+def test_pair_bound_is_attained_at_its_vertex(resolution):
+    # E(p) = 1 - 20 p on {0, 1}: member 0 pairs -w_1 and member 1 pairs
+    # -19 w_0, so the interior minimum of the max is member 0's value at
+    # w_1 = 1 - 1/s, the bound's own vertex, where member 0's pairing is
+    # smallest and member 1's smaller still
+    plan = SamplePlan(UNIT_INTERVAL, np.array([[0.0], [1.0]]),
+                      HarnessConfig(weight_grid_resolution=resolution))
+    model = linear_economy([[-20.0]], [-1.0])
+    P, G, g = monotonicity._pairings(model, plan)
+    steps = resolution - 1
+    lb, vlb = monotonicity._tuple_bounds(g[:, None] - G, np.array([[0, 1]]),
+                                         steps, 20.0)
+    assert lb[0] == pytest.approx(-(steps - 1) / steps, abs=1e-12)
+    assert vlb.tolist() == [-1.0]
+    _assert_bounds_hold(model, plan)
+
+
+def test_bounds_stand_down_where_the_scan_could_overflow():
+    combos = np.array([[0, 1, 2]])
+    D = np.array([[0.0, -1.0, 2.0], [1.0, 0.0, -3.0], [-2.0, 3.0, 0.0]])
+    lb, vlb = monotonicity._tuple_bounds(D, combos, 10, 3.0)
+    assert np.isfinite(lb).all() and vlb.tolist() == [-1.0]
+    lb, vlb = monotonicity._tuple_bounds(D, combos, 10, 1e307)   # 40 x 1e307
+    assert np.isneginf(lb).all() and vlb.tolist() == [-1.0]
+    lb, vlb = monotonicity._tuple_bounds(D, combos, 10, np.inf)
+    assert np.isneginf(lb).all() and np.isneginf(vlb).all()
+    lb, _ = monotonicity._tuple_bounds(D, combos, 2, 3.0)      # no interior rows
+    assert np.isneginf(lb).all()
+
+
+@st.composite
+def near_tie_cases(draw):
+    """Fields whose pairings tie or nearly tie, where the bounds sit on the
+    scores they bound: zero, constant, and skew (E(p) = K (p - z) with K
+    antisymmetric and z a plan point or the centroid of three)."""
+    key = draw(st.sampled_from(sorted(HALTON_PLANS)))
+    base = HALTON_PLANS[key]
+    region, (size, n) = CATALOG[key[0]].region, base.shape
+    m_max = draw(st.integers(2, 4))
+    resolution = draw(st.integers(3, 11).filter(
+        lambda r: comb(size, m_max) * comb(r + m_max - 2, m_max - 1) < 3e6))
+    kind = draw(st.sampled_from(["zero", "constant", "skew"]))
+    M, c = np.zeros((n, n)), np.zeros(n)
+    if kind == "constant":
+        c = -np.array(draw(st.lists(ROUNDED_ENTRIES, min_size=n, max_size=n)))
+    elif kind == "skew":
+        K = np.reshape(draw(st.lists(ROUNDED_ENTRIES, min_size=n * n,
+                                     max_size=n * n)), (n, n))
+        rows = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3,
+                             unique=True).filter(lambda r: len(r) != 2))
+        M = K - K.T
+        c = M @ base[rows].mean(axis=0)
+    config = HarnessConfig(tuple_size_max=m_max, weight_grid_resolution=resolution)
+    return linear_economy(M, c), region, base, config
+
+
+@settings(max_examples=40, deadline=None)
+@given(near_tie_cases())
+@example((_zero_field(2), CATALOG["linear_identity"].region,
+          HALTON_PLANS["linear_identity", 24, True],
+          HarnessConfig(tuple_size_max=4, weight_grid_resolution=5)))
+@example(_rotation_case("simplex_positive", 24, 0.351, 10))
+def test_near_tie_fields_match_fused_reference(case):
+    model, region, base, config = case
+    _same_as_fused(model, SamplePlan(region, base, config))
+
+
+def test_strict_pair_scan_memory_stays_in_row_blocks():
+    # 1,000 points in 100 dimensions: an (N, N, n) distance tensor would
+    # take 763 MiB
+    region = Box(np.zeros(100), np.ones(100))
+    tracemalloc.start()
+    try:
+        plan = build_plan(region, HarnessConfig(num_points=1000, tuple_size_max=2))
+        report = check_class("strict_pseudo",
+                             linear_economy(np.eye(100), np.full(100, 0.5)), plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.size == 1000 and report.samples_used == 1000 * 999
+    assert peak < 64 * 2**20

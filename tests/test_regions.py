@@ -29,6 +29,7 @@ from walras_vi.regions import (
     as_price_vector,
     first_distinct,
     project_onto_simplex,
+    within_distance,
 )
 
 UNIT_SQUARE_POLY = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]),
@@ -632,6 +633,19 @@ def test_first_distinct_keeps_first_occurrences_greedily():
     # of the dropped 0.6, so it stays, as in a loop over kept rows
     pts = np.array([[0.0], [0.6], [1.2], [0.0], [2.5]])
     assert first_distinct(pts, 1.0).tolist() == [True, False, True, False, True]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 9, 40])
+def test_distance_blocks_match_the_full_tensor_bit_for_bit(monkeypatch, dim):
+    # thresholds at exact pair distances put ties in the mask, which would
+    # flip if a block summed a pair's squares in another order
+    rng = np.random.default_rng(dim)
+    pts = rng.standard_normal((37, dim)) * 0.117
+    full = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+    for entries in (1, dim * 37 + 1, 5 * dim * 37, 1 << 20):
+        monkeypatch.setattr(regions, "_BLOCK_ENTRIES", entries)
+        for dist in full[rng.integers(0, 37, 6), rng.integers(0, 37, 6)]:
+            assert np.array_equal(within_distance(pts, dist), full <= dist)
 
 
 def test_contains_many_validates_rows():

@@ -10,9 +10,14 @@ runner), on input files written into a temporary directory:
 * ``solve`` on the 48 ``solve_sweep`` problem files of seeds 1-3, and
   ``oracle`` on the eight of seed 1 whose dimension is at most 3;
 * ``check`` for each of the five classes, ``oracle`` and ``solve`` on one
-  problem file per default fixture, with 24 and with 64 plan points.
+  problem file per default fixture, with 24 and with 64 plan points;
+* runs where the tuple scan's bounds keep tuples: ``check`` for the three
+  combination classes with 4-tuples (24 plan points, ``m_max`` 4) on every
+  default fixture and on three near-tie fields (the zero field, and
+  rotations on a box and on the simplex line, whose pairings tie or nearly
+  tie), and ``harness`` on a 64-point catalog of those three fields.
 
-That is 187 runs.  The benchmark's input files come from
+That is 224 runs.  The benchmark's input files come from
 ``bench/workloads.py``, which is only read.  The output is one JSON object,
 case name -> sha256 of the run's stdout, stderr and exit code.
 
@@ -37,6 +42,18 @@ ROOT = Path(__file__).resolve().parents[1]
 HARNESS_GRIDS = ("0.05", "0.02", "0.01", "0.005")
 SOLVE_SEEDS = (1, 2, 3)
 FIXTURE_POINTS = (24, 64)
+TUPLE_CLASSES = ("proper_quasi", "proper_quasi_dual", "strict_proper_quasi")
+UNIT_SQUARE = {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+# E(p) = M (p - z): zero, and rotations about z = (0.6, 0.3) in the square
+# and z = (0.25, 0.75) on the simplex line
+NEAR_TIE_FIELDS = {
+    "zero": ({"kind": "linear", "M": [[0.0, 0.0], [0.0, 0.0]], "c": [0.0, 0.0]},
+             UNIT_SQUARE),
+    "skew": ({"kind": "linear", "M": [[0.0, 0.117], [-0.117, 0.0]],
+              "c": [0.0351, -0.0702]}, UNIT_SQUARE),
+    "skew_line": ({"kind": "linear", "M": [[0.0, 0.117], [-0.117, 0.0]],
+                   "c": [0.08775, -0.02925]}, {"kind": "simplex", "n": 2}),
+}
 
 
 def _region_spec(region) -> dict:
@@ -79,6 +96,23 @@ def cases(directory: Path) -> dict:
                                                          "--class", name]
             out[f"oracle-{label}-{points}"] = ["oracle", str(path)]
             out[f"solve-{label}-{points}"] = ["solve", str(path)]
+    problems = {label: ({"kind": "catalog", "name": label},
+                        _region_spec(fixture.region))
+                for label, fixture in default_catalog().items()}
+    for label, (economy, region) in {**problems, **NEAR_TIE_FIELDS}.items():
+        path = directory / f"{label}-24-m4.json"
+        path.write_text(json.dumps({"economy": economy, "region": region,
+                                    "plan": {"points": 24, "m_max": 4}}))
+        for name in TUPLE_CLASSES:
+            out[f"check-{label}-24-m4-{name}"] = ["check", str(path),
+                                                  "--class", name]
+    path = directory / "near-ties.json"
+    path.write_text(json.dumps({
+        "plan": {"points": 64},
+        "fixtures": [{"label": label, "economy": economy, "region": region}
+                     for label, (economy, region) in NEAR_TIE_FIELDS.items()]}))
+    out["harness-near-ties"] = ["harness", "--catalog", str(path),
+                                "--grid", "0.02"]
     return out
 
 
