@@ -1,8 +1,8 @@
 """Default tolerances and scan parameters, and a run's settings.
 
 A run can set the ``HarnessConfig`` fields; TAU_FEAS, DISTINCT_DIST,
-TAU_PROJ, GRID_POINT_LIMIT and the plan limits PLAN_POINT_LIMIT and
-PLAN_PAIR_LIMIT are fixed.
+TAU_PROJ, GRID_POINT_LIMIT, VERTEX_SUBSET_LIMIT and the plan limits
+PLAN_POINT_LIMIT and PLAN_PAIR_LIMIT are fixed.
 """
 
 from dataclasses import dataclass
@@ -28,6 +28,12 @@ DISTINCT_DIST = 10 * TAU_FEAS
 # Largest grid the oracle builds: a region's grid, or the bounding-box mesh
 # it is cut from, is refused above this many points (4,194,304).
 GRID_POINT_LIMIT = 1 << 22
+
+# Largest polyhedral vertex enumeration: at most this many n-row subsets
+# (65,536; about 220 bytes each), counted before any is built.  A
+# polyhedron with more is certified by linear programs instead, and its
+# sample plans carry no vertices.
+VERTEX_SUBSET_LIMIT = 1 << 16
 
 # Largest sample plan: at most this many points, region vertices and plan
 # points counted before deduplication, and a tuple scan of at most

@@ -221,8 +221,9 @@ def default_catalog() -> dict[str, Fixture]:
     Solutions of the monotone fixtures sit on the default oracle grids
     (multiples of 0.01, 0.02 and 0.5), so the per-fixture ``lipschitz``
     constants can stay small and the solution-set estimates stay tight.
-    The immutable fixtures, whose polyhedra run LPs when constructed, are
-    built once; each call returns a new dict of them.
+    The immutable fixtures, whose polyhedra enumerate their vertices and
+    project the origin when constructed, are built once; each call returns
+    a new dict of them.
     """
     return dict(_default_fixtures())
 

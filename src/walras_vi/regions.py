@@ -4,7 +4,11 @@ Three region kinds are supported: the unit price simplex, per-commodity
 price boxes, and polyhedra given by half-space systems A x <= b.  Every
 region is nonempty and bounded when built (construction raises
 otherwise), immutable after construction, and every operation is a pure
-function, so fixtures share regions freely.
+function, so fixtures share regions freely.  A polyhedron of dim <= 3 is
+certified from its vertices; a larger one, or one with too many row
+subsets to enumerate, by linear programs.  scipy is imported only where
+it is called: a simplex or a box loads none of it, and a polyhedron of
+dim <= 3 loads no linear-programming code.
 
 Projections are exact for the simplex (sort-and-threshold) and the box
 (componentwise clamp); a polyhedral projection is one nonnegative
@@ -23,10 +27,8 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import lapack
-from scipy.optimize import linprog
 
-from .constants import GRID_POINT_LIMIT, TAU_FEAS, TAU_PROJ
+from .constants import GRID_POINT_LIMIT, TAU_FEAS, TAU_PROJ, VERTEX_SUBSET_LIMIT
 
 FloatArray = NDArray[np.float64]
 
@@ -133,6 +135,8 @@ def project_onto_simplex(v: FloatArray) -> FloatArray:
 def _lstsq(A: FloatArray, b: FloatArray) -> FloatArray:
     """Minimum-norm least squares; LAPACK's gelsy called directly costs a
     quarter of ``np.linalg.lstsq`` on the tiny systems NNLS solves."""
+    from scipy.linalg import lapack
+
     k = A.shape[1]
     return lapack.dgelsy(A, b, np.zeros(k, np.int32), 1e-13, 4 * k + 1)[1][:k]
 
@@ -299,6 +303,17 @@ def _check_grid_size(points: float) -> None:
                          f"the limit of {GRID_POINT_LIMIT}; use a coarser spacing")
 
 
+def _row_subsets(m: int, k: int) -> NDArray[np.intp]:
+    """The k-subsets of range(m) as rows, lexicographic; refused before any
+    is built when there are more than VERTEX_SUBSET_LIMIT of them."""
+    count = math.comb(m, k)
+    if count > VERTEX_SUBSET_LIMIT:
+        raise ValueError(f"vertex enumeration would solve {count} row subsets, "
+                         f"more than the limit of {VERTEX_SUBSET_LIMIT}")
+    subsets = itertools.combinations(range(m), k)
+    return np.array(list(subsets), dtype=np.intp).reshape(count, k)
+
+
 def simplex_lattice(parts: int, steps: int) -> FloatArray:
     """Rows of ``parts`` weights w >= 0 with sum 1 and steps * w integral, zeros
     included, lexicographic: each pass splits a last count r into j, r - j."""
@@ -434,10 +449,13 @@ class Box(ConvexRegion):
 class Polyhedron(ConvexRegion):
     """Half-space intersection {x : A x <= b}, certified nonempty and bounded.
 
-    Construction solves the 2n bounding-box LPs and raises unless every
-    one has an optimum; the first optimum is a feasible anchor point.
-    Optional finite per-axis lower/upper bounds are folded in as extra rows;
-    the resulting ``A`` and ``b`` are read-only.
+    At dim <= 3, with at most VERTEX_SUBSET_LIMIT row subsets, construction
+    enumerates the vertices: the bounding box is their min and max, and the
+    lexicographically first, which attains min x_0, is the anchor point.
+    Otherwise it solves the 2n bounding-box LPs and raises unless every one
+    has an optimum; the first optimum is the anchor.  Optional finite
+    per-axis lower/upper bounds are folded in as extra rows; the resulting
+    ``A`` and ``b`` are read-only.
     """
 
     def __init__(self, A, b, lower=None, upper=None):
@@ -472,9 +490,55 @@ class Polyhedron(ConvexRegion):
         # project's least-distance matrix [A_u^T; c^T], c written per call
         self._lsd = np.vstack((self._unit_A.T, np.zeros_like(self.b)))
         self._e = np.eye(n + 1)[n]
+        if n <= 3 and math.comb(self.b.size, n) <= VERTEX_SUBSET_LIMIT:
+            self._bound_by_vertices()
+        else:
+            self._bound_by_lp()
+        self._feasible = self.project(np.zeros(n))
+
+    def _bound_by_vertices(self) -> None:
+        """Box and anchor from the vertices; raises if the set is empty or
+        unbounded.
+
+        Fewer than n + 1 rows cannot bound it.  With unit rows of rank n,
+        it is empty iff it has no vertex, and bounded iff
+        {d : A d <= 0} = {0} (Gordan's alternative).  That cone is then
+        pointed, so it is {0} iff it has no extreme ray, and an extreme ray
+        is orthogonal to n - 1 independent rows: it is one of the two null
+        directions of an (n - 1)-subset, the subset's generalized cross
+        product and its negative.
+        """
+        n = self.dim
+        if self.b.size <= n:
+            raise ValueError(f"polyhedron must be nonempty and bounded "
+                             f"(fewer than {n + 1} constraints)")
+        try:
+            pts = self.vertices()
+        except ValueError as exc:
+            raise ValueError(f"polyhedron must be nonempty and bounded ({exc})") from None
+        rows = self._unit_A[_row_subsets(self.b.size, n - 1)]
+        d = np.stack([(-1) ** j * np.linalg.det(np.delete(rows, j, axis=2))
+                      for j in range(n)], axis=-1)
+        norm = np.linalg.norm(d, axis=1)
+        d = d[norm >= 1e-12] / norm[norm >= 1e-12, None]
+        rays = np.vstack((d, -d))
+        rays = rays[np.all(rays @ self._unit_A.T <= 1e-12, axis=1)]
+        if rays.shape[0]:
+            raise ValueError(f"polyhedron must be nonempty and bounded "
+                             f"(A d <= 0 at d = {(rays[0] + 0.0).tolist()})")
+        self._lower, self._upper = pts.min(axis=0), pts.max(axis=0)
+        self._anchor = pts[0]
+
+    def _bound_by_lp(self) -> None:
+        """Box and anchor from the 2n bounding-box LPs; raises unless every
+        one has an optimum."""
+        from scipy.optimize import linprog
+
+        n = self.dim
         box = np.empty(2 * n)
         for k, c in enumerate(np.vstack((np.eye(n), -np.eye(n)))):
-            res = self._lp(c)
+            res = linprog(c, A_ub=self.A, b_ub=self.b, bounds=[(None, None)] * n,
+                          method="highs")
             if res.status != 0:
                 raise ValueError(
                     f"polyhedron must be nonempty and bounded ({res.message})")
@@ -482,7 +546,6 @@ class Polyhedron(ConvexRegion):
             if k == 0:
                 self._anchor = res.x
         self._lower, self._upper = box[:n], box[n:]
-        self._feasible = self.project(np.zeros(n))
 
     @property
     def dim(self) -> int:  # type: ignore[override]
@@ -547,25 +610,26 @@ class Polyhedron(ConvexRegion):
     def bounding_box(self):
         return self._lower.copy(), self._upper.copy()
 
-    def _lp(self, c: FloatArray):
-        return linprog(c, A_ub=self.A, b_ub=self.b,
-                       bounds=[(None, None)] * self.dim, method="highs")
-
     def vertices(self) -> FloatArray:
         """Basic feasible points from all n-subsets of active constraints.
 
         A subset is a basis when its unit rows have |det| >= 1e-12, so the
         test does not depend on how the rows are scaled; each vertex is
-        solved from the rows as given.
+        solved from the rows as given.  Raises if there are more than
+        VERTEX_SUBSET_LIMIT n-subsets, if none is a basis, or if no basic
+        point is feasible.
         """
         if self.dim > 3:
             raise ValueError("vertex enumeration is desk-scale only (dim <= 3)")
-        rows = np.array(list(itertools.combinations(range(self.A.shape[0]), self.dim)))
+        rows = _row_subsets(self.b.size, self.dim)
         rows = rows[np.abs(np.linalg.det(self._unit_A[rows])) >= 1e-12]
+        if rows.shape[0] == 0:
+            raise ValueError(f"the constraint normals span fewer than "
+                             f"{self.dim} dimensions")
         pts = np.linalg.solve(self.A[rows], self.b[rows][..., None])[..., 0]
         pts = pts[self.contains_many(pts, tol=1e-9)]
         if pts.shape[0] == 0:
-            raise ValueError("no vertices found (degenerate polyhedron)")
+            raise ValueError("no point satisfies A x <= b")
         pts = pts[first_distinct(pts, 1e-9)]
         return pts[np.lexsort(pts.T[::-1])]
 

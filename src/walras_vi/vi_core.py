@@ -30,9 +30,6 @@ from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .constants import HarnessConfig
 from .economy import ExcessDemandModel
@@ -196,6 +193,8 @@ def _extreme_points(grid: FloatArray) -> FloatArray:
     <= 1 (a point or a segment) gives the two endpoints.  Centering on the
     first row keeps a coordinate that is constant over the grid exactly 0.
     """
+    from scipy.spatial import ConvexHull, QhullError
+
     centered = grid - grid[0]
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     rank = int(np.sum(s > s.max() * max(centered.shape) * np.finfo(float).eps))
@@ -303,6 +302,10 @@ def cluster_members(points, threshold: float) -> MemberClusters:
     i < j links when ||p_j - p_i|| <= threshold.  The diameter is the
     largest such norm between the hull vertices of ``_extreme_points``.
     """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     k = pts.shape[0]
     if k == 0:

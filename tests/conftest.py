@@ -86,6 +86,43 @@ def projection_kkt_residual(A, b, x, y, active_tol) -> float:
     return max(float(-slack.min()), 0.0, cone)
 
 
+# HiGHS's default feasibility tolerances are 1e-7; its box could then
+# exceed the exact one by that much
+TIGHT_HIGHS = {"primal_feasibility_tolerance": 1e-10,
+               "dual_feasibility_tolerance": 1e-10}
+
+
+def polyhedron_lp_reference(A, b):
+    """("empty" | "unbounded" | "bounded", lower, upper) for {x : A x <= b},
+    decided by HiGHS LPs as the library once did for every polyhedron.
+
+    One LP decides feasibility; the recession cone {d : A d <= 0} inside
+    the unit box decides boundedness (some max +-d_j is positive iff the
+    cone is not {0}); then the 2n bounding-box LPs give the box.  Deciding
+    the cone apart keeps the status exact, since HiGHS's presolve can call
+    a box LP over an unbounded set infeasible.  The box is None unless the
+    set is bounded.
+    """
+    from scipy.optimize import linprog
+
+    A, b = np.asarray(A, float), np.asarray(b, float)
+    n = A.shape[1]
+    axes = np.vstack((np.eye(n), -np.eye(n)))
+
+    def lp(c, rhs, bound):
+        res = linprog(c, A_ub=A, b_ub=rhs, bounds=[bound] * n, method="highs",
+                      options=TIGHT_HIGHS)
+        assert res.status in (0, 2), res.message
+        return res
+
+    if lp(np.zeros(n), b, (None, None)).status == 2:
+        return "empty", None, None
+    if min(lp(-c, np.zeros(b.size), (-1.0, 1.0)).fun for c in axes) < -1e-9:
+        return "unbounded", None, None
+    box = np.array([lp(c, b, (None, None)).x[k % n] for k, c in enumerate(axes)])
+    return "bounded", box[:n], box[n:]
+
+
 # ---------------------------------------------------------------------------
 # amortization schedule oracle
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import walras_vi
-from walras_vi.cli import load_problem, main
+from walras_vi.cli import load_problem, main, parse_region
 from walras_vi.harness import HarnessConfig
 from walras_vi.monotonicity import CLASS_NAMES
 from walras_vi.vi_core import solve_extragradient
@@ -319,15 +319,30 @@ def test_harness_corrupted_tolerance_rejected(runner, tmp_path):
     assert result.exit_code == 1
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats once cost about half of every CLI start-up
-    code = "import sys, walras_vi.cli; print('scipy.stats' in sys.modules)"
+_START_UPS = {
+    "import": ("import walras_vi.cli", "scipy"),
+    "solve-box": ("from walras_vi.cli import main\n"
+                  "main.main(['solve', {path!r}], standalone_mode=False)", "scipy"),
+    # the origin is a vertex, so construction projects nothing
+    "polyhedron-2d": ("from walras_vi.regions import Polyhedron\n"
+                      "Polyhedron([[1.0, 1.0]], [1.0], lower=[0, 0], upper=[1, 1])",
+                      "scipy.optimize"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_START_UPS))
+def test_start_up_loads_no_scipy(tmp_path, case):
+    # importing scipy once cost two thirds of every CLI start-up
+    code, prefix = _START_UPS[case]
+    code = code.format(path=write(tmp_path, "problem.json", LINEAR_PROBLEM))
+    code += (f"\nimport sys\nprint([m for m in sys.modules"
+             f" if (m + '.').startswith({prefix!r} + '.')])")
     src = str(Path(walras_vi.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("region", sorted(ONE_POINT_REGIONS))
@@ -397,10 +412,11 @@ def test_oracle_bad_grid(runner, tmp_path):
 # numerical failures inside the polyhedron code
 
 
-def _poly_argv(command, tmp_path, lower):
-    economy = LINEAR_PROBLEM["economy"]
-    region = {"kind": "polyhedron", "A": [[1.0, 1.0]], "b": [1.5],
-              "lower": lower, "upper": [1.0, 1.0]}
+def _poly_argv(command, tmp_path, lower, upper=(1.0, 1.0)):
+    region = {"kind": "polyhedron", "A": [[1.0] * len(lower)], "b": [1.5],
+              "lower": lower, "upper": list(upper)}
+    economy = {"kind": "linear", "M": np.eye(len(lower)).tolist(),
+               "c": [1.5, 0.5, 0.5, 0.5][:len(lower)]}
     if command == "harness":
         catalog = {"fixtures": [{"label": "poly", "economy": economy,
                                  "region": region}]}
@@ -428,16 +444,60 @@ def _assert_one_error_line(result):
 
 
 @pytest.mark.parametrize("command", ["solve", "check", "harness", "oracle"])
-@pytest.mark.parametrize("name, fake", [
-    pytest.param("nnls", _nnls_iteration_cap, id="nnls"),
-    pytest.param("linprog", _lp_numerical_failure, id="linprog"),
+@pytest.mark.parametrize("target, fake, lower", [
+    # the origin lies outside, so construction projects it onto the region
+    pytest.param("walras_vi.regions.nnls", _nnls_iteration_cap, [0.2, 0.2],
+                 id="nnls"),
+    # at dim 4 construction certifies the region by LP
+    pytest.param("scipy.optimize.linprog", _lp_numerical_failure, [0.2] * 4,
+                 id="linprog"),
 ])
 def test_region_construction_failure_is_one_error_line(
-        runner, tmp_path, monkeypatch, command, name, fake):
-    # the origin lies outside, so construction projects it onto the region
-    monkeypatch.setattr(f"walras_vi.regions.{name}", fake)
-    result = runner.invoke(main, _poly_argv(command, tmp_path, [0.2, 0.2]))
+        runner, tmp_path, monkeypatch, command, target, fake, lower):
+    monkeypatch.setattr(target, fake)
+    result = runner.invoke(main, _poly_argv(command, tmp_path, lower,
+                                            upper=[1.0] * len(lower)))
     _assert_one_error_line(result)
+    assert ("KKT" if fake is _nnls_iteration_cap
+            else "numerical difficulties") in result.stderr
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "harness", "oracle"])
+def test_empty_polyhedron_is_one_error_line(runner, tmp_path, command):
+    # x + y <= 1.5 with x, y >= 1: the vertex enumeration finds no point
+    result = runner.invoke(main, _poly_argv(command, tmp_path, [1.0, 1.0],
+                                            upper=[2.0, 2.0]))
+    _assert_one_error_line(result)
+    assert "nonempty" in result.stderr
+
+
+def test_check_on_polyhedron_beyond_vertex_limit(runner, tmp_path):
+    # 2,006 rows: C(2006, 3) = 1.3e9 row subsets, about 300 GB if vertex
+    # enumeration built them; LPs certify the region, and the plan has no
+    # vertices.  The cube lies within sqrt(3) / 2 of its center, so every
+    # drawn row is redundant.
+    import tracemalloc
+
+    normals = np.random.default_rng(5).normal(size=(2000, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    region = {"kind": "polyhedron", "A": normals.tolist(),
+              "b": (normals @ np.full(3, 0.5) + 1.0).tolist(),
+              "lower": [0.0] * 3, "upper": [1.0] * 3}
+    economy = {"kind": "linear", "M": np.eye(3).tolist(), "c": [0.5, 0.25, 0.75]}
+    path = write(tmp_path, "problem.json", {"economy": economy, "region": region})
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["check", path, "--class", "pseudo"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["verdict"] == "holds_on_samples"
+    assert peak < 64 << 20
+    polyhedron = parse_region(region)
+    assert_allclose(polyhedron.bounding_box(), [np.zeros(3), np.ones(3)], atol=1e-9)
+    with pytest.raises(ValueError, match="limit"):
+        polyhedron.vertices()
 
 
 @pytest.mark.parametrize("command", ["solve", "check", "harness"])

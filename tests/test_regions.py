@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -10,6 +10,7 @@ from conftest import (
     box_grid,
     nearest_grid_point,
     nnls_reference,
+    polyhedron_lp_reference,
     polyhedron_project_reference,
     project_onto_simplex_reference,
     projection_kkt_residual,
@@ -254,6 +255,17 @@ def test_polyhedron_bounding_box_and_vertices():
     assert_allclose(verts, [[0, 0], [0, 1], [1, 0], [1, 1]], atol=1e-9)
 
 
+# HiGHS presolve calls the LP min x_2 over this cone infeasible
+CONE = (np.array([[0, 0, -1], [0, 1, 0.5], [1, 0, -1], [1, -1, -1], [-1, 0, -1]]),
+        np.array([0, 0, 0, 0, 1.0]))
+# and cannot classify max x_1 here, unbounded along (1, 3, 4) / 4
+RAY = (np.array([[0, 1, -3], [1, -3, 2], [0, -2, 1], [0, 4, -3], [1, 0, -2]]) / 8,
+       np.array([0, 0, 0, 1.0, 0]))
+# x <= 1 and 2 x <= 3: at dim 1 the one null direction is +1, and only its
+# negative shows the ray
+HALF_LINE = (np.array([[1.0], [2.0]]), np.array([1.0, 3.0]))
+
+
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: Box([0.0, 1.0], [np.inf, 2.0]), id="box-inf"),
     pytest.param(lambda: Box([0.0, 1.0], [np.nan, 2.0]), id="box-nan"),
@@ -264,14 +276,9 @@ def test_polyhedron_bounding_box_and_vertices():
                                     upper=[1.0, 1.0]), id="poly-nan-lower"),
     pytest.param(lambda: Polyhedron([[1.0, 1.0]], [5.0], lower=[0.0, 0.0],
                                     upper=[np.inf, 1.0]), id="poly-inf-upper"),
-    # HiGHS presolve calls the LP min x_2 over this cone infeasible
-    pytest.param(lambda: Polyhedron([[0, 0, -1], [0, 1, 0.5], [1, 0, -1],
-                                     [1, -1, -1], [-1, 0, -1]], [0, 0, 0, 0, 1]),
-                 id="cone"),
-    # and cannot classify max x_1 here, unbounded along (1, 3, 4) / 4
-    pytest.param(lambda: Polyhedron(np.array([[0, 1, -3], [1, -3, 2], [0, -2, 1],
-                                              [0, 4, -3], [1, 0, -2]]) / 8,
-                                    [0, 0, 0, 1, 0]), id="ray"),
+    pytest.param(lambda: Polyhedron(*CONE), id="cone"),
+    pytest.param(lambda: Polyhedron(*RAY), id="ray"),
+    pytest.param(lambda: Polyhedron(*HALF_LINE), id="half-line"),
 ])
 def test_unbounded_regions_rejected(build):
     with pytest.raises(ValueError, match="finite|bounded"):
@@ -376,6 +383,98 @@ def polyhedron_cases(draw):
     lower, upper = center - width, center + width
     x = center + scale * np.array(draw(coords(n, -5.0, 5.0)))
     return Polyhedron(A, b, lower=lower, upper=upper), x, scale
+
+
+def assert_box_and_anchor_match_lp(region, lower, upper):
+    """The region's box equals the LP box, and its anchor is a feasible
+    vertex that attains min x_0.
+
+    The box tolerance covers the basic points that ``vertices`` accepts
+    within its feasibility allowance of 1e-9 on unit rows: on a flat set,
+    one such point off the set by a few 1e-9 stretches the box that much.
+    A missed vertex would be off by the set's own scale.
+    """
+    scale = max(1.0, float(np.abs(region.b).max()))
+    lo, hi = region.bounding_box()
+    assert_allclose(lo, lower, rtol=0, atol=1e-7 * scale)
+    assert_allclose(hi, upper, rtol=0, atol=1e-7 * scale)
+    anchor = region._anchor
+    assert region.contains(anchor, tol=1e-9)
+    assert anchor[0] == lo[0]
+    slack = region._unit_b - region._unit_A @ anchor
+    active = region._unit_A[np.abs(slack) <= 1e-9 * scale]
+    assert np.linalg.matrix_rank(active) == region.dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(polyhedron_cases())
+def test_polyhedron_box_and_anchor_match_lp(case):
+    region = case[0]
+    status, lower, upper = polyhedron_lp_reference(region.A, region.b)
+    assert status == "bounded"
+    assert_box_and_anchor_match_lp(region, lower, upper)
+
+
+@st.composite
+def polyhedron_systems(draw):
+    """A system A x <= b on the 1/8 grid, dim 1-3, that may be empty,
+    unbounded or bounded: random rows and right-hand sides, sometimes an
+    opposite row pair that makes the set flat, sometimes axis bounds, with
+    lower == upper where a drawn width is 0."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 7))
+
+    def eighths(lo, hi, size):
+        return np.array(draw(st.lists(st.integers(8 * lo, 8 * hi), min_size=size,
+                                      max_size=size))) / 8
+
+    A = np.array([eighths(-1, 1, n) for _ in range(m)])
+    assume(np.all(np.any(A != 0, axis=1)))
+    b = eighths(-1, 3, m)
+    if draw(st.booleans()):  # flat: a.x <= b_0 and -a.x <= -b_0
+        A, b = np.vstack([A, -A[0]]), np.append(b, -b[0])
+    if draw(st.booleans()):
+        lower = eighths(-2, 2, n)
+        upper = lower + eighths(0, 2, n)
+        A = np.vstack([A, -np.eye(n), np.eye(n)])
+        b = np.concatenate([b, -lower, upper])
+    return A, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(polyhedron_systems())
+@example(CONE)
+@example(RAY)
+@example(HALF_LINE)
+def test_polyhedron_decision_matches_lp(system):
+    # without an LP: vertices decide emptiness, extreme rays boundedness
+    status, lower, upper = polyhedron_lp_reference(*system)
+    try:
+        region = Polyhedron(*system)
+    except ValueError as exc:
+        reason = str(exc)
+        assert reason.startswith("polyhedron must be nonempty and bounded")
+        assert status != "bounded", reason
+        if system[1].size <= system[0].shape[1]:
+            assert "fewer than" in reason
+        if "no point satisfies" in reason:
+            assert status == "empty"
+        if "A d <= 0" in reason:
+            assert status == "unbounded"
+        return
+    assert status == "bounded"
+    assert_box_and_anchor_match_lp(region, lower, upper)
+
+
+@pytest.mark.parametrize("slope", [1e-6, 1e-10])
+def test_thin_triangle_is_bounded(slope):
+    # x >= 0 and |y| <= 1 - slope x reach x = 1 / slope; each candidate
+    # recession direction fails A d <= 0 by at most 2 slope
+    region = Polyhedron([[-1.0, 0.0], [slope, 1.0], [slope, -1.0]],
+                        [0.0, 1.0, 1.0])
+    lo, hi = region.bounding_box()
+    assert_allclose(lo, [0.0, -1.0], rtol=0, atol=1e-12)
+    assert_allclose(hi, [1 / slope, 1.0], rtol=1e-12)
 
 
 @settings(max_examples=150, deadline=None)

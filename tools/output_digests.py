@@ -27,6 +27,16 @@ case name -> sha256 of the run's stdout, stderr and exit code.
 
 ``--compare`` lists the cases whose digests differ or that only one file
 holds, and exits 1 if there are any.
+
+The digests of this checkout are committed in ``tools/output_digests.json``
+with the OpenBLAS core they were recorded under, and
+``tests/test_output_digests.py`` requires every run to reproduce them (it
+skips under another core, since BLAS kernels round differently).  A change
+that moves output on purpose re-records the file and lists the changed
+cases:
+
+    python tools/output_digests.py --record
+    python tools/output_digests.py --compare before.json tools/output_digests.json
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+RECORD = ROOT / "tools" / "output_digests.json"
 HARNESS_GRIDS = ("0.05", "0.02", "0.01", "0.005")
 SOLVE_SEEDS = (1, 2, 3)
 FIXTURE_POINTS = (24, 64)
@@ -140,6 +151,36 @@ def run_all() -> dict:
                 for name, argv in cases(directory).items()}
 
 
+def openblas_core():
+    """The kernel core of numpy's OpenBLAS (``scipy_openblas_get_corename64_``),
+    or None where it cannot be read: no ``/proc/self/maps``, or no loaded
+    library exports that symbol."""
+    import ctypes
+
+    import numpy  # noqa: F401  (loads the library)
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        except OSError:
+            continue
+        if fn is not None:
+            fn.restype = ctypes.c_char_p
+            return fn().decode().strip()
+    return None
+
+
+def load_digests(path: Path) -> dict:
+    """Case name -> digest from a file of this tool's output or a record."""
+    data = json.loads(path.read_text())
+    return data.get("digests", data)
+
+
 def compare(before: dict, after: dict) -> list[str]:
     """One line per case whose digest differs or that only one side holds."""
     lines = [f"differs: {name}" for name in before
@@ -156,15 +197,24 @@ def main(argv=None) -> int:
                              "(default: this checkout's src)")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), type=Path,
                         help="compare two digest files instead of running")
+    parser.add_argument("--record", action="store_true",
+                        help=f"write the digests and the OpenBLAS core to "
+                             f"{RECORD.relative_to(ROOT)} instead of stdout")
     args = parser.parse_args(argv)
     if args.compare:
-        before, after = (json.loads(p.read_text()) for p in args.compare)
+        before, after = (load_digests(p) for p in args.compare)
         lines = compare(before, after)
         print("\n".join(lines) if lines else
               f"all {len(before)} cases identical")
         return 1 if lines else 0
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "bench")]
-    print(json.dumps(run_all(), indent=1, sort_keys=True))
+    digests = run_all()
+    if args.record:
+        RECORD.write_text(json.dumps({"openblas_core": openblas_core(),
+                                      "digests": digests},
+                                     indent=1, sort_keys=True) + "\n")
+    else:
+        print(json.dumps(digests, indent=1, sort_keys=True))
     return 0
 
 
