@@ -25,8 +25,10 @@ import click
 import numpy as np
 
 from .economy import (
+    CATALOG_LABELS,
     ExcessDemandModel,
     Fixture,
+    catalog_fixture,
     default_catalog,
     linear_economy,
     scalar_catalog,
@@ -89,11 +91,10 @@ def parse_economy(spec: dict) -> tuple[ExcessDemandModel, Optional[Fixture]]:
                      f"known: {sorted(models)}")
             return models[spec["name"]], None
         if kind == "catalog":
-            catalog = default_catalog()
-            _require(spec.get("name") in catalog,
+            _require(spec.get("name") in CATALOG_LABELS,
                      f"unknown catalog fixture {spec.get('name')!r}; "
-                     f"known: {sorted(catalog)}")
-            fixture = catalog[spec["name"]]
+                     f"known: {sorted(CATALOG_LABELS)}")
+            fixture = catalog_fixture(spec["name"])
             return fixture.model, fixture
     except ProblemFileError:
         raise

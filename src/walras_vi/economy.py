@@ -35,6 +35,8 @@ __all__ = [
     "affine_rate_cap_region",
     "mortgage_region",
     "Fixture",
+    "CATALOG_LABELS",
+    "catalog_fixture",
     "default_catalog",
     "scalar_catalog",
 ]
@@ -215,83 +217,58 @@ def scalar_catalog() -> dict[str, ExcessDemandModel]:
     }
 
 
+# label -> builder of the fixture's (model, region, lipschitz), in catalog order
+_FIXTURE_PARTS = {
+    "linear_identity": lambda: (
+        linear_economy(np.eye(2), [0.5, 0.5], label="linear_identity"),
+        Box([0.0, 0.0], [1.0, 1.0]), 0.1),
+    "constant_field": lambda: (
+        linear_economy(np.zeros((2, 2)), [-1.0, 0.0], label="constant_field"),
+        Box([0.0, 0.0], [1.0, 1.0]), 0.25),
+    "constant_positive": lambda: (
+        linear_economy(np.zeros((2, 2)), [-1.0, -1.0], label="constant_positive"),
+        Box([0.0, 0.0], [1.0, 1.0]), 0.25),
+    "rotation": lambda: (
+        linear_economy([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0], label="rotation"),
+        Box([0.0, 0.0], [1.0, 1.0]), 0.25),
+    "scalar_negslope": lambda: (
+        scalar_catalog()["negslope_half"], Box([0.0], [1.0]), 0.25),
+    "scalar_posslope": lambda: (
+        scalar_catalog()["posslope_half"], Box([0.0], [1.0]), 0.02),
+    "scalar_positive": lambda: (
+        scalar_catalog()["affine_positive"], Box([0.0], [1.0]), 0.05),
+    "simplex_positive": lambda: (
+        linear_economy(np.eye(2), [-0.1, -0.1], label="simplex_positive"),
+        Simplex(2), 0.02),
+    "mortgage_linear": lambda: (
+        linear_economy(np.eye(2), [0.5, 2.5], label="mortgage_linear"),
+        affine_rate_cap_region(-1.0, 1.0, np.array([0.0, 1.0]),
+                               np.array([2.0, 4.0])),
+        0.1),
+}
+
+# the default fixture labels, in catalog order
+CATALOG_LABELS = _FIXTURE_PARTS.keys()
+
+
+@functools.cache
+def catalog_fixture(label: str) -> Fixture:
+    """The default fixture ``label``, built on first use and kept.
+
+    Each label builds only its own fixture, so a problem file naming one
+    does not pay for the others: the ``mortgage_linear`` polyhedron
+    enumerates its vertices and projects the origin when constructed.
+    Fixtures are immutable, so every caller shares the one object.
+    """
+    return Fixture(label, *_FIXTURE_PARTS[label]())
+
+
 def default_catalog() -> dict[str, Fixture]:
     """Fixture economies with known monotonicity classes, keyed by label.
 
     Solutions of the monotone fixtures sit on the default oracle grids
     (multiples of 0.01, 0.02 and 0.5), so the per-fixture ``lipschitz``
     constants can stay small and the solution-set estimates stay tight.
-    The immutable fixtures, whose polyhedra enumerate their vertices and
-    project the origin when constructed, are built once; each call returns
-    a new dict of them.
+    Each call returns a new dict of the ``catalog_fixture`` objects.
     """
-    return dict(_default_fixtures())
-
-
-@functools.cache
-def _default_fixtures() -> dict[str, Fixture]:
-    unit_square = Box([0.0, 0.0], [1.0, 1.0])
-    unit_interval = Box([0.0], [1.0])
-    scalars = scalar_catalog()
-    mortgage_box_lo = np.array([0.0, 1.0])
-    mortgage_box_hi = np.array([2.0, 4.0])
-
-    fixtures = [
-        Fixture(
-            label="linear_identity",
-            model=linear_economy(np.eye(2), [0.5, 0.5], label="linear_identity"),
-            region=unit_square,
-            lipschitz=0.1,
-        ),
-        Fixture(
-            label="constant_field",
-            model=linear_economy(np.zeros((2, 2)), [-1.0, 0.0], label="constant_field"),
-            region=unit_square,
-            lipschitz=0.25,
-        ),
-        Fixture(
-            label="constant_positive",
-            model=linear_economy(np.zeros((2, 2)), [-1.0, -1.0],
-                                 label="constant_positive"),
-            region=unit_square,
-            lipschitz=0.25,
-        ),
-        Fixture(
-            label="rotation",
-            model=linear_economy([[0.0, 1.0], [-1.0, 0.0]], [0.0, 0.0],
-                                 label="rotation"),
-            region=unit_square,
-            lipschitz=0.25,
-        ),
-        Fixture(
-            label="scalar_negslope",
-            model=scalars["negslope_half"],
-            region=unit_interval,
-            lipschitz=0.25,
-        ),
-        Fixture(
-            label="scalar_posslope",
-            model=scalars["posslope_half"],
-            region=unit_interval,
-            lipschitz=0.02,
-        ),
-        Fixture(
-            label="scalar_positive",
-            model=scalars["affine_positive"],
-            region=unit_interval,
-            lipschitz=0.05,
-        ),
-        Fixture(
-            label="simplex_positive",
-            model=linear_economy(np.eye(2), [-0.1, -0.1], label="simplex_positive"),
-            region=Simplex(2),
-            lipschitz=0.02,
-        ),
-        Fixture(
-            label="mortgage_linear",
-            model=linear_economy(np.eye(2), [0.5, 2.5], label="mortgage_linear"),
-            region=affine_rate_cap_region(-1.0, 1.0, mortgage_box_lo, mortgage_box_hi),
-            lipschitz=0.1,
-        ),
-    ]
-    return {f.label: f for f in fixtures}
+    return {label: catalog_fixture(label) for label in CATALOG_LABELS}

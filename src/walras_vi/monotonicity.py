@@ -110,6 +110,21 @@ class SamplePlan:
         printer.text(repr(self))
 
     @cached_property
+    def tuple_sizes(self) -> tuple:
+        """(m, tuples, weight grid, interior rows mask) for m = 1 ..
+        tuple_size_max, up to the plan size: larger tuples do not exist.
+        The tuples, lexicographic, are kept in the least unsigned type that
+        holds a point index (a byte up to 256 points), so a run that keeps
+        its plans keeps little; readers take an intp copy.  Computed once."""
+        out, combos = [], np.arange(self.size)[:, None]
+        for m in range(1, min(self.config.tuple_size_max, self.size) + 1):
+            combos = _extend_combinations(combos, self.size) if m > 1 else combos
+            W = simplex_lattice(m, self.config.weight_grid_resolution - 1)
+            out.append((m, combos.astype(np.min_scalar_type(self.size - 1)), W,
+                        (W > 0).all(axis=1)))
+        return tuple(out)
+
+    @cached_property
     def strict_exclusions(self) -> dict:
         """Per tuple size m >= 2, sorted flat indices t * Wi + w of the (tuple,
         interior weight) pairs the strict class excludes; computed once."""
@@ -264,11 +279,18 @@ def _tuple_dots(G, g, combo, Wt):
 
 
 def _allowance(P, m: int) -> float:
-    """Rounding allowance of ``_certified`` and ``_line_kept`` on m-tuples of P;
-    inf, certifying nothing, for m >= 4 or where not below DISTINCT_DIST."""
+    """Rounding allowance of ``_certified`` and the line filter on m-tuples
+    of P; inf, certifying nothing, for m >= 4 or where not below
+    DISTINCT_DIST."""
     allowance = (16 * (m + P.shape[1] + 4) * np.sqrt(P.shape[1])
                  * np.finfo(float).eps * np.abs(P).max())
     return allowance if m <= 3 and allowance < DISTINCT_DIST else np.inf
+
+
+def _dot(xs, ys):
+    """Σ_q x_q y_q of coordinate columns, summed in q order: numpy sums a
+    row of fewer than 8 entries in that order too."""
+    return reduce(np.add, map(np.multiply, xs, ys))
 
 
 def _certified(P, combos, steps: int):
@@ -280,7 +302,9 @@ def _certified(P, combos, steps: int):
     point for m = 2, the segment of the other two for m = 3.  A member is
     certified when that bound, less ``_allowance`` for rounding in the bound
     and in the float test, exceeds 2 DISTINCT_DIST: the float test then
-    passes for every interior weight.
+    passes for every interior weight.  The distances are computed in
+    coordinate columns (P[:, q] gathered per member), every sum in q order,
+    which is the arithmetic of the row form (T, m, n) below 8 dims.
     """
     T, m = combos.shape
     # u = eps/2, L = max |P|: the computed distance exceeds the true one by at
@@ -289,40 +313,111 @@ def _certified(P, combos, steps: int):
     allowance = _allowance(P, m)
     if allowance == np.inf:
         return np.zeros((T, m), dtype=bool)
-    Pc = P[combos]
+    X = [col[combos.T] for col in P.T]          # X[q][k]: coordinate q of member k
     if m == 2:
-        dist = np.linalg.norm(Pc[:, 0] - Pc[:, 1], axis=1)
-        dist = np.column_stack([dist, dist])
+        d = [x[0] - x[1] for x in X]
+        dist = np.sqrt(_dot(d, d))[None, :].repeat(2, axis=0)
     else:
-        dist = np.empty((T, 3))
+        dist = np.empty((3, T))
         with np.errstate(divide="ignore", invalid="ignore"):  # a == b: NaN
             for j, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
-                x = Pc[:, j] - Pc[:, a]
-                d = Pc[:, b] - Pc[:, a]
-                s = np.clip((x * d).sum(axis=1) / (d * d).sum(axis=1), 0.0, 1.0)
-                dist[:, j] = np.linalg.norm(x - s[:, None] * d, axis=1)
-    return (m - 1) / steps * dist - allowance > 2 * DISTINCT_DIST
+                x = [col[j] - col[a] for col in X]
+                d = [col[b] - col[a] for col in X]
+                s = np.clip(_dot(x, d) / _dot(d, d), 0.0, 1.0)
+                r = [xq - s * dq for xq, dq in zip(x, d)]
+                dist[j] = np.sqrt(_dot(r, r))
+    return ((m - 1) / steps * dist - allowance > 2 * DISTINCT_DIST).T
 
 
-def _line_kept(Pc, j: int, Wi, allowance: float):
-    """(T, Wi) mask of the interior weights whose combination of tuples Pc
-    (T, m <= 3, n) may come near member j; the float test passes elsewhere.
+def _line_offsets(P, combos, j: int, allowance: float):
+    """Offsets s (m - 1, T) of the other members of tuples ``combos`` (T,
+    m <= 3) from member j along v, s_k = (p_k - p_j)·v with k ascending,
+    and the line filter's limit (T,) on |Σ_{k≠j} w_k s_k|.
+
+    v runs along the other two members (from p_j for m = 2), so on a line
+    the filter's bound is the distance; every sum runs in q order.  The
+    limit is (2 DISTINCT_DIST + allowance) times the computed ||v||.
+    """
+    others = [k for k in range(combos.shape[1]) if k != j]
+    a, b = ([j] + others)[-2:]
+    X = [col[combos.T] for col in P.T]          # X[q][k]: coordinate q of member k
+    v = [x[b] - x[a] for x in X]
+    s = np.array([_dot([x[k] - x[j] for x in X], v) for k in others])
+    return s, (2 * DISTINCT_DIST + allowance) * np.sqrt(_dot(v, v))
+
+
+def _line_kept(s, limit, Wo):
+    """(T, W) mask of the interior weights whose combination may come near
+    the member of ``_line_offsets``' (s, limit); the float test passes
+    elsewhere.  Wo (m - 1, W) holds the weights of the other members.
 
     With x_k = p_k - p_j, u = eps/2 and L = max |P|, for any v
     ||c - p_j|| ||v|| >= |Σ_{k≠j} w_k x_k·v| - √n u L ||v||, as the float
-    weights sum to 1 within u.  v runs along the other two members (from p_j
-    for m = 2), so on a line the bound is the distance.  A weight is dropped
-    where the computed |Σ w_k x_k·v| exceeds (2 DISTINCT_DIST + allowance)
-    times the computed ||v||.  That sum errs by at most 2√n (n + 3) u L ||v||,
-    the norm and product by (n + 3) u relative, and the float test's
-    distance by √n (m + n + 4) u L; the allowance is over twice their sum.
+    weights sum to 1 within u.  A weight is dropped where the computed
+    |Σ w_k s_k|, products summed in k order, exceeds the limit.  The
+    differences x_k round by u |x_k| and the n-term sums s_k by γ_n, and
+    the products and their sum add γ_2 max |s_k| (Σ_{k≠j} w_k < 1), so the
+    computed sum errs by at most 2√n (n + 4) u L ||v||; the norm and the
+    limit's product by (n + 3) u relative, and the float test's distance
+    by √n (m + n + 4) u L.  The allowance is over twice their sum.
     """
-    others = [k for k in range(Pc.shape[1]) if k != j]
-    a, b = ([j] + others)[-2:]
-    v = Pc[:, b] - Pc[:, a]
-    s = np.einsum("tkn,tn->tk", Pc[:, others] - Pc[:, j, None], v)
-    limit = (2 * DISTINCT_DIST + allowance) * np.linalg.norm(v, axis=1)
-    return ~(np.abs(s @ Wi[:, others].T) > limit[:, None])
+    acc = reduce(np.add, [w[None, :] * sk[:, None] for w, sk in zip(Wo, s)])
+    return ~(np.abs(acc) > limit[:, None])
+
+
+def _lattice_ratios(Wi, steps: int):
+    """The sorted distinct i'/i for i, i' >= 1 with i + i' <= steps - 1,
+    between -inf and inf, from the interior 3-tuple weights Wi, whose first
+    two columns are those (i, i')/steps."""
+    counts = np.rint(Wi[:, :2] * steps)
+    return np.concatenate([[-np.inf], np.unique(counts[:, 1] / counts[:, 0]),
+                           [np.inf]])
+
+
+def _ratio_kept(s, limit, steps: int, ratios):
+    """(T,) mask of the 3-tuple members whose offsets s = (s_a, s_b) may
+    meet the line filter's limit at some interior weight; the filter drops
+    every weight of the others.  ``ratios`` is ``_lattice_ratios``.
+
+    Interior weights are (i_a, i_b)/steps with i_a, i_b >= 1 and
+    i_a + i_b <= steps - 1, and the lattice is symmetric in (i_a, i_b).
+    Name the offsets so that |s'| >= |s|, and let ρ = -s/s' (|ρ| <= 1)
+    and r = i'/i.  Then |i s + i' s'| = i |s'| |r - ρ| >= |s'| |r - ρ|, so a
+    weight the filter keeps has |r - ρ| <= B = steps · limit / |s'| up to
+    rounding: the nearest lattice ratio, one of the two around ρ in the
+    sorted ratios, is within B of ρ.
+
+    The rounding slack.  With u = eps/2: the filter's computed sum is at
+    least (1 - u)(E - γ_2 |s'| - η), where E = |i s + i' s'| / steps is
+    exact and η the least subnormal, since i + i' < steps.  The ratios r
+    and ρ round by u |r| and u, and the gap by u, so the true
+    |r - ρ| >= (1 - 2u) gap - 2u; the computed B is at least
+    (1 - u)^2 B - η.  So the filter drops every weight when
+    gap > B (1 + 6u) + 3u (steps + 1) + 2 steps η / |s'|.  The test keeps
+    where gap <= B + 8 eps (B + steps), which computes to at least
+    B (1 + 14u) + 15u steps: more than those terms once |s'| is normal
+    (η / |s'| <= 2u, steps >= 3).  It keeps every member whose |s'| is not
+    normal, so also s = s' = 0, and NaN.
+    """
+    swap = np.abs(s[0]) > np.abs(s[1])
+    small, big = np.where(swap, s[1], s[0]), np.where(swap, s[0], s[1])
+    with np.errstate(divide="ignore", invalid="ignore"):       # s' = 0
+        rho = -small / big
+        bound = steps * limit / np.abs(big)
+    k = np.searchsorted(ratios, rho).clip(1, len(ratios) - 1)
+    gap = np.minimum(ratios[k] - rho, rho - ratios[k - 1])
+    slack = 8 * np.finfo(float).eps * (bound + steps)
+    return ~(gap > bound + slack) | ~(np.abs(big) >= np.finfo(float).tiny)
+
+
+def _near(P, combos, j: int, weights):
+    """(K,) mask of the pairs whose combination c = Σ_k w_k p_k of tuple
+    combos[i] at weights[i], summed in k order as ``_combine`` sums it,
+    fails ||c - p_j|| > DISTINCT_DIST at member j, squares summed in q
+    order: the arithmetic of the row-wide test, bit for bit."""
+    d = [reduce(np.add, [w * col[k] for w, k in zip(weights.T, combos.T)])
+         - col[combos[:, j]] for col in P.T]
+    return ~(np.sqrt(_dot(d, d)) > DISTINCT_DIST)
 
 
 def _combine(W, Pc):
@@ -344,46 +439,73 @@ def _combination_hit(P, G, g, combo, w, W, inner, threshold):
     return float(threshold - dots.max()), witness
 
 
-def _tuple_sizes(plan: SamplePlan):
-    """(m, tuples, weight grid, interior rows mask) for m = 1 .. tuple_size_max,
-    up to the plan size: larger tuples do not exist."""
-    combos = np.arange(plan.size)[:, None]
-    for m in range(1, min(plan.config.tuple_size_max, plan.size) + 1):
-        combos = _extend_combinations(combos, plan.size) if m > 1 else combos
-        W = simplex_lattice(m, plan.config.weight_grid_resolution - 1)
-        yield m, combos, W, (W > 0).all(axis=1)
-
-
 def _strict_exclusions(plan: SamplePlan) -> dict:
-    """(tuple, interior weight) pairs whose c = Σ_k w_k p_k (``_combine``)
-    fails ||c - p_j|| > DISTINCT_DIST (squares summed in coordinate order)
-    at a member j that ``_certified`` leaves and ``_line_kept`` keeps at some
-    weight (the test passes at the others), in chunks of _SCAN_PAIRS coordinates."""
+    """Flat indices t * len(Wi) + w, sorted, of the (tuple, interior weight)
+    pairs whose c = Σ_k w_k p_k (``_combine``) fails ||c - p_j|| >
+    DISTINCT_DIST (squares summed in coordinate order) at some member j:
+    through ``_lined_exclusions`` for m <= 3 where ``_allowance`` is
+    finite, and by the row-wide float test elsewhere (m >= 4, or
+    coordinates so large that the allowance is not below DISTINCT_DIST)."""
     P, steps, out = plan.base_points, plan.config.weight_grid_resolution - 1, {}
-    for m, all_combos, W, interior in _tuple_sizes(plan):
-        Wi, found, allowance = W[interior], [np.empty(0, np.intp)], _allowance(P, m)
-        step = max(1, _SCAN_PAIRS // max(1, len(Wi) * P.shape[1]))
-        for lo in range(0, len(all_combos) if m > 1 else 0, step):
-            combos = all_combos[lo:lo + step]
-            uncertain = ~_certified(P, combos, steps)
-            for j in range(m if allowance < np.inf else 0):
-                sel = np.flatnonzero(uncertain[:, j])
-                uncertain[sel, j] = _line_kept(P[combos[sel]], j, Wi, allowance).any(1)
-            rows = np.flatnonzero(uncertain.any(axis=1))
-            combined = _combine(Wi, P[combos[rows]])
-            near = np.zeros((rows.size, len(Wi)), dtype=bool)
-            for j in range(m):
-                sel = np.flatnonzero(uncertain[rows, j])
-                # summed in q order: the row norm bit for bit below 8 dims
-                d = combined[sel] - P[combos[rows[sel], j]][:, None, :]
-                sq = d[..., 0] ** 2
-                for q in range(1, d.shape[-1]):
-                    sq = sq + d[..., q] ** 2
-                near[sel] |= ~(np.sqrt(sq) > DISTINCT_DIST)
-            t, w = np.nonzero(near)
-            found.append((lo + rows[t]) * len(Wi) + w)
-        out[m] = np.concatenate(found)
+    for m, all_combos, W, interior in plan.tuple_sizes:
+        combos, Wi, allowance = all_combos.astype(np.intp), W[interior], _allowance(P, m)
+        if m == 1 or not len(Wi):
+            out[m] = np.empty(0, np.intp)
+        elif allowance < np.inf:
+            out[m] = _lined_exclusions(P, combos, Wi, steps, allowance)
+        else:
+            out[m] = _row_wide_exclusions(P, combos, Wi)
     return out
+
+
+def _lined_exclusions(P, combos, Wi, steps: int, allowance: float):
+    """The strict exclusions of m-tuples (m <= 3), with per-weight work
+    left to a few (tuple, member) pairs.
+
+    ``_certified`` clears most members, ``_ratio_kept`` (m = 3) most of the
+    rest with no per-weight work, the line filter (``_line_kept``) drops
+    their far weights, and the float test (``_near``) runs on the (tuple,
+    weight) pairs left.  Each stage drops only pairs whose float test
+    passes at that member, so the result is the float test's everywhere.
+    Tuples are certified, and members filtered, in batches whose arrays
+    hold at most _SCAN_PAIRS entries, a (tuple, weight) pair each.
+    """
+    T, m = combos.shape
+    step = max(1, _SCAN_PAIRS // len(Wi))
+    uncertain = np.concatenate([~_certified(P, combos[lo:lo + step], steps)
+                                for lo in range(0, T, step)])
+    ratios = _lattice_ratios(Wi, steps) if m == 3 else None
+    found = [np.empty(0, np.intp)]
+    for j in range(m):
+        others = [k for k in range(m) if k != j]
+        members = np.flatnonzero(uncertain[:, j])
+        for lo in range(0, len(members), step):
+            t = members[lo:lo + step]
+            s, limit = _line_offsets(P, combos[t], j, allowance)
+            if m == 3:
+                keep = _ratio_kept(s, limit, steps, ratios)
+                t, s, limit = t[keep], s[:, keep], limit[keep]
+            c, w = np.nonzero(_line_kept(s, limit, Wi[:, others].T))
+            near = _near(P, combos[t[c]], j, Wi[w])
+            found.append(t[c[near]] * len(Wi) + w[near])
+    flat = np.sort(np.concatenate(found))
+    return flat[np.diff(flat, prepend=-1) != 0]         # a pair near two members
+
+
+def _row_wide_exclusions(P, combos, Wi):
+    """The strict exclusions of m-tuples by the float test at every member
+    and interior weight, in chunks of _SCAN_PAIRS coordinates."""
+    step = max(1, _SCAN_PAIRS // (len(Wi) * P.shape[1]))
+    found = [np.empty(0, np.intp)]
+    for lo in range(0, len(combos), step):
+        chunk = combos[lo:lo + step]
+        combined = _combine(Wi, P[chunk])
+        near = np.zeros(combined.shape[:2], dtype=bool)
+        for j in range(combos.shape[1]):
+            d = list(np.moveaxis(combined - P[chunk[:, j], None], -1, 0))
+            near |= ~(np.sqrt(_dot(d, d)) > DISTINCT_DIST)
+        found.append(lo * len(Wi) + np.flatnonzero(near))
+    return np.concatenate(found)
 
 
 def _fold(G, g, combos, Wt, bufs, ufuncs):
@@ -473,7 +595,8 @@ def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan) -> dict:
     samples = dict.fromkeys(_TUPLE_CLASSES, 0)
     least = dict.fromkeys(_TUPLE_CLASSES, float("inf"))     # least score so far
     hits: dict = {}                          # class name -> (margin, witness)
-    for m, all_combos, W, interior in _tuple_sizes(plan):
+    for m, all_combos, W, interior in plan.tuple_sizes:
+        all_combos = all_combos.astype(np.intp)
         inner, outer = np.flatnonzero(interior), np.flatnonzero(~interior)
         Wi, step = inner.size, max(1, _SCAN_PAIRS // max(inner.size, outer.size))
         bufs = np.empty((4, max(Wi, outer.size), min(len(all_combos), step)))

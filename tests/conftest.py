@@ -31,7 +31,7 @@ from walras_vi.constants import DISTINCT_DIST, TAU_FEAS, TAU_PROJ
 from walras_vi.economy import ExcessDemandModel
 from walras_vi.monotonicity import (_SCAN_PAIRS, HOLDS, REFUTED,
                                     MonotonicityReport, SamplePlan, Witness,
-                                    _certified, _combine, _tuple_sizes)
+                                    _allowance, _combine)
 from walras_vi.regions import (FloatArray, ProjectionBudgetError, _check_grid_size,
                                as_price_vector)
 from walras_vi.vi_core import residual
@@ -520,21 +520,56 @@ def fused_tuple_scan(model: ExcessDemandModel, plan: SamplePlan,
 
 # reference strict exclusions: the library's earlier _strict_exclusions,
 # which takes the float distinctness test at every interior weight of every
-# member ``_certified`` leaves, kept verbatim as the reference for the line
-# filter
+# member ``certified_reference`` leaves, kept verbatim (apart from reading
+# the plan's tuples) as the reference for the line filter and the ratio
+# bound; and the library's earlier row-form ``_certified``, kept verbatim as
+# the reference for the column form
+
+
+def certified_reference(P, combos, steps: int):
+    """(T, m) mask of the members no interior combination comes near.
+
+    For interior weights c - p_j = (1 - w_j)(c' - p_j) with c' in the hull
+    of the other members, and 1 - w_j >= (m - 1)/steps, so ||c - p_j|| is at
+    least (m - 1)/steps times the distance from p_j to that hull: the other
+    point for m = 2, the segment of the other two for m = 3.  A member is
+    certified when that bound, less ``_allowance`` for rounding in the bound
+    and in the float test, exceeds 2 DISTINCT_DIST: the float test then
+    passes for every interior weight.
+    """
+    T, m = combos.shape
+    # u = eps/2, L = max |P|: the computed distance exceeds the true one by at
+    # most about 4 √n (3n + 10) u L (the clipped projection parameter is off
+    # by a few n u), the combination by √n (m + 1) u L: under half the allowance.
+    allowance = _allowance(P, m)
+    if allowance == np.inf:
+        return np.zeros((T, m), dtype=bool)
+    Pc = P[combos]
+    if m == 2:
+        dist = np.linalg.norm(Pc[:, 0] - Pc[:, 1], axis=1)
+        dist = np.column_stack([dist, dist])
+    else:
+        dist = np.empty((T, 3))
+        with np.errstate(divide="ignore", invalid="ignore"):  # a == b: NaN
+            for j, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
+                x = Pc[:, j] - Pc[:, a]
+                d = Pc[:, b] - Pc[:, a]
+                s = np.clip((x * d).sum(axis=1) / (d * d).sum(axis=1), 0.0, 1.0)
+                dist[:, j] = np.linalg.norm(x - s[:, None] * d, axis=1)
+    return (m - 1) / steps * dist - allowance > 2 * DISTINCT_DIST
 
 
 def strict_exclusions_reference(plan: SamplePlan) -> dict:
     """(tuple, interior weight) pairs whose c = Σ_k w_k p_k (``_combine``)
     fails ||c - p_j|| > DISTINCT_DIST (squares summed in coordinate order)
-    at a member j that ``_certified`` leaves."""
+    at a member j that ``certified_reference`` leaves."""
     P, steps, out = plan.base_points, plan.config.weight_grid_resolution - 1, {}
-    for m, all_combos, W, interior in _tuple_sizes(plan):
+    for m, all_combos, W, interior in plan.tuple_sizes:
         Wi, found = W[interior], [np.empty(0, dtype=np.intp)]
         step = max(1, _SCAN_PAIRS // max(1, len(Wi)))
         for lo in range(0, len(all_combos) if m > 1 else 0, step):
-            combos = all_combos[lo:lo + step]
-            uncertain = ~_certified(P, combos, steps)
+            combos = all_combos[lo:lo + step].astype(np.intp)
+            uncertain = ~certified_reference(P, combos, steps)
             rows = np.flatnonzero(uncertain.any(axis=1))
             combined = _combine(Wi, P[combos[rows]])
             near = np.zeros((rows.size, len(Wi)), dtype=bool)

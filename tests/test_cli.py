@@ -319,10 +319,13 @@ def test_harness_corrupted_tolerance_rejected(runner, tmp_path):
     assert result.exit_code == 1
 
 
+_SOLVE = "from walras_vi.cli import main\nmain.main(['solve', {path!r}], " \
+         "standalone_mode=False)"
 _START_UPS = {
     "import": ("import walras_vi.cli", "scipy"),
-    "solve-box": ("from walras_vi.cli import main\n"
-                  "main.main(['solve', {path!r}], standalone_mode=False)", "scipy"),
+    "solve-box": (_SOLVE, "scipy"),
+    # a catalog economy builds its own fixture, not the mortgage polyhedron
+    "solve-catalog": (_SOLVE.replace("{path!r}", "{catalog_path!r}"), "scipy"),
     # the origin is a vertex, so construction projects nothing
     "polyhedron-2d": ("from walras_vi.regions import Polyhedron\n"
                       "Polyhedron([[1.0, 1.0]], [1.0], lower=[0, 0], upper=[1, 1])",
@@ -334,7 +337,11 @@ _START_UPS = {
 def test_start_up_loads_no_scipy(tmp_path, case):
     # importing scipy once cost two thirds of every CLI start-up
     code, prefix = _START_UPS[case]
-    code = code.format(path=write(tmp_path, "problem.json", LINEAR_PROBLEM))
+    code = code.format(
+        path=write(tmp_path, "problem.json", LINEAR_PROBLEM),
+        catalog_path=write(tmp_path, "catalog.json", {
+            "economy": {"kind": "catalog", "name": "simplex_positive"},
+            "region": {"kind": "simplex", "n": 2}}))
     code += (f"\nimport sys\nprint([m for m in sys.modules"
              f" if (m + '.').startswith({prefix!r} + '.')])")
     src = str(Path(walras_vi.__file__).parents[1])

@@ -219,6 +219,10 @@ def test_fixtures_on_equal_regions_share_one_plan_per_run(monkeypatch):
     built, build = [], monotonicity._strict_exclusions
     monkeypatch.setattr(monotonicity, "_strict_exclusions",
                         lambda plan: built.append(plan) or build(plan))
+    # the scan and the exclusions read one enumeration of the tuples
+    extended, extend = [], monotonicity._extend_combinations
+    monkeypatch.setattr(monotonicity, "_extend_combinations",
+                        lambda combos, n: extended.append(n) or extend(combos, n))
     # equal regions built as separate objects
     catalog = {label: Fixture(label, linear_economy(M, [0.5, 0.5]),
                               Box([0.0, 0.0], [1.0, 1.0]), 0.25)
@@ -234,6 +238,7 @@ def test_fixtures_on_equal_regions_share_one_plan_per_run(monkeypatch):
 
     results, evidence = run_catalog_with_evidence(catalog, config)
     assert len(built) == 1
+    assert extended == [evidence["identity"].plan.size] * 2   # m = 2 and 3
     assert evidence["identity"].plan is evidence["rotation"].plan
     for label, fixture in catalog.items():
         alone = run_catalog_with_evidence({label: fixture}, config)

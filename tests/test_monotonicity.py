@@ -8,7 +8,8 @@ from math import comb
 import numpy as np
 import pytest
 from conftest import (REFERENCE_PAIR_CHECKERS, REFERENCE_TUPLE_CHECKERS,
-                      box_grid, fused_tuple_scan, strict_exclusions_reference)
+                      box_grid, certified_reference, fused_tuple_scan,
+                      strict_exclusions_reference)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -95,7 +96,7 @@ def test_tuples_larger_than_the_plan_are_not_scanned():
     # is built, whatever its resolution
     plan = SamplePlan(UNIT_INTERVAL, np.array([[0.5]]), HarnessConfig(
         tuple_size_max=50, weight_grid_resolution=10**6))
-    assert [m for m, *_ in monotonicity._tuple_sizes(plan)] == [1]
+    assert [m for m, *_ in plan.tuple_sizes] == [1]
     reports = check_tuple_classes(POSSLOPE, plan)
     assert {r.samples_used for r in reports.values()} == {1, 0}
 
@@ -821,10 +822,12 @@ def _line_plan(P, m_max=3, resolution=11):
         tuple_size_max=m_max, weight_grid_resolution=resolution))
 
 
-# 0, one ulp ("ulp"), and either side of DISTINCT_DIST, 2 DISTINCT_DIST and
-# the lines where 2 DISTINCT_DIST falls at a tie weight's distance
+# 0, one ulp either way ("ulp", "-ulp"), and either side of DISTINCT_DIST,
+# 2 DISTINCT_DIST and the lines where 2 DISTINCT_DIST falls at a tie
+# weight's distance
+ULPS = st.sampled_from([0.0, "ulp", "-ulp"])
 NUDGES = st.one_of(
-    st.sampled_from([0.0, "ulp"]),
+    ULPS,
     st.builds(lambda k, d, sign: sign * k * DISTINCT_DIST * (1 + d),
               st.sampled_from([1, 2, 2.5, 4, 5, 10, 20]),
               st.sampled_from([-1e-3, -1e-5, 0.0, 1e-5, 1e-3]),
@@ -834,15 +837,18 @@ FRACTIONS = st.sampled_from([0.0, 1.0, 1 / 2, 1 / 3, 2 / 3, 1 / 4, 3 / 4, 1 / 8,
 
 
 def _nudge(p, direction, by):
-    if by == "ulp":
-        return np.nextafter(p, p + direction)
+    if by in ("ulp", "-ulp"):
+        return np.nextafter(p, p + direction if by == "ulp" else p - direction)
     return p + by * direction
 
 
 @st.composite
 def line_plans(draw):
     """Points on a line, one of them nudged along it and across it, on
-    dyadic or rounded coordinates, near 0 or near 1e6."""
+    dyadic or rounded coordinates, near 0 or near 1e6.  Some plans hold
+    three points only, the third at the lattice ratio i_b/i_a of the other
+    two (where the combination of weights (i_a, i_b) of those two lands)
+    or one ulp along the line either side of it."""
     n = draw(st.integers(1, 3))
     dyadic = draw(st.booleans())
     coord = (st.integers(-16, 16).map(lambda k: k / 16) if dyadic else
@@ -854,12 +860,18 @@ def line_plans(draw):
     along = d / np.linalg.norm(d)
     across = np.roll(along, 1) * ([-1] + [1] * (n - 1)) if n > 1 else along
     across = across - (across @ along) * along
-    fractions = draw(st.lists(FRACTIONS, min_size=3, max_size=7, unique=True))
-    P = draw(st.sampled_from([1.0, 1e6])) * (a + np.outer(fractions, d))
-    row = draw(st.integers(0, len(P) - 1))
-    P[row] = _nudge(_nudge(P[row], along, draw(NUDGES)), across, draw(NUDGES))
-    resolution = draw(st.sampled_from([3, 5, 9, 11, 17]))
+    resolution = draw(st.sampled_from([3, 5, 9, 11, 17, 21]))
     m_max = draw(st.integers(2, 4 if resolution < 17 else 3))
+    if resolution > 3 and draw(st.booleans()):
+        # interior weights have i_a + i_b <= steps - 1 = resolution - 2
+        i_a = draw(st.integers(1, resolution - 3))
+        i_b = draw(st.integers(1, resolution - 2 - i_a))
+        fractions, row, nudges = [0.0, 1.0, i_b / (i_a + i_b)], 2, ULPS
+    else:
+        fractions = draw(st.lists(FRACTIONS, min_size=3, max_size=7, unique=True))
+        row, nudges = draw(st.integers(0, len(fractions) - 1)), NUDGES
+    P = draw(st.sampled_from([1.0, 1e6])) * (a + np.outer(fractions, d))
+    P[row] = _nudge(_nudge(P[row], along, draw(nudges)), across, draw(NUDGES))
     return P, m_max, resolution
 
 
@@ -886,14 +898,101 @@ def test_line_filter_matches_the_float_test_everywhere(case):
     _same_exclusions(_line_plan(P, m_max, resolution))
 
 
+def _same_certificates(plan):
+    """The column-form certificate against the row form, every tuple size."""
+    P, steps = plan.base_points, plan.config.weight_grid_resolution - 1
+    for m, combos, *_ in plan.tuple_sizes[1:]:
+        combos = combos.astype(np.intp)
+        got = monotonicity._certified(P, combos, steps)
+        assert got.tobytes() == certified_reference(P, combos, steps).tobytes(), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(line_plans())
+@example((np.array([[0.0], [0.25], [0.5], [0.75], [1.0]]), 3, 9))
+def test_column_certificate_matches_the_row_form_on_lines(case):
+    P, m_max, resolution = case
+    _same_certificates(_line_plan(P, m_max, resolution))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rounded_scan_cases())
+def test_column_certificate_matches_the_row_form_on_rounded_plans(case):
+    _, region, base, config = case
+    _same_certificates(SamplePlan(region, base, config))
+
+
+@pytest.mark.parametrize("label", ["linear_identity", "scalar_negslope",
+                                   "simplex_positive", "mortgage_linear"])
+def test_column_certificate_matches_the_row_form_on_default_plans(label):
+    _same_certificates(_plan_64(label))
+
+
+@pytest.mark.parametrize("steps", [4, 5, 10, 20])
+def test_ratio_bound_keeps_every_member_the_filter_keeps(steps):
+    # offsets whose filter sum at one interior weight lands on the limit,
+    # or one ulp either side of it: the bound must keep every member the
+    # filter keeps at some weight.  At weights whose smaller offset has
+    # i = 1 the bound is tight, so rounding alone decides these members.
+    rng = np.random.default_rng(steps)
+    W = simplex_lattice(3, steps)
+    Wi = W[(W > 0).all(axis=1)]
+    count = 20_000
+    rows = rng.integers(len(Wi), size=count)
+    s = rng.standard_normal((2, count)) * 10.0 ** rng.integers(-3, 4, (2, count))
+    wa, wb = Wi[rows, 1], Wi[rows, 2]           # the others of member 0
+    limit = np.abs(wa * s[0] + wb * s[1])
+    limit = np.nextafter(limit, limit * rng.choice([0.0, 1.0, 2.0], count))
+    filtered = monotonicity._line_kept(s, limit, Wi[:, 1:].T).any(axis=1)
+    ratios = monotonicity._lattice_ratios(Wi, steps)
+    kept = monotonicity._ratio_kept(s, limit, steps, ratios)
+    assert filtered.sum() > count // 2
+    assert not (filtered & ~kept).any()
+
+
+def _count_filtered_pairs(monkeypatch):
+    """Count the (tuple, member) rows that reach the line filter, and the
+    (tuple, member) pairs and (tuple, weight, member) triples that reach
+    the float test."""
+    counts = {"filter": 0, "pairs": set(), "triples": 0}
+    line_kept, near = monotonicity._line_kept, monotonicity._near
+
+    def spy_filter(s, limit, Wo):
+        counts["filter"] += len(limit)
+        return line_kept(s, limit, Wo)
+
+    def spy_near(P, combos, j, weights):
+        counts["pairs"].update((tuple(row), j) for row in combos.tolist())
+        counts["triples"] += len(combos)
+        return near(P, combos, j, weights)
+
+    monkeypatch.setattr(monotonicity, "_line_kept", spy_filter)
+    monkeypatch.setattr(monotonicity, "_near", spy_near)
+    return counts
+
+
+@pytest.mark.parametrize("label, filtered, triples", [
+    ("linear_identity", 49, 112), ("scalar_negslope", 9_425, 16_223),
+    ("simplex_positive", 129, 215), ("mortgage_linear", 34, 71)])
+def test_few_pairs_reach_per_weight_work(monkeypatch, label, filtered, triples):
+    # of the 45,760 uncertain middle members of the collinear plans, the
+    # ratio bound passes only those the line filter keeps at some weight,
+    # and the filter keeps only the weights the float test excludes
+    counts = _count_filtered_pairs(monkeypatch)
+    excluded = _plan_64(label).strict_exclusions[3]
+    assert counts["filter"] == len(counts["pairs"]) == filtered
+    assert counts["triples"] == len(excluded) == triples
+
+
 def test_line_filter_keeps_exactly_the_ties_of_a_line():
     # on a line the bound is the distance itself: of a middle member, the
     # filter keeps the weights whose combination lands on it, no more
     P = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 2.0]])
     W = simplex_lattice(3, 8)
     Wi = W[(W > 0).all(axis=1)]
-    kept = monotonicity._line_kept(P[None], 1, Wi,
-                                   monotonicity._allowance(P, 3))[0]
+    s, limit = monotonicity._line_offsets(P, np.array([[0, 1, 2]]), 1,
+                                          monotonicity._allowance(P, 3))
+    kept = monotonicity._line_kept(s, limit, Wi[:, [0, 2]].T)[0]
     assert kept.tolist() == (Wi[:, 0] == Wi[:, 2]).tolist()
     assert kept.sum() == 3
     assert _same_exclusions(_line_plan(P, resolution=9))[3].tolist() == \
@@ -1067,10 +1166,10 @@ def _assert_bounds_hold(model, plan, width=2048):
     D = g[:, None] - G
     scale = float(np.abs(G).max() + np.abs(g).max())
     steps = plan.config.weight_grid_resolution - 1
-    for m, all_combos, W, interior in monotonicity._tuple_sizes(plan):
+    for m, all_combos, W, interior in plan.tuple_sizes:
         vertices = [int(np.flatnonzero(W[:, k] == 1)[0]) for k in range(m)]
         for lo in range(0, len(all_combos), width):
-            combos = all_combos[lo:lo + width]
+            combos = all_combos[lo:lo + width].astype(np.intp)
             lb, vlb = monotonicity._tuple_bounds(D, combos, steps, scale)
             bufs = np.empty((3, len(W), len(combos)))
             if interior.any():

@@ -30,10 +30,18 @@ holds, and exits 1 if there are any.
 
 The digests of this checkout are committed in ``tools/output_digests.json``
 with the OpenBLAS core they were recorded under, and
-``tests/test_output_digests.py`` requires every run to reproduce them (it
-skips under another core, since BLAS kernels round differently).  A change
-that moves output on purpose re-records the file and lists the changed
-cases:
+``tests/test_output_digests.py`` requires every run to reproduce them.
+BLAS kernels round differently, so the record also lists as
+``kernel_dependent`` the cases whose digests differ under some other core
+numpy's OpenBLAS can select; under another core the test compares the
+rest.  The list is the union of ``--compare`` against the record over runs
+under each core, selected for one process only:
+
+    OPENBLAS_CORETYPE=Prescott python tools/output_digests.py > prescott.json
+    python tools/output_digests.py --compare tools/output_digests.json prescott.json
+
+A change that moves output on purpose re-records the file, which keeps the
+list, and lists the changed cases:
 
     python tools/output_digests.py --record
     python tools/output_digests.py --compare before.json tools/output_digests.json
@@ -198,8 +206,9 @@ def main(argv=None) -> int:
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), type=Path,
                         help="compare two digest files instead of running")
     parser.add_argument("--record", action="store_true",
-                        help=f"write the digests and the OpenBLAS core to "
-                             f"{RECORD.relative_to(ROOT)} instead of stdout")
+                        help="write the digests and the OpenBLAS core to "
+                             "tools/output_digests.json, keeping its list of "
+                             "kernel-dependent cases, instead of stdout")
     args = parser.parse_args(argv)
     if args.compare:
         before, after = (load_digests(p) for p in args.compare)
@@ -210,9 +219,11 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "bench")]
     digests = run_all()
     if args.record:
-        RECORD.write_text(json.dumps({"openblas_core": openblas_core(),
-                                      "digests": digests},
-                                     indent=1, sort_keys=True) + "\n")
+        kept = json.loads(RECORD.read_text()) if RECORD.exists() else {}
+        RECORD.write_text(json.dumps({
+            "openblas_core": openblas_core(), "digests": digests,
+            "kernel_dependent": kept.get("kernel_dependent", [])},
+            indent=1, sort_keys=True) + "\n")
     else:
         print(json.dumps(digests, indent=1, sort_keys=True))
     return 0
