@@ -205,9 +205,6 @@ def load_problem(path: str) -> ProblemFile:
              "problem file needs 'economy' and 'region' entries")
     model, fixture = parse_economy(raw["economy"])
     region = parse_region(raw["region"])
-    _require(model.dim == region.dim,
-             f"economy dimension {model.dim} does not match region "
-             f"dimension {region.dim}")
     solver = parse_section("solver", raw.get("solver", {}))
     plan = parse_section("plan", raw.get("plan", {}))
     oracle = parse_section("oracle", raw.get("oracle", {}))

@@ -84,8 +84,9 @@ GATED_THEOREMS = frozenset({"L2_2", "T4_1", "T4_2"})
 class FixtureEvidence:
     """Everything the theorem checks consume, computed once per fixture.
 
-    ``stampacchia`` and ``minty`` cluster the two member sets at link
-    distance twice the grid spacing.
+    ``reports`` holds the three classes the checks read.  ``stampacchia``
+    and ``minty`` cluster the two member sets at link distance twice the
+    grid spacing.
     """
 
     fixture: Fixture
@@ -125,9 +126,8 @@ def gather_evidence(fixture: Fixture, config: HarnessConfig = HarnessConfig(),
     if plans is not None:
         plan = plans.setdefault((plan.base_points.shape,
                                  plan.base_points.tobytes()), plan)
-    reports = {name: check_class(name, fixture.model, plan)
-               for name in ("pseudo", "strict_pseudo")}
-    reports.update(check_tuple_classes(fixture.model, plan))
+    reports = {"strict_pseudo": check_class("strict_pseudo", fixture.model, plan),
+               **check_tuple_classes(fixture.model, plan)}
     problem = VIProblem(fixture.model, fixture.region)
     estimate = enumerate_solutions(problem, config.grid_spacing, fixture.lipschitz)
     solve = solve_extragradient(problem, config=config)

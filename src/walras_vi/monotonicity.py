@@ -8,14 +8,15 @@ strict-properly quasimonotone (the primal form with strict pairings and
 combinations distinct from all tuple members).
 
 The checkers are falsifiers, not provers: "refuted" ships a concrete
-witness that replays against the definition, while "holds_on_samples"
-claims nothing beyond the scanned evidence.  Universal quantifiers over
-the region are discretized by a deterministic sample plan (region
-vertices plus low-discrepancy points); quantifiers over convex weights
-become a uniform grid on the weight simplex.  Scans run in a fixed order
-(tuple size ascending, index combinations and weight compositions
-lexicographic; the three combination classes share one tuple scan), and
-each class reports its own first violation, so reports are reproducible.
+witness that replays against the definition (the dual form's only against
+the weight grid), while "holds_on_samples" claims nothing beyond the
+scanned evidence.  Universal quantifiers over the region are discretized
+by a deterministic sample plan (region vertices plus low-discrepancy
+points); quantifiers over convex weights become a uniform grid on the
+weight simplex.  Scans run in a fixed order (tuple size ascending, index
+combinations and weight compositions lexicographic; the two primal
+combination classes share one tuple scan), and each class reports its
+own first violation, so reports are reproducible.
 """
 
 from __future__ import annotations
@@ -53,13 +54,13 @@ CLASS_NAMES = (
     "strict_proper_quasi",
 )
 
-# The classes quantified over convex combinations of plan tuples.
-_TUPLE_CLASSES = CLASS_NAMES[2:]
+# The combination classes that one tuple scan reports together.
+_PRIMAL_CLASSES = ("proper_quasi", "strict_proper_quasi")
 
 HOLDS = "holds_on_samples"
 REFUTED = "refuted"
 
-_SCAN_PAIRS = 1 << 17       # entries per scan buffer: m = 3 rows 3,640 tuples wide
+_SCAN_PAIRS = 1 << 17  # entries per scan buffer: m = 3 rows 3,640 (dual 1,985) wide
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,13 +430,12 @@ def _combine(W, Pc):
     return out
 
 
-def _combination_hit(P, G, g, combo, w, W, inner, threshold):
+def _combination_hit(P, G, g, combo, weights, threshold):
     """Margin and witness of a violating (tuple, interior weights) pair."""
-    dots = _tuple_dots(G, g, combo, W.T)[:, inner[w]]
-    combined = _combine(W[inner[w]][None], P[combo][None])[0, 0]
-    witness = Witness(points=P[combo], dot_products=dots,
-                      weights=W[inner[w]], combined=combined,
-                      indices=tuple(int(i) for i in combo))
+    dots = _tuple_dots(G, g, combo, weights[:, None])[:, 0]
+    combined = _combine(weights[None], P[combo][None])[0, 0]
+    witness = Witness(points=P[combo], dot_products=dots, weights=weights,
+                      combined=combined, indices=tuple(int(i) for i in combo))
     return float(threshold - dots.max()), witness
 
 
@@ -508,15 +508,14 @@ def _row_wide_exclusions(P, combos, Wi):
     return np.concatenate(found)
 
 
-def _fold(G, g, combos, Wt, bufs, ufuncs):
-    """Member pairings at the weight columns Wt, folded over members by each
-    ufunc into bufs[2:]; bufs[:2] is ``_member_dots``'s scratch."""
-    folds = bufs[2:2 + len(ufuncs), :, :len(combos)]
+def _fold(G, g, combos, Wt, bufs, ufunc):
+    """Member pairings at the weight columns Wt, folded over members by
+    ``ufunc`` into bufs[2]; bufs[:2] is ``_member_dots``'s scratch."""
+    acc = bufs[2, :, :len(combos)]
     for j in range(combos.shape[1]):
         dots = _member_dots(G, g, combos, j, Wt, bufs[:2])
-        for acc, ufunc in zip(folds, ufuncs):
-            ufunc(acc, dots, out=acc) if j else np.copyto(acc, dots)
-    return folds
+        ufunc(acc, dots, out=acc) if j else np.copyto(acc, dots)
+    return acc
 
 
 def _tuple_bounds(D, combos, steps: int, scale: float):
@@ -564,58 +563,45 @@ def _tuple_bounds(D, combos, steps: int, scale: float):
 
 
 def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan) -> dict:
-    """Reports of the three combination classes from one scan, by class name.
+    """Reports of the two primal combination classes from one scan, by name.
 
-    Tuples of each size m come in lexicographic order, in chunks of
-    ``_SCAN_PAIRS`` pairings per buffer row block (interior or boundary
-    weight rows, whichever are more; numpy 2.4's broadcast multiply is about
-    four times slower per element on rows under about 3,000 tuples).  Each
-    chunk is first bounded by ``_tuple_bounds``, and only the tuples some
-    class still needs are scored.  A primal class needs none once it has
-    its first violation, and otherwise the tuples whose lb is not above its
-    least score so far: that least is not below its threshold, so a tuple
-    above it can neither lower it nor violate.  The dual class needs none
-    once refuted, and otherwise the tuples whose vlb is below
-    max(-TAU_FEAS, least ``achieved`` so far).  Members pair first with the
-    interior weight rows (all weights positive), all the primal classes
-    read, since a boundary combination of a tuple is an interior one of a
-    sub-tuple.  The dual class then pairs the boundary rows for the tuples
-    it needs whose interior ``achieved`` (max over rows of the min over
-    members) is below that same threshold.  Scored tuples stay in
-    lexicographic order, so each class keeps its first violation and exact
-    least score; ``samples_used`` counts every pair of the plan.  Pairings
-    are summed in k order; the strict class skips the pairs in
-    ``SamplePlan.strict_exclusions``.
+    Members pair only with the interior weight rows (all weights positive),
+    since a boundary combination of a tuple is an interior one of a
+    sub-tuple.  Tuples of each size m come in lexicographic order, in
+    chunks of ``_SCAN_PAIRS`` pairings per buffer (numpy 2.4's broadcast
+    multiply is about four times slower per element on rows under about
+    3,000 tuples).  Each chunk is first bounded by ``_tuple_bounds``, and
+    only the tuples some class still needs are scored.  A class needs none
+    once it has its first violation, and otherwise the tuples whose lb is
+    not above its least score so far: that least is not below its
+    threshold, so a tuple above it can neither lower it nor violate.
+    Scored tuples stay in lexicographic order, so each class keeps its
+    first violation and exact least score; ``samples_used`` counts every
+    pair of the plan.  Pairings are summed in k order; the strict class
+    skips the pairs in ``SamplePlan.strict_exclusions``.
     """
     P, G, g = _pairings(model, plan)
     D = g[:, None] - G                       # D[j, k] = E(p_j).(p_j - p_k)
     scale = float(np.abs(G).max() + np.abs(g).max())
     eps, steps = plan.config.eps_strict, plan.config.weight_grid_resolution - 1
     excluded = plan.strict_exclusions
-    samples = dict.fromkeys(_TUPLE_CLASSES, 0)
-    least = dict.fromkeys(_TUPLE_CLASSES, float("inf"))     # least score so far
+    samples = dict.fromkeys(_PRIMAL_CLASSES, 0)
+    least = dict.fromkeys(_PRIMAL_CLASSES, float("inf"))    # least score so far
     hits: dict = {}                          # class name -> (margin, witness)
-    for m, all_combos, W, interior in plan.tuple_sizes:
-        all_combos = all_combos.astype(np.intp)
-        inner, outer = np.flatnonzero(interior), np.flatnonzero(~interior)
-        Wi, step = inner.size, max(1, _SCAN_PAIRS // max(inner.size, outer.size))
-        bufs = np.empty((4, max(Wi, outer.size), min(len(all_combos), step)))
-        # the primal classes that score m-tuples: none without interior
-        # weights, and no strict class for 1-tuples
-        primal = ("proper_quasi", "strict_proper_quasi")[:m] if Wi else ()
+    for m, all_combos, W, interior in plan.tuple_sizes[:steps]:
+        Wi = int(interior.sum())        # m-tuples have interior weights iff m <= steps
+        all_combos, step = all_combos.astype(np.intp), max(1, _SCAN_PAIRS // Wi)
+        bufs = np.empty((3, Wi, min(len(all_combos), step)))
         for lo in range(0, len(all_combos), step):
             chunk = all_combos[lo:lo + step]
-            lb, vlb = _tuple_bounds(D, chunk, steps, scale)
-            dual_floor = max(-TAU_FEAS, least["proper_quasi_dual"])
-            dual = ~(vlb >= dual_floor) & ("proper_quasi_dual" not in hits)
-            keep = dual.copy()
-            for name in primal:
+            lb, _ = _tuple_bounds(D, chunk, steps, scale)
+            keep = np.zeros(len(chunk), dtype=bool)
+            for name in _PRIMAL_CLASSES[:m]:     # no strict class for 1-tuples
                 if name not in hits:
                     keep |= ~(lb > least[name])
             kept = np.flatnonzero(keep)
             combos = chunk[kept]
-            mindots, maxdots = _fold(G, g, combos, W[inner].T, bufs[:, :Wi],
-                                     (np.minimum, np.maximum))       # (Wi, T)
+            maxdots = _fold(G, g, combos, W[interior].T, bufs, np.maximum)  # (Wi, T)
 
             samples["proper_quasi"] += len(chunk) * Wi
             low = float(maxdots.min(initial=np.inf))
@@ -623,7 +609,7 @@ def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan) -> dict:
             if ("proper_quasi" not in hits and not low >= -TAU_FEAS
                     and (hit := _first(maxdots.T < -TAU_FEAS))):
                 hits["proper_quasi"] = _combination_hit(
-                    P, G, g, combos[hit[0]], hit[1], W, inner, -TAU_FEAS)
+                    P, G, g, combos[hit[0]], W[interior][hit[1]], -TAU_FEAS)
 
             if m > 1:       # strict: excluded pairs score +inf, which no test selects
                 ex = excluded[m]
@@ -637,37 +623,56 @@ def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan) -> dict:
                 if ("strict_proper_quasi" not in hits and not low > eps
                         and (hit := _first(maxdots.T <= eps))):
                     hits["strict_proper_quasi"] = _combination_hit(
-                        P, G, g, combos[hit[0]], hit[1], W, inner, eps)
+                        P, G, g, combos[hit[0]], W[interior][hit[1]], eps)
+    best = {"proper_quasi": least["proper_quasi"] + TAU_FEAS,
+            "strict_proper_quasi": least["strict_proper_quasi"] - eps}
+    return {name: MonotonicityReport(name, REFUTED, samples[name], *hits[name])
+            if name in hits else
+            MonotonicityReport(name, HOLDS, samples[name], best[name])
+            for name in _PRIMAL_CLASSES}
 
-            samples["proper_quasi_dual"] += len(chunk) * len(W)
-            if "proper_quasi_dual" in hits:
-                continue
+
+def _dual_scan(model: ExcessDemandModel, plan: SamplePlan) -> MonotonicityReport:
+    """The dual class's report: each tuple's ``achieved``, the max over all
+    weight rows of the min over members, must be at least -TAU_FEAS.
+
+    Tuples come as in ``check_tuple_classes``, and only those whose vlb
+    (``_tuple_bounds``, at most ``achieved``) is below max(-TAU_FEAS, least
+    ``achieved`` so far) are scored: no other can lower that least or
+    violate.  ``samples_used`` counts every (tuple, weight row) pair.
+    """
+    P, G, g = _pairings(model, plan)
+    D = g[:, None] - G                       # D[j, k] = E(p_j).(p_j - p_k)
+    scale = float(np.abs(G).max() + np.abs(g).max())
+    steps = plan.config.weight_grid_resolution - 1
+    samples = sum(len(combos) * len(W) for _, combos, W, _ in plan.tuple_sizes)
+    least = float("inf")
+    for _, all_combos, W, _ in plan.tuple_sizes:
+        all_combos, step = all_combos.astype(np.intp), max(1, _SCAN_PAIRS // len(W))
+        bufs = np.empty((3, len(W), min(len(all_combos), step)))
+        for lo in range(0, len(all_combos), step):
+            chunk = all_combos[lo:lo + step]
+            _, vlb = _tuple_bounds(D, chunk, steps, scale)
+            combos = chunk[~(vlb >= max(-TAU_FEAS, least))]
+            mindots = _fold(G, g, combos, W.T, bufs, np.minimum)     # (W, T)
             achieved = mindots.max(axis=0, initial=-np.inf)
-            need = np.flatnonzero(dual[kept] & ~(achieved >= dual_floor))
-            achieved = achieved[need]
-            (bmin,) = _fold(G, g, combos[need], W[outer].T, bufs[:, :outer.size],
-                            (np.minimum,))
-            np.maximum(achieved, bmin.max(axis=0, initial=-np.inf), out=achieved)
             low = float(achieved.min(initial=np.inf))
-            least["proper_quasi_dual"] = min(least["proper_quasi_dual"], low)
+            least = min(least, low)
             if not low >= -TAU_FEAS and (hit := _first(achieved < -TAU_FEAS)):
-                combo, worst = combos[need[hit[0]]], float(achieved[hit[0]])
+                combo, worst = combos[hit[0]], float(achieved[hit[0]])
                 dots = _tuple_dots(G, g, combo, W.T)
                 mins = dots.min(axis=0)
                 per_comb = [{"weights": W[w].tolist(), "min_dot": float(mins[w]),
                              "failing_index": int(dots[:, w].argmin())}
                             for w in range(W.shape[0])]
-                hits["proper_quasi_dual"] = (-TAU_FEAS - worst, Witness(
-                    points=P[combo], dot_products=dots[:, mins.argmax()],
-                    indices=tuple(int(i) for i in combo),
-                    extra={"per_combination": per_comb, "best_achieved": worst}))
-    best = {"proper_quasi": least["proper_quasi"] + TAU_FEAS,
-            "strict_proper_quasi": least["strict_proper_quasi"] - eps,
-            "proper_quasi_dual": least["proper_quasi_dual"] + TAU_FEAS}
-    return {name: MonotonicityReport(name, REFUTED, samples[name], *hits[name])
-            if name in hits else
-            MonotonicityReport(name, HOLDS, samples[name], best[name])
-            for name in _TUPLE_CLASSES}
+                return MonotonicityReport(
+                    "proper_quasi_dual", REFUTED, samples, -TAU_FEAS - worst,
+                    Witness(points=P[combo], dot_products=dots[:, mins.argmax()],
+                            indices=tuple(int(i) for i in combo),
+                            extra={"per_combination": per_comb,
+                                   "best_achieved": worst}))
+    return MonotonicityReport("proper_quasi_dual", HOLDS, samples,
+                              least + TAU_FEAS)
 
 
 def check_class(name: str, model: ExcessDemandModel,
@@ -676,15 +681,18 @@ def check_class(name: str, model: ExcessDemandModel,
 
     pseudo: E(x).(y-x) >= 0 => E(y).(y-x) >= 0 on ordered sample pairs;
     strict_pseudo: the same scan with E(y).(y-x) > eps for y != x.  The
-    three combination classes read their report from ``check_tuple_classes``.
+    dual combination class runs its own scan, and the two primal ones read
+    their report from ``check_tuple_classes``.
     """
+    if name not in CLASS_NAMES:
+        raise ValueError(
+            f"unknown monotonicity class {name!r}; expected one of {CLASS_NAMES}")
     if name == "pseudo":
         return _pair_scan(name, model, plan, -TAU_FEAS, strict=False)
     if name == "strict_pseudo":
         return _pair_scan(name, model, plan, plan.config.eps_strict, strict=True)
-    if name not in _TUPLE_CLASSES:
-        raise ValueError(
-            f"unknown monotonicity class {name!r}; expected one of {CLASS_NAMES}")
+    if name == "proper_quasi_dual":
+        return _dual_scan(model, plan)
     return check_tuple_classes(model, plan)[name]
 
 

@@ -12,8 +12,9 @@ its earlier union-find clustering, its earlier dual scan, its earlier
 simplex projection, NNLS, polyhedral projection and extragradient loop,
 and its earlier ``Simplex.grid`` and ``minty_gap``, kept verbatim apart
 from the fused scan's sums, which run in k order as the library's do.  The
-pair checkers, ``check_tuple_classes``, ``SamplePlan.strict_exclusions``,
-``cluster_members`` and the Minty rejection cascade must agree with them
+pair checkers, ``check_tuple_classes``, the dual class's own scan,
+``SamplePlan.strict_exclusions``, ``cluster_members`` and the Minty
+rejection cascade must agree with them
 byte for byte (the per-class scans and the Minty scans on grids where
 every pairing is exact; elsewhere up to BLAS rounding); the projections,
 the solver, the simplex grid and the dual gap must agree bit for bit.

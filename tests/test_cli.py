@@ -117,6 +117,8 @@ def test_solve_dimension_mismatch(runner, tmp_path):
     path = write(tmp_path, "problem.json", bad)
     result = runner.invoke(main, ["solve", path])
     assert result.exit_code == 1
+    assert result.stderr == ("error: model dimension 2 does not match region "
+                             "dimension 1\n")
 
 
 @pytest.mark.parametrize("region", [

@@ -31,6 +31,25 @@ def evidence():
     return {label: gather_evidence(f, CONFIG) for label, f in CATALOG.items()}
 
 
+def test_evidence_computes_only_the_classes_the_checks_read(monkeypatch):
+    # L2_2 reads strict_pseudo, T4_1 proper_quasi, T4_2 and T4_3
+    # strict_proper_quasi: neither the pseudo pair scan nor the dual scan runs
+    entered = []
+    pair_scan, dual_scan = monotonicity._pair_scan, monotonicity._dual_scan
+    monkeypatch.setattr(monotonicity, "_pair_scan", lambda name, *args, **kw:
+                        entered.append(name) or pair_scan(name, *args, **kw))
+    monkeypatch.setattr(monotonicity, "_dual_scan", lambda *args:
+                        entered.append("proper_quasi_dual") or dual_scan(*args))
+    fixture = CATALOG["rotation"]
+    ev = gather_evidence(fixture, HarnessConfig(grid_spacing=0.1))
+    assert list(ev.reports) == ["strict_pseudo", "proper_quasi",
+                                "strict_proper_quasi"]
+    assert entered == ["strict_pseudo"]
+    for name, report in ev.reports.items():
+        alone = monotonicity.check_class(name, fixture.model, ev.plan)
+        assert report.to_dict() == alone.to_dict(), name
+
+
 # ---------------------------------------------------------------------------
 # L2_1 / L2_2
 

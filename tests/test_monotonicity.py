@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import tracemalloc
@@ -97,7 +98,7 @@ def test_tuples_larger_than_the_plan_are_not_scanned():
     plan = SamplePlan(UNIT_INTERVAL, np.array([[0.5]]), HarnessConfig(
         tuple_size_max=50, weight_grid_resolution=10**6))
     assert [m for m, *_ in plan.tuple_sizes] == [1]
-    reports = check_tuple_classes(POSSLOPE, plan)
+    reports = _tuple_reports(POSSLOPE, plan)
     assert {r.samples_used for r in reports.values()} == {1, 0}
 
 
@@ -260,6 +261,41 @@ def test_dual_single_point_tuple_is_satisfied():
     assert np.all(dots >= -TAU_FEAS)
 
 
+# The rotation about the centre of the unit square is monotone (M + Mᵀ = 0),
+# so properly quasimonotone, and by the KKM lemma every tuple's hull holds a
+# c that pairs >= 0 with every member; the dual form, decided on the weight
+# lattice only, still refutes it (ROADMAP Finding 3).
+CENTRE_ROTATION = linear_economy([[0.0, 1.0], [-1.0, 0.0]], [0.5, -0.5])
+
+
+def test_dual_lattice_refutes_the_monotone_centre_rotation(square_plan):
+    M = CENTRE_ROTATION.M
+    assert not (M + M.T).any()
+    for name in ("pseudo", "proper_quasi"):
+        assert not check_class(name, CENTRE_ROTATION, square_plan).refuted, name
+    report = check_class("proper_quasi_dual", CENTRE_ROTATION, square_plan)
+    assert report.refuted and report.margin == 0.0201388887888889
+    assert report.witness.indices == (0, 1, 10)
+    assert report.witness.points.tolist() == [[0.0, 0.0], [0.0, 1.0],
+                                              [0.875, 5 / 9]]
+    # off the lattice of tenths, the weights (31, 23, 72)/126 put c at the
+    # centre, where every member pairs within 1e-17 of 0 in exact arithmetic
+    P = [[Fraction(x) for x in p] for p in report.witness.points.tolist()]
+    c = _exact_combination([31, 23, 72], P)
+    assert all(abs(x - Fraction(1, 2)) < 1e-16 for x in c)
+    for p in P:
+        E = [_exact_dot(map(Fraction, row), p) - Fraction(ci)
+             for row, ci in zip(M.tolist(), CENTRE_ROTATION.c.tolist())]
+        assert abs(_exact_dot(E, [a - b for a, b in zip(p, c)])) < 1e-17
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the dual form is decided "
+                   "on the weight lattice, so it refutes this monotone field")
+def test_dual_holds_on_the_monotone_centre_rotation(square_plan):
+    assert not check_class("proper_quasi_dual", CENTRE_ROTATION,
+                           square_plan).refuted
+
+
 # ---------------------------------------------------------------------------
 # strict-properly quasimonotone
 
@@ -405,6 +441,15 @@ def _same_reports(fused, reference) -> bool:
     return json.dumps(fused.to_dict()) == json.dumps(reference.to_dict())
 
 
+def _tuple_reports(model, plan) -> dict:
+    """The three combination classes' reports in the reference order: the
+    two primal ones from the shared scan, the dual from ``check_class``."""
+    shared = check_tuple_classes(model, plan)
+    assert list(shared) == ["proper_quasi", "strict_proper_quasi"]
+    return {name: shared[name] if name in shared else check_class(name, model, plan)
+            for name in REFERENCE_TUPLE_CHECKERS}
+
+
 # Plan coordinates are multiples of 1/8, so combinations with dyadic
 # weights land exactly on other points, tuple members included.
 SCAN_REGIONS = {
@@ -460,7 +505,7 @@ def tuple_scan_cases(draw):
 def test_shared_tuple_scan_matches_reference_byte_for_byte(case):
     model, region, base, config = case
     plan = SamplePlan(region, base, config)
-    fused = check_tuple_classes(model, plan)
+    fused = _tuple_reports(model, plan)
     for name, reference in REFERENCE_TUPLE_CHECKERS.items():
         try:
             expected = reference(model, plan)
@@ -477,7 +522,7 @@ def test_distinctness_excludes_exact_collinear_coincidences():
     # (0, 1, 1/2) with weights (1/4, 1/4, 1/2) combines exactly onto 1/2
     plan = SamplePlan(UNIT_INTERVAL, np.array([[0.0], [1.0], [0.5]]),
                       HarnessConfig(tuple_size_max=3, weight_grid_resolution=5))
-    fused = check_tuple_classes(NEGSLOPE, plan)
+    fused = _tuple_reports(NEGSLOPE, plan)
     combinations = fused["proper_quasi"].samples_used - plan.size  # m >= 2
     assert fused["strict_proper_quasi"].samples_used < combinations
     for name, reference in REFERENCE_TUPLE_CHECKERS.items():
@@ -489,7 +534,7 @@ def test_tuple_sizes_without_interior_weights_add_no_samples():
     # still scans their boundary combinations
     plan = SamplePlan(UNIT_INTERVAL, np.array([[0.0], [1.0], [0.5]]),
                       HarnessConfig(tuple_size_max=3, weight_grid_resolution=3))
-    fused = check_tuple_classes(POSSLOPE, plan)
+    fused = _tuple_reports(POSSLOPE, plan)
     assert fused["proper_quasi"].samples_used == 3 + 3
     assert fused["strict_proper_quasi"].samples_used == 3
     assert fused["proper_quasi_dual"].samples_used == 3 + 3 * 3 + 6
@@ -501,7 +546,7 @@ def test_tuple_sizes_without_interior_weights_add_no_samples():
 def test_check_class_selects_from_the_shared_scan(catalog_reports):
     for label, fixture in default_catalog().items():
         plan = build_plan(fixture.region)
-        shared = check_tuple_classes(fixture.model, plan)
+        shared = _tuple_reports(fixture.model, plan)
         assert list(shared) == list(REFERENCE_TUPLE_CHECKERS)
         for name, report in shared.items():
             assert _same_reports(report, catalog_reports[label][name]), (label, name)
@@ -511,7 +556,7 @@ def test_shared_scan_witnesses_replay_at_40_points():
     refuted = 0
     for label, fixture in default_catalog().items():
         plan = build_plan(fixture.region, HarnessConfig(num_points=40))
-        for name, report in check_tuple_classes(fixture.model, plan).items():
+        for name, report in _tuple_reports(fixture.model, plan).items():
             if report.refuted:
                 refuted += 1
                 margin = replay_witness(fixture.model, report, plan)
@@ -612,7 +657,7 @@ def test_catalog_refutations_replay_exactly(points):
 
 def _same_as_fused(model, plan):
     reference = fused_tuple_scan(model, plan)
-    for name, report in check_tuple_classes(model, plan).items():
+    for name, report in _tuple_reports(model, plan).items():
         assert _same_reports(report, reference[name]), name
 
 
@@ -1008,21 +1053,22 @@ def test_default_plans_exclude_the_reference_pairs(label, excluded):
     assert {m: len(pairs) for m, pairs in got.items()} == {1: 0, 2: 0, 3: excluded}
 
 
-def _scan_rows(m, resolution):
-    """Rows of the scan buffers for m-tuples: the larger of the interior and
-    boundary weight counts."""
-    interior = (simplex_lattice(m, resolution - 1) > 0).all(axis=1)
-    return max(interior.sum(), (~interior).sum())
+def _scan_rows(m, resolution, scan):
+    """Rows of a scan's buffers for m-tuples: the interior weight count for
+    the primal scan, every weight row for the dual one."""
+    W = simplex_lattice(m, resolution - 1)
+    return int((W > 0).all(axis=1).sum()) if scan == "primal" else len(W)
 
 
 def _spy_folds(monkeypatch):
-    """Record (m, pass, tuples) for every fold of the tuple scan."""
+    """Record (m, scan, tuples) for every fold of the two tuple scans: the
+    primal scan folds with max, the dual one with min."""
     calls, fold = [], monotonicity._fold
 
-    def spy(G, g, combos, Wt, bufs, ufuncs):
-        calls.append((combos.shape[1], "interior" if len(ufuncs) == 2
-                      else "boundary", len(combos)))
-        return fold(G, g, combos, Wt, bufs, ufuncs)
+    def spy(G, g, combos, Wt, bufs, ufunc):
+        calls.append((combos.shape[1], "primal" if ufunc is np.maximum
+                      else "dual", len(combos)))
+        return fold(G, g, combos, Wt, bufs, ufunc)
 
     monkeypatch.setattr(monotonicity, "_fold", spy)
     return calls
@@ -1047,11 +1093,13 @@ def _bound_keeping_fields(plan, model):
 @pytest.mark.parametrize("chunk", [1, 3, 7])
 def test_chunk_tails_match_fused_reference(monkeypatch, chunk):
     calls = _spy_folds(monkeypatch)
-    for resolution, m_max in ((11, 3), (3, 3), (5, 4)):
-        # a budget of `chunk` pairings per buffer row makes 3-tuple chunks
-        # of `chunk` tuples, then a shorter tail
+    scored = {"primal": [], "dual": []}
+    for scan, (resolution, m_max) in itertools.product(
+            scored, ((11, 3), (3, 3), (5, 4))):
+        # a budget of `chunk` pairings per buffer row makes this scan's
+        # 3-tuple chunks of `chunk` tuples, then a shorter tail
         monkeypatch.setattr(monotonicity, "_SCAN_PAIRS",
-                            chunk * _scan_rows(3, resolution))
+                            chunk * _scan_rows(3, resolution, scan))
         for label in ("rotation", "scalar_negslope", "simplex_positive",
                       "mortgage_linear", "constant_positive"):
             fixture = CATALOG[label]
@@ -1059,13 +1107,14 @@ def test_chunk_tails_match_fused_reference(monkeypatch, chunk):
                 num_points=6, tuple_size_max=m_max,
                 weight_grid_resolution=resolution))
             for model in _bound_keeping_fields(plan, fixture.model):
+                calls.clear()
                 _same_as_fused(model, plan)
-    # folds of `chunk` 3-tuples and of fewer (a tail, or a chunk the bounds
-    # thinned) both take the boundary pass
-    scored = [first[2] for first, then in zip(calls, calls[1:])
-              if first[:2] == (3, "interior") and then[:2] == (3, "boundary")
-              and then[2]]
-    assert chunk in scored and (chunk == 1 or min(scored) < chunk)
+                scored[scan] += [tuples for m, folded, tuples in calls
+                                 if (m, folded) == (3, scan) and tuples]
+    # each scan folds chunks of `chunk` 3-tuples and of fewer (a tail, or a
+    # chunk the bounds thinned)
+    for scan, sizes in scored.items():
+        assert chunk in sizes and (chunk == 1 or min(sizes) < chunk), scan
 
 
 def test_boundary_weight_clears_a_tuple_whose_interior_fails_the_dual():
@@ -1080,7 +1129,7 @@ def test_boundary_weight_clears_a_tuple_whose_interior_fails_the_dual():
     interior = (W > 0).all(axis=1)
     assert (achieved[interior] < -TAU_FEAS).all()
     assert (achieved[~interior] >= 0).any()
-    report = check_tuple_classes(model, plan)["proper_quasi_dual"]
+    report = check_class("proper_quasi_dual", model, plan)
     assert report.verdict == "holds_on_samples"
     _same_as_fused(model, plan)
 
@@ -1099,7 +1148,7 @@ def test_running_dual_minimum_across_tiny_chunks(monkeypatch, pairs):
                                             (TAU_FEAS, 0.05, 0.5)):
             reference = fused_tuple_scan(model, plan, tau)
             monkeypatch.setattr(monotonicity, "TAU_FEAS", tau)
-            for name, report in check_tuple_classes(model, plan).items():
+            for name, report in _tuple_reports(model, plan).items():
                 assert _same_reports(report, reference[name]), (name, tau)
 
 
@@ -1110,19 +1159,27 @@ def test_reports_do_not_depend_on_the_chunk_width(monkeypatch, label):
     # minima and first hits cross chunk edges at every width
     calls = _spy_folds(monkeypatch)
     fixture, plan = CATALOG[label], _plan_64(label)
-    for k, model in enumerate(_bound_keeping_fields(plan, fixture.model)[:3]):
+    fields = _bound_keeping_fields(plan, fixture.model)[:3]
+    if plan.base_points.shape[1] == 2:
+        # a rotation too weak to fail the dual: its vertex bound keeps
+        # the 3-tuples around its centre
+        fields.append(_rotation(1e-12, plan.base_points[[0, 1, 2]]))
+    for k, model in enumerate(fields):
         widths = {}
         for pairs in (monotonicity._SCAN_PAIRS, 1 << 16, 1000):
             monkeypatch.setattr(monotonicity, "_SCAN_PAIRS", pairs)
             calls.clear()
             widths[pairs] = json.dumps({name: report.to_dict() for name, report
-                                        in check_tuple_classes(model,
-                                                               plan).items()})
+                                        in _tuple_reports(model, plan).items()})
         assert len(set(widths.values())) == 1
-        # at the narrowest width, the zero field and the rotation score
-        # 3-tuples in hundreds of chunks
-        assert k == 0 or sum(1 for m, scan, tuples in calls
-                             if (m, scan) == (3, "interior") and tuples) > 500
+        # at the narrowest width, the zero field and the rotations score
+        # 3-tuples in hundreds of chunks of the primal scan, and the weak
+        # rotation in hundreds of the dual one
+        chunks = {scan: sum(1 for m, folded, tuples in calls
+                            if (m, folded) == (3, scan) and tuples)
+                  for scan in ("primal", "dual")}
+        assert k == 0 or chunks["primal"] > 500, chunks
+        assert k < 3 or chunks["dual"] > 500, chunks
 
 
 # numpy 2.4's broadcast multiply runs about four times slower per element
@@ -1137,21 +1194,24 @@ def test_three_tuple_folds_run_on_wide_rows(monkeypatch):
     plan = _plan_64("linear_identity")
     check_tuple_classes(_zero_field(2), plan)
     widths = [tuples for m, scan, tuples in calls
-              if (m, scan) == (3, "interior")]
+              if (m, scan) == (3, "primal")]
     assert sum(widths) == comb(plan.size, 3) and len(widths) > 1
     assert min(widths[:-1]) >= MIN_SCAN_ROW
 
 
 def test_scan_memory_stays_in_small_chunks():
+    # each scan on a fresh plan, so that its peak includes the plan's tuples
     fixture = CATALOG["simplex_positive"]
-    plan = build_plan(fixture.region, HarnessConfig(num_points=64))
-    tracemalloc.start()
-    try:
-        check_tuple_classes(fixture.model, plan)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    for scan in (check_tuple_classes, functools.partial(check_class,
+                                                        "proper_quasi_dual")):
+        plan = build_plan(fixture.region, HarnessConfig(num_points=64))
+        tracemalloc.start()
+        try:
+            scan(fixture.model, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, scan
 
 
 # ---------------------------------------------------------------------------
@@ -1173,9 +1233,8 @@ def _assert_bounds_hold(model, plan, width=2048):
             lb, vlb = monotonicity._tuple_bounds(D, combos, steps, scale)
             bufs = np.empty((3, len(W), len(combos)))
             if interior.any():
-                (maxdots,) = monotonicity._fold(G, g, combos, W[interior].T,
-                                                bufs[:, :interior.sum()],
-                                                (np.maximum,))
+                maxdots = monotonicity._fold(G, g, combos, W[interior].T,
+                                             bufs[:, :interior.sum()], np.maximum)
                 assert (lb <= maxdots.min(axis=0)).all(), m
             else:
                 assert np.isneginf(lb).all()
