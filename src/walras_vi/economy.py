@@ -19,6 +19,7 @@ catalog used by the CLI and the theorem harness.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,7 +73,7 @@ class ExcessDemandModel:
 
     def __call__(self, p) -> FloatArray:
         out = np.asarray(p, dtype=float) @ self.M.T - self.c
-        if not np.isfinite(out).all():
+        if not (math.isfinite(np.vdot(out, out)) or np.isfinite(out).all()):
             raise ValueError(f"{self.label}: excess demand must be finite")
         return out
 

@@ -562,8 +562,9 @@ def _tuple_bounds(D, combos, steps: int, scale: float):
     return lb - (2 * m + 9) * (tiny.eps * scale + tiny.smallest_subnormal), vlb
 
 
-def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan) -> dict:
-    """Reports of the two primal combination classes from one scan, by name.
+def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan,
+                        names: tuple = _PRIMAL_CLASSES) -> dict:
+    """Reports of the primal combination classes in ``names`` from one scan.
 
     Members pair only with the interior weight rows (all weights positive),
     since a boundary combination of a tuple is an interior one of a
@@ -576,15 +577,15 @@ def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan) -> dict:
     not above its least score so far: that least is not below its
     threshold, so a tuple above it can neither lower it nor violate.
     Scored tuples stay in lexicographic order, so each class keeps its
-    first violation and exact least score; ``samples_used`` counts every
-    pair of the plan.  Pairings are summed in k order; the strict class
-    skips the pairs in ``SamplePlan.strict_exclusions``.
+    first violation and exact least score, whatever else ``names`` holds;
+    ``samples_used`` counts every pair of the plan.  Pairings are summed in
+    k order; the strict class skips ``SamplePlan.strict_exclusions``.
     """
     P, G, g = _pairings(model, plan)
     D = g[:, None] - G                       # D[j, k] = E(p_j).(p_j - p_k)
     scale = float(np.abs(G).max() + np.abs(g).max())
     eps, steps = plan.config.eps_strict, plan.config.weight_grid_resolution - 1
-    excluded = plan.strict_exclusions
+    strict = "strict_proper_quasi" in names
     samples = dict.fromkeys(_PRIMAL_CLASSES, 0)
     least = dict.fromkeys(_PRIMAL_CLASSES, float("inf"))    # least score so far
     hits: dict = {}                          # class name -> (margin, witness)
@@ -594,16 +595,23 @@ def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan) -> dict:
         bufs = np.empty((3, Wi, min(len(all_combos), step)))
         for lo in range(0, len(all_combos), step):
             chunk = all_combos[lo:lo + step]
+            samples["proper_quasi"] += len(chunk) * Wi
+            if strict and m > 1:                 # no strict class for 1-tuples
+                ex = plan.strict_exclusions[m]
+                span = np.searchsorted(ex, (lo * Wi, (lo + len(chunk)) * Wi))
+                t, w = np.divmod(ex[span[0]:span[1]] - lo * Wi, Wi)
+                samples["strict_proper_quasi"] += len(chunk) * Wi - len(t)
             lb, _ = _tuple_bounds(D, chunk, steps, scale)
             keep = np.zeros(len(chunk), dtype=bool)
-            for name in _PRIMAL_CLASSES[:m]:     # no strict class for 1-tuples
-                if name not in hits:
+            for name in _PRIMAL_CLASSES[:m]:
+                if name in names and name not in hits:
                     keep |= ~(lb > least[name])
             kept = np.flatnonzero(keep)
+            if not kept.size:
+                continue
             combos = chunk[kept]
             maxdots = _fold(G, g, combos, W[interior].T, bufs, np.maximum)  # (Wi, T)
 
-            samples["proper_quasi"] += len(chunk) * Wi
             low = float(maxdots.min(initial=np.inf))
             least["proper_quasi"] = min(least["proper_quasi"], low)
             if ("proper_quasi" not in hits and not low >= -TAU_FEAS
@@ -611,11 +619,7 @@ def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan) -> dict:
                 hits["proper_quasi"] = _combination_hit(
                     P, G, g, combos[hit[0]], W[interior][hit[1]], -TAU_FEAS)
 
-            if m > 1:       # strict: excluded pairs score +inf, which no test selects
-                ex = excluded[m]
-                span = np.searchsorted(ex, (lo * Wi, (lo + len(chunk)) * Wi))
-                t, w = np.divmod(ex[span[0]:span[1]] - lo * Wi, Wi)
-                samples["strict_proper_quasi"] += len(chunk) * Wi - len(t)
+            if strict and m > 1:  # excluded pairs score +inf, which no test selects
                 scored = keep[t]
                 maxdots[w[scored], np.searchsorted(kept, t[scored])] = np.inf
                 low = float(maxdots.min(initial=np.inf))
@@ -629,7 +633,7 @@ def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan) -> dict:
     return {name: MonotonicityReport(name, REFUTED, samples[name], *hits[name])
             if name in hits else
             MonotonicityReport(name, HOLDS, samples[name], best[name])
-            for name in _PRIMAL_CLASSES}
+            for name in names}
 
 
 def _dual_scan(model: ExcessDemandModel, plan: SamplePlan) -> MonotonicityReport:
@@ -693,7 +697,7 @@ def check_class(name: str, model: ExcessDemandModel,
         return _pair_scan(name, model, plan, plan.config.eps_strict, strict=True)
     if name == "proper_quasi_dual":
         return _dual_scan(model, plan)
-    return check_tuple_classes(model, plan)[name]
+    return check_tuple_classes(model, plan, (name,))[name]
 
 
 def replay_witness(model: ExcessDemandModel, report: MonotonicityReport,

@@ -18,6 +18,7 @@ result is verified against the KKT conditions to ``TAU_PROJ``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from abc import ABC, abstractmethod
@@ -50,7 +51,8 @@ def as_price_vector(x, dim: Optional[int] = None) -> FloatArray:
         raise ValueError(f"price vector must be 1-D, got shape {p.shape}")
     if p.size < 1:
         raise ValueError("price vector must have at least one entry")
-    if not np.isfinite(p).all():
+    # a finite sum of squares means finite entries; vdot never warns on overflow
+    if not (math.isfinite(np.vdot(p, p)) or np.isfinite(p).all()):
         raise ValueError("price vector entries must be finite")
     if dim is not None and p.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {p.size}")
@@ -65,6 +67,7 @@ def _price_rows(points, dim: int) -> FloatArray:
     return pts
 
 
+_EPS = np.finfo(float).eps
 _BLOCK_ENTRIES = 1 << 20    # coordinate differences per row block: 8 MiB
 
 
@@ -132,13 +135,17 @@ def project_onto_simplex(v: FloatArray) -> FloatArray:
     return np.maximum(v - theta, 0.0)
 
 
+@functools.cache
+def _dgelsy():           # bound on first use, so that start-up loads no scipy
+    from scipy.linalg import lapack
+    return lapack.dgelsy
+
+
 def _lstsq(A: FloatArray, b: FloatArray) -> FloatArray:
     """Minimum-norm least squares; LAPACK's gelsy called directly costs a
     quarter of ``np.linalg.lstsq`` on the tiny systems NNLS solves."""
-    from scipy.linalg import lapack
-
     k = A.shape[1]
-    return lapack.dgelsy(A, b, np.zeros(k, np.int32), 1e-13, 4 * k + 1)[1][:k]
+    return _dgelsy()(A, b, np.zeros(k, np.int32), 1e-13, 4 * k + 1)[1][:k]
 
 
 def nnls(A: FloatArray, b: FloatArray) -> FloatArray:
@@ -154,7 +161,7 @@ def nnls(A: FloatArray, b: FloatArray) -> FloatArray:
     """
     m, n = A.shape
     passive, coef = [], np.zeros(0)
-    tol = 10.0 * np.finfo(float).eps * max(m, n) * max(1.0, float(np.abs(A).max()))
+    tol = 10.0 * _EPS * max(m, n) * max(1.0, float(np.abs(A).max()))
     w = A.T @ b
     for _ in range(3 * n):
         for i in passive:

@@ -215,8 +215,9 @@ def _minty_values(grid: FloatArray, evals: FloatArray, diag: FloatArray,
     with ``np.minimum``.  A row leaves after the first level that gives it
     a pairing below ``-tol``, with the minimum over the columns scored so
     far.  A row that reaches the end has seen every column exactly once, so
-    its value is the full-grid minimum.  Each temporary holds at most
-    ``_MINTY_PAIRS`` pairings (one row when a row alone has more).
+    its value is the full-grid minimum.  Rows come in chunks of at most
+    ``_MINTY_PAIRS`` pairings (one row when a row alone has more), each
+    paired and reduced in place in a prefix of one buffer per call.
 
     Pairings are BLAS products, whose last bit can depend on where a column
     falls in a block; where coordinates and field values round, another
@@ -226,6 +227,7 @@ def _minty_values(grid: FloatArray, evals: FloatArray, diag: FloatArray,
     vals = np.full(G, np.inf)
     rows = np.arange(G)
     fresh = np.ones(G, dtype=bool)
+    buf = np.empty(min(G * G, max(_MINTY_PAIRS, G)))
     for level in (16, 256, 4096, G):
         cols = np.arange(0, G, max(1, G // level))
         cols = cols[fresh[cols]]
@@ -235,7 +237,8 @@ def _minty_values(grid: FloatArray, evals: FloatArray, diag: FloatArray,
             step = max(1, _MINTY_PAIRS // cols.size)
             for lo in range(0, rows.size, step):
                 idx = rows[lo:lo + step]
-                pairs = grid[idx] @ probe_evals
+                pairs = buf[:idx.size * cols.size].reshape(idx.size, cols.size)
+                np.matmul(grid[idx], probe_evals, out=pairs)
                 np.subtract(probe_diag, pairs, out=pairs)
                 vals[idx] = np.minimum(vals[idx], pairs.min(axis=1))
         rows = rows[vals[rows] >= -tol]

@@ -4,20 +4,22 @@ Everything here is deliberately written from the definitions, without
 reusing the library's own grid or scan machinery, so the tests cross
 two independent routes wherever the library computes something nontrivial.
 The exceptions are the reference pair and tuple scans, the reference
-strict exclusions, the reference clustering and the two-pass Minty scan,
-the projection and solver references, and the simplex grid and dual gap
-at the end: they are the library's earlier pair checkers, its earlier
-per-class scans, its earlier fused scan, its earlier strict exclusions,
-its earlier union-find clustering, its earlier dual scan, its earlier
-simplex projection, NNLS, polyhedral projection and extragradient loop,
+strict exclusions, the reference clustering, the two-pass Minty scan and
+the Minty cascade, the projection and solver references, and the simplex
+grid and dual gap at the end: they are the library's earlier pair
+checkers, its earlier per-class scans, its earlier fused scan, its earlier
+strict exclusions, its earlier union-find clustering, its earlier dual
+scan, its cascade before its chunks shared a buffer, its earlier simplex
+projection, NNLS, polyhedral projection and extragradient loop,
 and its earlier ``Simplex.grid`` and ``minty_gap``, kept verbatim apart
 from the fused scan's sums, which run in k order as the library's do.  The
 pair checkers, ``check_tuple_classes``, the dual class's own scan,
 ``SamplePlan.strict_exclusions``, ``cluster_members`` and the Minty
 rejection cascade must agree with them
-byte for byte (the per-class scans and the Minty scans on grids where
-every pairing is exact; elsewhere up to BLAS rounding); the projections,
-the solver, the simplex grid and the dual gap must agree bit for bit.
+byte for byte (the per-class scans and the two-pass Minty scan on grids
+where every pairing is exact; elsewhere up to BLAS rounding); the
+projections, the solver, the simplex grid, the dual gap and the earlier
+cascade must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -670,6 +672,31 @@ def minty_values_two_pass(grid: FloatArray, evals: FloatArray, diag: FloatArray,
             part = (probe_diag[None, :] - grid[idx] @ probe_evals.T).min(axis=1)
             np.minimum(full, part, out=full)
         vals[idx] = full
+    return vals
+
+
+def minty_values_reference(grid: FloatArray, evals: FloatArray, diag: FloatArray,
+                           tol: float, chunk_pairs: int) -> FloatArray:
+    """The rejection cascade as it was before its chunks shared one buffer:
+    each chunk's pairings are a fresh product of at most ``chunk_pairs``
+    entries (``vi_core._MINTY_PAIRS``)."""
+    G = grid.shape[0]
+    vals = np.full(G, np.inf)
+    rows = np.arange(G)
+    fresh = np.ones(G, dtype=bool)
+    for level in (16, 256, 4096, G):
+        cols = np.arange(0, G, max(1, G // level))
+        cols = cols[fresh[cols]]
+        fresh[cols] = False
+        if cols.size:
+            probe_evals, probe_diag = evals[cols].T, diag[cols]
+            step = max(1, chunk_pairs // cols.size)
+            for lo in range(0, rows.size, step):
+                idx = rows[lo:lo + step]
+                pairs = grid[idx] @ probe_evals
+                np.subtract(probe_diag, pairs, out=pairs)
+                vals[idx] = np.minimum(vals[idx], pairs.min(axis=1))
+        rows = rows[vals[rows] >= -tol]
     return vals
 
 

@@ -90,6 +90,18 @@ def test_model_refuses_malformed_data_when_built(M, c, message):
         linear_economy(M, c)
 
 
+@pytest.mark.parametrize("p", [[1e300, -1e300], [[0.5, 1e300], [1e300, 0.5]],
+                               [np.nan, 0.0], [[0.5, 0.5], [np.inf, 1.0]]])
+def test_model_tests_each_entry_past_an_overflowing_sum(p):
+    # M has no zero entry, so an infinite price gives no inf * 0
+    model = linear_economy([[1.0, 1e-300], [1e-300, 1.0]], [0.0, 0.0])
+    if np.isfinite(p).all():
+        assert np.isfinite(model(p)).all()
+    else:
+        with pytest.raises(ValueError, match="excess demand must be finite"):
+            model(p)
+
+
 def test_model_holds_read_only_copies_of_its_data():
     A, c = np.eye(2), np.zeros(2)
     model = linear_economy(A, c)

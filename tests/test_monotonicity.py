@@ -1199,6 +1199,40 @@ def test_three_tuple_folds_run_on_wide_rows(monkeypatch):
     assert min(widths[:-1]) >= MIN_SCAN_ROW
 
 
+def test_chunks_the_bounds_clear_fold_nothing(monkeypatch):
+    # on eight of the nine default 64-point plans the bounds clear every
+    # 3-tuple chunk; the reports stay the reference scan's
+    calls = _spy_folds(monkeypatch)
+    for label, fixture in CATALOG.items():
+        plan = _plan_64(label)
+        calls.clear()
+        reports = check_tuple_classes(fixture.model, plan)
+        assert calls and all(tuples for _, _, tuples in calls), label
+        reference = fused_tuple_scan(fixture.model, plan)
+        for name, report in reports.items():
+            assert _same_reports(report, reference[name]), (label, name)
+
+
+@pytest.mark.parametrize("label", ["scalar_negslope", "linear_identity",
+                                   "rotation"])
+def test_one_primal_class_builds_only_what_it_reads(monkeypatch, label):
+    # proper_quasi alone reads no strict exclusions; each class alone keeps
+    # the tuples only it needs, yet reports what the shared scan reports
+    built, exclusions = [], monotonicity._strict_exclusions
+    monkeypatch.setattr(monotonicity, "_strict_exclusions",
+                        lambda plan: built.append(plan) or exclusions(plan))
+    plan = _plan_64(label)
+    models = _bound_keeping_fields(plan, CATALOG[label].model)
+    alone = [check_class("proper_quasi", model, plan) for model in models]
+    assert built == []
+    for model, report in zip(models, alone):
+        shared = check_tuple_classes(model, plan)
+        assert _same_reports(report, shared["proper_quasi"])
+        strict = check_class("strict_proper_quasi", model, plan)
+        assert _same_reports(strict, shared["strict_proper_quasi"])
+    assert built == [plan]
+
+
 def test_scan_memory_stays_in_small_chunks():
     # each scan on a fresh plan, so that its peak includes the plan's tuples
     fixture = CATALOG["simplex_positive"]

@@ -11,8 +11,12 @@ that moves output on purpose re-records the file with
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,3 +54,36 @@ def test_record_keeps_the_kernel_dependent_cases(monkeypatch, tmp_path):
     assert written["digests"] == {"a": "1", "b": "2"}
     assert written["kernel_dependent"] == ["a"]
     assert written["openblas_core"] == tool.openblas_core()
+
+
+# The largest BLAS products of the oracle, whose blocking could follow
+# OpenBLAS's thread count, and an oracle run on its own
+ONE_THREAD_CASES = ("harness-grid-0.01", "oracle-linear_identity-64")
+_ONE_THREAD_RUN = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path[:0] = {paths!r}
+import output_digests as tool
+from click.testing import CliRunner
+from walras_vi.cli import main
+with tempfile.TemporaryDirectory() as tmp:
+    argvs = tool.cases(Path(tmp))
+    digests = {{name: tool.digest(CliRunner().invoke(main, argvs[name]), Path(tmp))
+               for name in {names!r}}}
+print(json.dumps({{"core": tool.openblas_core(), "digests": digests}}))
+"""
+
+
+def test_one_blas_thread_reproduces_the_record():
+    paths = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tools")]
+    code = _ONE_THREAD_RUN.format(paths=paths, names=ONE_THREAD_CASES)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    run = json.loads(out.stdout.splitlines()[-1])
+    record = json.loads(_tool().RECORD.read_text())
+    if run["core"] != record["openblas_core"]:
+        pytest.skip(f"recorded under OpenBLAS core {record['openblas_core']}, "
+                    f"running under {run['core']}")
+    assert run["digests"] == {name: record["digests"][name]
+                              for name in ONE_THREAD_CASES}

@@ -57,6 +57,18 @@ def test_price_vector_validation():
         as_price_vector([[1.0, 2.0], [3.0, 4.0]])
 
 
+@pytest.mark.parametrize("x", [[1e300, -1e300], [np.nan, 0.0], [np.inf, -np.inf],
+                               [1e300, np.inf]])
+def test_price_vector_finiteness_past_an_overflowing_sum(x):
+    # the entries are tested one by one where their sum of squares is not
+    # finite; an overflow alone raises nothing, not even a warning
+    if np.isfinite(x).all():
+        assert as_price_vector(x).tolist() == x
+    else:
+        with pytest.raises(ValueError, match="entries must be finite"):
+            as_price_vector(x)
+
+
 # ---------------------------------------------------------------------------
 # simplex projection
 

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from conftest import (
     extragradient_reference,
     minty_gap_reference,
     minty_members_bruteforce,
+    minty_values_reference,
     minty_values_two_pass,
     set_diameter,
     single_linkage_clusters,
@@ -484,6 +488,54 @@ def test_minty_cascade_zero_field(region, spacing, size):
         got = vi_core._minty_values(grid, evals, diag, tol)
         assert np.array_equal(got, np.zeros(size))
         assert np.array_equal(got, minty_values_two_pass(grid, evals, diag, tol))
+
+
+# Grids on which a small _MINTY_PAIRS gives many chunks per level, and
+# chunks of one row wherever a level has more columns than that
+BUFFER_GRIDS = {
+    "square": UNIT_SQUARE.grid(0.02),
+    "mortgage": default_catalog()["mortgage_linear"].region.grid(0.05),
+    "simplex": Simplex(3).grid(1 / 40),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(BUFFER_GRIDS)), data=st.data(),
+       pairs=st.sampled_from([1, 5, 97, 300, 4096, 1 << 15]))
+def test_minty_cascade_in_one_buffer_matches_reference(name, data, pairs):
+    # entries k/97 round, so the pairings round as BLAS blocks them; the
+    # buffer must keep every operand and shape, and so every bit
+    grid = BUFFER_GRIDS[name]
+    n = grid.shape[1]
+    entries = st.integers(-300, 300).map(lambda k: k / 97)
+    M = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+    c = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))
+    evals = linear_economy(M.reshape(n, n), c)(grid)
+    diag = np.einsum("ij,ij->i", evals, grid)
+    i = data.draw(st.integers(0, grid.shape[0] - 1))
+    tol = data.draw(st.sampled_from([0.0, 0.01, 0.3,    # or tie one row's minimum
+                                     -float((diag - grid[i] @ evals.T).min())]))
+    with mock.patch.object(vi_core, "_MINTY_PAIRS", pairs):
+        got = vi_core._minty_values(grid, evals, diag, tol)
+    want = minty_values_reference(grid, evals, diag, tol, pairs)
+    assert np.array_equal(got, want)
+
+
+def test_minty_cascade_holds_one_chunk_of_pairings():
+    # the zero field keeps every row to the end, and the last two levels
+    # pair all 10,201 rows with 4,964 fresh columns each, in 13 chunks of
+    # at most _MINTY_PAIRS pairings; two chunks alive at once take 64 MiB
+    grid = UNIT_SQUARE.grid(0.01)
+    G = grid.shape[0]
+    evals, diag = np.zeros_like(grid), np.zeros(G)
+    tracemalloc.start()
+    try:
+        vals = vi_core._minty_values(grid, evals, diag, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(vals, np.zeros(G))
+    assert peak <= 1.25 * 8 * vi_core._MINTY_PAIRS + 128 * G
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,10 @@ under each core, selected for one process only:
     OPENBLAS_CORETYPE=Prescott python tools/output_digests.py > prescott.json
     python tools/output_digests.py --compare tools/output_digests.json prescott.json
 
+OpenBLAS's thread count moves no digest: under ``OPENBLAS_NUM_THREADS=1``
+every case reproduces the record, and ``tests/test_output_digests.py``
+checks that on two cases.
+
 A change that moves output on purpose re-records the file, which keeps the
 list, and lists the changed cases:
 
