@@ -280,12 +280,11 @@ def _tuple_dots(G, g, combo, Wt):
 
 
 def _allowance(P, m: int) -> float:
-    """Rounding allowance of ``_certified`` and the line filter on m-tuples
-    of P; inf, certifying nothing, for m >= 4 or where not below
-    DISTINCT_DIST."""
+    """Rounding allowance of ``_certified`` and ``_ratio_kept`` on m-tuples
+    of P; inf, certifying nothing, for m >= 4."""
     allowance = (16 * (m + P.shape[1] + 4) * np.sqrt(P.shape[1])
                  * np.finfo(float).eps * np.abs(P).max())
-    return allowance if m <= 3 and allowance < DISTINCT_DIST else np.inf
+    return allowance if m <= 3 else np.inf
 
 
 def _dot(xs, ys):
@@ -310,7 +309,8 @@ def _certified(P, combos, steps: int):
     T, m = combos.shape
     # u = eps/2, L = max |P|: the computed distance exceeds the true one by at
     # most about 4 √n (3n + 10) u L (the clipped projection parameter is off
-    # by a few n u), the combination by √n (m + 1) u L: under half the allowance.
+    # by a few n u), the combination by √n (m + 1) u L: under half the
+    # allowance, whatever its size next to DISTINCT_DIST.
     allowance = _allowance(P, m)
     if allowance == np.inf:
         return np.zeros((T, m), dtype=bool)
@@ -331,62 +331,45 @@ def _certified(P, combos, steps: int):
 
 
 def _line_offsets(P, combos, j: int, allowance: float):
-    """Offsets s (m - 1, T) of the other members of tuples ``combos`` (T,
-    m <= 3) from member j along v, s_k = (p_k - p_j)·v with k ascending,
-    and the line filter's limit (T,) on |Σ_{k≠j} w_k s_k|.
-
-    v runs along the other two members (from p_j for m = 2), so on a line
-    the filter's bound is the distance; every sum runs in q order.  The
-    limit is (2 DISTINCT_DIST + allowance) times the computed ||v||.
-    """
-    others = [k for k in range(combos.shape[1]) if k != j]
-    a, b = ([j] + others)[-2:]
+    """Offsets s (2, T) of the other members a < b of 3-tuples ``combos``
+    from member j along v = p_b - p_a, s_k = (p_k - p_j)·v, and the limit
+    (T,) of ``_ratio_kept``'s line filter, (2 DISTINCT_DIST + allowance)
+    times the computed ||v||; every sum runs in q order."""
+    a, b = [k for k in range(3) if k != j]
     X = [col[combos.T] for col in P.T]          # X[q][k]: coordinate q of member k
     v = [x[b] - x[a] for x in X]
-    s = np.array([_dot([x[k] - x[j] for x in X], v) for k in others])
+    s = np.array([_dot([x[k] - x[j] for x in X], v) for k in (a, b)])
     return s, (2 * DISTINCT_DIST + allowance) * np.sqrt(_dot(v, v))
 
 
-def _line_kept(s, limit, Wo):
-    """(T, W) mask of the interior weights whose combination may come near
-    the member of ``_line_offsets``' (s, limit); the float test passes
-    elsewhere.  Wo (m - 1, W) holds the weights of the other members.
+def _ratio_kept(s, limit, Wi, steps: int):
+    """(T,) mask of the 3-tuple members whose offsets s = (s_a, s_b) and
+    limit (``_line_offsets``) may meet the line filter at some interior
+    weight of the others; the float test passes at every interior weight
+    of the rest.  Wi holds the interior 3-tuple weights.
 
-    With x_k = p_k - p_j, u = eps/2 and L = max |P|, for any v
-    ||c - p_j|| ||v|| >= |Σ_{k≠j} w_k x_k·v| - √n u L ||v||, as the float
-    weights sum to 1 within u.  A weight is dropped where the computed
-    |Σ w_k s_k|, products summed in k order, exceeds the limit.  The
-    differences x_k round by u |x_k| and the n-term sums s_k by γ_n, and
-    the products and their sum add γ_2 max |s_k| (Σ_{k≠j} w_k < 1), so the
-    computed sum errs by at most 2√n (n + 4) u L ||v||; the norm and the
-    limit's product by (n + 3) u relative, and the float test's distance
-    by √n (m + n + 4) u L.  The allowance is over twice their sum.
-    """
-    acc = reduce(np.add, [w[None, :] * sk[:, None] for w, sk in zip(Wo, s)])
-    return ~(np.abs(acc) > limit[:, None])
+    The line filter drops a weight where the computed |w_a s_a + w_b s_b|,
+    products summed in k order, exceeds the limit.  With x_k = p_k - p_j,
+    u = eps/2 and L = max |P|, for any v ||c - p_j|| ||v|| >=
+    |w_a x_a·v + w_b x_b·v| - √n u L ||v||, as the float weights sum to 1
+    within u.  The differences x_k round by u |x_k| and the n-term sums s_k
+    by γ_n, and the products and their sum add γ_2 max |s_k|
+    (w_a + w_b < 1), so the computed sum errs by at most
+    2√n (n + 4) u L ||v||; the norm and the limit's product by (n + 3) u
+    relative, and the float test's distance by √n (m + n + 4) u L.  The
+    allowance is over twice their sum, so the float test passes at every
+    weight the filter drops.  These errors scale with L, as the allowance
+    does: neither this bound nor ``_certified``'s needs it below
+    DISTINCT_DIST.
 
-
-def _lattice_ratios(Wi, steps: int):
-    """The sorted distinct i'/i for i, i' >= 1 with i + i' <= steps - 1,
-    between -inf and inf, from the interior 3-tuple weights Wi, whose first
-    two columns are those (i, i')/steps."""
-    counts = np.rint(Wi[:, :2] * steps)
-    return np.concatenate([[-np.inf], np.unique(counts[:, 1] / counts[:, 0]),
-                           [np.inf]])
-
-
-def _ratio_kept(s, limit, steps: int, ratios):
-    """(T,) mask of the 3-tuple members whose offsets s = (s_a, s_b) may
-    meet the line filter's limit at some interior weight; the filter drops
-    every weight of the others.  ``ratios`` is ``_lattice_ratios``.
-
-    Interior weights are (i_a, i_b)/steps with i_a, i_b >= 1 and
-    i_a + i_b <= steps - 1, and the lattice is symmetric in (i_a, i_b).
-    Name the offsets so that |s'| >= |s|, and let ρ = -s/s' (|ρ| <= 1)
-    and r = i'/i.  Then |i s + i' s'| = i |s'| |r - ρ| >= |s'| |r - ρ|, so a
-    weight the filter keeps has |r - ρ| <= B = steps · limit / |s'| up to
-    rounding: the nearest lattice ratio, one of the two around ρ in the
-    sorted ratios, is within B of ρ.
+    The ratio bound.  Interior weights are (i_a, i_b)/steps with
+    i_a, i_b >= 1 and i_a + i_b <= steps - 1, and the lattice is symmetric
+    in (i_a, i_b).  Name the offsets so that |s'| >= |s|, and let
+    ρ = -s/s' (|ρ| <= 1) and r = i'/i.  Then
+    |i s + i' s'| = i |s'| |r - ρ| >= |s'| |r - ρ|, so a weight the filter
+    keeps has |r - ρ| <= B = steps · limit / |s'| up to rounding: the
+    nearest lattice ratio, one of the two around ρ among the sorted distinct
+    ratios (between -inf and inf), is within B of ρ.
 
     The rounding slack.  With u = eps/2: the filter's computed sum is at
     least (1 - u)(E - γ_2 |s'| - η), where E = |i s + i' s'| / steps is
@@ -405,20 +388,13 @@ def _ratio_kept(s, limit, steps: int, ratios):
     with np.errstate(divide="ignore", invalid="ignore"):       # s' = 0
         rho = -small / big
         bound = steps * limit / np.abs(big)
+    counts = np.rint(Wi[:, :2] * steps)          # the (i, i') of the lattice
+    ratios = np.concatenate([[-np.inf], np.unique(counts[:, 1] / counts[:, 0]),
+                             [np.inf]])
     k = np.searchsorted(ratios, rho).clip(1, len(ratios) - 1)
     gap = np.minimum(ratios[k] - rho, rho - ratios[k - 1])
     slack = 8 * np.finfo(float).eps * (bound + steps)
     return ~(gap > bound + slack) | ~(np.abs(big) >= np.finfo(float).tiny)
-
-
-def _near(P, combos, j: int, weights):
-    """(K,) mask of the pairs whose combination c = Σ_k w_k p_k of tuple
-    combos[i] at weights[i], summed in k order as ``_combine`` sums it,
-    fails ||c - p_j|| > DISTINCT_DIST at member j, squares summed in q
-    order: the arithmetic of the row-wide test, bit for bit."""
-    d = [reduce(np.add, [w * col[k] for w, k in zip(weights.T, combos.T)])
-         - col[combos[:, j]] for col in P.T]
-    return ~(np.sqrt(_dot(d, d)) > DISTINCT_DIST)
 
 
 def _combine(W, Pc):
@@ -439,73 +415,53 @@ def _combination_hit(P, G, g, combo, weights, threshold):
     return float(threshold - dots.max()), witness
 
 
+def _near_weights(P, combos, members, Wi):
+    """The strict class's float test: the (T, len(Wi)) mask of the interior
+    weights whose c = Σ_k w_k p_k fails ||c - p_j|| > DISTINCT_DIST at some
+    member j of tuples ``combos`` that ``members`` (T, m) marks.  c comes
+    from ``_combine`` and the squares are summed in q order, one coordinate
+    column (T, len(Wi)) at a time, as in ``_certified``."""
+    X = [col[combos] for col in P.T]            # X[q][:, k]: coordinate q of member k
+    C = [_combine(Wi, x[:, :, None])[..., 0] for x in X]
+    near = np.zeros(C[0].shape, dtype=bool)
+    for j in range(combos.shape[1]):
+        sel = np.flatnonzero(members[:, j])
+        d = [c[sel] - x[sel, j, None] for c, x in zip(C, X)]
+        near[sel] |= ~(np.sqrt(_dot(d, d)) > DISTINCT_DIST)
+    return near
+
+
 def _strict_exclusions(plan: SamplePlan) -> dict:
-    """Flat indices t * len(Wi) + w, sorted, of the (tuple, interior weight)
-    pairs whose c = Σ_k w_k p_k (``_combine``) fails ||c - p_j|| >
-    DISTINCT_DIST (squares summed in coordinate order) at some member j:
-    through ``_lined_exclusions`` for m <= 3 where ``_allowance`` is
-    finite, and by the row-wide float test elsewhere (m >= 4, or
-    coordinates so large that the allowance is not below DISTINCT_DIST)."""
-    P, steps, out = plan.base_points, plan.config.weight_grid_resolution - 1, {}
-    for m, all_combos, W, interior in plan.tuple_sizes:
-        combos, Wi, allowance = all_combos.astype(np.intp), W[interior], _allowance(P, m)
-        if m == 1 or not len(Wi):
-            out[m] = np.empty(0, np.intp)
-        elif allowance < np.inf:
-            out[m] = _lined_exclusions(P, combos, Wi, steps, allowance)
-        else:
-            out[m] = _row_wide_exclusions(P, combos, Wi)
-    return out
+    """Per tuple size m, the flat indices t * len(Wi) + w, ascending, of the
+    (tuple, interior weight) pairs that fail the float test
+    (``_near_weights``) at some member.
 
-
-def _lined_exclusions(P, combos, Wi, steps: int, allowance: float):
-    """The strict exclusions of m-tuples (m <= 3), with per-weight work
-    left to a few (tuple, member) pairs.
-
-    ``_certified`` clears most members, ``_ratio_kept`` (m = 3) most of the
-    rest with no per-weight work, the line filter (``_line_kept``) drops
-    their far weights, and the float test (``_near``) runs on the (tuple,
-    weight) pairs left.  Each stage drops only pairs whose float test
-    passes at that member, so the result is the float test's everywhere.
-    Tuples are certified, and members filtered, in batches whose arrays
-    hold at most _SCAN_PAIRS entries, a (tuple, weight) pair each.
+    ``_certified``, then for 3-tuples ``_ratio_kept``, clear members whose
+    float test passes at every interior weight, in batches of
+    _SCAN_PAIRS // len(Wi).  The float test runs on the tuples left, at
+    every interior weight and their uncertain members only, a quarter of
+    such a batch per coordinate at a time: at every member of a 4-tuple,
+    which no bound certifies.
     """
-    T, m = combos.shape
-    step = max(1, _SCAN_PAIRS // len(Wi))
-    uncertain = np.concatenate([~_certified(P, combos[lo:lo + step], steps)
-                                for lo in range(0, T, step)])
-    ratios = _lattice_ratios(Wi, steps) if m == 3 else None
-    found = [np.empty(0, np.intp)]
-    for j in range(m):
-        others = [k for k in range(m) if k != j]
-        members = np.flatnonzero(uncertain[:, j])
-        for lo in range(0, len(members), step):
-            t = members[lo:lo + step]
-            s, limit = _line_offsets(P, combos[t], j, allowance)
-            if m == 3:
-                keep = _ratio_kept(s, limit, steps, ratios)
-                t, s, limit = t[keep], s[:, keep], limit[keep]
-            c, w = np.nonzero(_line_kept(s, limit, Wi[:, others].T))
-            near = _near(P, combos[t[c]], j, Wi[w])
-            found.append(t[c[near]] * len(Wi) + w[near])
-    flat = np.sort(np.concatenate(found))
-    return flat[np.diff(flat, prepend=-1) != 0]         # a pair near two members
-
-
-def _row_wide_exclusions(P, combos, Wi):
-    """The strict exclusions of m-tuples by the float test at every member
-    and interior weight, in chunks of _SCAN_PAIRS coordinates."""
-    step = max(1, _SCAN_PAIRS // (len(Wi) * P.shape[1]))
-    found = [np.empty(0, np.intp)]
-    for lo in range(0, len(combos), step):
-        chunk = combos[lo:lo + step]
-        combined = _combine(Wi, P[chunk])
-        near = np.zeros(combined.shape[:2], dtype=bool)
-        for j in range(combos.shape[1]):
-            d = list(np.moveaxis(combined - P[chunk[:, j], None], -1, 0))
-            near |= ~(np.sqrt(_dot(d, d)) > DISTINCT_DIST)
-        found.append(lo * len(Wi) + np.flatnonzero(near))
-    return np.concatenate(found)
+    P, steps = plan.base_points, plan.config.weight_grid_resolution - 1
+    out = {m: np.empty(0, np.intp) for m, *_ in plan.tuple_sizes}
+    for m, all_combos, W, interior in plan.tuple_sizes[1:steps]:  # 1 < m <= steps
+        Wi, found = W[interior], [out[m]]
+        combos, step = all_combos.astype(np.intp), max(1, _SCAN_PAIRS // len(Wi))
+        uncertain = np.concatenate([~_certified(P, combos[lo:lo + step], steps)
+                                    for lo in range(0, len(combos), step)])
+        for j in range(m if m == 3 else 0):
+            members = np.flatnonzero(uncertain[:, j])
+            for t in (members[lo:lo + step] for lo in range(0, len(members), step)):
+                s, limit = _line_offsets(P, combos[t], j, _allowance(P, 3))
+                uncertain[t, j] = _ratio_kept(s, limit, Wi, steps)
+        rows = np.flatnonzero(uncertain.any(axis=1))
+        tested = max(1, step // (4 * P.shape[1]))
+        for r in (rows[lo:lo + tested] for lo in range(0, len(rows), tested)):
+            t, w = np.nonzero(_near_weights(P, combos[r], uncertain[r], Wi))
+            found.append(r[t] * len(Wi) + w)
+        out[m] = np.concatenate(found)
+    return out
 
 
 def _fold(G, g, combos, Wt, bufs, ufunc):
@@ -658,6 +614,8 @@ def _dual_scan(model: ExcessDemandModel, plan: SamplePlan) -> MonotonicityReport
             chunk = all_combos[lo:lo + step]
             _, vlb = _tuple_bounds(D, chunk, steps, scale)
             combos = chunk[~(vlb >= max(-TAU_FEAS, least))]
+            if not len(combos):
+                continue
             mindots = _fold(G, g, combos, W.T, bufs, np.minimum)     # (W, T)
             achieved = mindots.max(axis=0, initial=-np.inf)
             low = float(achieved.min(initial=np.inf))

@@ -4,14 +4,15 @@ Everything here is deliberately written from the definitions, without
 reusing the library's own grid or scan machinery, so the tests cross
 two independent routes wherever the library computes something nontrivial.
 The exceptions are the reference pair and tuple scans, the reference
-strict exclusions, the reference clustering, the two-pass Minty scan and
-the Minty cascade, the projection and solver references, and the simplex
-grid and dual gap at the end: they are the library's earlier pair
-checkers, its earlier per-class scans, its earlier fused scan, its earlier
-strict exclusions, its earlier union-find clustering, its earlier dual
-scan, its cascade before its chunks shared a buffer, its earlier simplex
-projection, NNLS, polyhedral projection and extragradient loop,
-and its earlier ``Simplex.grid`` and ``minty_gap``, kept verbatim apart
+strict exclusions and line filter, the reference clustering, the two-pass
+Minty scan and the Minty cascade, the projection and solver references,
+and the simplex grid and dual gap at the end: they are the library's
+earlier pair checkers, its earlier per-class scans, its earlier fused
+scan, its earlier strict exclusions and line filter, its earlier
+union-find clustering, its earlier dual scan, its cascade before its
+chunks shared a buffer, its earlier simplex projection, NNLS, polyhedral
+projection and extragradient loop, and its earlier ``Simplex.grid`` and
+``minty_gap``, kept verbatim apart
 from the fused scan's sums, which run in k order as the library's do.  The
 pair checkers, ``check_tuple_classes``, the dual class's own scan,
 ``SamplePlan.strict_exclusions``, ``cluster_members`` and the Minty
@@ -24,6 +25,7 @@ cascade must agree bit for bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -524,9 +526,12 @@ def fused_tuple_scan(model: ExcessDemandModel, plan: SamplePlan,
 # reference strict exclusions: the library's earlier _strict_exclusions,
 # which takes the float distinctness test at every interior weight of every
 # member ``certified_reference`` leaves, kept verbatim (apart from reading
-# the plan's tuples) as the reference for the line filter and the ratio
-# bound; and the library's earlier row-form ``_certified``, kept verbatim as
-# the reference for the column form
+# the plan's tuples, and a mode that certifies nothing, which takes the test
+# at every member, so that it does not rest on the library's ``_allowance``)
+# as the reference for the certificate and the ratio bound; the library's
+# earlier row-form ``_certified``, kept verbatim as the reference for the
+# column form; and its earlier line filter ``_line_kept``, kept verbatim, as
+# the ratio bound's soundness is stated against it
 
 
 def certified_reference(P, combos, steps: int):
@@ -562,17 +567,39 @@ def certified_reference(P, combos, steps: int):
     return (m - 1) / steps * dist - allowance > 2 * DISTINCT_DIST
 
 
-def strict_exclusions_reference(plan: SamplePlan) -> dict:
+def line_filter_reference(s, limit, Wo):
+    """(T, W) mask of the interior weights whose combination may come near
+    the member of ``_line_offsets``' (s, limit); the float test passes
+    elsewhere.  Wo (m - 1, W) holds the weights of the other members.
+
+    With x_k = p_k - p_j, u = eps/2 and L = max |P|, for any v
+    ||c - p_j|| ||v|| >= |Σ_{k≠j} w_k x_k·v| - √n u L ||v||, as the float
+    weights sum to 1 within u.  A weight is dropped where the computed
+    |Σ w_k s_k|, products summed in k order, exceeds the limit.  The
+    differences x_k round by u |x_k| and the n-term sums s_k by γ_n, and
+    the products and their sum add γ_2 max |s_k| (Σ_{k≠j} w_k < 1), so the
+    computed sum errs by at most 2√n (n + 4) u L ||v||; the norm and the
+    limit's product by (n + 3) u relative, and the float test's distance
+    by √n (m + n + 4) u L.  The allowance is over twice their sum.
+    """
+    acc = functools.reduce(np.add, [w[None, :] * sk[:, None]
+                                    for w, sk in zip(Wo, s)])
+    return ~(np.abs(acc) > limit[:, None])
+
+
+def strict_exclusions_reference(plan: SamplePlan, certify: bool = True) -> dict:
     """(tuple, interior weight) pairs whose c = Σ_k w_k p_k (``_combine``)
     fails ||c - p_j|| > DISTINCT_DIST (squares summed in coordinate order)
-    at a member j that ``certified_reference`` leaves."""
+    at a member j that ``certified_reference`` leaves, or at any member j
+    unless ``certify``."""
     P, steps, out = plan.base_points, plan.config.weight_grid_resolution - 1, {}
     for m, all_combos, W, interior in plan.tuple_sizes:
         Wi, found = W[interior], [np.empty(0, dtype=np.intp)]
         step = max(1, _SCAN_PAIRS // max(1, len(Wi)))
         for lo in range(0, len(all_combos) if m > 1 else 0, step):
             combos = all_combos[lo:lo + step].astype(np.intp)
-            uncertain = ~certified_reference(P, combos, steps)
+            uncertain = (~certified_reference(P, combos, steps) if certify
+                         else np.ones(combos.shape, dtype=bool))
             rows = np.flatnonzero(uncertain.any(axis=1))
             combined = _combine(Wi, P[combos[rows]])
             near = np.zeros((rows.size, len(Wi)), dtype=bool)

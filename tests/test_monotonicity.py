@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import (REFERENCE_PAIR_CHECKERS, REFERENCE_TUPLE_CHECKERS,
                       box_grid, certified_reference, fused_tuple_scan,
-                      strict_exclusions_reference)
+                      line_filter_reference, strict_exclusions_reference)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -661,9 +661,11 @@ def _same_as_fused(model, plan):
         assert _same_reports(report, reference[name]), name
 
 
-def _same_exclusions(plan):
+def _same_exclusions(plan, certify=True):
+    """The plan's exclusions against the reference's: with ``certify``
+    False, against the float test at every member and weight."""
     got = monotonicity._strict_exclusions(plan)
-    expected = strict_exclusions_reference(plan)
+    expected = strict_exclusions_reference(plan, certify)
     assert got.keys() == expected.keys()
     for m, pairs in expected.items():
         assert got[m].dtype == pairs.dtype, m
@@ -818,15 +820,17 @@ def test_members_on_either_side_of_the_certification_line(m, points_for):
             _same_as_fused(model, plan)
 
 
-def test_large_coordinates_take_the_exact_path():
-    region = Box([0.0, 0.0], [1e6, 1e6])
-    plan = build_plan(region)
-    for m in (2, 3):
-        combos = np.array(list(itertools.combinations(range(plan.size), m)))
-        assert not monotonicity._certified(plan.base_points, combos, 10).any()
-        # nor does the line filter drop a weight
-        assert monotonicity._allowance(plan.base_points, m) == np.inf
-    _same_exclusions(plan)
+@pytest.mark.parametrize("upper", [1e5, 1e6])
+def test_large_coordinates_certify(monkeypatch, upper):
+    # the allowance grows past DISTINCT_DIST here, yet the bounds leave as
+    # few tuples to the float test as on the unit square, of the 52,394 2-
+    # and 3-tuples
+    counts = _count_tested_pairs(monkeypatch)
+    plan = build_plan(Box([0.0, 0.0], [upper, upper]),
+                      HarnessConfig(num_points=64))
+    assert monotonicity._allowance(plan.base_points, 3) > DISTINCT_DIST
+    _same_exclusions(plan, certify=False)
+    assert counts["tuples"] == len(counts["pairs"]) == 49
     _same_as_fused(linear_economy(np.array([[1e-6, 0.0], [0.0, 0.0]]),
                                   [0.117, -0.234]), plan)
     _same_as_fused(linear_economy(np.zeros((2, 2)), [-1.0, 0.0]), plan)
@@ -855,7 +859,7 @@ def test_four_tuples_have_no_bound():
 
 
 # ---------------------------------------------------------------------------
-# strict exclusions through the line filter against the float test everywhere
+# strict exclusions through the bounds against the float test everywhere
 
 
 def _plan_64(label):
@@ -940,7 +944,7 @@ def _nudged_midpoint(by):
 @example((np.array([[0.0], [0.25], [0.5], [0.75], [1.0]]), 3, 9))
 def test_line_filter_matches_the_float_test_everywhere(case):
     P, m_max, resolution = case
-    _same_exclusions(_line_plan(P, m_max, resolution))
+    _same_exclusions(_line_plan(P, m_max, resolution), certify=False)
 
 
 def _same_certificates(plan):
@@ -988,60 +992,55 @@ def test_ratio_bound_keeps_every_member_the_filter_keeps(steps):
     wa, wb = Wi[rows, 1], Wi[rows, 2]           # the others of member 0
     limit = np.abs(wa * s[0] + wb * s[1])
     limit = np.nextafter(limit, limit * rng.choice([0.0, 1.0, 2.0], count))
-    filtered = monotonicity._line_kept(s, limit, Wi[:, 1:].T).any(axis=1)
-    ratios = monotonicity._lattice_ratios(Wi, steps)
-    kept = monotonicity._ratio_kept(s, limit, steps, ratios)
+    filtered = line_filter_reference(s, limit, Wi[:, 1:].T).any(axis=1)
+    kept = monotonicity._ratio_kept(s, limit, Wi, steps)
     assert filtered.sum() > count // 2
     assert not (filtered & ~kept).any()
 
 
-def _count_filtered_pairs(monkeypatch):
-    """Count the (tuple, member) rows that reach the line filter, and the
-    (tuple, member) pairs and (tuple, weight, member) triples that reach
+def _count_tested_pairs(monkeypatch):
+    """Count the tuples, and collect the (tuple, member) pairs, that reach
     the float test."""
-    counts = {"filter": 0, "pairs": set(), "triples": 0}
-    line_kept, near = monotonicity._line_kept, monotonicity._near
+    counts = {"tuples": 0, "pairs": set()}
+    near = monotonicity._near_weights
 
-    def spy_filter(s, limit, Wo):
-        counts["filter"] += len(limit)
-        return line_kept(s, limit, Wo)
+    def spy(P, combos, members, Wi):
+        counts["tuples"] += len(combos)
+        counts["pairs"].update((tuple(combos[t]), j)
+                               for t, j in np.argwhere(members).tolist())
+        return near(P, combos, members, Wi)
 
-    def spy_near(P, combos, j, weights):
-        counts["pairs"].update((tuple(row), j) for row in combos.tolist())
-        counts["triples"] += len(combos)
-        return near(P, combos, j, weights)
-
-    monkeypatch.setattr(monotonicity, "_line_kept", spy_filter)
-    monkeypatch.setattr(monotonicity, "_near", spy_near)
+    monkeypatch.setattr(monotonicity, "_near_weights", spy)
     return counts
 
 
-@pytest.mark.parametrize("label, filtered, triples", [
+@pytest.mark.parametrize("label, tested, excluded", [
     ("linear_identity", 49, 112), ("scalar_negslope", 9_425, 16_223),
     ("simplex_positive", 129, 215), ("mortgage_linear", 34, 71)])
-def test_few_pairs_reach_per_weight_work(monkeypatch, label, filtered, triples):
+def test_few_pairs_reach_per_weight_work(monkeypatch, label, tested, excluded):
     # of the 45,760 uncertain middle members of the collinear plans, the
-    # ratio bound passes only those the line filter keeps at some weight,
-    # and the filter keeps only the weights the float test excludes
-    counts = _count_filtered_pairs(monkeypatch)
-    excluded = _plan_64(label).strict_exclusions[3]
-    assert counts["filter"] == len(counts["pairs"]) == filtered
-    assert counts["triples"] == len(excluded) == triples
+    # ratio bound passes only those the line filter keeps at some weight:
+    # one member of each tuple that reaches the float test
+    counts = _count_tested_pairs(monkeypatch)
+    plan = _plan_64(label)
+    assert len(plan.strict_exclusions[3]) == excluded
+    assert counts["tuples"] == len(counts["pairs"]) == tested
 
 
 def test_line_filter_keeps_exactly_the_ties_of_a_line():
     # on a line the bound is the distance itself: of a middle member, the
-    # filter keeps the weights whose combination lands on it, no more
+    # filter keeps the weights whose combination lands on it, no more, and
+    # those are the plan's exclusions
     P = np.array([[0.0, 0.0], [0.5, 1.0], [1.0, 2.0]])
     W = simplex_lattice(3, 8)
     Wi = W[(W > 0).all(axis=1)]
     s, limit = monotonicity._line_offsets(P, np.array([[0, 1, 2]]), 1,
                                           monotonicity._allowance(P, 3))
-    kept = monotonicity._line_kept(s, limit, Wi[:, [0, 2]].T)[0]
-    assert kept.tolist() == (Wi[:, 0] == Wi[:, 2]).tolist()
-    assert kept.sum() == 3
+    kept = line_filter_reference(s, limit, Wi[:, [0, 2]].T)[0]
+    ties = np.flatnonzero(Wi[:, 0] == Wi[:, 2])
+    assert np.flatnonzero(kept).tolist() == ties.tolist() and len(ties) == 3
     assert _same_exclusions(_line_plan(P, resolution=9))[3].tolist() == \
-        np.flatnonzero(kept).tolist()
+        ties.tolist()
 
 
 @pytest.mark.parametrize("label, excluded", [
@@ -1201,7 +1200,9 @@ def test_three_tuple_folds_run_on_wide_rows(monkeypatch):
 
 def test_chunks_the_bounds_clear_fold_nothing(monkeypatch):
     # on eight of the nine default 64-point plans the bounds clear every
-    # 3-tuple chunk; the reports stay the reference scan's
+    # 3-tuple chunk of the primal scan, and most chunks of the dual one;
+    # neither scan folds a chunk it cleared, and the reports stay the
+    # reference scans'
     calls = _spy_folds(monkeypatch)
     for label, fixture in CATALOG.items():
         plan = _plan_64(label)
@@ -1211,6 +1212,11 @@ def test_chunks_the_bounds_clear_fold_nothing(monkeypatch):
         reference = fused_tuple_scan(fixture.model, plan)
         for name, report in reports.items():
             assert _same_reports(report, reference[name]), (label, name)
+        calls.clear()
+        dual = check_class("proper_quasi_dual", fixture.model, plan)
+        assert all(tuples for _, _, tuples in calls), label
+        reference = REFERENCE_TUPLE_CHECKERS["proper_quasi_dual"]
+        assert _same_reports(dual, reference(fixture.model, plan)), label
 
 
 @pytest.mark.parametrize("label", ["scalar_negslope", "linear_identity",

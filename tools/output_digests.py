@@ -15,9 +15,12 @@ runner), on input files written into a temporary directory:
   combination classes with 4-tuples (24 plan points, ``m_max`` 4) on every
   default fixture and on three near-tie fields (the zero field, and
   rotations on a box and on the simplex line, whose pairings tie or nearly
-  tie), and ``harness`` on a 64-point catalog of those three fields.
+  tie), and ``harness`` on a 64-point catalog of those three fields;
+* ``check --class strict_proper_quasi`` with 64 plan points on a box whose
+  coordinates reach 1e5, where the strict exclusions' rounding allowance
+  exceeds the distinctness tolerance.
 
-That is 224 runs.  The benchmark's input files come from
+That is 225 runs.  The benchmark's input files come from
 ``bench/workloads.py``, which is only read.  The output is one JSON object,
 case name -> sha256 of the run's stdout, stderr and exit code.
 
@@ -78,6 +81,13 @@ NEAR_TIE_FIELDS = {
                    "c": [0.08775, -0.02925]}, {"kind": "simplex", "n": 2}),
 }
 
+# E(p) = p - (5e4, 5e4) on [0, 1e5]^2: coordinates large next to the
+# distinctness tolerance
+LARGE_BOX = {"economy": {"kind": "linear", "M": [[1.0, 0.0], [0.0, 1.0]],
+                         "c": [5e4, 5e4]},
+             "region": {"kind": "box", "lower": [0.0, 0.0], "upper": [1e5, 1e5]},
+             "plan": {"points": 64}}
+
 
 def _region_spec(region) -> dict:
     """A problem-file region entry that rebuilds ``region``."""
@@ -136,6 +146,10 @@ def cases(directory: Path) -> dict:
                      for label, (economy, region) in NEAR_TIE_FIELDS.items()]}))
     out["harness-near-ties"] = ["harness", "--catalog", str(path),
                                 "--grid", "0.02"]
+    path = directory / "large-box-64.json"
+    path.write_text(json.dumps(LARGE_BOX))
+    out["check-large_box-64-strict_proper_quasi"] = [
+        "check", str(path), "--class", "strict_proper_quasi"]
     return out
 
 
