@@ -420,12 +420,14 @@ def _near_weights(P, combos, members, Wi):
     weights whose c = Σ_k w_k p_k fails ||c - p_j|| > DISTINCT_DIST at some
     member j of tuples ``combos`` that ``members`` (T, m) marks.  c comes
     from ``_combine`` and the squares are summed in q order, one coordinate
-    column (T, len(Wi)) at a time, as in ``_certified``."""
+    column (T, len(Wi)) at a time, as in ``_certified``.  A member marked
+    on every tuple, as every member of a 4-tuple is, is read as a slice
+    rather than gathered."""
     X = [col[combos] for col in P.T]            # X[q][:, k]: coordinate q of member k
     C = [_combine(Wi, x[:, :, None])[..., 0] for x in X]
     near = np.zeros(C[0].shape, dtype=bool)
     for j in range(combos.shape[1]):
-        sel = np.flatnonzero(members[:, j])
+        sel = slice(None) if members[:, j].all() else np.flatnonzero(members[:, j])
         d = [c[sel] - x[sel, j, None] for c, x in zip(C, X)]
         near[sel] |= ~(np.sqrt(_dot(d, d)) > DISTINCT_DIST)
     return near

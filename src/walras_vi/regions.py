@@ -220,6 +220,11 @@ class ConvexRegion(ABC):
     def vertices(self) -> FloatArray:
         """Extreme points, shape (k, dim)."""
 
+    @abstractmethod
+    def constraints(self) -> tuple[FloatArray, FloatArray, int]:
+        """(A, b, n_eq): the region is {x : A x = b on the first n_eq rows,
+        A x <= b on the rest}."""
+
     @property
     def is_bounded(self) -> bool:
         lo, hi = self.bounding_box()
@@ -383,6 +388,11 @@ class Simplex(ConvexRegion):
     def vertices(self) -> FloatArray:
         return np.eye(self.n)
 
+    def constraints(self):
+        """The sum row as the equality, then -x <= 0."""
+        A = np.vstack((np.ones(self.n), -np.eye(self.n)))
+        return A, np.concatenate(((1.0,), np.zeros(self.n))), 1
+
     def feasible_point(self) -> FloatArray:
         return np.full(self.n, 1.0 / self.n)
 
@@ -452,6 +462,11 @@ class Box(ConvexRegion):
         corners = itertools.product(*zip(self.lower, self.upper))
         return np.unique(np.array(list(corners), dtype=float), axis=0)
 
+    def constraints(self):
+        """x <= upper, then -x <= -lower."""
+        eye = np.eye(self.dim)
+        return np.vstack((eye, -eye)), np.concatenate((self.upper, -self.lower)), 0
+
 
 class Polyhedron(ConvexRegion):
     """Half-space intersection {x : A x <= b}, certified nonempty and bounded.
@@ -493,6 +508,7 @@ class Polyhedron(ConvexRegion):
             raise ValueError("zero constraint rows are not allowed")
         self._unit_A = self.A / norms[:, None]
         self._unit_b = self.b / norms
+        self._unit_A.flags.writeable = self._unit_b.flags.writeable = False
         self._dim = n
         # project's least-distance matrix [A_u^T; c^T], c written per call
         self._lsd = np.vstack((self._unit_A.T, np.zeros_like(self.b)))
@@ -616,6 +632,10 @@ class Polyhedron(ConvexRegion):
 
     def bounding_box(self):
         return self._lower.copy(), self._upper.copy()
+
+    def constraints(self):
+        """The unit rows, on which ``contains`` measures slack."""
+        return self._unit_A, self._unit_b, 0
 
     def vertices(self) -> FloatArray:
         """Basic feasible points from all n-subsets of active constraints.

@@ -9,7 +9,12 @@ Two solution notions are handled throughout:
 The solver is the extragradient method (two projections per iteration),
 which also handles rotation-like fields where plain projected iteration
 cycles.  Convergence is measured by the natural-map residual
-||x - Pi_X(x - E(x))||, which vanishes exactly at primal solutions.
+||x - Pi_X(x - E(x))||, which vanishes exactly at primal solutions.  Every
+field is affine, E(x) = M x - c, so on a face {A_I x = b_I} of the region
+the primal solution solves one linear KKT system; an active-set crossover
+(Burke and More 1988; Megiddo 1991) solves it on the face active at
+Pi_X(x - E(x)) every few iterations and stops the solver there once that
+point passes the residual test an iterate must pass.
 
 ``enumerate_solutions`` is the independent oracle: it classifies every
 feasible grid point against both definitions with the full grid as probe
@@ -53,6 +58,8 @@ CONVERGED = "converged"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
 _MINTY_PAIRS = 1 << 22
+_CROSSOVER_EVERY = 8     # extragradient steps between crossover tries
+_FACE_SLACK = 1e-12      # relative slack of a row counted active
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,10 +81,17 @@ class VIProblem:
         return self.model.dim
 
 
+def _natural_map(problem: VIProblem, x: FloatArray):
+    """(E(x), z, ||x - z||) with z = Pi_X(x - E(x)): one field evaluation
+    for x's residual, its face and the next y-step."""
+    ex = problem.model(x)
+    z = problem.region.project(x - ex)
+    return ex, z, float(np.linalg.norm(x - z))
+
+
 def residual(problem: VIProblem, x) -> float:
     """Natural-map residual ||x - Pi_X(x - E(x))||; zero iff x is primal."""
-    p = as_price_vector(x, problem.dim)
-    return float(np.linalg.norm(p - problem.region.project(p - problem.model(p))))
+    return _natural_map(problem, as_price_vector(x, problem.dim))[2]
 
 
 def minty_gap(problem: VIProblem, x) -> float:
@@ -108,17 +122,62 @@ class VISolveResult:
         }
 
 
+def _face_point(problem: VIProblem, z: FloatArray):
+    """The point the affine problem fixes on the face of the region active
+    at ``z``, or None where it gives none.
+
+    The face is the region's equality rows and the rows A_i x <= b_i with
+    slack at most _FACE_SLACK * max(1, |b_i|) at z.  On it the primal
+    solution of E(x) = M x - c solves [M A_I^T; A_I 0][x; lam] = [c; b_I]
+    with lam >= 0 on the inequality rows.  None when that system is
+    singular, its solution is not finite, an inequality multiplier is
+    negative or x lies outside the region.  The caller still tests x's
+    residual, so a wrong face costs a try and never an answer.
+    """
+    region, model = problem.region, problem.model
+    A, b, n_eq = region.constraints()
+    face = b - A @ z <= _FACE_SLACK * np.maximum(1.0, np.abs(b))
+    face[:n_eq] = True
+    rows, n = A[face], problem.dim
+    kkt = np.block([[model.M, rows.T], [rows, np.zeros((rows.shape[0],) * 2)]])
+    try:
+        sol = np.linalg.solve(kkt, np.concatenate((model.c, b[face])))
+    except np.linalg.LinAlgError:
+        return None
+    x = sol[:n] + 0.0  # no -0.0 in the emitted point
+    if not np.isfinite(sol).all() or (sol[n + n_eq:] < 0).any() or not region.contains(x):
+        return None
+    return x
+
+
+def _crossover(problem: VIProblem, z: FloatArray, tol: float):
+    """(x, E(x), Pi(x - E(x)), residual) of ``_face_point``'s point at z if
+    that residual is at most ``tol``, else None."""
+    x = _face_point(problem, z)
+    if x is None:
+        return None
+    crossed = (x, *_natural_map(problem, x))
+    return crossed if crossed[-1] <= tol else None
+
+
 def solve_extragradient(problem: VIProblem, start=None,
                         config: HarnessConfig = HarnessConfig()) -> VISolveResult:
-    """Two-projection extragradient iteration, with ``config``'s step,
-    budget and tol_solve.
+    """Two-projection extragradient iteration with an active-set crossover,
+    with ``config``'s step, budget and tol_solve.
 
     Each step takes y = Pi(x - step E(x)) then x = Pi(x - step E(y)).
-    Stops when the natural-map residual drops to ``tol_solve`` or the
-    budget is spent; budget exhaustion is a status, not an error, and the
-    best iterate is still returned.  Residuals per iteration are recorded
-    in the trace (index 0 is the starting residual).  E(x_k) is evaluated
-    once, for x_k's residual and the next y-step: 2k + 2 field calls in all.
+    Before the step, at iteration 0 and every _CROSSOVER_EVERY iterations
+    after, the crossover tries the point ``_face_point`` solves on the face
+    active at z = Pi(x - E(x)).  It becomes the next iterate only if its
+    natural-map residual, computed as an iterate's, is at most
+    ``tol_solve``; a failed try changes no iterate.  Stops when the
+    residual drops to ``tol_solve`` or the budget is spent; budget
+    exhaustion is a status, not an error, and the best iterate is still
+    returned.  Residuals per iteration are recorded in the trace (index 0
+    is the starting residual); an accepted crossover is one iteration and
+    the trace's last row.  E(x_k) is evaluated once, for x_k's residual
+    and the next y-step: 2k + 2 field calls for k steps, plus one per
+    crossover point that reaches the residual test.
     """
     region, model = problem.region, problem.model
     if start is None:
@@ -128,14 +187,18 @@ def solve_extragradient(problem: VIProblem, start=None,
         if not region.contains(x, tol=1e-8):
             raise ValueError("start point must lie in the region")
     step, tol = config.step, config.tol_solve
-    ex = model(x)
-    trace = [float(np.linalg.norm(x - region.project(x - ex)))]
+    ex, z, r = _natural_map(problem, x)
+    trace = [r]
     iterations = 0
     while trace[-1] > tol and iterations < config.budget:
-        y = region.project(x - step * ex)
-        x = region.project(x - step * model(y))
-        ex = model(x)
-        trace.append(float(np.linalg.norm(x - region.project(x - ex))))
+        crossed = None if iterations % _CROSSOVER_EVERY else _crossover(problem, z, tol)
+        if crossed is None:
+            y = region.project(x - step * ex)
+            x = region.project(x - step * model(y))
+            ex, z, r = _natural_map(problem, x)
+        else:
+            x, ex, z, r = crossed
+        trace.append(r)
         iterations += 1
     status = CONVERGED if trace[-1] <= tol else BUDGET_EXHAUSTED
     return VISolveResult(

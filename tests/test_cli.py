@@ -86,10 +86,11 @@ def test_solve_trace_csv_roundtrip(runner, tmp_path):
 
 
 def test_solve_budget_exhaustion_exit_code(runner, tmp_path):
+    # a field whose face system is singular, so no crossover ends the solve
     problem = {
-        "economy": {"kind": "catalog", "name": "rotation"},
+        "economy": {"kind": "catalog", "name": "constant_field"},
         "region": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
-        "solver": {"budget": 1, "start": [0.3, 0.8]},
+        "solver": {"budget": 1, "start": [0.8, 0.3]},
     }
     path = write(tmp_path, "problem.json", problem)
     result = runner.invoke(main, ["solve", path])
@@ -97,6 +98,18 @@ def test_solve_budget_exhaustion_exit_code(runner, tmp_path):
     payload = json.loads(result.output)
     assert payload["status"] == "budget_exhausted"
     assert len(payload["solution"]) == 2
+
+
+@pytest.mark.parametrize("name", ["rotation", "constant_positive"])
+def test_solve_emits_no_negative_zero(runner, tmp_path, name):
+    # the crossover's face solve gives -0.0 at these corners
+    problem = {
+        "economy": {"kind": "catalog", "name": name},
+        "region": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+    }
+    result = runner.invoke(main, ["solve", write(tmp_path, "problem.json", problem)])
+    assert result.exit_code == 0
+    assert "-0.0" not in result.output
 
 
 def test_solve_malformed_json(runner, tmp_path):

@@ -804,3 +804,27 @@ def test_halton_matches_scipy_engine(dim, count):
     engine = qmc.Halton(d=dim, scramble=False)
     engine.fast_forward(1)
     assert np.array_equal(_halton(count, dim), engine.random(count))
+
+
+@pytest.mark.parametrize("region", [
+    Simplex(3),
+    Box([0.0, 0.5, 0.2], [1.0, 0.5, 2.0]),
+    UNIT_SQUARE_POLY,
+    Polyhedron([[1.0, 1.0, 1.0]], [2.0], lower=np.zeros(3), upper=np.ones(3)),
+], ids=["simplex", "box", "square", "poly3"])
+def test_constraints_describe_the_region(region):
+    # (A, b, n_eq) as the crossover reads them: every point the region
+    # holds meets each row, and every point it refuses breaks one by far
+    A, b, n_eq = region.constraints()
+    assert A.shape == (b.size, region.dim) and 0 <= n_eq <= b.size
+    inside = np.vstack([region.vertices(), region.sample(20)])
+    lo, hi = region.bounding_box()
+    rng = np.random.default_rng(7)
+    outside = region.project_many(rng.uniform(lo - 1, hi + 1, (40, region.dim)))
+    outside += rng.choice([-0.5, 0.5], outside.shape)
+    for p in np.vstack([inside, outside]):
+        slack = b - A @ p
+        holds = (np.abs(slack[:n_eq]).max(initial=0.0) <= 1e-12
+                 and slack[n_eq:].min() >= -1e-12)
+        assert holds == region.contains(p), p
+    assert not region.contains_many(outside).all()

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -111,8 +111,10 @@ def test_solver_scalar_interior():
 
 
 def test_solver_budget_exhaustion_returns_best_iterate():
-    prob, _ = catalog_problem("rotation")
-    result = solve_extragradient(prob, start=[0.3, 0.8],
+    # the constant field's solutions fill the edge x_1 = 0, so its face
+    # system is singular and no crossover can end the solve early
+    prob, _ = catalog_problem("constant_field")
+    result = solve_extragradient(prob, start=[0.8, 0.3],
                                  config=HarnessConfig(budget=1))
     assert result.status == BUDGET_EXHAUSTED
     assert result.iterations == 1
@@ -202,19 +204,35 @@ SOLVER_CASES = [(name, None, HarnessConfig()) for name in SOLVER_PROBLEMS] + [
 ]
 
 
+def assert_follows_the_reference(problem, start, config, result):
+    """``result`` is the two-evaluation loop's run up to its last row, which
+    is either the loop's own or an accepted crossover: a point tried at
+    iteration 0 or a multiple of 8, whose residual, taken as the solver
+    takes an iterate's, meets ``tol_solve``.  A run with no crossover
+    accepted is the loop's, bit for bit."""
+    solution, trace, iterations = extragradient_reference(problem, start, config)
+    k = result.iterations
+    assert result.trace.size == k + 1
+    assert result.trace[:-1].tobytes() == trace[:k].tobytes()
+    assert result.residual == result.trace[-1]
+    assert result.status == (CONVERGED if result.residual <= config.tol_solve
+                             else BUDGET_EXHAUSTED)
+    if (k, result.trace.tobytes(), result.solution.tobytes()) != (
+            iterations, trace.tobytes(), solution.tobytes()):
+        assert (k - 1) % 8 == 0 and k <= iterations
+        assert result.residual <= config.tol_solve
+        assert result.residual == residual(problem, result.solution)
+        assert problem.region.contains(result.solution)
+
+
 @pytest.mark.parametrize("name, start, config", SOLVER_CASES)
 def test_solver_matches_the_two_evaluation_loop_bit_for_bit(name, start, config):
     # sharing E(x_k) between the residual and the next y-step must not move
-    # one bit of the trace, the solution or the iteration count
+    # one bit of the trace, the solution or the iteration count, up to the
+    # crossover that ends the run
     problem = SOLVER_PROBLEMS[name]
     result = solve_extragradient(problem, start=start, config=config)
-    solution, trace, iterations = extragradient_reference(problem, start, config)
-    assert result.iterations == iterations
-    assert result.trace.tobytes() == trace.tobytes()
-    assert result.solution.tobytes() == solution.tobytes()
-    assert result.residual == trace[-1]
-    assert result.status == (CONVERGED if trace[-1] <= config.tol_solve
-                             else BUDGET_EXHAUSTED)
+    assert_follows_the_reference(problem, start, config, result)
 
 
 @settings(max_examples=40, deadline=None)
@@ -226,7 +244,20 @@ def test_solver_matches_the_reference_from_random_starts(name, seed, budget):
     start = problem.region.project(np.random.default_rng(seed).uniform(lo, hi))
     config = HarnessConfig(budget=budget)
     result = solve_extragradient(problem, start=start, config=config)
-    solution, trace, iterations = extragradient_reference(problem, start, config)
+    assert_follows_the_reference(problem, start, config, result)
+
+
+@pytest.mark.parametrize("name", list(SOLVER_PROBLEMS))
+def test_solver_rejects_a_feasible_non_solution_from_the_face_solve(name):
+    # a face solve that returns a wrong point must cost a try and nothing
+    # else: the residual test turns it away and the run is the loop's
+    problem = SOLVER_PROBLEMS[name]
+    wrong = next(v for v in problem.region.vertices()
+                 if residual(problem, v) > TAU_SOLVE)
+    with mock.patch.object(vi_core, "_face_point", lambda *_: wrong.copy()):
+        result = solve_extragradient(problem)
+    solution, trace, iterations = extragradient_reference(problem, None,
+                                                          HarnessConfig())
     assert (result.iterations, result.trace.tobytes(), result.solution.tobytes()) == (
         iterations, trace.tobytes(), solution.tobytes())
 
@@ -248,15 +279,85 @@ def _counting(model):
     ("box", [0.0, 1.2, 0.2, 0.5], HarnessConfig(budget=0)),
 ])
 def test_solver_evaluates_the_field_once_per_iterate(name, start, config):
-    # E(x_0), then E(y_k) and E(x_{k+1}) per iteration, then one batch for
-    # minty_gap; the two-evaluation loop made 3 * iterations + 2 calls
+    # E(x_0), then E(y_k) and E(x_{k+1}) per step, one E per crossover point
+    # that reaches the residual test, then one batch for minty_gap; the
+    # two-evaluation loop made 3 * iterations + 2 calls
     problem = SOLVER_PROBLEMS[name]
     model, calls = _counting(problem.model)
-    result = solve_extragradient(VIProblem(model, problem.region), start=start,
-                                 config=config)
-    assert len(calls) == 2 * result.iterations + 2
+    points, face_point = [], vi_core._face_point
+
+    def recording(*args):
+        x = face_point(*args)
+        if x is not None:
+            points.append(x)
+        return x
+
+    with mock.patch.object(vi_core, "_face_point", recording):
+        result = solve_extragradient(VIProblem(model, problem.region), start=start,
+                                     config=config)
+    steps = result.iterations - any(x is result.solution for x in points)
+    assert len(calls) == 2 * steps + 2 + len(points)
     assert calls[-1][0] > 1 and all(shape == (model.dim,) for shape in calls[:-1])
-    assert result.iterations == extragradient_reference(problem, start, config)[2]
+    assert result.iterations <= extragradient_reference(problem, start, config)[2]
+
+
+def _positive_definite(draw, n):
+    """A PSD symmetric part plus 0.2 I plus a skew part, scaled to spectral
+    norm at most 5 so that the default step 0.1 keeps extragradient stable."""
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    B = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    K = np.triu(np.array(draw(st.lists(entries, min_size=n * n,
+                                       max_size=n * n))).reshape(n, n), 1)
+    M = B @ B.T + 0.2 * np.eye(n) + K - K.T
+    return M / max(1.0, np.linalg.norm(M, 2) / 5.0)
+
+
+@st.composite
+def face_problems(draw):
+    """(problem, s): a positive-definite affine field and a point s on a
+    drawn face of a box, a simplex or a polyhedron, with c = M s + v for v in
+    the normal cone at s, so that s is the unique equilibrium.  Multipliers
+    and slacks of at least 0.1 keep the face nondegenerate."""
+    n = draw(st.integers(2, 4))
+    M = _positive_definite(draw, n)
+    unit = st.floats(0.1, 1.0)
+    kind = draw(st.sampled_from(["box", "simplex", "polyhedron"]))
+    if kind == "box":
+        lower = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+        upper = lower + np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+        side = np.array(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n,
+                                      max_size=n)))
+        s = np.where(side < 0, lower, np.where(side > 0, upper, 0.5 * (lower + upper)))
+        v = side * np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+        region = Box(lower, upper)
+    elif kind == "simplex":
+        support = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        assume(support.any())
+        weights = np.array(draw(st.lists(unit, min_size=n, max_size=n))) * support
+        s = weights / weights.sum()
+        mu = np.array(draw(st.lists(unit, min_size=n, max_size=n))) * ~support
+        v = draw(st.floats(-1.0, 1.0)) - mu
+        region = Simplex(n)
+    else:
+        # k random rows through s, inside a box of margin at least 0.1
+        k = draw(st.integers(1, n))
+        s = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+        A = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=k * n,
+                                   max_size=k * n))).reshape(k, n)
+        assume(np.linalg.svd(A, compute_uv=False).min() >= 0.1)
+        margin = np.array(draw(st.lists(unit, min_size=2 * n, max_size=2 * n)))
+        v = np.array(draw(st.lists(unit, min_size=k, max_size=k))) @ A
+        region = Polyhedron(A, A @ s, lower=s - margin[:n], upper=s + margin[n:])
+    return VIProblem(linear_economy(M, M @ s + v), region), s
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=face_problems())
+def test_solver_finds_the_equilibrium_on_a_drawn_face(case):
+    problem, s = case
+    result = solve_extragradient(problem)
+    assert result.status == CONVERGED
+    assert np.linalg.norm(result.solution - s) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
