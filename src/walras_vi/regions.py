@@ -236,9 +236,19 @@ class ConvexRegion(ABC):
         return self.project(0.5 * (lo + hi))
 
     def project_many(self, points) -> FloatArray:
-        """Row-wise projection of an (m, dim) array."""
+        """Row-wise projection of an (m, dim) array.  A row with slack at most
+        -1e-9 max(1, |A||p| + |b|) on every inequality row, far past the
+        rounding of any order of that sum, is its own projection; the other
+        rows, and all rows of a region with equality rows, go to ``project``."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.vstack([self.project(row) for row in pts])
+        A, b, n_eq = self.constraints()
+        with np.errstate(all="ignore"):  # a non-finite row fails the screen
+            margin = 1e-9 * np.maximum(1.0, np.abs(pts) @ np.abs(A).T + np.abs(b))
+            inside = np.all(pts @ A.T - b + margin <= 0.0, axis=1) & (n_eq == 0)
+        out = pts.copy()
+        for i in np.flatnonzero(~inside):
+            out[i] = self.project(pts[i])
+        return out
 
     def grid(self, spacing: float) -> FloatArray:
         """Deterministic feasible mesh with the given nominal spacing.
@@ -264,8 +274,8 @@ class ConvexRegion(ABC):
         return pts
 
     def probe_points(self, count: int) -> FloatArray:
-        """The region's vertices, where ``vertices`` can enumerate them, then
-        ``count`` points of ``sample``."""
+        """The region's vertices, where ``vertices`` has them (closed form or
+        kept from construction), then ``count`` points of ``sample``."""
         chunks = [np.empty((0, self.dim))]
         with suppress(ValueError):
             chunks.append(self.vertices())
@@ -276,7 +286,7 @@ class ConvexRegion(ABC):
     def sample(self, count: int) -> FloatArray:
         """Deterministic low-discrepancy points inside the region.
 
-        Halton points in the bounding box, projected onto the region.
+        Halton points in the bounding box, projected by ``project_many``.
         """
         if count < 1:
             raise ValueError("sample count must be positive")
@@ -289,7 +299,8 @@ def _halton(count: int, dim: int) -> FloatArray:
 
     Point i has coordinate sum_k d_k b^-(k+1) on the axis of base b, where
     d_k are the base-b digits of i (the radical inverse).  Point 0, the
-    origin, is skipped.
+    origin, is skipped.  Each pass takes one digit on every axis; an axis out
+    of digits adds +0.0, so each axis sums its digits in its own order.
     """
     primes: list[int] = []
     candidate = 2
@@ -297,13 +308,13 @@ def _halton(count: int, dim: int) -> FloatArray:
         if all(candidate % q for q in primes):
             primes.append(candidate)
         candidate += 1
-    out = np.zeros((count, dim))
-    for axis, base in enumerate(primes):
-        digits, scale = np.arange(1, count + 1), 1.0
-        while digits.any():
-            scale /= base
-            out[:, axis] += scale * (digits % base)
-            digits //= base
+    bases = np.array(primes)
+    digits = np.arange(1, count + 1)[:, None]
+    scale, out = np.ones(dim), np.zeros((count, dim))
+    for _ in range(int(count).bit_length()):
+        scale /= bases
+        digits, rem = np.divmod(digits, bases)
+        out += scale * rem
     return out
 
 
@@ -457,10 +468,12 @@ class Box(ConvexRegion):
         return self.lower.copy(), self.upper.copy()
 
     def vertices(self) -> FloatArray:
+        """The distinct corners, lexicographic; a flat axis gives its lower bound."""
         if self.dim > 16:
             raise ValueError("vertex enumeration limited to dim <= 16")
-        corners = itertools.product(*zip(self.lower, self.upper))
-        return np.unique(np.array(list(corners), dtype=float), axis=0)
+        lo, hi = self.lower.tolist(), self.upper.tolist()
+        axes = [(a,) if a == b else (a, b) for a, b in zip(lo, hi)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
 
     def constraints(self):
         """x <= upper, then -x <= -lower."""
@@ -472,8 +485,8 @@ class Polyhedron(ConvexRegion):
     """Half-space intersection {x : A x <= b}, certified nonempty and bounded.
 
     At dim <= 3, with at most VERTEX_SUBSET_LIMIT row subsets, construction
-    enumerates the vertices: the bounding box is their min and max, and the
-    lexicographically first, which attains min x_0, is the anchor point.
+    enumerates the vertices, and keeps them: the bounding box is their min and
+    max, and the lexicographically first, which attains min x_0, is the anchor.
     Otherwise it solves the 2n bounding-box LPs and raises unless every one
     has an optimum; the first optimum is the anchor.  Optional finite
     per-axis lower/upper bounds are folded in as extra rows; the resulting
@@ -513,6 +526,7 @@ class Polyhedron(ConvexRegion):
         # project's least-distance matrix [A_u^T; c^T], c written per call
         self._lsd = np.vstack((self._unit_A.T, np.zeros_like(self.b)))
         self._e = np.eye(n + 1)[n]
+        self._vertices: Optional[FloatArray] = None
         if n <= 3 and math.comb(self.b.size, n) <= VERTEX_SUBSET_LIMIT:
             self._bound_by_vertices()
         else:
@@ -536,7 +550,7 @@ class Polyhedron(ConvexRegion):
             raise ValueError(f"polyhedron must be nonempty and bounded "
                              f"(fewer than {n + 1} constraints)")
         try:
-            pts = self.vertices()
+            pts = self._vertex_points()
         except ValueError as exc:
             raise ValueError(f"polyhedron must be nonempty and bounded ({exc})") from None
         rows = self._unit_A[_row_subsets(self.b.size, n - 1)]
@@ -550,7 +564,8 @@ class Polyhedron(ConvexRegion):
             raise ValueError(f"polyhedron must be nonempty and bounded "
                              f"(A d <= 0 at d = {(rays[0] + 0.0).tolist()})")
         self._lower, self._upper = pts.min(axis=0), pts.max(axis=0)
-        self._anchor = pts[0]
+        self._anchor, self._vertices = pts[0], pts
+        pts.flags.writeable = False
 
     def _bound_by_lp(self) -> None:
         """Box and anchor from the 2n bounding-box LPs; raises unless every
@@ -638,6 +653,11 @@ class Polyhedron(ConvexRegion):
         return self._unit_A, self._unit_b, 0
 
     def vertices(self) -> FloatArray:
+        """The vertices kept, read-only, from construction; without them (LP
+        bounds) the enumeration raises."""
+        return self._vertex_points() if self._vertices is None else self._vertices
+
+    def _vertex_points(self) -> FloatArray:
         """Basic feasible points from all n-subsets of active constraints.
 
         A subset is a basis when its unit rows have |det| >= 1e-12, so the

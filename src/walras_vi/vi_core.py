@@ -95,8 +95,8 @@ def residual(problem: VIProblem, x) -> float:
 
 
 def minty_gap(problem: VIProblem, x) -> float:
-    """max of E(p).(x - p) over the region's vertices and 64 Halton points
-    (``ConvexRegion.probe_points``); <= 0 means dual-consistent there."""
+    """max of E(p).(x - p) over ``probe_points(64)``: the region's vertices and
+    64 Halton points, projected unless inside by far; <= 0: dual-consistent there."""
     p = as_price_vector(x, problem.dim)
     pts = problem.region.probe_points(64)
     evals = problem.model(pts)

@@ -11,16 +11,17 @@ earlier pair checkers, its earlier per-class scans, its earlier fused
 scan, its earlier strict exclusions and line filter, its earlier
 union-find clustering, its earlier dual scan, its cascade before its
 chunks shared a buffer, its earlier simplex projection, NNLS, polyhedral
-projection and extragradient loop, and its earlier ``Simplex.grid`` and
-``minty_gap``, kept verbatim apart
+projection and extragradient loop, its earlier ``Simplex.grid`` and
+``minty_gap``, and its earlier probe set (Halton digits, box corners,
+polyhedron vertices and row-by-row ``project_many``), kept verbatim apart
 from the fused scan's sums, which run in k order as the library's do.  The
 pair checkers, ``check_tuple_classes``, the dual class's own scan,
 ``SamplePlan.strict_exclusions``, ``cluster_members`` and the Minty
 rejection cascade must agree with them
 byte for byte (the per-class scans and the two-pass Minty scan on grids
 where every pairing is exact; elsewhere up to BLAS rounding); the
-projections, the solver, the simplex grid, the dual gap and the earlier
-cascade must agree bit for bit.
+projections, the solver, the simplex grid, the dual gap, the probe set and
+the earlier cascade must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from walras_vi.economy import ExcessDemandModel
 from walras_vi.monotonicity import (_SCAN_PAIRS, HOLDS, REFUTED,
                                     MonotonicityReport, SamplePlan, Witness,
                                     _allowance, _combine)
-from walras_vi.regions import (FloatArray, ProjectionBudgetError, _check_grid_size,
-                               as_price_vector)
+from walras_vi.regions import (Box, FloatArray, Polyhedron, ProjectionBudgetError,
+                               _check_grid_size, _row_subsets, as_price_vector,
+                               first_distinct)
 from walras_vi.vi_core import residual
 
 
@@ -856,13 +858,88 @@ def simplex_grid_reference(self, spacing: float) -> FloatArray:
 
 
 def minty_gap_reference(problem, x) -> float:
-    """max of E(p).(x - p) over 64 Halton points and the region's vertices."""
+    """max of E(p).(x - p) over 64 Halton points and the region's vertices,
+    both built by the references below."""
     p = as_price_vector(x, problem.dim)
-    pts = [problem.region.sample(64)]
+    pts = [sample_reference(problem.region, 64)]
     try:
-        pts.append(problem.region.vertices())
+        pts.append(vertices_reference(problem.region))
     except ValueError:
         pass
     pts = np.vstack(pts)
     evals = problem.model(pts)
     return float(np.einsum("ij,ij->i", evals, p[None, :] - pts).max())
+
+
+# ---------------------------------------------------------------------------
+# the probe set as it was before it was made cheap: corners by product and
+# np.unique, polyhedron vertices enumerated on every call, one projection per
+# sample row, and Halton digits one axis at a time
+
+
+def halton_reference(count: int, dim: int) -> FloatArray:
+    """``_halton``."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < dim:
+        if all(candidate % q for q in primes):
+            primes.append(candidate)
+        candidate += 1
+    out = np.zeros((count, dim))
+    for axis, base in enumerate(primes):
+        digits, scale = np.arange(1, count + 1), 1.0
+        while digits.any():
+            scale /= base
+            out[:, axis] += scale * (digits % base)
+            digits //= base
+    return out
+
+
+def box_vertices_reference(self) -> FloatArray:
+    """``Box.vertices`` of box ``self``."""
+    if self.dim > 16:
+        raise ValueError("vertex enumeration limited to dim <= 16")
+    corners = itertools.product(*zip(self.lower, self.upper))
+    return np.unique(np.array(list(corners), dtype=float), axis=0)
+
+
+def polyhedron_vertices_reference(self) -> FloatArray:
+    """``Polyhedron.vertices`` of polyhedron ``self``."""
+    if self.dim > 3:
+        raise ValueError("vertex enumeration is desk-scale only (dim <= 3)")
+    rows = _row_subsets(self.b.size, self.dim)
+    rows = rows[np.abs(np.linalg.det(self._unit_A[rows])) >= 1e-12]
+    if rows.shape[0] == 0:
+        raise ValueError(f"the constraint normals span fewer than "
+                         f"{self.dim} dimensions")
+    pts = np.linalg.solve(self.A[rows], self.b[rows][..., None])[..., 0]
+    pts = pts[self.contains_many(pts, tol=1e-9)]
+    if pts.shape[0] == 0:
+        raise ValueError("no point satisfies A x <= b")
+    pts = pts[first_distinct(pts, 1e-9)]
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+def vertices_reference(region) -> FloatArray:
+    """``region.vertices()`` by the references above."""
+    if isinstance(region, Box):
+        return box_vertices_reference(region)
+    if isinstance(region, Polyhedron):
+        return polyhedron_vertices_reference(region)
+    return region.vertices()  # the simplex's identity rows
+
+
+def project_many_reference(self, points) -> FloatArray:
+    """``ConvexRegion.project_many`` of region ``self``."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return np.vstack([self.project(row) for row in pts])
+
+
+def sample_reference(region, count: int) -> FloatArray:
+    """``ConvexRegion.sample``; the simplex and the box keep their own
+    ``project_many``."""
+    lo, hi = region.bounding_box()
+    rows = lo + halton_reference(count, region.dim) * (hi - lo)
+    if isinstance(region, Polyhedron):
+        return project_many_reference(region, rows)
+    return region.project_many(rows)

@@ -1,0 +1,150 @@
+"""Metamorphic relations: transformations that are exact in real arithmetic
+must not change a mask or a verdict (Chen, Cheung and Yiu, "Metamorphic
+testing", 1998).
+
+Random affine fields E(p) = M p - c with entries on a 1/8 grid, on boxes,
+simplices and polyhedra of dimension 1 to 3, at decimal and dyadic grid
+spacings.  The relations:
+
+* (b) scaling M, c and ``lipschitz`` by 2^k scales every field value and
+  the oracle's tolerance exactly, so no mask and no verdict may move;
+* (c) permuting a plan's base points permutes its tuples, so no verdict,
+  no ``holds_on_samples`` margin and no ``samples_used`` may move;
+* (a) relabeling the commodities (M -> P M P^T, c -> P c, the region's axes
+  permuted) leaves the problem the same; it fails today (ROADMAP Finding 4)
+  and is pinned as a strict xfail.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from walras_vi.constants import HarnessConfig
+from walras_vi.economy import linear_economy
+from walras_vi.monotonicity import CLASS_NAMES, SamplePlan, build_plan, check_class
+from walras_vi.regions import Box, Polyhedron, Simplex
+from walras_vi.vi_core import VIProblem, enumerate_solutions
+
+CONFIG = HarnessConfig(num_points=12)
+EIGHTHS = st.integers(-16, 16).map(lambda k: k / 8)
+
+
+def _region(kind, n, params, perm=None):
+    """The region of ``kind`` from drawn ``params``, its axes in the order
+    ``perm`` (identity when None)."""
+    perm = np.arange(n) if perm is None else np.asarray(perm)
+    if kind == "simplex":
+        return Simplex(n)
+    if kind == "box":
+        lower, width = params
+        return Box(lower[perm], (lower + width)[perm])
+    A, b = params
+    return Polyhedron(A[:, perm], b, lower=np.zeros(n), upper=np.ones(n))
+
+
+@st.composite
+def affine_cases(draw):
+    """(M, c, kind, params, spacing, lipschitz) for one problem."""
+    kind = draw(st.sampled_from(["box", "simplex", "polyhedron"]))
+    n = draw(st.integers(2 if kind == "simplex" else 1, 3))
+    square = st.lists(st.lists(EIGHTHS, min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    M = np.array(draw(square))
+    c = np.array(draw(st.lists(EIGHTHS, min_size=n, max_size=n)))
+    quarters = st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=n, max_size=n)
+    if kind == "box":
+        params = (np.array(draw(quarters)), 0.5 + np.array(draw(quarters)))
+    elif kind == "polyhedron":
+        m = draw(st.integers(1, 2))
+        A = np.array(draw(st.lists(st.lists(EIGHTHS, min_size=n, max_size=n),
+                                   min_size=m, max_size=m)))
+        assume(np.all(np.any(A != 0, axis=1)))
+        center = 0.25 + np.array(draw(quarters))
+        params = (A, A @ center + draw(st.sampled_from([0.25, 0.5, 1.0])))
+    else:
+        params = None
+    coarse = [0.125, 0.25, 0.2] if n == 3 else [0.05, 0.0625, 0.1, 0.125]
+    spacing = draw(st.sampled_from(coarse))
+    lipschitz = draw(st.sampled_from([0.02, 0.1, 0.25]))
+    return M, c, kind, params, spacing, lipschitz
+
+
+def _verdicts(model, plan):
+    return {name: check_class(name, model, plan) for name in CLASS_NAMES}
+
+
+def _masks(model, region, spacing, lipschitz):
+    est = enumerate_solutions(VIProblem(model, region), spacing, lipschitz)
+    return est.grid_points, est.stampacchia_mask, est.minty_mask
+
+
+@settings(max_examples=100, deadline=None)
+@given(affine_cases(), st.sampled_from([-3, -1, 1, 2, 5]))
+def test_dyadic_scaling_moves_no_mask_and_no_verdict(case, k):
+    M, c, kind, params, spacing, lipschitz = case
+    region = _region(kind, M.shape[0], params)
+    f = 2.0 ** k
+    model, scaled = linear_economy(M, c), linear_economy(f * M, f * c)
+    grid, stamp, minty = _masks(model, region, spacing, lipschitz)
+    _, stamp_f, minty_f = _masks(scaled, region, spacing, f * lipschitz)
+    assert np.array_equal(stamp, stamp_f) and np.array_equal(minty, minty_f)
+    plan = build_plan(region, CONFIG)
+    before, after = _verdicts(model, plan), _verdicts(scaled, plan)
+    assert {n: r.verdict for n, r in before.items()} == {
+        n: r.verdict for n, r in after.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(affine_cases(), st.randoms(use_true_random=False))
+def test_permuting_the_base_points_moves_no_verdict(case, rng):
+    M, c, kind, params, _, _ = case
+    region = _region(kind, M.shape[0], params)
+    model = linear_economy(M, c)
+    plan = build_plan(region, CONFIG)
+    order = list(range(plan.size))
+    rng.shuffle(order)
+    shuffled = SamplePlan(region, plan.base_points[order], CONFIG)
+    before, after = _verdicts(model, plan), _verdicts(model, shuffled)
+    for name in CLASS_NAMES:
+        a, b = before[name], after[name]
+        assert (a.verdict, a.samples_used) == (b.verdict, b.samples_used), name
+        if not a.refuted:  # a refuted margin follows the first violation
+            assert a.margin == b.margin, name
+
+
+# linear_identity on the unit square at grid 0.02, coordinates reversed: two
+# Minty members move (ROADMAP Finding 4)
+LINEAR_IDENTITY = (np.eye(2), np.array([0.5, 0.5]), "box",
+                   (np.zeros(2), np.ones(2)), 0.02, 0.1)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP Finding 4: relabeling the "
+                   "commodities reorders the products inside each pairing, "
+                   "and rounding then moves Minty members")
+@settings(max_examples=10, deadline=None)
+@given(affine_cases(), st.randoms(use_true_random=False))
+@example(LINEAR_IDENTITY, None)
+def test_relabeling_the_commodities_moves_no_mask_and_no_verdict(case, rng):
+    M, c, kind, params, spacing, lipschitz = case
+    n = M.shape[0]
+    perm = list(range(n))[::-1]
+    if rng is not None:
+        rng.shuffle(perm)
+    region, relabeled = _region(kind, n, params), _region(kind, n, params, perm)
+    model = linear_economy(M, c)
+    moved = linear_economy(M[perm][:, perm], c[perm])
+    members = []
+    for mdl, reg, cols in ((model, region, list(range(n))), (moved, relabeled, perm)):
+        grid, stamp, minty = _masks(mdl, reg, spacing, lipschitz)
+        back = np.empty_like(grid)
+        back[:, cols] = grid         # relabeled coordinates back in place
+        members.append([sorted(map(tuple, back[mask].tolist()))
+                        for mask in (stamp, minty)])
+    assert members[0] == members[1]
+    plan = build_plan(region, CONFIG)
+    relabeled_plan = SamplePlan(relabeled, plan.base_points[:, perm], CONFIG)
+    before, after = _verdicts(model, plan), _verdicts(moved, relabeled_plan)
+    for name in CLASS_NAMES:
+        a, b = before[name], after[name]
+        assert (a.verdict, a.samples_used) == (b.verdict, b.samples_used), name

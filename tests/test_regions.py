@@ -8,10 +8,14 @@ from numpy.testing import assert_allclose
 
 from conftest import (
     box_grid,
+    box_vertices_reference,
+    halton_reference,
     nearest_grid_point,
     nnls_reference,
     polyhedron_lp_reference,
     polyhedron_project_reference,
+    polyhedron_vertices_reference,
+    project_many_reference,
     project_onto_simplex_reference,
     projection_kkt_residual,
     simplex_grid_reference,
@@ -39,6 +43,11 @@ UNIT_SQUARE_POLY = Polyhedron(np.vstack([np.eye(2), -np.eye(2)]),
 
 def coords(n, lo=-3.0, hi=3.0):
     return st.lists(st.floats(lo, hi, allow_nan=False), min_size=n, max_size=n)
+
+
+def assert_same_bits(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +304,44 @@ HALF_LINE = (np.array([[1.0], [2.0]]), np.array([1.0, 3.0]))
 def test_unbounded_regions_rejected(build):
     with pytest.raises(ValueError, match="finite|bounded"):
         build()
+
+
+@st.composite
+def boxes(draw):
+    """A box of 1 to 16 axes, each a range, a flat axis, or a flat axis at
+    zero whose bounds carry opposite zero signs; a -0.0 lower bound is
+    drawn often."""
+    lower, upper = [], []
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(["range", "range", "flat", "signed-zeros"]))
+        if kind == "signed-zeros":
+            a = draw(st.sampled_from([-0.0, 0.0]))
+            b = -a
+        else:
+            a = draw(st.sampled_from([-0.0, 0.0, 0.25, 1.5]))
+            b = a if kind == "flat" else a + 0.75
+        lower.append(a)
+        upper.append(b)
+    return Box(lower, upper)
+
+
+@settings(max_examples=60, deadline=None)
+@given(boxes())
+@example(Box([-0.0, 0.0], [0.0, 1.0]))
+@example(Box(np.zeros(16), np.ones(16)))
+def test_box_vertices_match_the_product_and_unique_corners(box):
+    got, expected = box.vertices(), box_vertices_reference(box)
+    assert got.shape == expected.shape and np.array_equal(got, expected)
+    # a flat axis keeps its lower bound's bits.  The reference keeps them
+    # too wherever its bits are defined: its sort of the 2^n product rows
+    # is numpy's insertion sort up to 16 rows; past that, on a flat axis
+    # with bounds -0.0 and 0.0, which equal rows survive np.unique depends
+    # on the unstable sort, and a column can mix the two signs
+    flat = box.lower == box.upper
+    assert_same_bits(got[:, flat], np.broadcast_to(box.lower[flat], got[:, flat].shape))
+    mixed_zeros = flat & (np.signbit(box.lower) != np.signbit(box.upper))
+    if 2 ** box.dim <= 16 or not mixed_zeros.any():
+        assert_same_bits(got, expected)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-5, 1e3])
@@ -591,6 +638,57 @@ def test_polyhedron_projection_matches_reference_bit_for_bit(case):
                              lambda: polyhedron_project_reference(region, x))
 
 
+@settings(max_examples=100, deadline=None)
+@given(polyhedron_cases())
+def test_kept_polyhedron_vertices_match_the_enumeration(case):
+    region, _, _ = case
+    assert_same_bits(region.vertices(), polyhedron_vertices_reference(region))
+
+
+def test_polyhedron_vertices_cannot_change_the_region():
+    region = Polyhedron([[1.0, 1.0, 1.0]], [2.0], lower=np.zeros(3), upper=np.ones(3))
+    before = region.vertices().copy()
+    with pytest.raises(ValueError, match="read-only"):
+        region.vertices()[0, 0] = 5.0
+    assert_same_bits(region.vertices(), before)
+    assert np.array_equal(region.bounding_box(), (np.zeros(3), np.ones(3)))
+
+
+@st.composite
+def project_many_cases(draw):
+    """A polyhedron of ``polyhedron_cases`` (flat ones included) and rows
+    to project: its vertices and edge midpoints, each coordinate moved by
+    up to 4 ulps either way, so that rows sit on, just inside and just
+    outside facets; the vertex mean; the drawn point; a point far outside;
+    and all of them again in reverse order, as duplicates."""
+    region, x, scale = draw(polyhedron_cases())
+    verts = region.vertices()
+    near = np.vstack([verts, (verts + np.roll(verts, 1, axis=0)) / 2])
+    ulps = draw(st.lists(st.integers(-4, 4), min_size=near.size, max_size=near.size))
+    near = near + np.reshape(ulps, near.shape) * np.spacing(near)
+    mean = verts.mean(axis=0)
+    rows = np.vstack([near, mean, x, mean + 100.0 * scale])
+    return region, np.vstack([rows, rows[::-1]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(project_many_cases())
+def test_polyhedron_project_many_matches_row_by_row_project(case):
+    # rows the interior screen passes must be the rows project returns
+    # unchanged; a failing row raises as the row-by-row loop raises
+    region, rows = case
+    _same_bits_or_same_error(lambda: region.project_many(rows),
+                             lambda: project_many_reference(region, rows))
+
+
+def test_project_many_screens_no_row_of_a_region_with_equality_rows():
+    # (0.2, 0.2, 0.2) meets the simplex's sum row by far as an inequality,
+    # but not as the equality it is
+    simplex, rows = Simplex(3), np.array([[0.2, 0.2, 0.2], [0.5, 0.25, 0.25]])
+    assert_same_bits(regions.ConvexRegion.project_many(simplex, rows),
+                     project_many_reference(simplex, rows))
+
+
 def test_polyhedron_projection_matches_reference_on_a_pinned_flat_set():
     # repeated and opposite rows pin x_1 and x_3; a row-major copy of the
     # column-major least-distance matrix took another BLAS path here and
@@ -804,6 +902,15 @@ def test_halton_matches_scipy_engine(dim, count):
     engine = qmc.Halton(d=dim, scramble=False)
     engine.fast_forward(1)
     assert np.array_equal(_halton(count, dim), engine.random(count))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5000), st.integers(1, 16))
+@example(1, 1)
+@example(4096, 16)  # one more base-2 digit than 4095 needs
+@example(np.int64(64), 10)  # a numpy count, as a library caller may pass
+def test_halton_matches_the_axis_by_axis_digit_loop(count, dim):
+    assert_same_bits(_halton(count, dim), halton_reference(count, dim))
 
 
 @pytest.mark.parametrize("region", [

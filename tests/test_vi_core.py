@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from conftest import (
     cluster_centroids,
     extragradient_reference,
+    halton_reference,
     minty_gap_reference,
     minty_members_bruteforce,
     minty_values_reference,
@@ -18,7 +19,7 @@ from conftest import (
     single_linkage_clusters,
     stampacchia_members_bruteforce,
 )
-from walras_vi import vi_core
+from walras_vi import regions, vi_core
 from walras_vi.constants import TAU_PROJ, TAU_SOLVE, HarnessConfig
 from walras_vi.economy import (
     ExcessDemandModel,
@@ -183,6 +184,37 @@ def test_minty_gap_matches_the_samples_first_scan(label, problem):
     for x in np.vstack([region.feasible_point()[None], region.sample(7),
                         region.probe_points(0)[:5]]):
         assert minty_gap(problem, x) == minty_gap_reference(problem, x), x
+
+
+@pytest.mark.parametrize("name", ["poly3", "mortgage"])
+def test_minty_gap_projects_only_the_halton_rows_not_strictly_inside(
+        monkeypatch, name):
+    # the probe set costs one projection per Halton row outside the region
+    # or on its boundary (mortgage's first row, (1, 2), is on p1 - p2 = -1),
+    # and no vertex enumeration after construction
+    region = SOLVE_SWEEP_REGIONS[name]
+    problem = VIProblem(linear_economy(np.eye(region.dim), np.zeros(region.dim)),
+                        region)
+    lo, hi = region.bounding_box()
+    A, b, _ = region.constraints()
+    worst = ((lo + halton_reference(64, region.dim) * (hi - lo)) @ A.T - b).max(axis=1)
+    # the strictly inside rows are far inside: none is near the screen's margin
+    assert not np.any((worst > -1e-6) & (worst < 0.0))
+    calls = []
+    real_project = Polyhedron.project
+
+    def counting_project(self, x):
+        calls.append(x)
+        return real_project(self, x)
+
+    def no_enumeration(m, k):
+        raise AssertionError("vertices enumerated after construction")
+
+    monkeypatch.setattr(Polyhedron, "project", counting_project)
+    monkeypatch.setattr(regions, "_row_subsets", no_enumeration)
+    gap = minty_gap(problem, region.feasible_point())
+    assert len(calls) == np.count_nonzero(worst >= 0.0) > 0
+    assert gap == minty_gap_reference(problem, region.feasible_point())
 
 
 # Problems with boundary solutions on each region kind, as the solve
