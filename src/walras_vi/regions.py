@@ -239,10 +239,11 @@ class ConvexRegion(ABC):
         """Row-wise projection of an (m, dim) array.  A row with slack at most
         -1e-9 max(1, |A||p| + |b|) on every inequality row, far past the
         rounding of any order of that sum, is its own projection; the other
-        rows, and all rows of a region with equality rows, go to ``project``."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        rows, and all rows of a region with equality rows, go to ``project``.
+        Rows must be finite and of the region's dimension, as in ``project``."""
+        pts = _price_rows(points, self.dim)
         A, b, n_eq = self.constraints()
-        with np.errstate(all="ignore"):  # a non-finite row fails the screen
+        with np.errstate(all="ignore"):  # an overflowing row fails the screen
             margin = 1e-9 * np.maximum(1.0, np.abs(pts) @ np.abs(A).T + np.abs(b))
             inside = np.all(pts @ A.T - b + margin <= 0.0, axis=1) & (n_eq == 0)
         out = pts.copy()
@@ -375,7 +376,7 @@ class Simplex(ConvexRegion):
         return project_onto_simplex(as_price_vector(x, self.n))
 
     def project_many(self, points) -> FloatArray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = _price_rows(points, self.n)
         u = np.sort(pts, axis=1)[:, ::-1]
         css = np.cumsum(u, axis=1) - 1.0
         ks = np.arange(1, self.n + 1)
@@ -454,8 +455,7 @@ class Box(ConvexRegion):
         return np.minimum(np.maximum(p, self.lower), self.upper)
 
     def project_many(self, points) -> FloatArray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.clip(pts, self.lower, self.upper)
+        return np.clip(_price_rows(points, self.dim), self.lower, self.upper)
 
     def contains(self, x, tol: float = TAU_FEAS) -> bool:
         return bool(self.contains_many(as_price_vector(x, self.dim), tol)[0])
@@ -554,8 +554,11 @@ class Polyhedron(ConvexRegion):
         except ValueError as exc:
             raise ValueError(f"polyhedron must be nonempty and bounded ({exc})") from None
         rows = self._unit_A[_row_subsets(self.b.size, n - 1)]
-        d = np.stack([(-1) ** j * np.linalg.det(np.delete(rows, j, axis=2))
-                      for j in range(n)], axis=-1)
+        # a subnormal entry can leave a zero LU pivot whose log raises the
+        # divide flag inside det; that det is then 0, as it should be
+        with np.errstate(divide="ignore"):
+            d = np.stack([(-1) ** j * np.linalg.det(np.delete(rows, j, axis=2))
+                          for j in range(n)], axis=-1)
         norm = np.linalg.norm(d, axis=1)
         d = d[norm >= 1e-12] / norm[norm >= 1e-12, None]
         rays = np.vstack((d, -d))
@@ -669,7 +672,8 @@ class Polyhedron(ConvexRegion):
         if self.dim > 3:
             raise ValueError("vertex enumeration is desk-scale only (dim <= 3)")
         rows = _row_subsets(self.b.size, self.dim)
-        rows = rows[np.abs(np.linalg.det(self._unit_A[rows])) >= 1e-12]
+        with np.errstate(divide="ignore"):  # as in _bound_by_vertices
+            rows = rows[np.abs(np.linalg.det(self._unit_A[rows])) >= 1e-12]
         if rows.shape[0] == 0:
             raise ValueError(f"the constraint normals span fewer than "
                              f"{self.dim} dimensions")

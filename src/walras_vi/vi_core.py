@@ -18,27 +18,22 @@ point passes the residual test an iterate must pass.
 
 ``enumerate_solutions`` is the independent oracle: it classifies every
 feasible grid point against both definitions with the full grid as probe
-set.  A linear functional on a finite set is minimized at a vertex of the
-set's convex hull, so the primal test's min_p E(p_i).p is taken exactly
-over the grid's hull vertices (qhull), whatever the region kind.  The dual
-test has no such shortcut (for a positive-definite linear field every
-lifted point (E(p), -E(p).p) is a hull vertex).  It runs a rejection
-cascade: strided probe levels of growing size drop most grid points after
-a few pairings each, and a point that survives every level has been
-paired with every grid point exactly once, so members get the exact
-full-grid minimum.
+set, both by one rejection cascade (``_cascade``).  The primal test's
+min_p E(p_i).p is a linear functional, minimized at a hull vertex, so its
+columns are the rows of ``_extreme_points``.  The dual test has no such
+shortcut (for a positive-definite linear field every lifted point
+(E(p), -E(p).p) is a hull vertex), so its columns are the whole grid.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import HarnessConfig
 from .economy import ExcessDemandModel
-from .regions import ConvexRegion, FloatArray, as_price_vector
+from .regions import _BLOCK_ENTRIES, ConvexRegion, FloatArray, as_price_vector
 
 __all__ = [
     "CONVERGED",
@@ -248,64 +243,63 @@ class SolutionSetEstimate:
         return out
 
 
-def _extreme_points(grid: FloatArray) -> FloatArray:
-    """Grid rows that include every vertex of the grid's convex hull.
-
-    qhull runs in the principal coordinates of the grid's affine hull, in
-    one fewer each time it finds the points flat within its rounding; rank
-    <= 1 (a point or a segment) gives the two endpoints.  Centering on the
-    first row keeps a coordinate that is constant over the grid exactly 0.
+def _extreme_points(points: FloatArray) -> FloatArray:
+    """Rows that include every vertex of the points' convex hull: those whose
+    coordinate along every axis is the least or the greatest on its axis
+    line (the rows whose other coordinates equal its own).  A row strictly
+    inside its axis line lies between two others, so it is no vertex.  Rows
+    compare by value, so duplicates stay, whatever the set and its flatness.
     """
-    from scipy.spatial import ConvexHull, QhullError
+    keep = np.ones(points.shape[0], dtype=bool)
+    for a in range(points.shape[1]):
+        rest = np.delete(points, a, axis=1)
+        order = np.lexsort((points[:, a], *rest.T[::-1]))  # by axis line, then a
+        new = np.r_[True, (rest[order[1:]] != rest[order[:-1]]).any(axis=1)]
+        line, v = np.cumsum(new) - 1, points[order, a]
+        ends = np.r_[np.flatnonzero(new)[1:], v.size] - 1
+        keep[order] &= (v == v[new][line]) | (v == v[ends][line])
+    return points[keep]
 
-    centered = grid - grid[0]
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    rank = int(np.sum(s > s.max() * max(centered.shape) * np.finfo(float).eps))
-    for r in range(rank, 1, -1):
-        with suppress(QhullError):
-            return grid[ConvexHull(centered @ vt[:r].T).vertices]
-    t = centered @ vt[0]
-    return grid[[t.argmin(), t.argmax()]]
 
+def _cascade(X: FloatArray, Y: FloatArray, a, b, tol: float,
+             buf=None) -> FloatArray:
+    """a_i + min over j of X_i.Y_j + b_j for every row i of X kept to the end.
 
-def _minty_values(grid: FloatArray, evals: FloatArray, diag: FloatArray,
-                  tol: float) -> FloatArray:
-    """min over j of E(p_j).(p_j - p_i) for every grid point i kept to the end.
-
-    Probe levels of 16, 256 and 4,096 strided columns, then all G, each
-    score only the rows that survived the level before, and only against
-    the columns no earlier level scored; the running value folds them in
-    with ``np.minimum``.  A row leaves after the first level that gives it
-    a pairing below ``-tol``, with the minimum over the columns scored so
-    far.  A row that reaches the end has seen every column exactly once, so
-    its value is the full-grid minimum.  Rows come in chunks of at most
-    ``_MINTY_PAIRS`` pairings (one row when a row alone has more), each
-    paired and reduced in place in a prefix of one buffer per call.
+    Probe levels of 16, 256 and 4,096 strided rows of Y, then all, each
+    score the rows of X left by the level before against the columns no
+    earlier level scored.  A row leaves once a_i plus its minimum is below
+    ``-tol``; a row that reaches the end has seen every column once, so its
+    value is the full minimum.  Rows come in chunks of at most
+    ``_MINTY_PAIRS`` pairings (one row when a row alone has more), reduced
+    in place in a prefix of ``buf``.  Minty: (grid, -E(grid), 0, diag), by
+    exact negation E(p_j).(p_j - p_i); Stampacchia: (E(grid),
+    ``_extreme_points(grid)``, -diag, 0), that is E(p_i).(p_j - p_i).
 
     Pairings are BLAS products, whose last bit can depend on where a column
     falls in a block; where coordinates and field values round, another
     blocking of the same scan may differ from this one by that rounding.
     """
-    G = grid.shape[0]
-    vals = np.full(G, np.inf)
-    rows = np.arange(G)
-    fresh = np.ones(G, dtype=bool)
-    buf = np.empty(min(G * G, max(_MINTY_PAIRS, G)))
-    for level in (16, 256, 4096, G):
-        cols = np.arange(0, G, max(1, G // level))
+    R, C = X.shape[0], Y.shape[0]
+    a, b = np.broadcast_to(a, R), np.broadcast_to(b, C)
+    buf = np.empty(min(R * C, max(_MINTY_PAIRS, C))) if buf is None else buf
+    vals = np.full(R, np.inf)
+    rows = np.arange(R)
+    fresh = np.ones(C, dtype=bool)
+    for level in (16, 256, 4096, C):
+        cols = np.arange(0, C, max(1, C // level))
         cols = cols[fresh[cols]]
         fresh[cols] = False
         if cols.size:
-            probe_evals, probe_diag = evals[cols].T, diag[cols]
+            probe, probe_b = Y[cols].T, b[cols]
             step = max(1, _MINTY_PAIRS // cols.size)
             for lo in range(0, rows.size, step):
                 idx = rows[lo:lo + step]
                 pairs = buf[:idx.size * cols.size].reshape(idx.size, cols.size)
-                np.matmul(grid[idx], probe_evals, out=pairs)
-                np.subtract(probe_diag, pairs, out=pairs)
+                np.matmul(X[idx], probe, out=pairs)
+                np.add(probe_b, pairs, out=pairs)
                 vals[idx] = np.minimum(vals[idx], pairs.min(axis=1))
-        rows = rows[vals[rows] >= -tol]
-    return vals
+        rows = rows[vals[rows] + a[rows] >= -tol]
+    return vals + a
 
 
 def enumerate_solutions(problem: VIProblem, grid_spacing: float,
@@ -313,9 +307,9 @@ def enumerate_solutions(problem: VIProblem, grid_spacing: float,
     """Classify every feasible grid point against both solution notions.
 
     Membership tolerance is grid_spacing * lipschitz_scale; the scale is
-    fixture-specific because exact membership on a grid is ill-posed.  The
-    primal minimum runs over the grid's hull vertices; the dual test is the
-    rejection cascade of ``_minty_values``, exact on every member.
+    fixture-specific because exact membership on a grid is ill-posed.  Both
+    tests are ``_cascade`` scans in one buffer, exact on every member: the
+    primal one over ``_extreme_points(grid)``, the dual one over the grid.
     Desk-scale only (dim <= 3).
     """
     if not (np.isfinite(lipschitz_scale) and lipschitz_scale > 0):
@@ -325,11 +319,13 @@ def enumerate_solutions(problem: VIProblem, grid_spacing: float,
     evals = problem.model(grid)
     diag = np.einsum("ij,ij->i", evals, grid)
     tol = grid_spacing * lipschitz_scale
-    linmin = (_extreme_points(grid) @ evals.T).min(axis=0)
+    buf = np.empty(min(len(grid) ** 2, max(_MINTY_PAIRS, len(grid))))
+    primal = _cascade(evals, _extreme_points(grid), -diag, 0.0, tol, buf)
+    np.negative(evals, out=evals)  # exact, and no second (G, n) array
     return SolutionSetEstimate(
         grid_points=grid,
-        stampacchia_mask=(linmin - diag) >= -tol,
-        minty_mask=_minty_values(grid, evals, diag, tol) >= -tol,
+        stampacchia_mask=primal >= -tol,
+        minty_mask=_cascade(grid, evals, 0.0, diag, tol, buf) >= -tol,
         grid_spacing=grid_spacing,
         tolerance=tol,
     )
@@ -366,7 +362,8 @@ def cluster_members(points, threshold: float) -> MemberClusters:
 
     A k-d tree proposes pairs within ``threshold * (1 + 1e-9)``; a pair
     i < j links when ||p_j - p_i|| <= threshold.  The diameter is the
-    largest such norm between the hull vertices of ``_extreme_points``.
+    largest pair norm over ``_extreme_points``, its squares summed in axis
+    order as ``np.linalg.norm`` sums them, in row blocks of _BLOCK_ENTRIES.
     """
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
@@ -384,6 +381,9 @@ def cluster_members(points, threshold: float) -> MemberClusters:
     order = np.argsort(key, kind="stable")
     clusters = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
     centroids = np.array([pts[idx].mean(axis=0) for idx in clusters])
-    hull = _extreme_points(pts)
-    diameter = float(np.linalg.norm(hull[:, None] - hull, axis=2).max())
+    hull = _extreme_points(pts).T                       # (dim, candidates)
+    step = max(1, _BLOCK_ENTRIES // hull.size)
+    diameter = float(np.sqrt(max(
+        sum((x[lo:lo + step, None] - x) ** 2 for x in hull).max()  # in axis order
+        for lo in range(0, hull.shape[1], step))))
     return MemberClusters(k, clusters, centroids, diameter)

@@ -12,8 +12,9 @@ scan, its earlier strict exclusions and line filter, its earlier
 union-find clustering, its earlier dual scan, its cascade before its
 chunks shared a buffer, its earlier simplex projection, NNLS, polyhedral
 projection and extragradient loop, its earlier ``Simplex.grid`` and
-``minty_gap``, and its earlier probe set (Halton digits, box corners,
-polyhedron vertices and row-by-row ``project_many``), kept verbatim apart
+``minty_gap``, its earlier probe set (Halton digits, box corners,
+polyhedron vertices and row-by-row ``project_many``), and its earlier qhull
+hull vertices and the Stampacchia minimum over them, kept verbatim apart
 from the fused scan's sums, which run in k order as the library's do.  The
 pair checkers, ``check_tuple_classes``, the dual class's own scan,
 ``SamplePlan.strict_exclusions``, ``cluster_members`` and the Minty
@@ -21,7 +22,9 @@ rejection cascade must agree with them
 byte for byte (the per-class scans and the two-pass Minty scan on grids
 where every pairing is exact; elsewhere up to BLAS rounding); the
 projections, the solver, the simplex grid, the dual gap, the probe set and
-the earlier cascade must agree bit for bit.
+the earlier cascade must agree bit for bit.  The qhull minimum is the one
+reference kept to pin where it was wrong: it missed hull vertices whose
+coordinates round off their face.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from contextlib import suppress
 
 import numpy as np
 from scipy.linalg import lapack
@@ -943,3 +947,38 @@ def sample_reference(region, count: int) -> FloatArray:
     if isinstance(region, Polyhedron):
         return project_many_reference(region, rows)
     return region.project_many(rows)
+
+
+# ---------------------------------------------------------------------------
+# the Stampacchia minimum as it was before the hull candidates came from
+# axis-line endpoints: qhull in the principal coordinates of the grid's
+# affine hull, with an SVD rank test, a QhullError ladder and a two-endpoint
+# fallback at rank <= 1, and the minimum over every grid point's field taken
+# as one (vertices x grid) product
+
+
+def extreme_points_reference(grid: FloatArray) -> FloatArray:
+    """Grid rows that include every vertex of the grid's convex hull.
+
+    qhull runs in the principal coordinates of the grid's affine hull, in
+    one fewer each time it finds the points flat within its rounding; rank
+    <= 1 (a point or a segment) gives the two endpoints.  Centering on the
+    first row keeps a coordinate that is constant over the grid exactly 0.
+    """
+    from scipy.spatial import ConvexHull, QhullError
+
+    centered = grid - grid[0]
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    rank = int(np.sum(s > s.max() * max(centered.shape) * np.finfo(float).eps))
+    for r in range(rank, 1, -1):
+        with suppress(QhullError):
+            return grid[ConvexHull(centered @ vt[:r].T).vertices]
+    t = centered @ vt[0]
+    return grid[[t.argmin(), t.argmax()]]
+
+
+def stampacchia_mask_reference(grid: FloatArray, evals: FloatArray,
+                               diag: FloatArray, tol: float) -> np.ndarray:
+    """The earlier ``enumerate_solutions`` Stampacchia mask."""
+    linmin = (extreme_points_reference(grid) @ evals.T).min(axis=0)
+    return (linmin - diag) >= -tol

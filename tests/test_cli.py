@@ -336,11 +336,15 @@ def test_harness_corrupted_tolerance_rejected(runner, tmp_path):
 
 _SOLVE = "from walras_vi.cli import main\nmain.main(['solve', {path!r}], " \
          "standalone_mode=False)"
+_ORACLE = _SOLVE.replace("'solve', {path!r}", "'oracle', {path!r}, '--grid', '0.05'")
 _START_UPS = {
     "import": ("import walras_vi.cli", "scipy"),
     "solve-box": (_SOLVE, "scipy"),
     # a catalog economy builds its own fixture, not the mortgage polyhedron
     "solve-catalog": (_SOLVE.replace("{path!r}", "{catalog_path!r}"), "scipy"),
+    # the hull candidates come from comparisons, with no qhull
+    "oracle-box": (_ORACLE, "scipy"),
+    "oracle-simplex": (_ORACLE.replace("{path!r}", "{catalog_path!r}"), "scipy"),
     # the origin is a vertex, so construction projects nothing
     "polyhedron-2d": ("from walras_vi.regions import Polyhedron\n"
                       "Polyhedron([[1.0, 1.0]], [1.0], lower=[0, 0], upper=[1, 1])",

@@ -10,18 +10,28 @@ spacings.  The relations:
   the oracle's tolerance exactly, so no mask and no verdict may move;
 * (c) permuting a plan's base points permutes its tuples, so no verdict,
   no ``holds_on_samples`` margin and no ``samples_used`` may move;
+* (d) reordering a catalog file's fixtures changes no fixture's results,
+  though fixtures with equal plans share one plan object, which the first
+  of them builds;
 * (a) relabeling the commodities (M -> P M P^T, c -> P c, the region's axes
   permuted) leaves the problem the same; it fails today (ROADMAP Finding 4)
   and is pinned as a strict xfail.
 """
+
+import functools
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from walras_vi.cli import load_catalog_file
 from walras_vi.constants import HarnessConfig
-from walras_vi.economy import linear_economy
+from walras_vi.economy import default_catalog, linear_economy
+from walras_vi.harness import run_catalog_with_evidence
 from walras_vi.monotonicity import CLASS_NAMES, SamplePlan, build_plan, check_class
 from walras_vi.regions import Box, Polyhedron, Simplex
 from walras_vi.vi_core import VIProblem, enumerate_solutions
@@ -111,6 +121,39 @@ def test_permuting_the_base_points_moves_no_verdict(case, rng):
         assert (a.verdict, a.samples_used) == (b.verdict, b.samples_used), name
         if not a.refuted:  # a refuted margin follows the first violation
             assert a.margin == b.margin, name
+
+
+# every default fixture; the four on the unit square share one plan, and so
+# do the three on the unit interval
+CATALOG_ENTRIES = tuple(json.dumps({"label": label,
+                                    "economy": {"kind": "catalog", "name": label}})
+                        for label in default_catalog())
+
+
+@functools.lru_cache(maxsize=None)
+def _fixture_results(entries):
+    """Label -> JSON of every result and every piece of evidence of that
+    fixture, from a catalog file holding ``entries`` in their order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "catalog.json"
+        path.write_text(json.dumps({"plan": {"points": 24, "grid_spacing": 0.05},
+                                    "fixtures": [json.loads(e) for e in entries]}))
+        catalog, config = load_catalog_file(str(path))
+    results, evidence = run_catalog_with_evidence(catalog, config)
+    return {label: json.dumps({
+        "results": [r.to_dict() for r in results if r.fixture_label == label],
+        "plan": ev.plan.base_points.tolist(),
+        "reports": {name: r.to_dict() for name, r in ev.reports.items()},
+        "estimate": ev.estimate.to_dict(),
+        "solve": ev.solve.to_dict(),
+        "clusters": [ev.stampacchia.to_dict(), ev.minty.to_dict()],
+        "positive": ev.positive}, sort_keys=True) for label, ev in evidence.items()}
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.permutations(CATALOG_ENTRIES))
+def test_reordering_the_catalog_moves_no_fixture_result(entries):
+    assert _fixture_results(tuple(entries)) == _fixture_results(CATALOG_ENTRIES)
 
 
 # linear_identity on the unit square at grid 0.02, coordinates reversed: two

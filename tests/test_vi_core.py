@@ -17,6 +17,7 @@ from conftest import (
     minty_values_two_pass,
     set_diameter,
     single_linkage_clusters,
+    stampacchia_mask_reference,
     stampacchia_members_bruteforce,
 )
 from walras_vi import regions, vi_core
@@ -479,25 +480,30 @@ DEGENERATE_REGIONS = [
 ]
 
 
+@st.composite
+def quarter_fields(draw, n):
+    """A linear field E(p) = M p - c with entries k/4, |k| <= 4."""
+    quarters = st.integers(-4, 4).map(lambda k: k / 4)
+    M = np.array(draw(st.lists(quarters, min_size=n * n, max_size=n * n)))
+    c = np.array(draw(st.lists(quarters, min_size=n, max_size=n)))
+    return linear_economy(M.reshape(n, n), c)
+
+
 @pytest.mark.parametrize("region, spacings", DEGENERATE_REGIONS)
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_enumerate_matches_bruteforce_on_degenerate_grids(region, spacings, data):
     # entries k/4 keep every pairing on the lattice of spacing^2 / 4 (up
     # to rounding), and tolerance 0.117 * spacing lies off that lattice
-    n = region.dim
-    quarters = st.integers(-4, 4).map(lambda k: k / 4)
-    M = np.array(data.draw(st.lists(quarters, min_size=n * n, max_size=n * n)))
-    c = np.array(data.draw(st.lists(quarters, min_size=n, max_size=n)))
+    model = data.draw(quarter_fields(region.dim))
     spacing = data.draw(st.sampled_from(spacings))
-    model = linear_economy(M.reshape(n, n), c)
     est = enumerate_solutions(VIProblem(model, region), spacing, 0.117)
     grid, tol = est.grid_points, est.tolerance
     assert_allclose(est.stampacchia_members,
                     stampacchia_members_bruteforce(model, grid, tol))
     assert_allclose(est.minty_members,
                     minty_members_bruteforce(model, grid, tol))
-    # the hull-vertex minimum is the full-grid minimum, up to rounding
+    # the candidates' minimum is the full-grid minimum, up to rounding
     evals = model(grid)
     hull = (_extreme_points(grid) @ evals.T).min(axis=0)
     full = (grid @ evals.T).min(axis=0)
@@ -533,6 +539,42 @@ def test_enumerate_and_cluster_on_flat_regions(region, spacing):
         _assert_matches_reference_clustering(members, 2 * spacing)
 
 
+@pytest.mark.parametrize("region, spacings", DEGENERATE_REGIONS + [
+    pytest.param(p.values[0], (p.values[1],), id=p.id) for p in FLAT_REGIONS])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_masks_are_minima_over_every_grid_column(region, spacings, data):
+    # the Stampacchia cascade over the axis-line candidates decides as the
+    # minimum over every grid column, and the Minty cascade as the two-pass
+    # scan; tolerance 0.117 * spacing lies off the pairing lattice
+    model = data.draw(quarter_fields(region.dim))
+    spacing = data.draw(st.sampled_from(spacings))
+    est = enumerate_solutions(VIProblem(model, region), spacing, 0.117)
+    grid, tol = est.grid_points, est.tolerance
+    evals = model(grid)
+    diag = np.einsum("ij,ij->i", evals, grid)
+    assert np.array_equal(est.stampacchia_mask,
+                          (evals @ grid.T).min(axis=1) - diag >= -tol)
+    assert np.array_equal(est.minty_mask,
+                          minty_values_two_pass(grid, evals, diag, tol) >= -tol)
+
+
+def test_stampacchia_members_on_a_face_qhull_dropped():
+    # E = -(1, 1, 1) on criterion-1: E(p).p is least on the face
+    # x1 + x2 + x3 = 2, and qhull dropped the 8 face points whose float sum
+    # is 2.0000000000000004, so the minimum over its vertices was too high
+    region = Polyhedron([[1.0, 1.0, 1.0]], [2.0], CUBE_LO, CUBE_HI)
+    model = linear_economy(np.zeros((3, 3)), np.ones(3))
+    est = enumerate_solutions(VIProblem(model, region), 0.05, 1.0)
+    grid, tol = est.grid_points, est.tolerance
+    evals = model(grid)
+    diag = np.einsum("ij,ij->i", evals, grid)
+    assert est.stampacchia_mask.sum() == est.minty_mask.sum() == 231
+    assert np.array_equal(est.stampacchia_mask,
+                          (evals @ grid.T).min(axis=1) - diag >= -tol)
+    assert stampacchia_mask_reference(grid, evals, diag, tol).sum() == 434
+
+
 # (region, spacing, grid size): sizes on both sides of the 16-, 256- and
 # 4,096-column probe levels.  Below a level's size its stride is 1, so the
 # later levels have no fresh column left.  Every coordinate is dyadic, so
@@ -566,11 +608,7 @@ def lattice_fields(draw, grid):
     """Excess demands of a linear field with entries k/4 on ``grid``, and
     a tolerance that lies off the pairing lattice or ties one row's minimum.
     """
-    n = grid.shape[1]
-    quarters = st.integers(-4, 4).map(lambda k: k / 4)
-    M = np.array(draw(st.lists(quarters, min_size=n * n, max_size=n * n)))
-    c = np.array(draw(st.lists(quarters, min_size=n, max_size=n)))
-    evals = linear_economy(M.reshape(n, n), c)(grid)
+    evals = draw(quarter_fields(grid.shape[1]))(grid)
     diag = np.einsum("ij,ij->i", evals, grid)
     if draw(st.booleans()):
         i = draw(st.integers(0, grid.shape[0] - 1))
@@ -587,7 +625,7 @@ def test_minty_cascade_matches_two_pass(region, spacing, size, data):
     grid = region.grid(spacing)
     assert grid.shape[0] == size
     evals, diag, tol = data.draw(lattice_fields(grid))
-    got = vi_core._minty_values(grid, evals, diag, tol)
+    got = vi_core._cascade(grid, -evals, 0.0, diag, tol)
     want = minty_values_two_pass(grid, evals, diag, tol)
     members = want >= -tol
     assert np.array_equal(got >= -tol, members)
@@ -602,7 +640,7 @@ def test_minty_cascade_matches_two_pass_up_to_rounding(region, spacing, size,
     grid = region.grid(spacing)
     assert grid.shape[0] == size
     evals, diag, tol = data.draw(lattice_fields(grid))
-    got = vi_core._minty_values(grid, evals, diag, tol)
+    got = vi_core._cascade(grid, -evals, 0.0, diag, tol)
     want = minty_values_two_pass(grid, evals, diag, tol)
     ulps = 4 * np.finfo(float).eps * (
         np.abs(diag).max() + np.abs(grid).max(axis=0) @ np.abs(evals).max(axis=0))
@@ -618,7 +656,7 @@ def test_minty_cascade_zero_field(region, spacing, size):
     grid = region.grid(spacing)
     evals, diag = np.zeros_like(grid), np.zeros(size)
     for tol in (0.0, 0.117 * spacing):
-        got = vi_core._minty_values(grid, evals, diag, tol)
+        got = vi_core._cascade(grid, -evals, 0.0, diag, tol)
         assert np.array_equal(got, np.zeros(size))
         assert np.array_equal(got, minty_values_two_pass(grid, evals, diag, tol))
 
@@ -649,7 +687,7 @@ def test_minty_cascade_in_one_buffer_matches_reference(name, data, pairs):
     tol = data.draw(st.sampled_from([0.0, 0.01, 0.3,    # or tie one row's minimum
                                      -float((diag - grid[i] @ evals.T).min())]))
     with mock.patch.object(vi_core, "_MINTY_PAIRS", pairs):
-        got = vi_core._minty_values(grid, evals, diag, tol)
+        got = vi_core._cascade(grid, -evals, 0.0, diag, tol)
     want = minty_values_reference(grid, evals, diag, tol, pairs)
     assert np.array_equal(got, want)
 
@@ -663,7 +701,7 @@ def test_minty_cascade_holds_one_chunk_of_pairings():
     evals, diag = np.zeros_like(grid), np.zeros(G)
     tracemalloc.start()
     try:
-        vals = vi_core._minty_values(grid, evals, diag, 0.0)
+        vals = vi_core._cascade(grid, -evals, 0.0, diag, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -808,6 +846,46 @@ def test_extreme_points_reproduce_the_diameter(pts):
     ext = _extreme_points(pts)
     assert all((pts == row).all(axis=1).any() for row in ext)
     assert np.linalg.norm(ext[:, None] - ext, axis=2).max() == set_diameter(pts)
+
+
+@st.composite
+def integer_point_sets(draw):
+    """Small-integer point sets of dimension 1-3 with duplicated rows (one
+    zero maybe negated), and integer linear functions on them."""
+    dim = draw(st.integers(1, 3))
+    cells = st.tuples(*[st.integers(0, 3)] * dim)
+    pts = np.array(draw(st.lists(cells, min_size=1, max_size=40)), dtype=float)
+    pts = np.vstack([pts, pts[draw(st.lists(st.integers(0, len(pts) - 1),
+                                            max_size=5))]])
+    if draw(st.booleans()):
+        pts[-1] = np.where(pts[-1] == 0.0, -0.0, pts[-1])
+    weights = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * dim),
+                            min_size=1, max_size=8))
+    return pts, np.array(weights, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_point_sets())
+def test_extreme_points_keep_every_linear_minimum(case):
+    # integer arithmetic is exact, so the minima must be equal, not close
+    pts, weights = case
+    ext = _extreme_points(pts)
+    assert all((pts == row).all(axis=1).any() for row in ext)
+    assert np.array_equal((weights @ ext.T).min(axis=1),
+                          (weights @ pts.T).min(axis=1))
+
+
+def test_extreme_points_of_a_box_grid_are_its_corners():
+    box = Box([0.0, 0.2, 1.0], [1.0, 0.5, 1.0])
+    ext = _extreme_points(box.grid(0.1))
+    assert np.array_equal(ext[np.lexsort(ext.T[::-1])], box.vertices())
+
+
+@settings(max_examples=100, deadline=None)
+@given(offset_lattice_subsets(), st.sampled_from([1, 2, 5, 64]))
+def test_cluster_diameter_in_row_blocks(pts, entries):
+    with mock.patch.object(vi_core, "_BLOCK_ENTRIES", entries):
+        assert cluster_members(pts, 0.5).diameter == set_diameter(pts)
 
 
 def test_uniqueness_probe_strictly_monotone():

@@ -18,9 +18,14 @@ runner), on input files written into a temporary directory:
   tie), and ``harness`` on a 64-point catalog of those three fields;
 * ``check --class strict_proper_quasi`` with 64 plan points on a box whose
   coordinates reach 1e5, where the strict exclusions' rounding allowance
-  exceeds the distinctness tolerance.
+  exceeds the distinctness tolerance;
+* ``oracle`` at grid 0.05 where the Stampacchia scan has many hull
+  candidates: the identity and the zero field on the 3-simplex, whose
+  tilted grid puts every point alone on its axis lines, and E = -(1, 1, 1)
+  on the criterion-1 polyhedron, whose least face has points whose float
+  coordinate sum is 2.0000000000000004.
 
-That is 225 runs.  The benchmark's input files come from
+That is 228 runs.  The benchmark's input files come from
 ``bench/workloads.py``, which is only read.  The output is one JSON object,
 case name -> sha256 of the run's stdout, stderr and exit code.
 
@@ -88,6 +93,22 @@ LARGE_BOX = {"economy": {"kind": "linear", "M": [[1.0, 0.0], [0.0, 1.0]],
              "region": {"kind": "box", "lower": [0.0, 0.0], "upper": [1e5, 1e5]},
              "plan": {"points": 64}}
 
+# oracle runs at grid 0.05 with many hull candidates
+SIMPLEX_3 = {"kind": "simplex", "n": 3}
+CRITERION_1 = {"kind": "polyhedron",
+               "A": [[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                     [-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+               "b": [2, 1, 1, 1, 0, 0, 0]}
+IDENTITY_3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+ZERO_3 = [[0.0] * 3] * 3
+ORACLE_FIELDS = {
+    "simplex3-identity": ({"kind": "linear", "M": IDENTITY_3, "c": [0.0] * 3},
+                          SIMPLEX_3),
+    "simplex3-zero": ({"kind": "linear", "M": ZERO_3, "c": [0.0] * 3}, SIMPLEX_3),
+    "poly3-constant": ({"kind": "linear", "M": ZERO_3, "c": [1.0] * 3},
+                       CRITERION_1),
+}
+
 
 def _region_spec(region) -> dict:
     """A problem-file region entry that rebuilds ``region``."""
@@ -150,6 +171,10 @@ def cases(directory: Path) -> dict:
     path.write_text(json.dumps(LARGE_BOX))
     out["check-large_box-64-strict_proper_quasi"] = [
         "check", str(path), "--class", "strict_proper_quasi"]
+    for name, (economy, region) in ORACLE_FIELDS.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps({"economy": economy, "region": region}))
+        out[f"oracle-{name}"] = ["oracle", str(path), "--grid", "0.05"]
     return out
 
 
