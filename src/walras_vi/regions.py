@@ -7,8 +7,9 @@ otherwise), immutable after construction, and every operation is a pure
 function, so fixtures share regions freely.  A polyhedron of dim <= 3 is
 certified from its vertices; a larger one, or one with too many row
 subsets to enumerate, by linear programs.  scipy is imported only where
-it is called: a simplex or a box loads none of it, and a polyhedron of
-dim <= 3 loads no linear-programming code.
+it is called, and only in this module: a simplex or a box loads none of
+it, and a polyhedron of dim <= 3 loads ``scipy.linalg`` for its
+projections but no linear-programming code.
 
 Projections are exact for the simplex (sort-and-threshold) and the box
 (componentwise clamp); a polyhedral projection is one nonnegative

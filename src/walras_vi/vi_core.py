@@ -23,6 +23,7 @@ min_p E(p_i).p is a linear functional, minimized at a hull vertex, so its
 columns are the rows of ``_extreme_points``.  The dual test has no such
 shortcut (for a positive-definite linear field every lifted point
 (E(p), -E(p).p) is a hull vertex), so its columns are the whole grid.
+Nothing here imports scipy: ``cluster_members`` links by a cell list.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ CONVERGED = "converged"
 BUDGET_EXHAUSTED = "budget_exhausted"
 
 _MINTY_PAIRS = 1 << 22
+_BLOCK_PAIRS = 1 << 16   # pairings per cascade row block: 512 KiB
 _CROSSOVER_EVERY = 8     # extragradient steps between crossover tries
 _FACE_SLACK = 1e-12      # relative slack of a row counted active
 
@@ -270,18 +272,21 @@ def _cascade(X: FloatArray, Y: FloatArray, a, b, tol: float,
     earlier level scored.  A row leaves once a_i plus its minimum is below
     ``-tol``; a row that reaches the end has seen every column once, so its
     value is the full minimum.  Rows come in chunks of at most
-    ``_MINTY_PAIRS`` pairings (one row when a row alone has more), reduced
-    in place in a prefix of ``buf``.  Minty: (grid, -E(grid), 0, diag), by
-    exact negation E(p_j).(p_j - p_i); Stampacchia: (E(grid),
-    ``_extreme_points(grid)``, -diag, 0), that is E(p_i).(p_j - p_i).
+    ``_MINTY_PAIRS`` pairings (one row when a row alone has more), a chunk
+    of 2 or more in ``np.array_split`` blocks of 2 or more rows and about
+    ``_BLOCK_PAIRS`` pairings, each reduced in place in a prefix of ``buf``,
+    which min(RC, max(_BLOCK_PAIRS, 3C)) entries fit.  Minty: (grid,
+    -E(grid), 0, diag), by exact negation E(p_j).(p_j - p_i); Stampacchia:
+    (E(grid), ``_extreme_points(grid)``, -diag, 0), that is E(p_i).(p_j - p_i).
 
     Pairings are BLAS products, whose last bit can depend on where a column
-    falls in a block; where coordinates and field values round, another
-    blocking of the same scan may differ from this one by that rounding.
+    falls in a block and, under OpenBLAS's SkylakeX kernels, on the row
+    count, so another blocking of the same scan may differ by that rounding;
+    no block is a lone row (gemv) unless its chunk is, and none splits columns.
     """
     R, C = X.shape[0], Y.shape[0]
     a, b = np.broadcast_to(a, R), np.broadcast_to(b, C)
-    buf = np.empty(min(R * C, max(_MINTY_PAIRS, C))) if buf is None else buf
+    buf = np.empty(min(R * C, max(_BLOCK_PAIRS, 3 * C))) if buf is None else buf
     vals = np.full(R, np.inf)
     rows = np.arange(R)
     fresh = np.ones(C, dtype=bool)
@@ -292,12 +297,14 @@ def _cascade(X: FloatArray, Y: FloatArray, a, b, tol: float,
         if cols.size:
             probe, probe_b = Y[cols].T, b[cols]
             step = max(1, _MINTY_PAIRS // cols.size)
-            for lo in range(0, rows.size, step):
-                idx = rows[lo:lo + step]
-                pairs = buf[:idx.size * cols.size].reshape(idx.size, cols.size)
-                np.matmul(X[idx], probe, out=pairs)
-                np.add(probe_b, pairs, out=pairs)
-                vals[idx] = np.minimum(vals[idx], pairs.min(axis=1))
+            per = max(2, _BLOCK_PAIRS // cols.size)
+            for chunk in np.split(rows, range(step, rows.size, step)):
+                n = chunk.size
+                for idx in np.array_split(chunk, max(1, min(-(-n // per), n // 2))):
+                    pairs = buf[:idx.size * cols.size].reshape(idx.size, cols.size)
+                    np.matmul(X[idx], probe, out=pairs)
+                    np.add(probe_b, pairs, out=pairs)
+                    vals[idx] = np.minimum(vals[idx], pairs.min(axis=1))
         rows = rows[vals[rows] + a[rows] >= -tol]
     return vals + a
 
@@ -319,7 +326,7 @@ def enumerate_solutions(problem: VIProblem, grid_spacing: float,
     evals = problem.model(grid)
     diag = np.einsum("ij,ij->i", evals, grid)
     tol = grid_spacing * lipschitz_scale
-    buf = np.empty(min(len(grid) ** 2, max(_MINTY_PAIRS, len(grid))))
+    buf = np.empty(min(len(grid) ** 2, max(_BLOCK_PAIRS, 3 * len(grid))))
     primal = _cascade(evals, _extreme_points(grid), -diag, 0.0, tol, buf)
     np.negative(evals, out=evals)  # exact, and no second (G, n) array
     return SolutionSetEstimate(
@@ -357,29 +364,63 @@ class MemberClusters:
         }
 
 
-def cluster_members(points, threshold: float) -> MemberClusters:
-    """Single-linkage clusters at link distance ``threshold``.
+def _cell_pairs(pts: FloatArray, threshold: float):
+    """Row pairs, each unordered pair once, in equal or neighbouring cells of a
+    cell list (Hockney and Eastwood 1988), which hold every pair of float norm
+    at most ``threshold``.  A row's cell on axis a is floor(q), with
+    q = fl(fl(p_a - lo_a) / w), lo the least coordinates, t = max(threshold,
+    0), E the largest axis extent and w = t (1 + 1e-9) + 8 eps E + 2^-500.
 
-    A k-d tree proposes pairs within ``threshold * (1 + 1e-9)``; a pair
-    i < j links when ||p_j - p_i|| <= threshold.  The diameter is the
-    largest pair norm over ``_extreme_points``, its squares summed in axis
-    order as ``np.linalg.norm`` sums them, in row blocks of _BLOCK_ENTRIES.
+    Proof, with u = 2^-53 and d = fl(p_ja - p_ia): the norm, a rounded root of
+    a rounded sum of rounded squares, is at least fl(sqrt(fl(d^2))) by
+    monotone rounding; a normal d^2 then gives |p_ja - p_ia| <= |d| / (1 - u)
+    <= t (1 + 3u), a subnormal one < 2^-510.  q errs from (p_a - lo_a) / w by
+    at most 2.01 u E / w, so two q differ by less than
+    (t (1 + 3u) + 2^-510 + 4.1 u E) / w < 1 (float w too), their floors by at
+    most 1.  So q < 2^49: int64 keys hold the cells on the leading m <= 3 axes
+    whose spans multiply to below 2^62.  One ``searchsorted`` finds each row's
+    later cell-mates and its half-stencil: 3^m offsets, first nonzero one +1.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-    from scipy.spatial import cKDTree
+    lo = pts.min(axis=0)
+    width = (max(threshold, 0.0) * (1 + 1e-9) + 2.0 ** -500
+             + 8 * np.finfo(float).eps * float((pts.max(axis=0) - lo).max()))
+    cells = np.floor((pts - lo) / width).astype(np.int64) + 1  # c - 1 >= 0
+    spans = cells.max(axis=0) + 2
+    m = int(np.sum(np.cumprod(spans[:3].astype(float)) < 2.0 ** 62))
+    strides = np.cumprod(np.r_[1, spans[m - 1:0:-1]])[::-1]
+    order = np.argsort(key := cells[:, :m] @ strides, kind="stable")
+    key = key[order]
+    half = np.indices((3,) * m).reshape(m, -1).T[3 ** m // 2:] - 1
+    query = key[:, None] + half @ strides
+    start, stop = np.searchsorted(key, np.stack((query, query + 1)))
+    start[:, 0] = np.arange(1, key.size + 1)  # own cell: the rows after
+    counts = (stop - start).ravel()
+    dst = np.repeat(start.ravel() + counts - np.cumsum(counts), counts)
+    return np.repeat(order, (stop - start).sum(axis=1)), order[dst + np.arange(dst.size)]
 
+
+def cluster_members(points, threshold: float) -> MemberClusters:
+    """Single-linkage clusters at link distance ``threshold``: a ``_cell_pairs``
+    pair links when the ``np.linalg.norm`` of its difference is at most
+    ``threshold``.  Hook and jump (Shiloach and Vishkin 1982) labels each row
+    with its component's least row.  The diameter is the largest pair norm
+    over ``_extreme_points``, squares summed in axis order, in row blocks of
+    _BLOCK_ENTRIES.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     k = pts.shape[0]
     if k == 0:
         return MemberClusters(0, [], np.array([]), 0.0)
-    i, j = cKDTree(pts).query_pairs(threshold * (1 + 1e-9), output_type="ndarray").T
-    near = np.linalg.norm(pts[j] - pts[i], axis=1) <= threshold
-    links = coo_matrix((np.ones(near.sum()), (i[near], j[near])), shape=(k, k))
-    labels = connected_components(links, directed=False)[1]
-    key = np.unique(labels, return_index=True)[1][labels]  # each cluster's first row
-    order = np.argsort(key, kind="stable")
-    clusters = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+    i, j = _cell_pairs(pts, threshold)
+    near = np.linalg.norm(np.take(pts, j, 0) - np.take(pts, i, 0), axis=1) <= threshold
+    i, j = i[near], j[near]
+    labels = np.arange(k)
+    while not np.array_equal(a := labels[i], b := labels[j]):
+        np.minimum.at(labels, np.r_[a, b], np.r_[b, a])
+        while not np.array_equal(up := labels[labels], labels):
+            labels = up
+    order = np.argsort(labels, kind="stable")
+    clusters = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
     centroids = np.array([pts[idx].mean(axis=0) for idx in clusters])
     hull = _extreme_points(pts).T                       # (dim, candidates)
     step = max(1, _BLOCK_ENTRIES // hull.size)

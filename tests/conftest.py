@@ -4,14 +4,14 @@ Everything here is deliberately written from the definitions, without
 reusing the library's own grid or scan machinery, so the tests cross
 two independent routes wherever the library computes something nontrivial.
 The exceptions are the reference pair and tuple scans, the reference
-strict exclusions and line filter, the reference clustering, the two-pass
+strict exclusions and line filter, the reference clusterings, the two-pass
 Minty scan and the Minty cascade, the projection and solver references,
 and the simplex grid and dual gap at the end: they are the library's
 earlier pair checkers, its earlier per-class scans, its earlier fused
 scan, its earlier strict exclusions and line filter, its earlier
-union-find clustering, its earlier dual scan, its cascade before its
-chunks shared a buffer, its earlier simplex projection, NNLS, polyhedral
-projection and extragradient loop, its earlier ``Simplex.grid`` and
+union-find and k-d tree clusterings, its earlier dual scan, its cascade
+before its chunks shared a buffer, its earlier simplex projection, NNLS,
+polyhedral projection and extragradient loop, its earlier ``Simplex.grid`` and
 ``minty_gap``, its earlier probe set (Halton digits, box corners,
 polyhedron vertices and row-by-row ``project_many``), and its earlier qhull
 hull vertices and the Stampacchia minimum over them, kept verbatim apart
@@ -42,10 +42,10 @@ from walras_vi.economy import ExcessDemandModel
 from walras_vi.monotonicity import (_SCAN_PAIRS, HOLDS, REFUTED,
                                     MonotonicityReport, SamplePlan, Witness,
                                     _allowance, _combine)
-from walras_vi.regions import (Box, FloatArray, Polyhedron, ProjectionBudgetError,
-                               _check_grid_size, _row_subsets, as_price_vector,
-                               first_distinct)
-from walras_vi.vi_core import residual
+from walras_vi.regions import (_BLOCK_ENTRIES, Box, FloatArray, Polyhedron,
+                               ProjectionBudgetError, _check_grid_size, _row_subsets,
+                               as_price_vector, first_distinct)
+from walras_vi.vi_core import MemberClusters, _extreme_points, residual
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +624,8 @@ def strict_exclusions_reference(plan: SamplePlan, certify: bool = True) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# reference clustering: the library's earlier union-find and diameter loop
+# reference clustering: the library's earlier union-find and diameter loop,
+# and its k-d tree clustering
 
 
 def single_linkage_clusters(points, threshold: float) -> list[np.ndarray]:
@@ -670,6 +671,33 @@ def set_diameter(points) -> float:
     for i in range(pts.shape[0] - 1):
         best = max(best, float(np.linalg.norm(pts[i + 1:] - pts[i], axis=1).max()))
     return best
+
+
+def cluster_members_reference(points, threshold: float) -> MemberClusters:
+    """The library's earlier ``cluster_members``, verbatim: scipy's k-d tree
+    proposes the pairs and ``scipy.sparse.csgraph`` labels the components."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    from scipy.spatial import cKDTree
+
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    k = pts.shape[0]
+    if k == 0:
+        return MemberClusters(0, [], np.array([]), 0.0)
+    i, j = cKDTree(pts).query_pairs(threshold * (1 + 1e-9), output_type="ndarray").T
+    near = np.linalg.norm(pts[j] - pts[i], axis=1) <= threshold
+    links = coo_matrix((np.ones(near.sum()), (i[near], j[near])), shape=(k, k))
+    labels = connected_components(links, directed=False)[1]
+    key = np.unique(labels, return_index=True)[1][labels]  # each cluster's first row
+    order = np.argsort(key, kind="stable")
+    clusters = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+    centroids = np.array([pts[idx].mean(axis=0) for idx in clusters])
+    hull = _extreme_points(pts).T                       # (dim, candidates)
+    step = max(1, _BLOCK_ENTRIES // hull.size)
+    diameter = float(np.sqrt(max(
+        sum((x[lo:lo + step, None] - x) ** 2 for x in hull).max()  # in axis order
+        for lo in range(0, hull.shape[1], step))))
+    return MemberClusters(k, clusters, centroids, diameter)
 
 
 # ---------------------------------------------------------------------------

@@ -338,31 +338,36 @@ _SOLVE = "from walras_vi.cli import main\nmain.main(['solve', {path!r}], " \
          "standalone_mode=False)"
 _ORACLE = _SOLVE.replace("'solve', {path!r}", "'oracle', {path!r}, '--grid', '0.05'")
 _START_UPS = {
-    "import": ("import walras_vi.cli", "scipy"),
-    "solve-box": (_SOLVE, "scipy"),
+    "import": ("import walras_vi.cli", ("scipy",)),
+    "solve-box": (_SOLVE, ("scipy",)),
     # a catalog economy builds its own fixture, not the mortgage polyhedron
-    "solve-catalog": (_SOLVE.replace("{path!r}", "{catalog_path!r}"), "scipy"),
+    "solve-catalog": (_SOLVE.replace("{path!r}", "{catalog_path!r}"), ("scipy",)),
     # the hull candidates come from comparisons, with no qhull
-    "oracle-box": (_ORACLE, "scipy"),
-    "oracle-simplex": (_ORACLE.replace("{path!r}", "{catalog_path!r}"), "scipy"),
+    "oracle-box": (_ORACLE, ("scipy",)),
+    "oracle-simplex": (_ORACLE.replace("{path!r}", "{catalog_path!r}"), ("scipy",)),
     # the origin is a vertex, so construction projects nothing
     "polyhedron-2d": ("from walras_vi.regions import Polyhedron\n"
                       "Polyhedron([[1.0, 1.0]], [1.0], lower=[0, 0], upper=[1, 1])",
-                      "scipy.optimize"),
+                      ("scipy.optimize",)),
+    # clusters come from a cell list and label jumping; the mortgage
+    # projections still load scipy.linalg
+    "harness": ("from walras_vi.cli import main\n"
+                "main.main(['harness', '--grid', '0.05'], standalone_mode=False)",
+                ("scipy.spatial", "scipy.sparse")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_START_UPS))
 def test_start_up_loads_no_scipy(tmp_path, case):
     # importing scipy once cost two thirds of every CLI start-up
-    code, prefix = _START_UPS[case]
+    code, prefixes = _START_UPS[case]
     code = code.format(
         path=write(tmp_path, "problem.json", LINEAR_PROBLEM),
         catalog_path=write(tmp_path, "catalog.json", {
             "economy": {"kind": "catalog", "name": "simplex_positive"},
             "region": {"kind": "simplex", "n": 2}}))
-    code += (f"\nimport sys\nprint([m for m in sys.modules"
-             f" if (m + '.').startswith({prefix!r} + '.')])")
+    code += (f"\nimport sys\nprint([m for m in sys.modules if any("
+             f"(m + '.').startswith(p + '.') for p in {prefixes!r})])")
     src = str(Path(walras_vi.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}

@@ -3,12 +3,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
     cluster_centroids,
+    cluster_members_reference,
     extragradient_reference,
     halton_reference,
     minty_gap_reference,
@@ -694,8 +695,8 @@ def test_minty_cascade_in_one_buffer_matches_reference(name, data, pairs):
 
 def test_minty_cascade_holds_one_chunk_of_pairings():
     # the zero field keeps every row to the end, and the last two levels
-    # pair all 10,201 rows with 4,964 fresh columns each, in 13 chunks of
-    # at most _MINTY_PAIRS pairings; two chunks alive at once take 64 MiB
+    # pair all 10,201 rows with 4,964 fresh columns each, in row blocks of
+    # at most max(_BLOCK_PAIRS, 3C) pairings in one buffer: 512 KiB
     grid = UNIT_SQUARE.grid(0.01)
     G = grid.shape[0]
     evals, diag = np.zeros_like(grid), np.zeros(G)
@@ -706,7 +707,99 @@ def test_minty_cascade_holds_one_chunk_of_pairings():
     finally:
         tracemalloc.stop()
     assert np.array_equal(vals, np.zeros(G))
-    assert peak <= 1.25 * 8 * vi_core._MINTY_PAIRS + 128 * G
+    assert peak <= 1.25 * 8 * max(vi_core._BLOCK_PAIRS, 3 * G) + 128 * G
+
+
+def test_oracle_peaks_a_few_mib_above_its_grid_arrays():
+    # the last Minty level on mortgage_linear at 0.01 pairs 117 rows with
+    # 35,668 columns, one 33 MB chunk before row blocks
+    problem, fixture = catalog_problem("mortgage_linear")
+    tracemalloc.start()
+    try:
+        G, n = problem.region.grid(0.01).shape
+        grid_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        enumerate_solutions(problem, 0.01, fixture.lipschitz)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # grid, field, diagonal, values, surviving rows, fresh columns and masks
+    assert peak <= grid_peak + 8 * G * (2 * n + 4) + 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("pairs, sizes", [(1 << 22, {2, 3}), (1, {1})],
+                         ids=["chunks-of-441", "lone-rows"])
+def test_minty_cascade_leaves_no_row_alone_that_its_chunk_does_not(pairs, sizes):
+    # a one-row product goes through gemv, whose last bits differ from gemm's
+    # on a quarter to two fifths of the entries; the zero field keeps all
+    # 441 rows through the two levels that have fresh columns
+    grid = UNIT_SQUARE.grid(0.05)
+    rows, matmul = [], np.matmul
+
+    def spy(x, y, out):
+        rows.append(x.shape[0])
+        return matmul(x, y, out=out)
+
+    with mock.patch.object(vi_core, "_BLOCK_PAIRS", 1), \
+            mock.patch.object(vi_core, "_MINTY_PAIRS", pairs), \
+            mock.patch.object(np, "matmul", spy):
+        vals = vi_core._cascade(grid, np.zeros_like(grid), 0.0, np.zeros(len(grid)), 0.0)
+    assert np.array_equal(vals, np.zeros(len(grid)))
+    assert set(rows) == sizes and sum(rows) == 2 * len(grid)
+
+
+BLOCK_BUDGETS = [1, 2, 97, 4096, 1 << 16, 1 << 22]
+# Lattices with dyadic coordinates, on which quarter fields pair exactly
+DYADIC_GRIDS = {
+    "square": UNIT_SQUARE.grid(1 / 64),
+    "simplex": Simplex(3).grid(1 / 32),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(DYADIC_GRIDS)), data=st.data(),
+       budget=st.sampled_from(BLOCK_BUDGETS))
+def test_minty_cascade_in_row_blocks_is_exact(name, data, budget):
+    # every pairing is exact, so any row blocking must keep every bit of
+    # the cascade in chunks of _MINTY_PAIRS pairings
+    grid = DYADIC_GRIDS[name]
+    evals, diag, tol = data.draw(lattice_fields(grid))
+    with mock.patch.object(vi_core, "_BLOCK_PAIRS", budget):
+        got = vi_core._cascade(grid, -evals, 0.0, diag, tol)
+    want = minty_values_reference(grid, evals, diag, tol, vi_core._MINTY_PAIRS)
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(BUFFER_GRIDS)), data=st.data(),
+       budget=st.sampled_from(BLOCK_BUDGETS))
+def test_minty_cascade_in_row_blocks_matches_up_to_rounding(name, data, budget):
+    # entries k/97 round, and a BLAS product's last bit can follow the rows
+    # it is blocked with: under the SkylakeX core, on the square's last
+    # level, a few 4-wide column tails of the default 28-row blocks differ
+    # from the 1,802-row chunk they split
+    grid = BUFFER_GRIDS[name]
+    n = grid.shape[1]
+    entries = st.integers(-300, 300).map(lambda k: k / 97)
+    M = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+    c = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))
+    evals = linear_economy(M.reshape(n, n), c)(grid)
+    diag = np.einsum("ij,ij->i", evals, grid)
+    i = data.draw(st.integers(0, grid.shape[0] - 1))
+    tol = data.draw(st.sampled_from([0.0, 0.01, 0.3, 100.0,  # or tie one row's minimum
+                                     -float((diag - grid[i] @ evals.T).min())]))
+    with mock.patch.object(vi_core, "_BLOCK_PAIRS", budget):
+        got = vi_core._cascade(grid, -evals, 0.0, diag, tol)
+    want = minty_values_reference(grid, evals, diag, tol, vi_core._MINTY_PAIRS)
+    ulps = 4 * np.finfo(float).eps * (
+        np.abs(diag).max() + np.abs(grid).max(axis=0) @ np.abs(evals).max(axis=0))
+    far = np.abs(want + tol) > ulps
+    assert np.array_equal((got >= -tol)[far], (want >= -tol)[far])
+    members = (got >= -tol) | (want >= -tol)
+    assert np.all(np.abs(got[members] - want[members]) <= ulps)
 
 
 # ---------------------------------------------------------------------------
@@ -785,6 +878,77 @@ def test_cluster_members_links_to_the_last_ulp(threshold, rim):
         _assert_matches_reference_clustering(pts, threshold)
         if linked is not None:
             assert (len(cluster_members(pts, threshold).clusters) == 1) == linked
+
+
+def _assert_matches_kd_tree_clustering(pts, threshold):
+    got = cluster_members(pts, threshold)
+    want = cluster_members_reference(pts, threshold)
+    assert got.member_count == want.member_count
+    assert len(got.clusters) == len(want.clusters)
+    assert all(np.array_equal(a, b) for a, b in zip(got.clusters, want.clusters))
+    assert np.array_equal(got.centroids, want.centroids)
+    assert got.diameter == want.diameter
+
+
+BASES = [0.0, 0.37, 1e3, 12345.678, 1e5]   # coordinates up to 1e5
+LINKS = [1e-3, 0.02, 0.5, 7.0]
+# grids have dim <= 3; at dim 9 np.linalg.norm no longer sums in axis order
+DIMS = st.sampled_from([1, 2, 3, 9])
+
+
+@st.composite
+def scattered_sets(draw):
+    """Up to 40 points of dimension 1-3 or 9 about a base, on a lattice of half
+    links or anywhere within 4 links, with duplicated rows."""
+    dim, link = draw(DIMS), draw(st.sampled_from(LINKS))
+    base = np.array(draw(st.lists(st.sampled_from(BASES), min_size=dim, max_size=dim)))
+    steps = (st.integers(-6, 6).map(lambda k: k / 2) if draw(st.booleans())
+             else st.floats(-4.0, 4.0))
+    rows = draw(st.lists(st.tuples(*[steps] * dim), max_size=40))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=5))
+    return base + link * np.array(rows, dtype=float).reshape(-1, dim), link
+
+
+@st.composite
+def diagonal_chains(draw):
+    """Up to 2,000 points a step apart on a diagonal, some dropped, in a
+    shuffled row order, linked at about one step: many label rounds."""
+    dim, n = draw(st.integers(1, 3)), draw(st.integers(2, 2000))
+    step = draw(st.sampled_from([1e-3, 0.01, 1 / 3]))
+    base = draw(st.sampled_from(BASES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    keep = rng.permutation(n)[:n - draw(st.integers(0, 3))]
+    pts = base + np.outer(keep, np.full(dim, step))
+    link = float(np.sqrt(dim)) * step * draw(st.sampled_from([1.0, 1 + 1e-12, 1.5]))
+    return pts, link
+
+
+@st.composite
+def rim_pairs(draw):
+    """Two points about a base, the threshold apart along an axis or a
+    diagonal, each coordinate of the offset moved by up to two ulps."""
+    dim, threshold = draw(DIMS), draw(st.sampled_from(LINKS))
+    base = np.full(dim, draw(st.sampled_from(BASES)))
+    direction = np.eye(dim)[0] if draw(st.booleans()) else np.ones(dim)
+    offset = threshold * direction / np.linalg.norm(direction)
+    for a in range(dim):
+        for _ in range(abs(ulps := draw(st.integers(-2, 2)))):
+            offset[a] = np.nextafter(offset[a], np.sign(ulps) * np.inf)
+    return np.array([base, base + offset]), threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(scattered_sets(), diagonal_chains(), rim_pairs()))
+@example((np.empty((0, 2)), 0.5))
+@example((np.array([[0.25, 0.5]]), 0.5))
+# rows 1 and 2 link, yet cells 1e-3 (1 + 1e-9) wide put them 2 apart
+@example((np.array([[-1e5], [61618.603161618594], [61618.60416161859]]), 1e-3))
+# np.linalg.norm links this pair; its squares summed in axis order do not
+@example((np.array([[0.0] * 9, [0.547, -0.939, 0.414, -0.252, -0.818, 0.321, 0.863,
+                                -0.586, 0.26]]), 1.828595089132638))
+def test_cluster_members_matches_the_kd_tree_clustering(case):
+    _assert_matches_kd_tree_clustering(*case)
 
 
 @pytest.mark.parametrize("y", [np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)],

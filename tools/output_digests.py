@@ -23,9 +23,12 @@ runner), on input files written into a temporary directory:
   candidates: the identity and the zero field on the 3-simplex, whose
   tilted grid puts every point alone on its axis lines, and E = -(1, 1, 1)
   on the criterion-1 polyhedron, whose least face has points whose float
-  coordinate sum is 2.0000000000000004.
+  coordinate sum is 2.0000000000000004;
+* ``oracle`` on ``mortgage_linear`` at grid 0.0025, whose last Minty level
+  pairs 1,117 rows with 637,219 columns in chunks of 6 rows, the last row
+  alone.
 
-That is 228 runs.  The benchmark's input files come from
+That is 229 runs.  The benchmark's input files come from
 ``bench/workloads.py``, which is only read.  The output is one JSON object,
 case name -> sha256 of the run's stdout, stderr and exit code.
 
@@ -175,6 +178,8 @@ def cases(directory: Path) -> dict:
         path = directory / f"{name}.json"
         path.write_text(json.dumps({"economy": economy, "region": region}))
         out[f"oracle-{name}"] = ["oracle", str(path), "--grid", "0.05"]
+    out["oracle-mortgage_linear-0.0025"] = [
+        "oracle", str(directory / "mortgage_linear-24.json"), "--grid", "0.0025"]
     return out
 
 
