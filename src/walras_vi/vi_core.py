@@ -22,7 +22,11 @@ set, both by one rejection cascade (``_cascade``).  The primal test's
 min_p E(p_i).p is a linear functional, minimized at a hull vertex, so its
 columns are the rows of ``_extreme_points``.  The dual test has no such
 shortcut (for a positive-definite linear field every lifted point
-(E(p), -E(p).p) is a hull vertex), so its columns are the whole grid.
+(E(p), -E(p).p) is a hull vertex), so its columns are the whole grid.  In
+front of both, ``_cell_filter`` bounds whole cells of the grid against a
+static rounding bound and drops the rows those bounds reject and the dual
+columns that can reject no row left, which changes no mask beyond the
+blocking-dependent last bit of the pairings still scored.
 Nothing here imports scipy: ``cluster_members`` links by a cell list.
 """
 
@@ -57,6 +61,9 @@ _MINTY_PAIRS = 1 << 22
 _BLOCK_PAIRS = 1 << 16   # pairings per cascade row block: 512 KiB
 _CROSSOVER_EVERY = 8     # extragradient steps between crossover tries
 _FACE_SLACK = 1e-12      # relative slack of a row counted active
+_CELL_STEPS = 8          # grid steps per cell side, doubled until cells <= G
+_CELL_PROBES = 256       # strided columns each row cell is bounded against
+_CELL_PAIRS = 1 << 12    # cell bounds per block: 32 KiB
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,14 +316,139 @@ def _cascade(X: FloatArray, Y: FloatArray, a, b, tol: float,
     return vals + a
 
 
+def _blocks(rows: int, cols: int):
+    """Slices of ``rows`` rows, each of about _CELL_PAIRS bounds with ``cols``."""
+    step = max(1, _CELL_PAIRS // max(1, cols))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def _cell_bound(model: ExcessDemandModel, reach: FloatArray, tol: float) -> float:
+    """B, a static bound on the rounding of every cascade value and cell
+    bound of ``_cell_filter``, whose boxes satisfy |x_a| + r_a <= reach_a;
+    inf where F P (below) is above 2^1000 or not finite.
+
+    Write u = 2^-53, gamma_k = k u / (1 - k u), n <= 3 the dimension,
+    e(y) = M y - c exactly, F = max_a (|M| reach + |c|)_a and P = sum(reach),
+    so |e(y)|_a <= F and (|e(x)| + |M| r)_a <= F on every box, and |y|_1 <= P
+    there.  Every bound below holds in any summation order, with or without
+    FMA (Higham 2002, ch. 3); below 2^-1022 each product adds at most
+    2^-1074, fewer than 2^6 of them per value.
+      * A cascade value is a float sum of two float pairings, diag_j or
+        -diag_i and a product of length n.  E = fl(p M^T - c) errs by at most
+        gamma_{n+1} F per entry, diag and the product by gamma_n F P (1 +
+        gamma_{n+1}) each, their sum by 2 u F P (1 + 3 gamma_n), so the value
+        is within (4n + 5) u F P of the exact e(p_j).(p_j - p_i) (Minty) or
+        e(p_i).(p_j - p_i) (Stampacchia).
+      * A cell bound is a float sum of at most 4n products, of operands
+        within gamma_{n+1} F (fields), gamma_n F (|M| r) or u |d| (a
+        difference d) of exact, whose magnitudes sum to at most 3 F P; it
+        errs by at most (gamma_{4n} + gamma_{n+1} + gamma_n + 3 u) 3 F P
+        <= (18n + 13) u F P from the exact bound.
+    Their sum is below B0 = 2^-46 F P = 128 u F P for n <= 3.  With
+    B = 2 B0 + 2^-50 tol + 2^-1000, B less the true error exceeds
+    u (tol + B), the rounding of fl(-tol -+ B).  So a float bound below
+    fl(-tol - B) puts the value it bounds below -tol, and one at or above
+    fl(-tol + B) puts it at or above -tol, as ``_cascade`` computes it.
+    F P <= 2^1000 also keeps every magnitude above finite.
+    """
+    scale = float((np.abs(model.M) @ reach + np.abs(model.c)).max() * reach.sum())
+    if not scale <= 2.0 ** 1000:
+        return np.inf
+    return 2.0 ** -45 * scale + 2.0 ** -50 * tol + 2.0 ** -1000
+
+
+def _cell_filter(problem: VIProblem, grid: FloatArray, evals: FloatArray,
+                 diag: FloatArray, hull: FloatArray, spacing: float, tol: float):
+    """Boolean masks over the grid: the Stampacchia rows, the Minty rows and
+    the Minty columns that a certified cell filter leaves to ``_cascade``.
+
+    Cells (dual-tree pruning, Gray and Moore 2001).  With lo and hi the
+    grid's least and greatest coordinates, a row's cell on axis a is
+    k_a = floor(fl(fl(p_a - lo_a) / w)), w being _CELL_STEPS grid steps,
+    doubled until the box of cells holds at most G of them, so every cell
+    array is O(G) and no row is sorted.  Cell k is the box of centre
+    x = fl(lo + fl((k + 1/2) w)) and radius r = w/2 + 2^-48 (|lo| + |hi| + w)
+    + 2^-1000 on each axis.  With u = 2^-53 and E = hi - lo, the quotient
+    errs by at most 2.01 u E / w, so p - lo lies in [(k - d) w, (k + 1 + d) w]
+    with d w <= 2.01 u E, and x errs from lo + (k + 1/2) w by at most
+    1.01 u (|lo| + 2 E + 2 w) (plus 2^-1074 per operation under underflow):
+    the box holds every row of its cell, and |x_a| + r_a <= reach_a =
+    max(|lo_a|, |hi_a|) + 2 r_a.
+
+    Bounds.  With e(y) = M y - c, X = x +- r and rho = |M| r, e(X) lies in
+    e(x) +- rho.  Against B = ``_cell_bound`` (which prunes nothing when it
+    is not finite):
+      * a Stampacchia row cell leaves when, for some strided hull candidate
+        h, e(x).(h - x) + (|e(x)| + rho).r + rho.|h - x| < -tol - B;
+      * a Minty row cell leaves when, for some strided grid column j,
+        diag_j + |E_j|.r - E_j.x < -tol - B;
+      * a Minty column cell y stays only when, for some live Minty row cell
+        x, e(y).(y - x) - (|e(y)| + rho).2r - rho.|y - x| < -tol + B.
+    A row in a cell that leaves has a cascade value below -tol, so
+    ``_cascade`` would reject it, and a column in a skipped cell gives no
+    live row a value below -tol, under every kernel and every blocking.
+    Bounds come in blocks of about _CELL_PAIRS.
+    """
+    with np.errstate(all="ignore"):  # the CLI raises on overflow; here B is inf
+        G, n = grid.shape
+        # column by column: numpy reduces a (G, n) array over axis 0 slowly
+        lo, hi = (np.array([f(v) for v in grid.T]) for f in (np.min, np.max))
+        width = _CELL_STEPS * spacing
+        while np.prod(np.floor((hi - lo) / width) + 1) > G:
+            width *= 2
+        radius = 0.5 * width + 2.0 ** -48 * (np.abs(lo) + np.abs(hi) + width) + 2.0 ** -1000
+        bound = _cell_bound(problem.model, np.maximum(np.abs(lo), np.abs(hi)) + 2 * radius, tol)
+        if not bound < np.inf:
+            keep = np.ones(G, dtype=bool)
+            return keep, keep, keep
+        drop, skip = -tol - bound, -tol + bound
+        spans = (np.floor((hi - lo) / width) + 1).astype(np.intp)
+        key = np.zeros(G, dtype=np.intp)
+        for a in range(n):
+            key *= spans[a]
+            key += np.floor((grid[:, a] - lo[a]) / width).astype(np.intp)
+        counts = np.bincount(key, minlength=int(np.prod(spans)))
+        cell = np.take(np.cumsum(counts > 0) - 1, key)
+        del key
+        x = lo + (np.stack(np.unravel_index(np.flatnonzero(counts), spans), axis=1) + 0.5) * width
+        M, c = problem.model.M, problem.model.c
+        ex, rho = x @ M.T - c, np.abs(M) @ radius
+        K = len(x)
+        stamp = np.ones(K, dtype=bool)  # against strided hull candidates
+        h = hull[::max(1, len(hull) // _CELL_PROBES)]
+        base = (np.abs(ex) + rho) @ radius - np.einsum("ij,ij->i", ex, x)
+        for s in _blocks(K, len(h)):
+            ub = ex[s] @ h.T + base[s, None]
+            for a in range(n):
+                ub += rho[a] * np.abs(h[:, a] - x[s, a, None])
+            stamp[s] = ~(ub < drop).any(axis=1)
+        minty = np.ones(K, dtype=bool)  # against strided grid columns
+        cols = np.arange(0, G, max(1, G // _CELL_PROBES))
+        e = evals[cols]
+        top = diag[cols] + np.abs(e) @ radius
+        for s in _blocks(K, len(cols)):
+            minty[s] = ~(top - x[s] @ e.T < drop).any(axis=1)
+        need = np.zeros(K, dtype=bool)  # against the live Minty row cells
+        live = x[minty]
+        own = np.einsum("ij,ij->i", ex, x) - (np.abs(ex) + rho) @ (2 * radius)
+        for s in _blocks(len(live), K):
+            lb = own - live[s] @ ex.T
+            for a in range(n):
+                lb -= rho[a] * np.abs(x[:, a] - live[s, a, None])
+            need |= ~(lb >= skip).all(axis=0)
+        return stamp[cell], minty[cell], need[cell]
+
+
 def enumerate_solutions(problem: VIProblem, grid_spacing: float,
                         lipschitz_scale: float) -> SolutionSetEstimate:
     """Classify every feasible grid point against both solution notions.
 
     Membership tolerance is grid_spacing * lipschitz_scale; the scale is
     fixture-specific because exact membership on a grid is ill-posed.  Both
-    tests are ``_cascade`` scans in one buffer, exact on every member: the
-    primal one over ``_extreme_points(grid)``, the dual one over the grid.
+    tests are ``_cascade`` scans, exact on every member: the primal one over
+    ``_extreme_points(grid)``, the dual one over the grid.  ``_cell_filter``
+    first drops the rows that a certified cell bound rejects and the dual
+    columns that can reject no row left, so each scan sees only the rest.
     Desk-scale only (dim <= 3).
     """
     if not (np.isfinite(lipschitz_scale) and lipschitz_scale > 0):
@@ -326,13 +458,21 @@ def enumerate_solutions(problem: VIProblem, grid_spacing: float,
     evals = problem.model(grid)
     diag = np.einsum("ij,ij->i", evals, grid)
     tol = grid_spacing * lipschitz_scale
-    buf = np.empty(min(len(grid) ** 2, max(_BLOCK_PAIRS, 3 * len(grid))))
-    primal = _cascade(evals, _extreme_points(grid), -diag, 0.0, tol, buf)
-    np.negative(evals, out=evals)  # exact, and no second (G, n) array
+    hull = _extreme_points(grid)
+    stamp, minty, cols = _cell_filter(problem, grid, evals, diag, hull,
+                                      grid_spacing, tol)
+    primal = np.zeros(len(grid), dtype=bool)
+    primal[stamp] = _cascade(evals[stamp], hull, -diag[stamp], 0.0, tol) >= -tol
+    np.negative(evals, out=evals)  # exact, in place
+    dual = np.zeros(len(grid), dtype=bool)
+    if cols.any():  # else no column can reject a row
+        dual[minty] = _cascade(grid[minty], evals[cols], 0.0, diag[cols], tol) >= -tol
+    else:
+        dual[minty] = True
     return SolutionSetEstimate(
         grid_points=grid,
-        stampacchia_mask=primal >= -tol,
-        minty_mask=_cascade(grid, evals, 0.0, diag, tol, buf) >= -tol,
+        stampacchia_mask=primal,
+        minty_mask=dual,
         grid_spacing=grid_spacing,
         tolerance=tol,
     )

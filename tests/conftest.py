@@ -13,8 +13,9 @@ union-find and k-d tree clusterings, its earlier dual scan, its cascade
 before its chunks shared a buffer, its earlier simplex projection, NNLS,
 polyhedral projection and extragradient loop, its earlier ``Simplex.grid`` and
 ``minty_gap``, its earlier probe set (Halton digits, box corners,
-polyhedron vertices and row-by-row ``project_many``), and its earlier qhull
-hull vertices and the Stampacchia minimum over them, kept verbatim apart
+polyhedron vertices and row-by-row ``project_many``), its earlier qhull
+hull vertices and the Stampacchia minimum over them, and its oracle before
+the cell filter, kept verbatim apart
 from the fused scan's sums, which run in k order as the library's do.  The
 pair checkers, ``check_tuple_classes``, the dual class's own scan,
 ``SamplePlan.strict_exclusions``, ``cluster_members`` and the Minty
@@ -22,7 +23,8 @@ rejection cascade must agree with them
 byte for byte (the per-class scans and the two-pass Minty scan on grids
 where every pairing is exact; elsewhere up to BLAS rounding); the
 projections, the solver, the simplex grid, the dual gap, the probe set and
-the earlier cascade must agree bit for bit.  The qhull minimum is the one
+the earlier cascade must agree bit for bit, and the oracle's masks must be
+the unfiltered ones.  The qhull minimum is the one
 reference kept to pin where it was wrong: it missed hull vertices whose
 coordinates round off their face.
 """
@@ -45,7 +47,8 @@ from walras_vi.monotonicity import (_SCAN_PAIRS, HOLDS, REFUTED,
 from walras_vi.regions import (_BLOCK_ENTRIES, Box, FloatArray, Polyhedron,
                                ProjectionBudgetError, _check_grid_size, _row_subsets,
                                as_price_vector, first_distinct)
-from walras_vi.vi_core import MemberClusters, _extreme_points, residual
+from walras_vi.vi_core import (_BLOCK_PAIRS, MemberClusters, SolutionSetEstimate,
+                               _cascade, _extreme_points, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -1010,3 +1013,30 @@ def stampacchia_mask_reference(grid: FloatArray, evals: FloatArray,
     """The earlier ``enumerate_solutions`` Stampacchia mask."""
     linmin = (extreme_points_reference(grid) @ evals.T).min(axis=0)
     return (linmin - diag) >= -tol
+
+
+# ---------------------------------------------------------------------------
+# the oracle before its cell filter: both cascades over every row, the Minty
+# one over every column
+
+
+def enumerate_solutions_reference(problem, grid_spacing: float,
+                                  lipschitz_scale: float) -> SolutionSetEstimate:
+    """The library's earlier ``enumerate_solutions``, without ``_cell_filter``."""
+    if not (np.isfinite(lipschitz_scale) and lipschitz_scale > 0):
+        raise ValueError(f"lipschitz_scale must be positive and finite, got "
+                         f"{lipschitz_scale!r}")
+    grid = problem.region.grid(grid_spacing)
+    evals = problem.model(grid)
+    diag = np.einsum("ij,ij->i", evals, grid)
+    tol = grid_spacing * lipschitz_scale
+    buf = np.empty(min(len(grid) ** 2, max(_BLOCK_PAIRS, 3 * len(grid))))
+    primal = _cascade(evals, _extreme_points(grid), -diag, 0.0, tol, buf)
+    np.negative(evals, out=evals)  # exact, and no second (G, n) array
+    return SolutionSetEstimate(
+        grid_points=grid,
+        stampacchia_mask=primal >= -tol,
+        minty_mask=_cascade(grid, evals, 0.0, diag, tol, buf) >= -tol,
+        grid_spacing=grid_spacing,
+        tolerance=tol,
+    )

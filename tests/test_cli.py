@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -816,6 +817,19 @@ def test_oversized_oracle_grid_is_one_error_line(runner, tmp_path, upper, grid):
                            + grid)
     _assert_one_error_line(result)
     assert "grid would hold" in result.stderr
+
+
+def test_harness_at_grid_1e308_keeps_its_bytes(runner):
+    # each grid is its region's corners and the oracle's cell bound
+    # overflows, so it prunes nothing; scalar_negslope's T4_1 and
+    # constant_positive's T4_3 fail at that grid, hence exit 4
+    result = runner.invoke(main, ["harness", "--grid", "1e308"])
+    assert result.exit_code == 4
+    digests = [hashlib.sha256(stream.encode()).hexdigest()
+               for stream in (result.stdout, result.stderr)]
+    assert digests == [
+        "c7bea1e41b0a354dd5ea52cc1803e918e037ae7e6f438e4df7bad87734dcf3a7",
+        "46c495a8f505f9b8da41ff9bcb4d1a9245fdcd256a3bde49e81f14d93d49bd53"]
 
 
 def test_integer_array_entries_still_run(runner, tmp_path):

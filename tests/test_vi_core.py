@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose
 from conftest import (
     cluster_centroids,
     cluster_members_reference,
+    enumerate_solutions_reference,
     extragradient_reference,
     halton_reference,
     minty_gap_reference,
@@ -728,6 +730,181 @@ def test_oracle_peaks_a_few_mib_above_its_grid_arrays():
         tracemalloc.stop()
     # grid, field, diagonal, values, surviving rows, fresh columns and masks
     assert peak <= grid_peak + 8 * G * (2 * n + 4) + 8 * 2 ** 20
+
+
+def test_oracle_peaks_a_few_mib_above_its_grid_arrays_at_0_001():
+    # 1,002,001 grid points: the hull candidates' sorts are the peak, and
+    # the cell filter's O(G) arrays and blocked bounds stay below it
+    problem, fixture = catalog_problem("linear_identity")
+    tracemalloc.start()
+    try:
+        G, n = problem.region.grid(0.001).shape
+        grid_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        enumerate_solutions(problem, 0.001, fixture.lipschitz)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # grid, field, diagonal, values, surviving rows, fresh columns and masks
+    assert peak <= grid_peak + 8 * G * (2 * n + 4) + 8 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the certified cell filter in front of both cascades
+
+FILTER_BASES = [0.0, 0.375, 1e3, 12345.678, 1e5]   # coordinates up to 1e5
+DYADIC = {0.125, 1 / 64}                            # spacings that pair exactly
+
+
+@st.composite
+def filter_problems(draw):
+    """(problem, spacing, exact): a region of DEGENERATE_REGIONS at one of
+    its spacings, Simplex(3) at 1/32, or a box of dim 1-3 with 0-24 steps
+    per axis (0-8 in dim 3) from bases up to 1e5, whose last cells often
+    hold one point; a quarter-integer field; ``exact`` when every pairing
+    is exact, the grid being dyadic."""
+    kind = draw(st.sampled_from(["degenerate", "simplex", "box"]))
+    if kind == "degenerate":
+        region, spacings = draw(st.sampled_from([p.values for p in DEGENERATE_REGIONS]))
+        spacing = draw(st.sampled_from(spacings))
+        exact = spacing in DYADIC
+    elif kind == "simplex":
+        region, spacing, exact = Simplex(3), 1 / 32, True
+    else:
+        n = draw(st.integers(1, 3))
+        spacing = draw(st.sampled_from(sorted(DYADIC) + [0.1, 0.01]))
+        base = np.array(draw(st.lists(st.sampled_from(FILTER_BASES), min_size=n,
+                                      max_size=n)))
+        steps = np.array(draw(st.lists(st.integers(0, 24 if n < 3 else 8),
+                                       min_size=n, max_size=n)))
+        region = Box(base, base + steps * spacing)
+        exact = spacing in DYADIC and 12345.678 not in base
+    model = draw(quarter_fields(region.dim))
+    return VIProblem(model, region), spacing, exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=filter_problems(), data=st.data())
+@example(case=(VIProblem(linear_economy(np.eye(2), [0.5, 0.25]), UNIT_SQUARE),
+               0.125, True), data=None)      # 9 x 9 points, one alone in its cell
+def test_cell_filter_keeps_every_mask(case, data):
+    # identical masks to the oracle before the filter: at tolerance 0.117
+    # spacing, off the pairing lattice, or on a dyadic grid at a row's own
+    # minimum, where that row sits exactly at -tol.  Every dropped row is
+    # rejected there, and no skipped column gives a row left a value below
+    # -tol in a product of another blocking.
+    problem, spacing, exact = case
+    grid = problem.region.grid(spacing)
+    evals = problem.model(grid)
+    diag = np.einsum("ij,ij->i", evals, grid)
+    hull = _extreme_points(grid)
+    scale = 0.117
+    if exact and data is not None and data.draw(st.booleans()):
+        values = np.concatenate((vi_core._cascade(evals, hull, -diag, 0.0, np.inf),
+                                 vi_core._cascade(grid, -evals, 0.0, diag, np.inf)))
+        ties = values[values < 0]
+        if ties.size:
+            scale = -float(data.draw(st.sampled_from(ties))) / spacing
+    got = enumerate_solutions(problem, spacing, scale)
+    want = enumerate_solutions_reference(problem, spacing, scale)
+    tol = want.tolerance
+    assert got.tolerance == tol
+    assert np.array_equal(got.grid_points, want.grid_points)
+    assert np.array_equal(got.stampacchia_mask, want.stampacchia_mask)
+    assert np.array_equal(got.minty_mask, want.minty_mask)
+    stamp, minty, cols = vi_core._cell_filter(problem, grid, evals, diag, hull,
+                                              spacing, tol)
+    assert not want.stampacchia_mask[~stamp].any()
+    assert not want.minty_mask[~minty].any()
+    assert np.all(np.add(diag[~cols], grid[minty] @ -evals[~cols].T) >= -tol)
+
+
+@pytest.mark.parametrize("grid", [0.02, 0.01])
+@pytest.mark.parametrize("label", list(default_catalog()))
+def test_cell_filter_keeps_the_catalog_masks(label, grid):
+    problem, fixture = catalog_problem(label)
+    got = enumerate_solutions(problem, grid, fixture.lipschitz)
+    want = enumerate_solutions_reference(problem, grid, fixture.lipschitz)
+    assert np.array_equal(got.stampacchia_mask, want.stampacchia_mask)
+    assert np.array_equal(got.minty_mask, want.minty_mask)
+
+
+@pytest.mark.parametrize("label, stamp, minty, cols", [
+    ("linear_identity", 192, 512, 1856),
+    ("rotation", 808, 808, 10201),      # no column cell can skip the face
+    ("constant_field", 808, 808, 808),
+])
+def test_cell_filter_leaves_few_rows_and_columns_at_0_01(label, stamp, minty, cols):
+    # of 10,201 rows and columns on the unit square
+    problem, fixture = catalog_problem(label)
+    grid = problem.region.grid(0.01)
+    evals = problem.model(grid)
+    diag = np.einsum("ij,ij->i", evals, grid)
+    masks = vi_core._cell_filter(problem, grid, evals, diag, _extreme_points(grid),
+                                 0.01, 0.01 * fixture.lipschitz)
+    assert [int(m.sum()) for m in masks] == [stamp, minty, cols]
+
+
+def _exact_field(model, p):
+    M = [[Fraction(v) for v in row] for row in model.M.tolist()]
+    return [sum(m * Fraction(x) for m, x in zip(row, p)) - Fraction(ci)
+            for row, ci in zip(M, model.c.tolist())]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_cell_bound_covers_every_cascade_value(n, data):
+    # entries k/97 and coordinates up to 1e5 round; every pairing the two
+    # cascades form, in one product and row by row, lies within B of the
+    # exact pairing of the float inputs
+    base = np.array(data.draw(st.lists(st.sampled_from(FILTER_BASES), min_size=n,
+                                       max_size=n)))
+    spacing = data.draw(st.sampled_from([0.1, 0.01, 1 / 64]))
+    steps = np.array(data.draw(st.lists(st.integers(1, 4 if n < 3 else 2),
+                                        min_size=n, max_size=n)))
+    grid = Box(base, base + steps * spacing).grid(spacing)
+    entries = st.integers(-300, 300).map(lambda k: k / 97)
+    M = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+    M = M.reshape(n, n)
+    near = grid[data.draw(st.integers(0, len(grid) - 1))]   # E nearly 0 there
+    c = M @ near + np.array(data.draw(st.lists(entries, min_size=n, max_size=n))) * 1e-3
+    model = linear_economy(M, c)
+    evals = model(grid)
+    diag = np.einsum("ij,ij->i", evals, grid)
+    products = (grid @ -evals.T, np.array([g @ -evals.T for g in grid]))
+    minty = [np.add(diag, pairs) for pairs in products]
+    stamps = (evals @ grid.T, np.array([e @ grid.T for e in evals]))
+    stamp = [(pairs + 0.0) + -diag[:, None] for pairs in stamps]
+    E = [_exact_field(model, p) for p in grid.tolist()]
+    P = [[Fraction(x) for x in p] for p in grid.tolist()]
+    G = range(len(grid))
+    exact_minty = [[sum(e * (pj - pi) for e, pj, pi in zip(E[j], P[j], P[i])) for j in G]
+                   for i in G]
+    exact_stamp = [[sum(e * (pj - pi) for e, pj, pi in zip(E[i], P[j], P[i])) for j in G]
+                   for i in G]
+    reach = np.maximum(np.abs(grid.min(axis=0)), np.abs(grid.max(axis=0)))
+    bound = Fraction(vi_core._cell_bound(model, reach, 0.0))
+    for got, want in [(v, exact_minty) for v in minty] + [(v, exact_stamp) for v in stamp]:
+        assert all(abs(Fraction(g) - w) <= bound
+                   for row, wrow in zip(got.tolist(), want) for g, w in zip(row, wrow))
+
+
+@pytest.mark.parametrize("upper", [1e200, 1e308])
+def test_cell_filter_prunes_nothing_when_its_bound_overflows(upper):
+    # F P passes 2^1000, so B is infinite and every row and column is kept,
+    # computed without a floating-point error under the CLI's error state
+    region = Box([0.0, 0.0], [upper, upper])
+    grid = region.grid(upper / 4)
+    problem = VIProblem(linear_economy(np.eye(2), np.zeros(2)), region)
+    evals = problem.model(grid)
+    diag = np.einsum("ij,ij->i", evals, grid)
+    with np.errstate(over="raise", invalid="raise"):
+        masks = vi_core._cell_filter(problem, grid, evals, diag, _extreme_points(grid),
+                                     upper / 4, 1.0)
+    assert all(m.all() for m in masks)
 
 
 @pytest.mark.parametrize("pairs, sizes", [(1 << 22, {2, 3}), (1, {1})],

@@ -26,9 +26,14 @@ runner), on input files written into a temporary directory:
   coordinate sum is 2.0000000000000004;
 * ``oracle`` on ``mortgage_linear`` at grid 0.0025, whose last Minty level
   pairs 1,117 rows with 637,219 columns in chunks of 6 rows, the last row
-  alone.
+  alone;
+* ``oracle`` runs where the cell filter in front of the cascades decides
+  much: a positive-definite field on the unit cube at grid 0.05,
+  ``rotation`` at 0.01, whose solution face no column cell can skip, the
+  constant field at 0.005, and E(p) = p - (5e4, 5e4) on [0, 1e5]^2 at
+  grid 1,000.
 
-That is 229 runs.  The benchmark's input files come from
+That is 233 runs.  The benchmark's input files come from
 ``bench/workloads.py``, which is only read.  The output is one JSON object,
 case name -> sha256 of the run's stdout, stderr and exit code.
 
@@ -112,6 +117,21 @@ ORACLE_FIELDS = {
                        CRITERION_1),
 }
 
+# oracle runs where the cell filter prunes rows and columns, or cannot:
+# (problem file, grid), and catalog fixtures at a grid.  On the cube the
+# scale 1.17 keeps the tolerance off the pairing lattice of the 0.05 grid.
+FILTER_PROBLEMS = {
+    "cube3-pd-0.05": ({"economy": {"kind": "linear", "c": [1.0, 2.0, 1.5],
+                                   "M": [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0],
+                                         [0.0, 1.0, 2.0]]},
+                       "region": {"kind": "box", "lower": [0.0] * 3,
+                                  "upper": [1.0] * 3},
+                       "oracle": {"lipschitz": 1.17}}, "0.05"),
+    "large_box-1000": ({"economy": LARGE_BOX["economy"],
+                        "region": LARGE_BOX["region"]}, "1000"),
+}
+FILTER_FIXTURES = {"rotation": "0.01", "constant_field": "0.005"}
+
 
 def _region_spec(region) -> dict:
     """A problem-file region entry that rebuilds ``region``."""
@@ -180,6 +200,13 @@ def cases(directory: Path) -> dict:
         out[f"oracle-{name}"] = ["oracle", str(path), "--grid", "0.05"]
     out["oracle-mortgage_linear-0.0025"] = [
         "oracle", str(directory / "mortgage_linear-24.json"), "--grid", "0.0025"]
+    for name, (problem, grid) in FILTER_PROBLEMS.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(problem))
+        out[f"oracle-{name}"] = ["oracle", str(path), "--grid", grid]
+    for label, grid in FILTER_FIXTURES.items():
+        out[f"oracle-{label}-{grid}"] = [
+            "oracle", str(directory / f"{label}-24.json"), "--grid", grid]
     return out
 
 
