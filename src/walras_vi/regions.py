@@ -6,10 +6,10 @@ region is nonempty and bounded when built (construction raises
 otherwise), immutable after construction, and every operation is a pure
 function, so fixtures share regions freely.  A polyhedron of dim <= 3 is
 certified from its vertices; a larger one, or one with too many row
-subsets to enumerate, by linear programs.  scipy is imported only where
-it is called, and only in this module: a simplex or a box loads none of
-it, and a polyhedron of dim <= 3 loads ``scipy.linalg`` for its
-projections but no linear-programming code.
+subsets to enumerate, by linear programs.  scipy is imported only for
+those programs, and only in this module: a simplex, a box or a polyhedron
+of dim <= 3 loads none of it, since a projection's least squares run in
+Python floats (``_lstsq``).
 
 Projections are exact for the simplex (sort-and-threshold) and the box
 (componentwise clamp); a polyhedral projection is one nonnegative
@@ -19,7 +19,6 @@ result is verified against the KKT conditions to ``TAU_PROJ``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from abc import ABC, abstractmethod
@@ -136,17 +135,56 @@ def project_onto_simplex(v: FloatArray) -> FloatArray:
     return np.maximum(v - theta, 0.0)
 
 
-@functools.cache
-def _dgelsy():           # bound on first use, so that start-up loads no scipy
-    from scipy.linalg import lapack
-    return lapack.dgelsy
+def _lstsq(cols: list, b: list) -> list:
+    """Minimum-norm least squares over Python floats: the z minimizing
+    ||sum_j z[j] cols[j] - b||, each column a list as long as ``b``.
 
+    Householder QR with column pivoting (Businger and Golub, 1965): each
+    pivot is the remaining column of largest norm, taken afresh by
+    ``math.hypot``, and a pivot norm at most 1e-13 of the first, gelsy's
+    rcond, ends the factorization.  The columns left over are dependent;
+    the basic solution then loses its projection onto the null space of
+    [R11 R12], which leaves the minimum-norm solution.  Every sum runs in
+    one fixed order, so no BLAS kernel can change a bit.
+    """
+    a, r = [list(c) for c in cols], list(b)
+    k, m = len(a), len(r)
+    order, rank, top = list(range(k)), 0, 0.0
+    for i in range(min(m, k)):
+        norms = [math.hypot(*c[i:]) for c in a[i:]]
+        nrm = max(norms)
+        p = i + norms.index(nrm)
+        a[i], a[p], order[i], order[p] = a[p], a[i], order[p], order[i]
+        x, top = a[i], top or nrm
+        if nrm <= 1e-13 * top:
+            break
+        alpha = -math.copysign(nrm, x[i])
+        v0 = x[i] - alpha   # v = x - alpha e_i and H y = y + v (v.y) / (alpha v0)
+        for y in a[i + 1:] + [r]:
+            f = (v0 * y[i] + sum(x[l] * y[l] for l in range(i + 1, m))) / (alpha * v0)
+            y[i] += f * v0
+            for l in range(i + 1, m):
+                y[l] += f * x[l]
+        x[i], rank = alpha, i + 1
 
-def _lstsq(A: FloatArray, b: FloatArray) -> FloatArray:
-    """Minimum-norm least squares; LAPACK's gelsy called directly costs a
-    quarter of ``np.linalg.lstsq`` on the tiny systems NNLS solves."""
-    k = A.shape[1]
-    return _dgelsy()(A, b, np.zeros(k, np.int32), 1e-13, 4 * k + 1)[1][:k]
+    def solve(rhs):     # R11^-1 rhs[:rank], zero past the rank
+        z = [0.0] * k
+        for i in reversed(range(rank)):
+            z[i] = (rhs[i] - sum(a[j][i] * z[j] for j in range(i + 1, rank))) / a[i][i]
+        return z
+
+    z, basis = solve(r), []
+    for d in range(rank, k):    # z loses each null direction, by Gram-Schmidt
+        v = solve([-t for t in a[d]])
+        v[d] = 1.0
+        for q in basis:
+            f = sum(s * t for s, t in zip(q, v))
+            v = [t - f * s for s, t in zip(q, v)]
+        norm = math.hypot(*v)
+        basis.append([t / norm for t in v])
+        f = sum(s * t for s, t in zip(basis[-1], z))
+        z = [t - f * s for s, t in zip(basis[-1], z)]
+    return [z[order.index(j)] for j in range(k)]
 
 
 def nnls(A: FloatArray, b: FloatArray) -> FloatArray:
@@ -156,11 +194,12 @@ def nnls(A: FloatArray, b: FloatArray) -> FloatArray:
     only if its gradient exceeds rounding level and its coefficient comes
     out positive, which turns away columns that depend on the passive ones
     (duplicate, opposite or flat constraints).  ``scipy.optimize.nnls``
-    can return a wrong x with a zero reported residual on such input.  The
-    short coefficient vectors are read through ``tolist``, and a step whose
-    coefficients all come out positive skips the ratio loop.
+    can return a wrong x with a zero reported residual on such input.  Each
+    least-squares step is ``_lstsq`` on the columns as Python lists, and a
+    step whose coefficients all come out positive skips the ratio loop.
     """
     m, n = A.shape
+    At, bl = A.T.tolist(), b.tolist()
     passive, coef = [], np.zeros(0)
     tol = 10.0 * _EPS * max(m, n) * max(1.0, float(np.abs(A).max()))
     w = A.T @ b
@@ -173,12 +212,11 @@ def nnls(A: FloatArray, b: FloatArray) -> FloatArray:
             x[passive] = coef
             return x
         trial = passive + [j]
-        cols = A[:, trial]
-        z = _lstsq(cols, b)
-        zl = z.tolist()
+        zl = _lstsq([At[i] for i in trial], bl)
         if zl[-1] <= 0.0:
             w[j] = -np.inf
             continue
+        z = np.array(zl)
         if min(zl) <= 0.0:  # step toward z until a coefficient hits zero
             xp = np.concatenate((coef, (0.0,)))
             while z.min() <= 0.0:
@@ -189,10 +227,9 @@ def nnls(A: FloatArray, b: FloatArray) -> FloatArray:
                 xp[neg[k]] = 0.0
                 trial = [i for i, v in zip(trial, xp) if v > 0.0]
                 xp = xp[xp > 0.0]
-                cols = A[:, trial]
-                z = _lstsq(cols, b)
+                z = np.array(_lstsq([At[i] for i in trial], bl))
         passive, coef = trial, z
-        w = A.T @ (b - cols @ z)
+        w = A.T @ (b - A[:, trial] @ z)
     raise RuntimeError("Maximum number of iterations reached.")
 
 

@@ -16,7 +16,9 @@ polyhedral projection and extragradient loop, its earlier ``Simplex.grid`` and
 polyhedron vertices and row-by-row ``project_many``), its earlier qhull
 hull vertices and the Stampacchia minimum over them, and its oracle before
 the cell filter, kept verbatim apart
-from the fused scan's sums, which run in k order as the library's do.  The
+from the fused scan's sums, which run in k order as the library's do, and
+from the NNLS reference's least squares, which is the library's ``_lstsq``
+(checked against LAPACK's gelsy, ``_lstsq_reference``).  The
 pair checkers, ``check_tuple_classes``, the dual class's own scan,
 ``SamplePlan.strict_exclusions``, ``cluster_members`` and the Minty
 rejection cascade must agree with them
@@ -45,8 +47,8 @@ from walras_vi.monotonicity import (_SCAN_PAIRS, HOLDS, REFUTED,
                                     MonotonicityReport, SamplePlan, Witness,
                                     _allowance, _combine)
 from walras_vi.regions import (_BLOCK_ENTRIES, Box, FloatArray, Polyhedron,
-                               ProjectionBudgetError, _check_grid_size, _row_subsets,
-                               as_price_vector, first_distinct)
+                               ProjectionBudgetError, _check_grid_size, _lstsq,
+                               _row_subsets, as_price_vector, first_distinct)
 from walras_vi.vi_core import (_BLOCK_PAIRS, MemberClusters, SolutionSetEstimate,
                                _cascade, _extreme_points, residual)
 
@@ -781,6 +783,8 @@ def project_onto_simplex_reference(v: FloatArray) -> FloatArray:
 
 
 def _lstsq_reference(A: FloatArray, b: FloatArray) -> FloatArray:
+    """Minimum-norm least squares by LAPACK's gelsy at rcond 1e-13, the
+    kernel NNLS called before ``regions._lstsq``."""
     k = A.shape[1]
     return lapack.dgelsy(A, b, np.zeros(k, np.int32), 1e-13, 4 * k + 1)[1][:k]
 
@@ -800,7 +804,7 @@ def nnls_reference(A: FloatArray, b: FloatArray) -> FloatArray:
             return x
         trial = passive + [j]
         cols = A[:, trial]
-        z = _lstsq_reference(cols, b)
+        z = np.array(_lstsq(cols.T.tolist(), b.tolist()))
         if z[-1] <= 0.0:
             w[j] = -np.inf
             continue
@@ -814,7 +818,7 @@ def nnls_reference(A: FloatArray, b: FloatArray) -> FloatArray:
             trial = [i for i, v in zip(trial, xp) if v > 0.0]
             xp = xp[xp > 0.0]
             cols = A[:, trial]
-            z = _lstsq_reference(cols, b)
+            z = np.array(_lstsq(cols.T.tolist(), b.tolist()))
         passive, coef = trial, z
         w = A.T @ (b - cols @ z)
     raise RuntimeError("Maximum number of iterations reached.")

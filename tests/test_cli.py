@@ -28,6 +28,15 @@ LINEAR_PROBLEM = {
     "oracle": {"grid_spacing": 0.01, "lipschitz": 3.0},
 }
 
+# the criterion-1 polyhedron {x1 + x2 + x3 <= 2, 0 <= x <= 1}, E(p) = p - c,
+# from a start on the sum cap
+POLY3_PROBLEM = {
+    "economy": {"kind": "linear", "M": np.eye(3).tolist(), "c": [1.5, 0.9, 0.7]},
+    "region": {"kind": "polyhedron", "A": [[1.0, 1.0, 1.0]], "b": [2.0],
+               "lower": [0.0, 0.0, 0.0], "upper": [1.0, 1.0, 1.0]},
+    "solver": {"start": [1.0, 0.5, 0.5]},
+}
+
 NEGSLOPE_PROBLEM = {
     "economy": {"kind": "scalar", "name": "negslope_half"},
     "region": {"kind": "box", "lower": [0.0], "upper": [1.0]},
@@ -350,11 +359,13 @@ _START_UPS = {
     "polyhedron-2d": ("from walras_vi.regions import Polyhedron\n"
                       "Polyhedron([[1.0, 1.0]], [1.0], lower=[0, 0], upper=[1, 1])",
                       ("scipy.optimize",)),
-    # clusters come from a cell list and label jumping; the mortgage
-    # projections still load scipy.linalg
+    # clusters come from a cell list and label jumping, and the mortgage
+    # projections' least squares run in Python floats
     "harness": ("from walras_vi.cli import main\n"
                 "main.main(['harness', '--grid', '0.05'], standalone_mode=False)",
-                ("scipy.spatial", "scipy.sparse")),
+                ("scipy",)),
+    # the first step leaves the sum cap, so the solver projects from there on
+    "solve-poly3": (_SOLVE.replace("{path!r}", "{poly3_path!r}"), ("scipy",)),
 }
 
 
@@ -366,7 +377,8 @@ def test_start_up_loads_no_scipy(tmp_path, case):
         path=write(tmp_path, "problem.json", LINEAR_PROBLEM),
         catalog_path=write(tmp_path, "catalog.json", {
             "economy": {"kind": "catalog", "name": "simplex_positive"},
-            "region": {"kind": "simplex", "n": 2}}))
+            "region": {"kind": "simplex", "n": 2}}),
+        poly3_path=write(tmp_path, "poly3.json", POLY3_PROBLEM))
     code += (f"\nimport sys\nprint([m for m in sys.modules if any("
              f"(m + '.').startswith(p + '.') for p in {prefixes!r})])")
     src = str(Path(walras_vi.__file__).parents[1])

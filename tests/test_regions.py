@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
+    _lstsq_reference,
     box_grid,
     box_vertices_reference,
     halton_reference,
@@ -623,6 +624,38 @@ def test_nnls_turns_away_dependent_columns():
     from walras_vi.regions import nnls
 
     assert np.linalg.norm(E @ nnls(E, e) - e) == pytest.approx(0.9925440466151525)
+
+
+@st.composite
+def lstsq_cases(draw):
+    """A quarter-integer system of up to 4 x 4, k <= m columns, whose last
+    column may copy the first, oppose it, be zero, or, with the first's
+    last entry zeroed, oppose it as a flat constraint pair does."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, rows))
+    entry = st.integers(-4, 4).map(lambda k: k / 4)
+    A = np.array(draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows)))
+    kind = draw(st.sampled_from(["none", "duplicate", "opposite", "zero", "flat"]))
+    if cols > 1 and kind != "none":
+        if kind == "flat":
+            A[-1, 0] = 0.0
+        A[:, -1] = {"duplicate": 1.0, "zero": 0.0}.get(kind, -1.0) * A[:, 0]
+    return np.asfortranarray(A), np.array(draw(coords(rows, -2.0, 2.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lstsq_cases())
+def test_lstsq_matches_gelsy(case):
+    # the residual, exact in Fraction, is gelsy's up to rounding; a
+    # rank-deficient system gets gelsy's minimum-norm solution
+    A, b = case
+    z = np.array(regions._lstsq(A.T.tolist(), b.tolist()))
+    reference = _lstsq_reference(A, b)
+    assert _exact_residual(A, z, b) <= _exact_residual(A, reference, b) + 1e-12
+    if np.linalg.matrix_rank(A) < A.shape[1]:
+        assert np.linalg.norm(z) == pytest.approx(np.linalg.norm(reference),
+                                                  rel=1e-12, abs=1e-12)
 
 
 def _same_bits_or_same_error(fast, reference):
