@@ -47,6 +47,7 @@ from .monotonicity import (
 )
 from .vi_core import (
     CONVERGED,
+    GridLattice,
     MemberClusters,
     SolutionSetEstimate,
     VIProblem,
@@ -119,9 +120,17 @@ class TheoremCheckResult:
         }
 
 
+def _lattice_key(region, spacing: float) -> tuple:
+    """Every input of ``region.lattice(spacing)``, as bytes."""
+    A, b, n_eq = region.constraints()
+    return (type(region), n_eq, np.float64(spacing).tobytes(),
+            *(v.tobytes() for v in (*region.bounding_box(), A, b)))
+
+
 def gather_evidence(fixture: Fixture, config: HarnessConfig = HarnessConfig(),
-                    plans: Optional[dict] = None) -> FixtureEvidence:
-    """Run checkers, oracle and solver once; ``plans`` holds a run's shared plans."""
+                    plans: Optional[dict] = None,
+                    lattices: Optional[dict] = None) -> FixtureEvidence:
+    """Run checkers, oracle and solver once; ``plans`` and ``lattices`` hold shared ones."""
     plan = build_plan(fixture.region, config)
     if plans is not None:
         plan = plans.setdefault((plan.base_points.shape,
@@ -129,7 +138,11 @@ def gather_evidence(fixture: Fixture, config: HarnessConfig = HarnessConfig(),
     reports = {"strict_pseudo": check_class("strict_pseudo", fixture.model, plan),
                **check_tuple_classes(fixture.model, plan)}
     problem = VIProblem(fixture.model, fixture.region)
-    estimate = enumerate_solutions(problem, config.grid_spacing, fixture.lipschitz)
+    lattices = {} if lattices is None else lattices
+    key = _lattice_key(fixture.region, config.grid_spacing)
+    if key not in lattices:
+        lattices[key] = GridLattice(fixture.region, config.grid_spacing)
+    estimate = enumerate_solutions(problem, config.grid_spacing, fixture.lipschitz, lattices[key])
     solve = solve_extragradient(problem, config=config)
     positive = is_positive(fixture.model, plan)
     link = 2.0 * estimate.grid_spacing
@@ -267,11 +280,13 @@ def run_catalog_with_evidence(catalog: Optional[dict] = None,
     """All theorem checks over all fixtures, plus the per-fixture evidence.
 
     Fixtures whose plans have equal base points share one plan object, so
-    its strict exclusions are computed once.
+    its strict exclusions are computed once, and fixtures with equal
+    ``_lattice_key`` one ``GridLattice``, for this run only.
     """
     fixtures = (catalog if catalog is not None else default_catalog()).values()
     plans: dict = {}
-    evidences = [gather_evidence(f, config, plans) for f in fixtures]
+    lattices: dict = {}
+    evidences = [gather_evidence(f, config, plans, lattices) for f in fixtures]
     results = [check(ev) for ev in evidences for check in _CHECKS]
     return results, {ev.fixture.label: ev for ev in evidences}
 

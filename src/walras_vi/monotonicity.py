@@ -476,19 +476,31 @@ def _fold(G, g, combos, Wt, bufs, ufunc):
     return acc
 
 
-def _tuple_bounds(D, combos, steps: int, scale: float):
-    """Lower bounds (lb, vlb), each (T,), on the interior ``maxdots`` of
-    each tuple and on its dual ``achieved``; -inf where none holds.
+def _member_columns(D, combos):
+    """A[j][k] = D[c_j, c_k] = g_j - G[c_j, c_k], each (T,): member j of each
+    tuple pairs Σ_k w_k A_jk at weights w with Σ_k w_k = 1."""
+    return [[D.take(row + ck) for ck in combos.T] for row in combos.T * len(D)]
 
-    With A_jk = D[c_j, c_k] = g_j - G[c_j, c_k] and Σ_k w_k = 1, member j
-    pairs Σ_k w_k A_jk at weights w.  At a vertex row e_k the scan only
-    multiplies by 0 and 1, so it pairs the float A_jk bit for bit: the
-    dual's ``achieved``, a max over rows that include e_k, is at least
-    vlb = max_k min_j A_jk, exactly.  Interior weights have w_k >= 1/s
-    (s = steps >= m), and a linear function on {w >= 1/s, Σ w = 1} is
-    least at a vertex (1/s, ..., 1 - (m - 1)/s, ..., 1/s), so member j pairs
-    at least L_j = (Σ_k A_jk + (s - m) min_k A_jk) / s at every interior
-    weight, and ``maxdots`` is at least max_j L_j.
+
+def _vertex_bound(D, combos, scale: float):
+    """vlb, (T,), a lower bound on each tuple's dual ``achieved``; -inf where
+    ``scale`` is not finite.  At a vertex row e_k the scan only
+    multiplies by 0 and 1, so it pairs the float A_jk (``_member_columns``)
+    bit for bit: ``achieved``, a max over rows that include e_k, is at least
+    vlb = max_k min_j A_jk, exactly."""
+    if not np.isfinite(scale):
+        return np.full(len(combos), -np.inf)
+    return reduce(np.maximum, [reduce(np.minimum, col)
+                               for col in zip(*_member_columns(D, combos))])
+
+
+def _interior_bound(D, combos, steps: int, scale: float):
+    """lb, (T,), a lower bound on each tuple's interior ``maxdots``.  Interior
+    weights have w_k >= 1/s (s = steps >= m), and a linear function on
+    {w >= 1/s, Σ w = 1} is least at a vertex (1/s, ..., 1 - (m - 1)/s, ...,
+    1/s), so member j pairs at least L_j = (Σ_k A_jk + (s - m) min_k A_jk) / s
+    (``_member_columns``) at every interior weight, and ``maxdots`` is at
+    least max_j L_j.
 
     lb is the float max_j L_j less an allowance for rounding.  With
     u = eps/2, Γ = max |g| + max |G| (``scale``) and w_k = i_k/s: the
@@ -502,22 +514,16 @@ def _tuple_bounds(D, combos, steps: int, scale: float):
     Underflow adds at most η/2 (η the least subnormal) at each of the
     m + 2 products and divisions.  The allowance, (2m + 9)(eps Γ + η), is
     twice the at most (2m + 9) u Γ + (m + 2) η / 2 these sum to.  lb is
-    -inf where there are no interior weights (s < m) or 4 s Γ overflows,
-    vlb where Γ is not finite.
+    -inf where there are no interior weights (s < m) or 4 s Γ overflows.
     """
     T, m = combos.shape
-    unbounded = np.full(T, -np.inf)
-    if not np.isfinite(scale):
-        return unbounded, unbounded
-    A = [[D.take(row + ck) for ck in combos.T] for row in combos.T * len(D)]
-    vlb = reduce(np.maximum, [reduce(np.minimum, col) for col in zip(*A)])
     if steps < m or not np.isfinite(4 * steps * scale):
-        return unbounded, vlb
+        return np.full(T, -np.inf)
     lb = reduce(np.maximum, [(reduce(np.add, row)                 # in k order
                               + (steps - m) * reduce(np.minimum, row)) / steps
-                             for row in A])
+                             for row in _member_columns(D, combos)])
     tiny = np.finfo(float)
-    return lb - (2 * m + 9) * (tiny.eps * scale + tiny.smallest_subnormal), vlb
+    return lb - (2 * m + 9) * (tiny.eps * scale + tiny.smallest_subnormal)
 
 
 def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan,
@@ -529,7 +535,7 @@ def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan,
     sub-tuple.  Tuples of each size m come in lexicographic order, in
     chunks of ``_SCAN_PAIRS`` pairings per buffer (numpy 2.4's broadcast
     multiply is about four times slower per element on rows under about
-    3,000 tuples).  Each chunk is first bounded by ``_tuple_bounds``, and
+    3,000 tuples).  Each chunk is first bounded by ``_interior_bound``, and
     only the tuples some class still needs are scored.  A class needs none
     once it has its first violation, and otherwise the tuples whose lb is
     not above its least score so far: that least is not below its
@@ -559,7 +565,7 @@ def check_tuple_classes(model: ExcessDemandModel, plan: SamplePlan,
                 span = np.searchsorted(ex, (lo * Wi, (lo + len(chunk)) * Wi))
                 t, w = np.divmod(ex[span[0]:span[1]] - lo * Wi, Wi)
                 samples["strict_proper_quasi"] += len(chunk) * Wi - len(t)
-            lb, _ = _tuple_bounds(D, chunk, steps, scale)
+            lb = _interior_bound(D, chunk, steps, scale)
             keep = np.zeros(len(chunk), dtype=bool)
             for name in _PRIMAL_CLASSES[:m]:
                 if name in names and name not in hits:
@@ -599,7 +605,7 @@ def _dual_scan(model: ExcessDemandModel, plan: SamplePlan) -> MonotonicityReport
     weight rows of the min over members, must be at least -TAU_FEAS.
 
     Tuples come as in ``check_tuple_classes``, and only those whose vlb
-    (``_tuple_bounds``, at most ``achieved``) is below max(-TAU_FEAS, least
+    (``_vertex_bound``, at most ``achieved``) is below max(-TAU_FEAS, least
     ``achieved`` so far) are scored: no other can lower that least or
     violate.  ``samples_used`` counts every (tuple, weight row) pair.
     """
@@ -614,7 +620,7 @@ def _dual_scan(model: ExcessDemandModel, plan: SamplePlan) -> MonotonicityReport
         bufs = np.empty((3, len(W), min(len(all_combos), step)))
         for lo in range(0, len(all_combos), step):
             chunk = all_combos[lo:lo + step]
-            _, vlb = _tuple_bounds(D, chunk, steps, scale)
+            vlb = _vertex_bound(D, chunk, scale)
             combos = chunk[~(vlb >= max(-TAU_FEAS, least))]
             if not len(combos):
                 continue

@@ -24,6 +24,7 @@ import math
 from abc import ABC, abstractmethod
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -290,11 +291,15 @@ class ConvexRegion(ABC):
         return out
 
     def grid(self, spacing: float) -> FloatArray:
-        """Deterministic feasible mesh with the given nominal spacing.
+        """Deterministic feasible mesh with the given nominal spacing:
+        ``lattice(spacing)[0]``.  Desk-scale only: guarded to dim <= 3."""
+        return self.lattice(spacing)[0]
 
-        Desk-scale only: guarded to dim <= 3.  Axis meshes always include
-        both bounding-box endpoints.
-        """
+    def lattice(self, spacing: float) -> tuple[FloatArray, NDArray[np.bool_]]:
+        """(points, hull): the feasible rows of the axis mesh in mesh order, and
+        the mask of the rows at an end of their axis line along every axis, which
+        hold every hull vertex.  Axis meshes hold both box ends and never decrease, so
+        a line ends at the values of its first and last occupied positions."""
         if spacing <= 0:
             raise ValueError("grid spacing must be positive")
         if self.dim > 3:
@@ -304,13 +309,19 @@ class ConvexRegion(ABC):
         _check_grid_size(math.prod((b - a) / spacing + 2.0
                                    for a, b in zip(lo.tolist(), hi.tolist())))
         axes = [_axis_mesh(lo[j], hi[j], spacing) for j in range(self.dim)]
-        mesh = np.stack(
-            [g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1
-        )
-        pts = mesh[self.contains_many(mesh, tol=1e-9)]
+        mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        inside = self.contains_many(mesh, tol=1e-9)
+        pts = np.compress(inside, mesh, axis=0)
         if pts.shape[0] == 0:
             raise ValueError("grid produced no feasible points")
-        return pts
+        occupied = inside.reshape([len(v) for v in axes])
+        ends = occupied.copy()
+        for a, line in enumerate(axes):
+            first, last = (np.expand_dims(np.argmax(o, axis=a), a)
+                           for o in (occupied, np.flip(occupied, a)))
+            v = line.reshape([-1 if b == a else 1 for b in range(self.dim)])
+            ends &= (v == line[first]) | (v == line[::-1][last])
+        return pts, np.compress(inside, ends.ravel())
 
     def probe_points(self, count: int) -> FloatArray:
         """The region's vertices, where ``vertices`` has them (closed form or
@@ -457,6 +468,11 @@ class Simplex(ConvexRegion):
         k = max(1, round(1.0 / spacing))
         _check_grid_size(math.comb(k + self.n - 1, self.n - 1))
         return simplex_lattice(self.n, k)
+
+    def lattice(self, spacing: float) -> tuple[FloatArray, NDArray[np.bool_]]:
+        """Every row marked: n - 1 coordinates fix the last, one row per line."""
+        pts = self.grid(spacing)
+        return pts, np.ones(len(pts), dtype=bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -637,11 +653,12 @@ class Polyhedron(ConvexRegion):
         return bool(self.contains_many(as_price_vector(x, self.dim), tol)[0])
 
     def contains_many(self, points, tol: float = TAU_FEAS) -> NDArray[np.bool_]:
-        """Slack on the unit rows up to tol * max(1, |b_u|), so scaling a
-        row does not change membership."""
+        """Slack on the unit rows up to tol * max(1, |b_u|), so scaling a row does
+        not change membership; by columns, as numpy reduces short rows slowly."""
         p = _price_rows(points, self.dim)
-        slack = p @ self._unit_A.T - self._unit_b
-        return np.all(slack <= tol * np.maximum(1.0, np.abs(self._unit_b)), axis=1)
+        limit = tol * np.maximum(1.0, np.abs(self._unit_b))
+        return reduce(np.logical_and, [s - b <= t for s, b, t in
+                                       zip((p @ self._unit_A.T).T, self._unit_b, limit)])
 
     def project(self, x) -> FloatArray:
         """Exact projection by one least-distance NNLS, KKT-verified.

@@ -20,13 +20,14 @@ point passes the residual test an iterate must pass.
 feasible grid point against both definitions with the full grid as probe
 set, both by one rejection cascade (``_cascade``).  The primal test's
 min_p E(p_i).p is a linear functional, minimized at a hull vertex, so its
-columns are the rows of ``_extreme_points``.  The dual test has no such
-shortcut (for a positive-definite linear field every lifted point
-(E(p), -E(p).p) is a hull vertex), so its columns are the whole grid.  In
-front of both, ``_cell_filter`` bounds whole cells of the grid against a
+columns are the hull candidates of ``ConvexRegion.lattice``.  The dual test
+has no such shortcut (for a positive-definite linear field every lifted
+point (E(p), -E(p).p) is a hull vertex), so its columns are the whole grid.
+In front of both, ``_cell_filter`` bounds whole cells of the grid against a
 static rounding bound and drops the rows those bounds reject and the dual
 columns that can reject no row left, which changes no mask beyond the
-blocking-dependent last bit of the pairings still scored.
+blocking-dependent last bit of the pairings still scored; its field-free
+part is a ``GridLattice``, which fixtures on one region can share.
 Nothing here imports scipy: ``cluster_members`` links by a cell list.
 """
 
@@ -49,6 +50,7 @@ __all__ = [
     "solve_extragradient",
     "residual",
     "minty_gap",
+    "GridLattice",
     "enumerate_solutions",
     "MemberClusters",
     "cluster_members",
@@ -258,6 +260,7 @@ def _extreme_points(points: FloatArray) -> FloatArray:
     line (the rows whose other coordinates equal its own).  A row strictly
     inside its axis line lies between two others, so it is no vertex.  Rows
     compare by value, so duplicates stay, whatever the set and its flatness.
+    For any point set; a region's grid has these rows from ``lattice``.
     """
     keep = np.ones(points.shape[0], dtype=bool)
     for a in range(points.shape[1]):
@@ -284,7 +287,7 @@ def _cascade(X: FloatArray, Y: FloatArray, a, b, tol: float,
     ``_BLOCK_PAIRS`` pairings, each reduced in place in a prefix of ``buf``,
     which min(RC, max(_BLOCK_PAIRS, 3C)) entries fit.  Minty: (grid,
     -E(grid), 0, diag), by exact negation E(p_j).(p_j - p_i); Stampacchia:
-    (E(grid), ``_extreme_points(grid)``, -diag, 0), that is E(p_i).(p_j - p_i).
+    (E(grid), the lattice's hull rows, -diag, 0), that is E(p_i).(p_j - p_i).
 
     Pairings are BLAS products, whose last bit can depend on where a column
     falls in a block and, under OpenBLAS's SkylakeX kernels, on the row
@@ -357,10 +360,11 @@ def _cell_bound(model: ExcessDemandModel, reach: FloatArray, tol: float) -> floa
     return 2.0 ** -45 * scale + 2.0 ** -50 * tol + 2.0 ** -1000
 
 
-def _cell_filter(problem: VIProblem, grid: FloatArray, evals: FloatArray,
-                 diag: FloatArray, hull: FloatArray, spacing: float, tol: float):
-    """Boolean masks over the grid: the Stampacchia rows, the Minty rows and
-    the Minty columns that a certified cell filter leaves to ``_cascade``.
+class GridLattice:
+    """A region's grid at one spacing with what the oracle derives from it
+    alone: ``hull``, the candidate rows of ``region.lattice(spacing)``, and
+    the cells of ``_cell_filter``: each row's ``cell``, the cell ``centres``,
+    their ``radius`` and the ``reach``.  ``grid`` is read-only.
 
     Cells (dual-tree pruning, Gray and Moore 2001).  With lo and hi the
     grid's least and greatest coordinates, a row's cell on axis a is
@@ -374,9 +378,40 @@ def _cell_filter(problem: VIProblem, grid: FloatArray, evals: FloatArray,
     1.01 u (|lo| + 2 E + 2 w) (plus 2^-1074 per operation under underflow):
     the box holds every row of its cell, and |x_a| + r_a <= reach_a =
     max(|lo_a|, |hi_a|) + 2 r_a.
+    """
 
-    Bounds.  With e(y) = M y - c, X = x +- r and rho = |M| r, e(X) lies in
-    e(x) +- rho.  Against B = ``_cell_bound`` (which prunes nothing when it
+    def __init__(self, region: ConvexRegion, spacing: float):
+        grid, hull = region.lattice(spacing)
+        grid.flags.writeable = False
+        self.grid, self.hull = grid, np.compress(hull, grid, axis=0)
+        with np.errstate(all="ignore"):  # an infinite radius makes B infinite
+            G, n = grid.shape
+            # column by column: numpy reduces a (G, n) array over axis 0 slowly
+            lo, hi = (np.array([f(v) for v in grid.T]) for f in (np.min, np.max))
+            width = _CELL_STEPS * spacing
+            while np.prod(np.floor((hi - lo) / width) + 1) > G:
+                width *= 2
+            r = 0.5 * width + 2.0 ** -48 * (np.abs(lo) + np.abs(hi) + width) + 2.0 ** -1000
+            self.radius, self.reach = r, np.maximum(np.abs(lo), np.abs(hi)) + 2 * r
+            spans = (np.floor((hi - lo) / width) + 1).astype(np.intp)
+            key = np.zeros(G, dtype=np.intp)
+            for a in range(n):
+                key *= spans[a]
+                key += np.floor((grid[:, a] - lo[a]) / width).astype(np.intp)
+            counts = np.bincount(key, minlength=int(np.prod(spans)))
+            self.cell = np.take(np.cumsum(counts > 0) - 1, key)
+            self.centres = lo + (np.stack(np.unravel_index(np.flatnonzero(counts), spans),
+                                          axis=1) + 0.5) * width
+
+
+def _cell_filter(problem: VIProblem, lattice: GridLattice, evals: FloatArray,
+                 diag: FloatArray, tol: float):
+    """Boolean masks over the grid: the Stampacchia rows, the Minty rows and
+    the Minty columns that a certified cell filter leaves to ``_cascade``.
+
+    Bounds, over the cells of ``GridLattice``.  With e(y) = M y - c, a cell
+    X = x +- r and rho = |M| r, e(X) lies in e(x) +- rho.  Against
+    B = ``_cell_bound`` at the lattice's reach (which prunes nothing when it
     is not finite):
       * a Stampacchia row cell leaves when, for some strided hull candidate
         h, e(x).(h - x) + (|e(x)| + rho).r + rho.|h - x| < -tol - B;
@@ -390,27 +425,13 @@ def _cell_filter(problem: VIProblem, grid: FloatArray, evals: FloatArray,
     Bounds come in blocks of about _CELL_PAIRS.
     """
     with np.errstate(all="ignore"):  # the CLI raises on overflow; here B is inf
-        G, n = grid.shape
-        # column by column: numpy reduces a (G, n) array over axis 0 slowly
-        lo, hi = (np.array([f(v) for v in grid.T]) for f in (np.min, np.max))
-        width = _CELL_STEPS * spacing
-        while np.prod(np.floor((hi - lo) / width) + 1) > G:
-            width *= 2
-        radius = 0.5 * width + 2.0 ** -48 * (np.abs(lo) + np.abs(hi) + width) + 2.0 ** -1000
-        bound = _cell_bound(problem.model, np.maximum(np.abs(lo), np.abs(hi)) + 2 * radius, tol)
+        G, n = evals.shape
+        bound = _cell_bound(problem.model, lattice.reach, tol)
         if not bound < np.inf:
             keep = np.ones(G, dtype=bool)
             return keep, keep, keep
         drop, skip = -tol - bound, -tol + bound
-        spans = (np.floor((hi - lo) / width) + 1).astype(np.intp)
-        key = np.zeros(G, dtype=np.intp)
-        for a in range(n):
-            key *= spans[a]
-            key += np.floor((grid[:, a] - lo[a]) / width).astype(np.intp)
-        counts = np.bincount(key, minlength=int(np.prod(spans)))
-        cell = np.take(np.cumsum(counts > 0) - 1, key)
-        del key
-        x = lo + (np.stack(np.unravel_index(np.flatnonzero(counts), spans), axis=1) + 0.5) * width
+        x, radius, cell, hull = lattice.centres, lattice.radius, lattice.cell, lattice.hull
         M, c = problem.model.M, problem.model.c
         ex, rho = x @ M.T - c, np.abs(M) @ radius
         K = len(x)
@@ -440,27 +461,28 @@ def _cell_filter(problem: VIProblem, grid: FloatArray, evals: FloatArray,
 
 
 def enumerate_solutions(problem: VIProblem, grid_spacing: float,
-                        lipschitz_scale: float) -> SolutionSetEstimate:
+                        lipschitz_scale: float,
+                        lattice: GridLattice | None = None) -> SolutionSetEstimate:
     """Classify every feasible grid point against both solution notions.
 
     Membership tolerance is grid_spacing * lipschitz_scale; the scale is
     fixture-specific because exact membership on a grid is ill-posed.  Both
     tests are ``_cascade`` scans, exact on every member: the primal one over
-    ``_extreme_points(grid)``, the dual one over the grid.  ``_cell_filter``
-    first drops the rows that a certified cell bound rejects and the dual
-    columns that can reject no row left, so each scan sees only the rest.
-    Desk-scale only (dim <= 3).
+    ``lattice.hull``, the dual one over ``lattice.grid``, where ``lattice``,
+    built here when None, is ``GridLattice(problem.region, grid_spacing)``.
+    ``_cell_filter`` first drops the rows that a certified cell bound rejects
+    and the dual columns that can reject no row left, so each scan sees only
+    the rest.  Desk-scale only (dim <= 3).
     """
     if not (np.isfinite(lipschitz_scale) and lipschitz_scale > 0):
         raise ValueError(f"lipschitz_scale must be positive and finite, got "
                          f"{lipschitz_scale!r}")
-    grid = problem.region.grid(grid_spacing)
+    lattice = GridLattice(problem.region, grid_spacing) if lattice is None else lattice
+    grid, hull = lattice.grid, lattice.hull
     evals = problem.model(grid)
     diag = np.einsum("ij,ij->i", evals, grid)
     tol = grid_spacing * lipschitz_scale
-    hull = _extreme_points(grid)
-    stamp, minty, cols = _cell_filter(problem, grid, evals, diag, hull,
-                                      grid_spacing, tol)
+    stamp, minty, cols = _cell_filter(problem, lattice, evals, diag, tol)
     primal = np.zeros(len(grid), dtype=bool)
     primal[stamp] = _cascade(evals[stamp], hull, -diag[stamp], 0.0, tol) >= -tol
     np.negative(evals, out=evals)  # exact, in place

@@ -47,7 +47,8 @@ from walras_vi.monotonicity import (_SCAN_PAIRS, HOLDS, REFUTED,
                                     MonotonicityReport, SamplePlan, Witness,
                                     _allowance, _combine)
 from walras_vi.regions import (_BLOCK_ENTRIES, Box, FloatArray, Polyhedron,
-                               ProjectionBudgetError, _check_grid_size, _lstsq,
+                               ProjectionBudgetError, Simplex, _axis_mesh,
+                               _check_grid_size, _lstsq,
                                _row_subsets, as_price_vector, first_distinct)
 from walras_vi.vi_core import (_BLOCK_PAIRS, MemberClusters, SolutionSetEstimate,
                                _cascade, _extreme_points, residual)
@@ -896,6 +897,23 @@ def simplex_grid_reference(self, spacing: float) -> FloatArray:
     return np.stack([i, j, k - i - j], axis=-1) / k
 
 
+def grid_reference(region, spacing: float) -> FloatArray:
+    """``region.grid`` as it was before ``lattice``: the axis mesh's rows that
+    pass a row-wise ``np.all`` membership test, taken by a boolean index."""
+    if isinstance(region, Simplex):
+        return simplex_grid_reference(region, spacing)
+    lo, hi = region.bounding_box()
+    axes = [_axis_mesh(lo[j], hi[j], spacing) for j in range(region.dim)]
+    mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    if isinstance(region, Box):
+        inside = np.all((mesh >= region.lower - 1e-9) & (mesh <= region.upper + 1e-9),
+                        axis=1)
+    else:
+        A, b, _ = region.constraints()
+        inside = np.all(mesh @ A.T - b <= 1e-9 * np.maximum(1.0, np.abs(b)), axis=1)
+    return mesh[inside]
+
+
 def minty_gap_reference(problem, x) -> float:
     """max of E(p).(x - p) over 64 Halton points and the region's vertices,
     both built by the references below."""
@@ -1030,7 +1048,7 @@ def enumerate_solutions_reference(problem, grid_spacing: float,
     if not (np.isfinite(lipschitz_scale) and lipschitz_scale > 0):
         raise ValueError(f"lipschitz_scale must be positive and finite, got "
                          f"{lipschitz_scale!r}")
-    grid = problem.region.grid(grid_spacing)
+    grid = grid_reference(problem.region, grid_spacing)
     evals = problem.model(grid)
     diag = np.einsum("ij,ij->i", evals, grid)
     tol = grid_spacing * lipschitz_scale

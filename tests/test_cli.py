@@ -446,6 +446,26 @@ def test_oracle_on_flat_box(runner, tmp_path):
     assert payload["stampacchia_members"] == [[0.1, 0.04]]
 
 
+def test_oracle_at_grid_0_001_stays_in_its_memory_pin(runner, tmp_path):
+    # 1,002,001 rows: grid, field and diagonal are 38 MiB; the hull
+    # candidates come from the mesh occupancy, with no sort of the grid
+    import tracemalloc
+
+    problem = {"economy": {"kind": "catalog", "name": "linear_identity"},
+               "region": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}}
+    path = write(tmp_path, "problem.json", problem)
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["oracle", path, "--grid", "0.001",
+                                      "--no-grid-points"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["grid_point_count"] == 1001 ** 2
+    assert peak < 72 << 20
+
+
 def test_oracle_bad_grid(runner, tmp_path):
     path = write(tmp_path, "problem.json", NEGSLOPE_PROBLEM)
     result = runner.invoke(main, ["oracle", path, "--grid", "-0.5"])

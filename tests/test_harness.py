@@ -267,6 +267,73 @@ def test_fixtures_on_equal_regions_share_one_plan_per_run(monkeypatch):
     assert len(built) == 1 + len(catalog)
 
 
+def _counting_lattices(monkeypatch):
+    built = []
+    build = vi_core.GridLattice
+    monkeypatch.setattr(harness, "GridLattice", lambda region, spacing:
+                        built.append((region, spacing)) or build(region, spacing))
+    return built
+
+
+def _fixture_dump(results, evidence, label) -> str:
+    """The harness JSON of one fixture's results, with its oracle's bytes."""
+    est = evidence[label].estimate
+    return json.dumps([[r.to_dict() for r in results if r.fixture_label == label],
+                       [a.tobytes().hex() for a in (est.grid_points, est.stampacchia_mask,
+                                                    est.minty_mask)]])
+
+
+def test_fixtures_on_equal_regions_share_one_lattice_per_run(monkeypatch):
+    built = _counting_lattices(monkeypatch)
+    config = HarnessConfig(grid_spacing=0.05)
+    # 4 fixtures on the unit square, 3 on [0, 1], a simplex and a polyhedron
+    results, evidence = run_catalog_with_evidence(CATALOG, config)
+    assert len(built) == 4
+    assert {spacing for _, spacing in built} == {0.05}
+    assert (evidence["linear_identity"].estimate.grid_points
+            is evidence["rotation"].estimate.grid_points)
+    # a second run builds its own: nothing outlives a run
+    assert run_catalog_with_evidence(CATALOG, config)[0] and len(built) == 8
+    for label, fixture in CATALOG.items():
+        alone = run_catalog_with_evidence({label: fixture}, config)
+        assert _fixture_dump(*alone, label) == _fixture_dump(results, evidence, label)
+    assert len(built) == 8 + len(CATALOG)
+
+
+def test_lattices_are_keyed_by_every_bit_of_the_region(monkeypatch):
+    # a -0.0 lower bound equals 0.0 but differs in its bytes; equal regions
+    # built as separate objects share
+    built = _counting_lattices(monkeypatch)
+    model = linear_economy(np.eye(2), [0.5, 0.25])
+    catalog = {label: Fixture(label, model, Box(lower, [1.0, 1.0]), 0.25)
+               for label, lower in (("zero", [0.0, 0.0]), ("negative-zero", [-0.0, 0.0]),
+                                    ("zero-again", [0.0, 0.0]))}
+    config = HarnessConfig(grid_spacing=0.1, num_points=8)
+    results, evidence = run_catalog_with_evidence(catalog, config)
+    assert [region.lower.tobytes() for region, _ in built] == [
+        catalog["zero"].region.lower.tobytes(),
+        catalog["negative-zero"].region.lower.tobytes()]
+    assert (evidence["zero"].estimate.grid_points
+            is evidence["zero-again"].estimate.grid_points)
+    for label, fixture in catalog.items():
+        alone = run_catalog_with_evidence({label: fixture}, config)
+        assert _fixture_dump(*alone, label) == _fixture_dump(results, evidence, label)
+
+
+def test_no_region_grid_reaches_extreme_points(monkeypatch):
+    # the harness sorts member sets only, each once, for its diameter
+    calls = []
+    original = vi_core._extreme_points
+    monkeypatch.setattr(vi_core, "_extreme_points",
+                        lambda points: calls.append(points) or original(points))
+    _, evidence = run_catalog_with_evidence(CATALOG, HarnessConfig(grid_spacing=0.05))
+    members = [m for ev in evidence.values()
+               for m in (ev.estimate.stampacchia_members, ev.estimate.minty_members)
+               if len(m)]
+    assert len(calls) == len(members)
+    assert all(np.array_equal(c, m) for c, m in zip(calls, members))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         HarnessConfig(grid_spacing=-0.1)

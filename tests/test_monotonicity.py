@@ -1258,6 +1258,33 @@ def test_scan_memory_stays_in_small_chunks():
 # the per-tuple bounds that let the scan skip tuples
 
 
+def _tuple_bounds_reference(D, combos, steps, scale):
+    """(lb, vlb) as one function computed both before the scans split it."""
+    T, m = combos.shape
+    unbounded = np.full(T, -np.inf)
+    if not np.isfinite(scale):
+        return unbounded, unbounded
+    A = [[D.take(row + ck) for ck in combos.T] for row in combos.T * len(D)]
+    reduce = functools.reduce
+    vlb = reduce(np.maximum, [reduce(np.minimum, col) for col in zip(*A)])
+    if steps < m or not np.isfinite(4 * steps * scale):
+        return unbounded, vlb
+    lb = reduce(np.maximum, [(reduce(np.add, row)
+                              + (steps - m) * reduce(np.minimum, row)) / steps
+                             for row in A])
+    tiny = np.finfo(float)
+    return lb - (2 * m + 9) * (tiny.eps * scale + tiny.smallest_subnormal), vlb
+
+
+def _tuple_bounds(D, combos, steps, scale):
+    """(lb, vlb) from the two bound functions, each bit for bit the reference's."""
+    lb = monotonicity._interior_bound(D, combos, steps, scale)
+    vlb = monotonicity._vertex_bound(D, combos, scale)
+    want = _tuple_bounds_reference(D, combos, steps, scale)
+    assert lb.tobytes() == want[0].tobytes() and vlb.tobytes() == want[1].tobytes()
+    return lb, vlb
+
+
 def _assert_bounds_hold(model, plan, width=2048):
     """lb is at most every float interior ``maxdots`` entry of its tuple,
     and vlb is the max over vertex rows of the scan's min over members,
@@ -1270,7 +1297,7 @@ def _assert_bounds_hold(model, plan, width=2048):
         vertices = [int(np.flatnonzero(W[:, k] == 1)[0]) for k in range(m)]
         for lo in range(0, len(all_combos), width):
             combos = all_combos[lo:lo + width].astype(np.intp)
-            lb, vlb = monotonicity._tuple_bounds(D, combos, steps, scale)
+            lb, vlb = _tuple_bounds(D, combos, steps, scale)
             bufs = np.empty((3, len(W), len(combos)))
             if interior.any():
                 maxdots = monotonicity._fold(G, g, combos, W[interior].T,
@@ -1310,7 +1337,7 @@ def test_pair_bound_is_attained_at_its_vertex(resolution):
     model = linear_economy([[-20.0]], [-1.0])
     P, G, g = monotonicity._pairings(model, plan)
     steps = resolution - 1
-    lb, vlb = monotonicity._tuple_bounds(g[:, None] - G, np.array([[0, 1]]),
+    lb, vlb = _tuple_bounds(g[:, None] - G, np.array([[0, 1]]),
                                          steps, 20.0)
     assert lb[0] == pytest.approx(-(steps - 1) / steps, abs=1e-12)
     assert vlb.tolist() == [-1.0]
@@ -1320,13 +1347,13 @@ def test_pair_bound_is_attained_at_its_vertex(resolution):
 def test_bounds_stand_down_where_the_scan_could_overflow():
     combos = np.array([[0, 1, 2]])
     D = np.array([[0.0, -1.0, 2.0], [1.0, 0.0, -3.0], [-2.0, 3.0, 0.0]])
-    lb, vlb = monotonicity._tuple_bounds(D, combos, 10, 3.0)
+    lb, vlb = _tuple_bounds(D, combos, 10, 3.0)
     assert np.isfinite(lb).all() and vlb.tolist() == [-1.0]
-    lb, vlb = monotonicity._tuple_bounds(D, combos, 10, 1e307)   # 40 x 1e307
+    lb, vlb = _tuple_bounds(D, combos, 10, 1e307)   # 40 x 1e307
     assert np.isneginf(lb).all() and vlb.tolist() == [-1.0]
-    lb, vlb = monotonicity._tuple_bounds(D, combos, 10, np.inf)
+    lb, vlb = _tuple_bounds(D, combos, 10, np.inf)
     assert np.isneginf(lb).all() and np.isneginf(vlb).all()
-    lb, _ = monotonicity._tuple_bounds(D, combos, 2, 3.0)      # no interior rows
+    lb, _ = _tuple_bounds(D, combos, 2, 3.0)      # no interior rows
     assert np.isneginf(lb).all()
 
 

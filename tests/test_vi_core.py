@@ -13,6 +13,7 @@ from conftest import (
     cluster_members_reference,
     enumerate_solutions_reference,
     extragradient_reference,
+    grid_reference,
     halton_reference,
     minty_gap_reference,
     minty_members_bruteforce,
@@ -514,6 +515,59 @@ def test_enumerate_matches_bruteforce_on_degenerate_grids(region, spacings, data
     assert np.all(np.abs(hull - full) <= ulps)
 
 
+# The degenerate regions, the unit square and mortgage_linear, at their own
+# spacings and at rounded ones; the 3-D polyhedra at coarser rounded ones,
+# which keep the reference's three lexsorts of the grid short.
+LATTICE_CASES = [(region, spacings + ((1 / 3, 0.07, 0.03) if region.dim == 3
+                                      and isinstance(region, Polyhedron)
+                                      else (0.01, 1 / 3, 0.007)))
+                 for region, spacings in [p.values for p in DEGENERATE_REGIONS]
+                 + [(UNIT_SQUARE, (0.02,)),
+                    (default_catalog()["mortgage_linear"].region, (0.05,))]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(LATTICE_CASES), data=st.data())
+def test_lattice_is_the_grid_with_its_axis_line_ends(case, data):
+    # the mesh rows in mesh order, and the rows _extreme_points finds by
+    # sorting them, in the same order
+    region, spacings = case
+    spacing = data.draw(st.sampled_from(spacings))
+    points, hull = region.lattice(spacing)
+    want = grid_reference(region, spacing)
+    assert np.array_equal(points, want) and points.tobytes() == want.tobytes()
+    assert hull.dtype == bool and hull.shape == (len(points),)
+    assert np.array_equal(points[hull], _extreme_points(want))
+    assert np.array_equal(region.grid(spacing), points)
+    lattice = vi_core.GridLattice(region, spacing)
+    assert np.array_equal(lattice.grid, points)
+    assert np.array_equal(lattice.hull, points[hull])
+
+
+def test_lattice_keeps_every_row_that_repeats_a_line_end():
+    # past 2^53 a unit step rounds to 0 or 2, so the axis mesh repeats floats
+    # and _extreme_points keeps both copies of each line end
+    points, hull = Box([2.0 ** 53, 0.0], [2.0 ** 53 + 8, 0.5]).lattice(0.25)
+    assert len(np.unique(points[:, 0])) < len(points[:, 0]) // 3
+    assert np.array_equal(points[hull], _extreme_points(points))
+    assert hull.sum() == 20     # ends by mesh position alone would be the 4 corners
+
+
+def test_the_oracle_sorts_no_region_grid(monkeypatch):
+    # _extreme_points is left to point sets that are not a region's grid
+    calls = []
+    monkeypatch.setattr(vi_core, "_extreme_points",
+                        lambda points: calls.append(points) or _extreme_points(points))
+    for fixture in default_catalog().values():
+        enumerate_solutions(VIProblem(fixture.model, fixture.region), 0.05,
+                            fixture.lipschitz)
+    for region, spacings in [p.values for p in DEGENERATE_REGIONS]:
+        enumerate_solutions(VIProblem(linear_economy(np.eye(region.dim),
+                                                     np.zeros(region.dim)), region),
+                            spacings[0], 0.117)
+    assert calls == []
+
+
 # Flat regions with a few grid points, off the dyadic lattice: their rounded
 # mean lies off their line, and qhull rejected the mean-centered grid as a
 # flat initial simplex.
@@ -797,10 +851,10 @@ def test_cell_filter_keeps_every_mask(case, data):
     # rejected there, and no skipped column gives a row left a value below
     # -tol in a product of another blocking.
     problem, spacing, exact = case
-    grid = problem.region.grid(spacing)
+    lattice = vi_core.GridLattice(problem.region, spacing)
+    grid, hull = lattice.grid, lattice.hull
     evals = problem.model(grid)
     diag = np.einsum("ij,ij->i", evals, grid)
-    hull = _extreme_points(grid)
     scale = 0.117
     if exact and data is not None and data.draw(st.booleans()):
         values = np.concatenate((vi_core._cascade(evals, hull, -diag, 0.0, np.inf),
@@ -815,8 +869,7 @@ def test_cell_filter_keeps_every_mask(case, data):
     assert np.array_equal(got.grid_points, want.grid_points)
     assert np.array_equal(got.stampacchia_mask, want.stampacchia_mask)
     assert np.array_equal(got.minty_mask, want.minty_mask)
-    stamp, minty, cols = vi_core._cell_filter(problem, grid, evals, diag, hull,
-                                              spacing, tol)
+    stamp, minty, cols = vi_core._cell_filter(problem, lattice, evals, diag, tol)
     assert not want.stampacchia_mask[~stamp].any()
     assert not want.minty_mask[~minty].any()
     assert np.all(np.add(diag[~cols], grid[minty] @ -evals[~cols].T) >= -tol)
@@ -840,11 +893,10 @@ def test_cell_filter_keeps_the_catalog_masks(label, grid):
 def test_cell_filter_leaves_few_rows_and_columns_at_0_01(label, stamp, minty, cols):
     # of 10,201 rows and columns on the unit square
     problem, fixture = catalog_problem(label)
-    grid = problem.region.grid(0.01)
-    evals = problem.model(grid)
-    diag = np.einsum("ij,ij->i", evals, grid)
-    masks = vi_core._cell_filter(problem, grid, evals, diag, _extreme_points(grid),
-                                 0.01, 0.01 * fixture.lipschitz)
+    lattice = vi_core.GridLattice(problem.region, 0.01)
+    evals = problem.model(lattice.grid)
+    diag = np.einsum("ij,ij->i", evals, lattice.grid)
+    masks = vi_core._cell_filter(problem, lattice, evals, diag, 0.01 * fixture.lipschitz)
     assert [int(m.sum()) for m in masks] == [stamp, minty, cols]
 
 
@@ -897,13 +949,12 @@ def test_cell_filter_prunes_nothing_when_its_bound_overflows(upper):
     # F P passes 2^1000, so B is infinite and every row and column is kept,
     # computed without a floating-point error under the CLI's error state
     region = Box([0.0, 0.0], [upper, upper])
-    grid = region.grid(upper / 4)
     problem = VIProblem(linear_economy(np.eye(2), np.zeros(2)), region)
-    evals = problem.model(grid)
-    diag = np.einsum("ij,ij->i", evals, grid)
     with np.errstate(over="raise", invalid="raise"):
-        masks = vi_core._cell_filter(problem, grid, evals, diag, _extreme_points(grid),
-                                     upper / 4, 1.0)
+        lattice = vi_core.GridLattice(region, upper / 4)
+        evals = problem.model(lattice.grid)
+        diag = np.einsum("ij,ij->i", evals, lattice.grid)
+        masks = vi_core._cell_filter(problem, lattice, evals, diag, 1.0)
     assert all(m.all() for m in masks)
 
 
