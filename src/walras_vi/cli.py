@@ -324,7 +324,7 @@ def solve(ctx, problem_file, out, trace_path):
         trace_fh = _open_output(files, trace_path, "trace file", newline="")
         result = solve_extragradient(spec.problem, start=spec.start,
                                      config=spec.config)
-        _emit_json(result.to_dict(), out_fh)
+        _emit_json(result.to_dict(spec.problem), out_fh)
         if trace_fh:
             _write_trace_csv(trace_fh, result.trace)
     ctx.exit(EXIT_OK if result.status == "converged" else EXIT_BUDGET)

@@ -120,29 +120,22 @@ class TheoremCheckResult:
         }
 
 
-def _lattice_key(region, spacing: float) -> tuple:
-    """Every input of ``region.lattice(spacing)``, as bytes."""
-    A, b, n_eq = region.constraints()
-    return (type(region), n_eq, np.float64(spacing).tobytes(),
-            *(v.tobytes() for v in (*region.bounding_box(), A, b)))
-
-
 def gather_evidence(fixture: Fixture, config: HarnessConfig = HarnessConfig(),
-                    plans: Optional[dict] = None,
-                    lattices: Optional[dict] = None) -> FixtureEvidence:
-    """Run checkers, oracle and solver once; ``plans`` and ``lattices`` hold shared ones."""
-    plan = build_plan(fixture.region, config)
-    if plans is not None:
-        plan = plans.setdefault((plan.base_points.shape,
-                                 plan.base_points.tobytes()), plan)
+                    shared: Optional[dict] = None) -> FixtureEvidence:
+    """Run checkers, oracle and solver once; ``shared`` maps a config and a
+    region's bytes to a record of that region's plan and lattice."""
+    region = fixture.region
+    A, b, n_eq = region.constraints()
+    key = (config, type(region), n_eq,
+           *(v.tobytes() for v in (*region.bounding_box(), A, b)))
+    record = {} if shared is None else shared.setdefault(key, {})
+    plan = record["plan"] = record.get("plan") or build_plan(region, config)
     reports = {"strict_pseudo": check_class("strict_pseudo", fixture.model, plan),
                **check_tuple_classes(fixture.model, plan)}
-    problem = VIProblem(fixture.model, fixture.region)
-    lattices = {} if lattices is None else lattices
-    key = _lattice_key(fixture.region, config.grid_spacing)
-    if key not in lattices:
-        lattices[key] = GridLattice(fixture.region, config.grid_spacing)
-    estimate = enumerate_solutions(problem, config.grid_spacing, fixture.lipschitz, lattices[key])
+    lattice = record["lattice"] = (record.get("lattice")
+                                   or GridLattice(region, config.grid_spacing))
+    problem = VIProblem(fixture.model, region)
+    estimate = enumerate_solutions(problem, config.grid_spacing, fixture.lipschitz, lattice)
     solve = solve_extragradient(problem, config=config)
     positive = is_positive(fixture.model, plan)
     link = 2.0 * estimate.grid_spacing
@@ -279,14 +272,13 @@ def run_catalog_with_evidence(catalog: Optional[dict] = None,
                               config: HarnessConfig = HarnessConfig()):
     """All theorem checks over all fixtures, plus the per-fixture evidence.
 
-    Fixtures whose plans have equal base points share one plan object, so
-    its strict exclusions are computed once, and fixtures with equal
-    ``_lattice_key`` one ``GridLattice``, for this run only.
+    Fixtures on regions of equal bytes share one record of ``gather_evidence``,
+    for this run only: one plan, whose strict exclusions are computed once,
+    and one ``GridLattice``.
     """
     fixtures = (catalog if catalog is not None else default_catalog()).values()
-    plans: dict = {}
-    lattices: dict = {}
-    evidences = [gather_evidence(f, config, plans, lattices) for f in fixtures]
+    shared: dict = {}
+    evidences = [gather_evidence(f, config, shared) for f in fixtures]
     results = [check(ev) for ev in evidences for check in _CHECKS]
     return results, {ev.fixture.label: ev for ev in evidences}
 

@@ -72,29 +72,42 @@ _EPS = np.finfo(float).eps
 _BLOCK_ENTRIES = 1 << 20    # coordinate differences per row block: 8 MiB
 
 
-def within_distance(points: FloatArray, dist: float) -> NDArray[np.bool_]:
-    """(N, N) mask of the row pairs at most ``dist`` apart.
-
-    Distances are taken in blocks of rows of at most _BLOCK_ENTRIES
-    coordinate differences, each by the same per-pair norm, so the mask
-    does not depend on the block size and memory stays O(N^2) bits.
-    """
-    n, dim = points.shape
-    step = max(1, _BLOCK_ENTRIES // max(1, n * dim))
-    near = np.empty((n, n), dtype=bool)
-    for lo in range(0, n, step):
-        block = points[lo:lo + step, None] - points[None]
+def within_distance(points: FloatArray, dist: float,
+                    other: Optional[FloatArray] = None) -> NDArray[np.bool_]:
+    """(N, M) mask of the pairs of a row of ``points`` and a row of ``other``
+    (default ``points``) at most ``dist`` apart, in blocks of rows of at most
+    _BLOCK_ENTRIES coordinate differences, each by the same per-pair norm, so
+    the mask does not depend on the block size and memory stays O(NM) bits."""
+    other = points if other is None else other
+    step = max(1, _BLOCK_ENTRIES // max(1, other.size))
+    near = np.empty((len(points), len(other)), dtype=bool)
+    for lo in range(0, len(points), step):
+        block = points[lo:lo + step, None] - other[None]
         near[lo:lo + step] = np.linalg.norm(block, axis=-1) <= dist
     return near
 
 
 def first_distinct(points: FloatArray, dist: float) -> NDArray[np.bool_]:
-    """Mask of the rows farther than ``dist`` from every earlier kept row."""
-    near = within_distance(points, dist)
-    keep = np.ones(points.shape[0], dtype=bool)
-    for i in range(points.shape[0]):  # first occurrence wins
-        if keep[i]:
-            keep[i + 1:] &= ~near[i, i + 1:]
+    """Mask of the rows farther than ``dist`` from every earlier kept row.
+
+    Blocks of rows, each pairing at most _BLOCK_ENTRIES coordinates, meet the
+    rows kept so far in ``within_distance``, a kept row minus a block row as
+    in the full N x N mask, and then keep greedily within the block, so
+    memory is O(_BLOCK_ENTRIES), not O(N^2).
+    """
+    keep = np.zeros(len(points), dtype=bool)
+    cap = max(1, math.isqrt(_BLOCK_ENTRIES // max(1, points.shape[1])))
+    lo = 0
+    while lo < len(points):
+        kept = points[keep]
+        hi = lo + min(cap, max(1, _BLOCK_ENTRIES // max(1, kept.size)))
+        rows = lo + np.flatnonzero(~within_distance(kept, dist, points[lo:hi]).any(axis=0))
+        near = within_distance(points[rows], dist)
+        keep[rows] = True
+        for i, row in enumerate(rows):  # first occurrence wins
+            if keep[row]:
+                keep[rows[i + 1:]] &= ~near[i, i + 1:]
+        lo = hi
     return keep
 
 

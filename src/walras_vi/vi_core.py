@@ -113,16 +113,16 @@ def minty_gap(problem: VIProblem, x) -> float:
 class VISolveResult:
     solution: FloatArray
     residual: float
-    minty_gap: float
     iterations: int
     trace: FloatArray
     status: str
 
-    def to_dict(self) -> dict:
+    def to_dict(self, problem: VIProblem) -> dict:
+        """The ``solve`` JSON, with ``minty_gap(problem, solution)``."""
         return {
             "solution": self.solution.tolist(),
             "residual": self.residual,
-            "minty_gap": self.minty_gap,
+            "minty_gap": minty_gap(problem, self.solution),
             "iterations": self.iterations,
             "status": self.status,
         }
@@ -182,7 +182,7 @@ def solve_extragradient(problem: VIProblem, start=None,
     returned.  Residuals per iteration are recorded in the trace (index 0
     is the starting residual); an accepted crossover is one iteration and
     the trace's last row.  E(x_k) is evaluated once, for x_k's residual
-    and the next y-step: 2k + 2 field calls for k steps, plus one per
+    and the next y-step: 2k + 1 field calls for k steps, plus one per
     crossover point that reaches the residual test.
     """
     region, model = problem.region, problem.model
@@ -207,14 +207,8 @@ def solve_extragradient(problem: VIProblem, start=None,
         trace.append(r)
         iterations += 1
     status = CONVERGED if trace[-1] <= tol else BUDGET_EXHAUSTED
-    return VISolveResult(
-        solution=x,
-        residual=trace[-1],
-        minty_gap=minty_gap(problem, x),
-        iterations=iterations,
-        trace=np.asarray(trace),
-        status=status,
-    )
+    return VISolveResult(solution=x, residual=trace[-1], iterations=iterations,
+                         trace=np.asarray(trace), status=status)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,8 +267,7 @@ def _extreme_points(points: FloatArray) -> FloatArray:
     return points[keep]
 
 
-def _cascade(X: FloatArray, Y: FloatArray, a, b, tol: float,
-             buf=None) -> FloatArray:
+def _cascade(X: FloatArray, Y: FloatArray, a, b, tol: float) -> FloatArray:
     """a_i + min over j of X_i.Y_j + b_j for every row i of X kept to the end.
 
     Probe levels of 16, 256 and 4,096 strided rows of Y, then all, each
@@ -296,7 +289,7 @@ def _cascade(X: FloatArray, Y: FloatArray, a, b, tol: float,
     """
     R, C = X.shape[0], Y.shape[0]
     a, b = np.broadcast_to(a, R), np.broadcast_to(b, C)
-    buf = np.empty(min(R * C, max(_BLOCK_PAIRS, 3 * C))) if buf is None else buf
+    buf = np.empty(min(R * C, max(_BLOCK_PAIRS, 3 * C)))
     vals = np.full(R, np.inf)
     rows = np.arange(R)
     fresh = np.ones(C, dtype=bool)

@@ -50,8 +50,8 @@ from walras_vi.regions import (_BLOCK_ENTRIES, Box, FloatArray, Polyhedron,
                                ProjectionBudgetError, Simplex, _axis_mesh,
                                _check_grid_size, _lstsq,
                                _row_subsets, as_price_vector, first_distinct)
-from walras_vi.vi_core import (_BLOCK_PAIRS, MemberClusters, SolutionSetEstimate,
-                               _cascade, _extreme_points, residual)
+from walras_vi.vi_core import (MemberClusters, SolutionSetEstimate, _cascade,
+                               _extreme_points, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -931,7 +931,8 @@ def minty_gap_reference(problem, x) -> float:
 # ---------------------------------------------------------------------------
 # the probe set as it was before it was made cheap: corners by product and
 # np.unique, polyhedron vertices enumerated on every call, one projection per
-# sample row, and Halton digits one axis at a time
+# sample row, and Halton digits one axis at a time; and the distinct rows of
+# a point set by their definition
 
 
 def halton_reference(count: int, dim: int) -> FloatArray:
@@ -958,6 +959,19 @@ def box_vertices_reference(self) -> FloatArray:
         raise ValueError("vertex enumeration limited to dim <= 16")
     corners = itertools.product(*zip(self.lower, self.upper))
     return np.unique(np.array(list(corners), dtype=float), axis=0)
+
+
+def first_distinct_reference(points, dist: float) -> np.ndarray:
+    """``first_distinct`` from its definition, row by row: a row stays when
+    no row kept before it is within ``dist``, by the norm of the kept row
+    minus the row."""
+    kept: list[int] = []
+    for j, p in enumerate(points):
+        if not (np.linalg.norm(points[kept] - p, axis=-1) <= dist).any():
+            kept.append(j)
+    keep = np.zeros(len(points), dtype=bool)
+    keep[kept] = True
+    return keep
 
 
 def polyhedron_vertices_reference(self) -> FloatArray:
@@ -1052,13 +1066,12 @@ def enumerate_solutions_reference(problem, grid_spacing: float,
     evals = problem.model(grid)
     diag = np.einsum("ij,ij->i", evals, grid)
     tol = grid_spacing * lipschitz_scale
-    buf = np.empty(min(len(grid) ** 2, max(_BLOCK_PAIRS, 3 * len(grid))))
-    primal = _cascade(evals, _extreme_points(grid), -diag, 0.0, tol, buf)
+    primal = _cascade(evals, _extreme_points(grid), -diag, 0.0, tol)
     np.negative(evals, out=evals)  # exact, and no second (G, n) array
     return SolutionSetEstimate(
         grid_points=grid,
         stampacchia_mask=primal >= -tol,
-        minty_mask=_cascade(grid, evals, 0.0, diag, tol, buf) >= -tol,
+        minty_mask=_cascade(grid, evals, 0.0, diag, tol) >= -tol,
         grid_spacing=grid_spacing,
         tolerance=tol,
     )

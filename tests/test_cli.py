@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import walras_vi
+from walras_vi import vi_core
 from walras_vi.cli import load_problem, main, parse_region
-from walras_vi.harness import HarnessConfig
+from walras_vi.harness import HarnessConfig, run_catalog_with_evidence
 from walras_vi.monotonicity import CLASS_NAMES
-from walras_vi.vi_core import solve_extragradient
+from walras_vi.vi_core import minty_gap, solve_extragradient
 
 LINEAR_PROBLEM = {
     "economy": {"kind": "linear", "M": [[1.0, 0.0], [0.0, 1.0]], "c": [1.5, 0.5]},
@@ -76,9 +77,23 @@ def test_solve_json_roundtrips_bit_exactly(runner, tmp_path):
     reference = solve_extragradient(spec.problem, config=spec.config)
     assert payload["solution"] == reference.solution.tolist()
     assert payload["residual"] == reference.residual
-    assert payload["minty_gap"] == reference.minty_gap
+    assert payload["minty_gap"] == minty_gap(spec.problem, reference.solution)
     # serialize-parse is the identity on the emitted values
     assert json.loads(json.dumps(payload)) == payload
+
+
+def test_only_the_solve_command_computes_a_minty_gap(runner, tmp_path, monkeypatch):
+    # the harness reads no gap, so its solves compute none; solve emits one
+    points, gap = [], vi_core.minty_gap
+    monkeypatch.setattr(vi_core, "minty_gap", lambda problem, x:
+                        points.append(x) or gap(problem, x))
+    run_catalog_with_evidence()
+    assert points == []
+    path = write(tmp_path, "problem.json", LINEAR_PROBLEM)
+    result = runner.invoke(main, ["solve", path])
+    assert result.exit_code == 0 and len(points) == 1
+    assert json.loads(result.output)["minty_gap"] == gap(load_problem(path).problem,
+                                                         points[0])
 
 
 def test_solve_trace_csv_roundtrip(runner, tmp_path):
@@ -238,7 +253,7 @@ def _box_problem(n, **plan):
 
 
 @pytest.mark.parametrize("problem, class_name, message", [
-    # 65,536 vertices: first_distinct would ask for 512 GiB
+    # 65,536 vertices, refused before plan points are paired
     (_box_problem(16), "pseudo", "give 65560 plan points, more than the limit of 1024"),
     (_box_problem(2, points=100_000), "pseudo", "plan points must be at most 1024"),
     (_box_problem(2, weight_resolution=100_000), "proper_quasi",

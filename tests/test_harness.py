@@ -267,6 +267,17 @@ def test_fixtures_on_equal_regions_share_one_plan_per_run(monkeypatch):
     assert len(built) == 1 + len(catalog)
 
 
+def test_a_run_builds_one_plan_per_region(monkeypatch):
+    # 4 fixtures on the unit square, 3 on [0, 1], a simplex and a polyhedron:
+    # 4 regions, so 4 plans where a plan per fixture made 9
+    built, build = [], monotonicity.build_plan
+    monkeypatch.setattr(harness, "build_plan", lambda region, config:
+                        built.append(region) or build(region, config))
+    _, evidence = run_catalog_with_evidence(CATALOG, CONFIG)
+    assert len(built) == 4
+    assert evidence["linear_identity"].plan is evidence["rotation"].plan
+
+
 def _counting_lattices(monkeypatch):
     built = []
     build = vi_core.GridLattice

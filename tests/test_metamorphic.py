@@ -11,8 +11,8 @@ spacings.  The relations:
 * (c) permuting a plan's base points permutes its tuples, so no verdict,
   no ``holds_on_samples`` margin and no ``samples_used`` may move;
 * (d) reordering a catalog file's fixtures changes no fixture's results,
-  though fixtures with equal plans share one plan object, which the first
-  of them builds;
+  though fixtures on equal regions share one plan and one lattice, which
+  the first of them builds;
 * (a) relabeling the commodities (M -> P M P^T, c -> P c, the region's axes
   permuted) leaves the problem the same; it fails today (ROADMAP Finding 4)
   and is pinned as a strict xfail.
@@ -145,7 +145,8 @@ def _fixture_results(entries):
         "plan": ev.plan.base_points.tolist(),
         "reports": {name: r.to_dict() for name, r in ev.reports.items()},
         "estimate": ev.estimate.to_dict(),
-        "solve": ev.solve.to_dict(),
+        "solve": [ev.solve.solution.tolist(), ev.solve.residual, ev.solve.iterations,
+                  ev.solve.trace.tolist(), ev.solve.status],
         "clusters": [ev.stampacchia.to_dict(), ev.minty.to_dict()],
         "positive": ev.positive}, sort_keys=True) for label, ev in evidence.items()}
 

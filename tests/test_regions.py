@@ -1,6 +1,8 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from conftest import (
     _lstsq_reference,
     box_grid,
     box_vertices_reference,
+    first_distinct_reference,
     halton_reference,
     nearest_grid_point,
     nnls_reference,
@@ -926,6 +929,68 @@ def test_distance_blocks_match_the_full_tensor_bit_for_bit(monkeypatch, dim):
         monkeypatch.setattr(regions, "_BLOCK_ENTRIES", entries)
         for dist in full[rng.integers(0, 37, 6), rng.integers(0, 37, 6)]:
             assert np.array_equal(within_distance(pts, dist), full <= dist)
+
+
+def _full_mask_first_distinct(pts, dist):
+    """``first_distinct`` by the full N x N mask of ``within_distance``."""
+    near = within_distance(pts, dist)
+    keep = np.ones(len(pts), dtype=bool)
+    for i in range(len(pts)):
+        if keep[i]:
+            keep[i + 1:] &= ~near[i, i + 1:]
+    return keep
+
+
+@st.composite
+def near_duplicates(draw):
+    """(rows, dist): a few centres, each repeated at distances around dist
+    along one axis, ties at dist included, in a drawn order."""
+    dim = draw(st.integers(1, 4))
+    dist = draw(st.sampled_from([1e-9, 0.117, 1.0]))
+    centres = draw(st.lists(st.lists(st.sampled_from([-1.0, 0.0, 0.3, 1e5]),
+                                     min_size=dim, max_size=dim), min_size=1, max_size=4))
+    scales = st.sampled_from([0.0, 0.5, 1.0, 1.0 - 2.0 ** -40, 1.0 + 2.0 ** -40, 2.0])
+    rows = draw(st.lists(st.tuples(st.integers(0, len(centres) - 1),
+                                   st.integers(0, dim - 1), scales,
+                                   st.sampled_from([-1.0, 1.0])), min_size=1, max_size=40))
+    pts = np.array([centres[k] for k, *_ in rows])
+    for i, (_, axis, scale, sign) in enumerate(rows):
+        pts[i, axis] += sign * scale * dist
+    return pts, dist
+
+
+@settings(max_examples=80, deadline=None)
+@given(near_duplicates(), st.sampled_from([1, 3, 16, 100, 1 << 20]))
+def test_first_distinct_blocks_keep_the_full_masks_rows(case, entries):
+    # small blocks split the kept rows and the rows compared with them
+    pts, dist = case
+    full = _full_mask_first_distinct(pts, dist)
+    with mock.patch.object(regions, "_BLOCK_ENTRIES", entries):
+        got = first_distinct(pts, dist)
+    assert got.tolist() == full.tolist() == first_distinct_reference(pts, dist).tolist()
+
+
+def _pyramid(faces: int):
+    """A pyramid over a regular ``faces``-gon: every lateral row through the
+    apex (0, 0, 1), and z >= 0."""
+    t = [2 * math.pi * k / faces for k in range(faces)]
+    A = [[round(math.cos(a), 6), round(math.sin(a), 6), 1.0] for a in t] + [[0.0, 0.0, -1.0]]
+    return A, [1.0] * faces + [0.0]
+
+
+def test_a_many_faced_pyramid_dedupes_its_apex_in_little_memory(monkeypatch):
+    # 9,920 basic feasible points, 9,880 of them the apex: the full mask
+    # alone took 94 MiB, and construction peaked at 115.6 MiB
+    tracemalloc.start()
+    try:
+        region = Polyhedron(*_pyramid(40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20
+    monkeypatch.setattr(regions, "first_distinct", first_distinct_reference)
+    assert region.vertices().shape == (41, 3)
+    assert region.vertices().tobytes() == region._vertex_points().tobytes()
 
 
 def test_contains_many_validates_rows():

@@ -31,9 +31,11 @@ runner), on input files written into a temporary directory:
   much: a positive-definite field on the unit cube at grid 0.05,
   ``rotation`` at 0.01, whose solution face no column cell can skip, the
   constant field at 0.005, and E(p) = p - (5e4, 5e4) on [0, 1e5]^2 at
-  grid 1,000.
+  grid 1,000;
+* ``solve`` on a pyramid of 40 lateral faces through one apex, whose
+  9,920 basic feasible points hold 9,880 copies of the apex.
 
-That is 233 runs.  The benchmark's input files come from
+That is 234 runs.  The benchmark's input files come from
 ``bench/workloads.py``, which is only read.  The output is one JSON object,
 case name -> sha256 of the run's stdout, stderr and exit code.
 
@@ -72,6 +74,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -131,6 +134,17 @@ FILTER_PROBLEMS = {
                         "region": LARGE_BOX["region"]}, "1000"),
 }
 FILTER_FIXTURES = {"rotation": "0.01", "constant_field": "0.005"}
+
+# a pyramid over a regular 40-gon, apex (0, 0, 1), base z >= 0, and
+# E(p) = p - c with c outside it
+PYRAMID_40 = {
+    "economy": {"kind": "linear", "M": IDENTITY_3, "c": [0.5, 0.25, 0.75]},
+    "region": {"kind": "polyhedron",
+               "A": [[round(math.cos(2 * math.pi * k / 40), 6),
+                      round(math.sin(2 * math.pi * k / 40), 6), 1.0]
+                     for k in range(40)] + [[0.0, 0.0, -1.0]],
+               "b": [1.0] * 40 + [0.0]},
+}
 
 
 def _region_spec(region) -> dict:
@@ -207,6 +221,9 @@ def cases(directory: Path) -> dict:
     for label, grid in FILTER_FIXTURES.items():
         out[f"oracle-{label}-{grid}"] = [
             "oracle", str(directory / f"{label}-24.json"), "--grid", grid]
+    path = directory / "pyramid40.json"
+    path.write_text(json.dumps(PYRAMID_40))
+    out["solve-pyramid40"] = ["solve", str(path)]
     return out
 
 
