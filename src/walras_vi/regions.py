@@ -601,29 +601,38 @@ class Polyhedron(ConvexRegion):
         self._feasible = self.project(np.zeros(n))
 
     def _bound_by_vertices(self) -> None:
-        """Box and anchor from the vertices; raises if the set is empty or
-        unbounded.
+        """Vertices, box and anchor; raises if the set is empty or unbounded.
 
-        Fewer than n + 1 rows cannot bound it.  With unit rows of rank n,
-        it is empty iff it has no vertex, and bounded iff
-        {d : A d <= 0} = {0} (Gordan's alternative).  That cone is then
-        pointed, so it is {0} iff it has no extreme ray, and an extreme ray
-        is orthogonal to n - 1 independent rows: it is one of the two null
-        directions of an (n - 1)-subset, the subset's generalized cross
-        product and its negative.
+        Fewer than n + 1 rows cannot bound it.  An n-subset of rows is a
+        basis when its unit rows have |det| >= 1e-12, so the test does not
+        depend on how the rows are scaled; each basic point is solved from
+        the rows as given, and the feasible ones, deduplicated and sorted,
+        are the vertices.  With unit rows of rank n, the set is empty iff it
+        has no vertex, and bounded iff {d : A d <= 0} = {0} (Gordan's
+        alternative).  That cone is then pointed, so it is {0} iff it has no
+        extreme ray, and an extreme ray is orthogonal to n - 1 independent
+        rows: it is one of the two null directions of an (n - 1)-subset, the
+        subset's generalized cross product and its negative.
         """
-        n = self.dim
-        if self.b.size <= n:
-            raise ValueError(f"polyhedron must be nonempty and bounded "
-                             f"(fewer than {n + 1} constraints)")
-        try:
-            pts = self._vertex_points()
-        except ValueError as exc:
-            raise ValueError(f"polyhedron must be nonempty and bounded ({exc})") from None
-        rows = self._unit_A[_row_subsets(self.b.size, n - 1)]
+        n, m = self.dim, self.b.size
+        fail = "polyhedron must be nonempty and bounded ({})".format
+        if m <= n:
+            raise ValueError(fail(f"fewer than {n + 1} constraints"))
         # a subnormal entry can leave a zero LU pivot whose log raises the
         # divide flag inside det; that det is then 0, as it should be
         with np.errstate(divide="ignore"):
+            rows = _row_subsets(m, n)
+            rows = rows[np.abs(np.linalg.det(self._unit_A[rows])) >= 1e-12]
+            if rows.shape[0] == 0:
+                raise ValueError(fail(f"the constraint normals span fewer than "
+                                      f"{n} dimensions"))
+            pts = np.linalg.solve(self.A[rows], self.b[rows][..., None])[..., 0]
+            pts = pts[self.contains_many(pts, tol=1e-9)]
+            if pts.shape[0] == 0:
+                raise ValueError(fail("no point satisfies A x <= b"))
+            pts = pts[first_distinct(pts, 1e-9)]
+            pts = pts[np.lexsort(pts.T[::-1])]
+            rows = self._unit_A[_row_subsets(m, n - 1)]
             d = np.stack([(-1) ** j * np.linalg.det(np.delete(rows, j, axis=2))
                           for j in range(n)], axis=-1)
         norm = np.linalg.norm(d, axis=1)
@@ -631,8 +640,7 @@ class Polyhedron(ConvexRegion):
         rays = np.vstack((d, -d))
         rays = rays[np.all(rays @ self._unit_A.T <= 1e-12, axis=1)]
         if rays.shape[0]:
-            raise ValueError(f"polyhedron must be nonempty and bounded "
-                             f"(A d <= 0 at d = {(rays[0] + 0.0).tolist()})")
+            raise ValueError(fail(f"A d <= 0 at d = {(rays[0] + 0.0).tolist()}"))
         self._lower, self._upper = pts.min(axis=0), pts.max(axis=0)
         self._anchor, self._vertices = pts[0], pts
         pts.flags.writeable = False
@@ -724,33 +732,12 @@ class Polyhedron(ConvexRegion):
         return self._unit_A, self._unit_b, 0
 
     def vertices(self) -> FloatArray:
-        """The vertices kept, read-only, from construction; without them (LP
-        bounds) the enumeration raises."""
-        return self._vertex_points() if self._vertices is None else self._vertices
-
-    def _vertex_points(self) -> FloatArray:
-        """Basic feasible points from all n-subsets of active constraints.
-
-        A subset is a basis when its unit rows have |det| >= 1e-12, so the
-        test does not depend on how the rows are scaled; each vertex is
-        solved from the rows as given.  Raises if there are more than
-        VERTEX_SUBSET_LIMIT n-subsets, if none is a basis, or if no basic
-        point is feasible.
-        """
-        if self.dim > 3:
-            raise ValueError("vertex enumeration is desk-scale only (dim <= 3)")
-        rows = _row_subsets(self.b.size, self.dim)
-        with np.errstate(divide="ignore"):  # as in _bound_by_vertices
-            rows = rows[np.abs(np.linalg.det(self._unit_A[rows])) >= 1e-12]
-        if rows.shape[0] == 0:
-            raise ValueError(f"the constraint normals span fewer than "
-                             f"{self.dim} dimensions")
-        pts = np.linalg.solve(self.A[rows], self.b[rows][..., None])[..., 0]
-        pts = pts[self.contains_many(pts, tol=1e-9)]
-        if pts.shape[0] == 0:
-            raise ValueError("no point satisfies A x <= b")
-        pts = pts[first_distinct(pts, 1e-9)]
-        return pts[np.lexsort(pts.T[::-1])]
+        """The vertices kept, read-only, from construction; a polyhedron that
+        LPs certified has none kept, and raises."""
+        if self._vertices is None:
+            raise ValueError(f"vertices are kept only within the limits of dim <= 3 "
+                             f"and {VERTEX_SUBSET_LIMIT} row subsets")
+        return self._vertices
 
     def __repr__(self) -> str:
         return f"Polyhedron(m={self.A.shape[0]}, n={self.dim})"

@@ -274,13 +274,14 @@ def _cascade(X: FloatArray, Y: FloatArray, a, b, tol: float) -> FloatArray:
     score the rows of X left by the level before against the columns no
     earlier level scored.  A row leaves once a_i plus its minimum is below
     ``-tol``; a row that reaches the end has seen every column once, so its
-    value is the full minimum.  Rows come in chunks of at most
-    ``_MINTY_PAIRS`` pairings (one row when a row alone has more), a chunk
-    of 2 or more in ``np.array_split`` blocks of 2 or more rows and about
-    ``_BLOCK_PAIRS`` pairings, each reduced in place in a prefix of ``buf``,
-    which min(RC, max(_BLOCK_PAIRS, 3C)) entries fit.  Minty: (grid,
-    -E(grid), 0, diag), by exact negation E(p_j).(p_j - p_i); Stampacchia:
-    (E(grid), the lattice's hull rows, -diag, 0), that is E(p_i).(p_j - p_i).
+    value is the full minimum, +inf when Y has no rows.  Rows come in
+    chunks of at most ``_MINTY_PAIRS`` pairings (one row when a row alone
+    has more), a chunk of 2 or more in ``np.array_split`` blocks of 2 or
+    more rows and about ``_BLOCK_PAIRS`` pairings, each reduced in place in
+    a prefix of ``buf``, which min(RC, max(_BLOCK_PAIRS, 3C)) entries fit.
+    Minty: (grid, -E(grid), 0, diag), by exact negation E(p_j).(p_j - p_i);
+    Stampacchia: (E(grid), the lattice's hull rows, -diag, 0), that is
+    E(p_i).(p_j - p_i).
 
     Pairings are BLAS products, whose last bit can depend on where a column
     falls in a block and, under OpenBLAS's SkylakeX kernels, on the row
@@ -293,7 +294,7 @@ def _cascade(X: FloatArray, Y: FloatArray, a, b, tol: float) -> FloatArray:
     vals = np.full(R, np.inf)
     rows = np.arange(R)
     fresh = np.ones(C, dtype=bool)
-    for level in (16, 256, 4096, C):
+    for level in (16, 256, 4096, max(C, 1)):
         cols = np.arange(0, C, max(1, C // level))
         cols = cols[fresh[cols]]
         fresh[cols] = False
@@ -480,10 +481,7 @@ def enumerate_solutions(problem: VIProblem, grid_spacing: float,
     primal[stamp] = _cascade(evals[stamp], hull, -diag[stamp], 0.0, tol) >= -tol
     np.negative(evals, out=evals)  # exact, in place
     dual = np.zeros(len(grid), dtype=bool)
-    if cols.any():  # else no column can reject a row
-        dual[minty] = _cascade(grid[minty], evals[cols], 0.0, diag[cols], tol) >= -tol
-    else:
-        dual[minty] = True
+    dual[minty] = _cascade(grid[minty], evals[cols], 0.0, diag[cols], tol) >= -tol
     return SolutionSetEstimate(
         grid_points=grid,
         stampacchia_mask=primal,

@@ -49,7 +49,7 @@ from walras_vi.monotonicity import (_SCAN_PAIRS, HOLDS, REFUTED,
 from walras_vi.regions import (_BLOCK_ENTRIES, Box, FloatArray, Polyhedron,
                                ProjectionBudgetError, Simplex, _axis_mesh,
                                _check_grid_size, _lstsq,
-                               _row_subsets, as_price_vector, first_distinct)
+                               _row_subsets, as_price_vector)
 from walras_vi.vi_core import (MemberClusters, SolutionSetEstimate, _cascade,
                                _extreme_points, residual)
 
@@ -987,7 +987,7 @@ def polyhedron_vertices_reference(self) -> FloatArray:
     pts = pts[self.contains_many(pts, tol=1e-9)]
     if pts.shape[0] == 0:
         raise ValueError("no point satisfies A x <= b")
-    pts = pts[first_distinct(pts, 1e-9)]
+    pts = pts[first_distinct_reference(pts, 1e-9)]
     return pts[np.lexsort(pts.T[::-1])]
 
 

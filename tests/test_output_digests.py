@@ -44,7 +44,9 @@ def test_output_digests_match_record(monkeypatch):
 def test_record_keeps_the_kernel_dependent_cases(monkeypatch, tmp_path):
     tool = _tool()
     record = tmp_path / "output_digests.json"
-    record.write_text(json.dumps({"digests": {"a": "0"}, "kernel_dependent": ["a"],
+    # "gone" left the matrix: kept, it would fail the gate under another core
+    record.write_text(json.dumps({"digests": {"a": "0", "gone": "3"},
+                                  "kernel_dependent": ["a", "gone"],
                                   "openblas_core": "Katmai"}))
     monkeypatch.setattr(tool, "RECORD", record)
     monkeypatch.setattr(tool, "run_all", lambda: {"a": "1", "b": "2"})

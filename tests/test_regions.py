@@ -325,6 +325,42 @@ def test_unbounded_regions_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("A, b, reason", [
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], "fewer than 3 constraints"),
+    ([[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]], [1.0, 1.0, 1.0],
+     "the constraint normals span fewer than 2 dimensions"),
+    ([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [0.0, 0.0, -1.0],
+     "no point satisfies A x <= b"),
+    # x, y >= 0 and x <= y: the ray along the y axis
+    ([[-1.0, 0.0], [0.0, -1.0], [1.0, -1.0]], [0.0, 0.0, 0.0],
+     "A d <= 0 at d = [0.0, 1.0]"),
+    (*HALF_LINE, "A d <= 0 at d = [-1.0]"),
+], ids=["fewer-rows", "rank", "empty", "ray", "half-line"])
+def test_polyhedron_refusals_keep_their_full_text(A, b, reason):
+    with pytest.raises(ValueError) as info:
+        Polyhedron(A, b)
+    assert str(info.value) == f"polyhedron must be nonempty and bounded ({reason})"
+
+
+def test_an_lp_certified_polyhedron_enumerates_no_vertices(monkeypatch):
+    # the 2,006-row cube of the CLI's vertex-limit test: C(2006, 3) row
+    # subsets, so LPs certify it, and vertices() refuses at once
+    normals = np.random.default_rng(5).normal(size=(2000, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    region = Polyhedron(normals, normals @ np.full(3, 0.5) + 1.0,
+                        lower=np.zeros(3), upper=np.ones(3))
+
+    def no_enumeration(*args):
+        raise AssertionError("vertices enumerated after construction")
+
+    monkeypatch.setattr(regions, "_row_subsets", no_enumeration)
+    monkeypatch.setattr(np.linalg, "det", no_enumeration)
+    with pytest.raises(ValueError) as info:
+        region.vertices()
+    assert str(info.value) == ("vertices are kept only within the limits of "
+                               "dim <= 3 and 65536 row subsets")
+
+
 @st.composite
 def boxes(draw):
     """A box of 1 to 16 axes, each a range, a flat axis, or a flat axis at
@@ -978,7 +1014,7 @@ def _pyramid(faces: int):
     return A, [1.0] * faces + [0.0]
 
 
-def test_a_many_faced_pyramid_dedupes_its_apex_in_little_memory(monkeypatch):
+def test_a_many_faced_pyramid_dedupes_its_apex_in_little_memory():
     # 9,920 basic feasible points, 9,880 of them the apex: the full mask
     # alone took 94 MiB, and construction peaked at 115.6 MiB
     tracemalloc.start()
@@ -988,9 +1024,8 @@ def test_a_many_faced_pyramid_dedupes_its_apex_in_little_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2 ** 20
-    monkeypatch.setattr(regions, "first_distinct", first_distinct_reference)
     assert region.vertices().shape == (41, 3)
-    assert region.vertices().tobytes() == region._vertex_points().tobytes()
+    assert region.vertices().tobytes() == polyhedron_vertices_reference(region).tobytes()
 
 
 def test_contains_many_validates_rows():

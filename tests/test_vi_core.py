@@ -717,6 +717,15 @@ def test_minty_cascade_zero_field(region, spacing, size):
         assert np.array_equal(got, minty_values_two_pass(grid, evals, diag, tol))
 
 
+def test_cascade_without_columns_leaves_every_row_at_inf():
+    # a scan whose filter skipped every column: no column rejects a row, so
+    # each keeps the empty minimum, whatever its a_i
+    X = UNIT_SQUARE.grid(0.5)
+    for a in (0.0, -np.arange(len(X), dtype=float)):
+        got = vi_core._cascade(X, np.empty((0, 2)), a, np.empty(0), 0.0)
+        assert got.tolist() == [np.inf] * len(X)
+
+
 # Grids on which a small _MINTY_PAIRS gives many chunks per level, and
 # chunks of one row wherever a level has more columns than that
 BUFFER_GRIDS = {

@@ -63,7 +63,7 @@ every case reproduces the record, and ``tests/test_output_digests.py``
 checks that on two cases.
 
 A change that moves output on purpose re-records the file, which keeps the
-list, and lists the changed cases:
+list less the cases no longer run, and lists the changed cases:
 
     python tools/output_digests.py --record
     python tools/output_digests.py --compare before.json tools/output_digests.json
@@ -300,7 +300,8 @@ def main(argv=None) -> int:
     parser.add_argument("--record", action="store_true",
                         help="write the digests and the OpenBLAS core to "
                              "tools/output_digests.json, keeping its list of "
-                             "kernel-dependent cases, instead of stdout")
+                             "kernel-dependent cases that still run, instead "
+                             "of stdout")
     args = parser.parse_args(argv)
     if args.compare:
         before, after = (load_digests(p) for p in args.compare)
@@ -314,7 +315,8 @@ def main(argv=None) -> int:
         kept = json.loads(RECORD.read_text()) if RECORD.exists() else {}
         RECORD.write_text(json.dumps({
             "openblas_core": openblas_core(), "digests": digests,
-            "kernel_dependent": kept.get("kernel_dependent", [])},
+            "kernel_dependent": [name for name in kept.get("kernel_dependent", [])
+                                 if name in digests]},
             indent=1, sort_keys=True) + "\n")
     else:
         print(json.dumps(digests, indent=1, sort_keys=True))
